@@ -1,7 +1,8 @@
 """Command-line harness: `dcn2 gradcheck|bench|demo-train|saliency|erf`.
 
-Exit codes are a stable contract: 0 success, 2 usage error, 3 numeric
-divergence, 4 I/O error.
+Exit codes are a stable contract: 0 success, 2 usage error (bad arguments,
+shapes, configuration or probe capability), 3 numeric divergence or
+non-convergence, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,15 @@ import numpy as np
 from . import checks, runtime
 from .deform_conv import ConvWeights, KernelSpec, OffsetModulationField, \
     mdconv_forward, mdconv_forward_optimized
-from .errors import ArgumentError, FormatError, UsageError
+from .errors import (
+    ArgumentError,
+    CapabilityError,
+    ConfigurationError,
+    ConvergenceError,
+    FormatError,
+    ShapeError,
+    UsageError,
+)
 from .imageio import encode_mask_pgm, encode_pgm, load_image
 from .mimic import MimicConfig
 from .support import (
@@ -263,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--threads", type=int, default=None)
-    common.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                        default=True)
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--config", default=None, help="JSON config file")
 
@@ -320,7 +327,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.threads is not None:
         runtime.set_num_threads(args.threads)
-    runtime.set_deterministic(args.deterministic)
     np.random.seed(args.seed)
     try:
         return args.fn(args)
@@ -330,10 +336,13 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except ConvergenceError as exc:
+        print(f"no convergence: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except (OSError, FormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ArgumentError,) as exc:
+    except (ArgumentError, ShapeError, ConfigurationError, CapabilityError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

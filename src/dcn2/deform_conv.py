@@ -2,10 +2,16 @@
 
 Two implementations share one contract: a readable per-position reference
 kernel (`mdconv_forward` / `mdconv_backward`) and a vectorized one
-(`*_optimized`) that gathers all bilinear corners at once and reduces with a
-single matrix product per row block. Offsets and modulation come from a
-sibling regular convolution (`offset_branch_forward`) with 3K output
-channels, zero-initialized so training starts at dp=0, dm=0.5.
+(`*_optimized`). Per (batch, row-block) chunk the vectorized kernel builds
+the sparse sampling matrix S (`sampling.sampling_matrix`, one row per
+(position, tap), modulation folded into its data); S @ X^T reshapes for free
+to (positions, K*C_in), and one GEMM with the weights gives the output. The
+backward pass rebuilds the pattern together with the weights' coordinate
+derivatives and scatters grad_x through S^T in float64.
+
+Offsets and modulation come from a sibling regular convolution
+(`offset_branch_forward`) with 3K output channels, zero-initialized so
+training starts at dp=0, dm=0.5.
 
 Offset channel layout is pinned for file compatibility: channel pair
 (2k, 2k+1) holds (dy_k, dx_k) for tap k in row-major kernel order.
@@ -20,7 +26,7 @@ import numpy as np
 
 from . import runtime
 from .errors import ArgumentError, ShapeError
-from .sampling import bilinear_backward, bilinear_corner_gather, bilinear_sample
+from .sampling import bilinear_backward, bilinear_corner_gather, bilinear_sample, sampling_matrix
 from .tensor import as_array
 
 # learning-rate multiplier carried by offset/modulation branch weights (the
@@ -128,9 +134,8 @@ class OffsetModulationField:
             raise ShapeError(
                 f"modulation shape {self.modulation.shape} != {(n, twok // 2, h, w)}"
             )
-        if self.modulation.size and (
-            self.modulation.min() < 0.0 or self.modulation.max() > 1.0
-        ):
+        # written so that NaN fails the range test
+        if not ((self.modulation >= 0.0) & (self.modulation <= 1.0)).all():
             raise ArgumentError("modulation values must lie in [0, 1]")
         if self.offsets.size and not np.isfinite(self.offsets).all():
             raise ArgumentError("offsets must be finite")
@@ -253,7 +258,7 @@ def mdconv_backward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulation
 
 
 # ---------------------------------------------------------------------------
-# optimized kernel: corner gather + GEMM over row blocks
+# optimized kernel: sparse sampling matrix + GEMM over row blocks
 # ---------------------------------------------------------------------------
 
 # element budget (C_in * K * positions) per work chunk; small problems run as
@@ -278,57 +283,60 @@ def _compute_dtype(x: np.ndarray) -> np.dtype:
 
 
 class _ConvGeometry:
-    """Shared position/gather machinery for the optimized kernels."""
+    """Shared sampling-matrix machinery for the optimized kernels.
+
+    Everything per position is kept position-major, (N, H_out, W_out, K), so
+    a chunk's sampling matrix has one row per (item, out row, out col, tap)
+    and its product with the (pixels, C_in) input reshapes for free to the
+    (positions, K*C_in) operand of the GEMM.
+    """
 
     def __init__(self, x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField):
         self.x = x
         self.dtype = _compute_dtype(x)
-        self.n, self.c_in, self.h, self.w_in = x.shape
-        self.c_out = w.weight.shape[0]
-        self.h_out, self.w_out = spec.out_size(self.h, self.w_in)
-        self.spec = spec
-        self.wmat = w.weight.reshape(self.c_out, -1).astype(self.dtype)
+        _, self.c_in, self.h, self.w_in = x.shape
+        c_out = w.weight.shape[0]
+        h_out, w_out = spec.out_size(self.h, self.w_in)
+        # (K*C_in, C_out), rows in the (tap, channel) order of a sampled row
+        self.wmat = np.ascontiguousarray(
+            w.weight.reshape(c_out, self.c_in, spec.k).transpose(2, 1, 0),
+            dtype=self.dtype).reshape(spec.k * self.c_in, c_out)
         self.bias = None if w.bias is None else np.asarray(w.bias, dtype=self.dtype)
-        self.offs = as_array(field.offsets).astype(np.float64)
-        self.mods = as_array(field.modulation).astype(self.dtype)
+        offs = as_array(field.offsets).astype(np.float64)
+        self.off_y = offs[:, 0::2].transpose(0, 2, 3, 1)
+        self.off_x = offs[:, 1::2].transpose(0, 2, 3, 1)
+        self.mods = as_array(field.modulation).astype(np.float64).transpose(0, 2, 3, 1)
         taps = spec.taps()
         cy, cx = spec.center()
-        self.base_y = np.arange(self.h_out, dtype=np.float64) * spec.stride[0] - spec.pad[0] + cy
-        self.base_x = np.arange(self.w_out, dtype=np.float64) * spec.stride[1] - spec.pad[1] + cx
+        self.base_y = np.arange(h_out, dtype=np.float64) * spec.stride[0] - spec.pad[0] + cy
+        self.base_x = np.arange(w_out, dtype=np.float64) * spec.stride[1] - spec.pad[1] + cx
         self.tap_y = taps[:, 0]
         self.tap_x = taps[:, 1]
 
     def planes(self, n0: int, n1: int) -> np.ndarray:
-        """(C, (n1-n0)*H*W) copy/view of the input planes in compute dtype."""
-        if n1 - n0 == 1:
-            return self.x[n0].reshape(self.c_in, -1).astype(self.dtype)
-        return self.x[n0:n1].transpose(1, 0, 2, 3).reshape(self.c_in, -1).astype(self.dtype)
+        """((n1-n0)*H*W, C_in) pixel-major copy of the input in compute dtype."""
+        return np.ascontiguousarray(self.x[n0:n1].transpose(0, 2, 3, 1),
+                                    dtype=self.dtype).reshape(-1, self.c_in)
 
-    def gather(self, n0: int, n1: int, r0: int, r1: int):
-        """Corner values/weights for the chunk; positions are (nb, K, nr, W)."""
-        k = self.spec.k
-        py = (self.tap_y[None, :, None, None]
-              + self.base_y[r0:r1][None, None, :, None]
-              + self.offs[n0:n1, 0::2, r0:r1])
-        px = (self.tap_x[None, :, None, None]
-              + self.base_x[None, None, None, :]
-              + self.offs[n0:n1, 1::2, r0:r1])
-        nb = n1 - n0
-        pr = (r1 - r0) * self.w_out
-        py = py.reshape(nb, k, pr)
-        px = px.reshape(nb, k, pr)
-        offset = None
-        if nb > 1:
-            offset = (np.arange(nb, dtype=np.int64) * (self.h * self.w_in))[:, None, None]
-        xf = self.planes(n0, n1)
-        return xf, bilinear_corner_gather(xf, py, px, self.h, self.w_in, flat_offset=offset)
+    def pattern(self, n0: int, n1: int, r0: int, r1: int, modulated: bool = False,
+                derivatives: bool = False):
+        """Sampling pattern of the chunk in compute dtype, positions
+        (nb, nr, W_out, K); modulated=True folds the modulation into it.
+        """
+        py = (self.tap_y + self.base_y[r0:r1, None, None]) + self.off_y[n0:n1, r0:r1]
+        px = (self.tap_x + self.base_x[:, None]) + self.off_x[n0:n1, r0:r1]
+        item = (np.arange(n1 - n0) * (self.h * self.w_in))[:, None, None, None]
+        scale = self.mods[n0:n1, r0:r1] if modulated else None
+        return bilinear_corner_gather(py, px, self.h, self.w_in, flat_offset=item, scale=scale,
+                                      derivatives=derivatives, dtype=self.dtype)
 
 
 def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
                              field: OffsetModulationField, threads: int | None = None) -> np.ndarray:
-    """Same contract as mdconv_forward; gathers all bilinear corners at once
-    and reduces each chunk with one batched matrix product. Output writes are
-    disjoint across chunks, so the result is independent of thread count.
+    """Same contract as mdconv_forward. Per chunk, one sparse product with the
+    modulated sampling matrix gathers every tap, and one GEMM applies the
+    weights. Output writes are disjoint across chunks, so the result is
+    independent of thread count.
     """
     x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field)
     c_out = w.weight.shape[0]
@@ -342,115 +350,97 @@ def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
     def do_chunk(task):
         n0, n1, r0, r1 = task
         nb = n1 - n0
-        pr = (r1 - r0) * w_out
-        _, (vals, weights, _) = geo.gather(n0, n1, r0, r1)
-        sampled = vals[0] * weights[0][None]
-        for v, wt in zip(vals[1:], weights[1:]):
-            sampled += v * wt[None]  # (C, nb, K, PR)
-        sampled *= geo.mods[n0:n1, :, r0:r1].reshape(nb, k, pr)[None]
-        smod = np.ascontiguousarray(sampled.transpose(1, 0, 2, 3)).reshape(nb, c_in * k, pr)
-        res = np.matmul(geo.wmat[None], smod)  # (nb, C_out, PR)
+        nr = r1 - r0
+        cols, data = geo.pattern(n0, n1, r0, r1, modulated=True)
+        sampled = sampling_matrix(cols, data, nb * h * win) @ geo.planes(n0, n1)
+        res = sampled.reshape(nb * nr * w_out, k * c_in) @ geo.wmat
         if geo.bias is not None:
-            res += geo.bias[None, :, None]
-        out[n0:n1, :, r0:r1] = res.reshape(nb, c_out, r1 - r0, w_out)
+            res += geo.bias
+        out[n0:n1, :, r0:r1] = res.reshape(nb, nr, w_out, c_out).transpose(0, 3, 1, 2)
 
     tasks = _conv_chunks(n, c_in, k, h_out, w_out)
-    for _ in runtime.run_chunks(do_chunk, tasks, threads=threads, ordered=True):
+    for _ in runtime.run_chunks(do_chunk, tasks, threads=threads):
         pass
     return out
 
 
 def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
                               field: OffsetModulationField, upstream,
-                              threads: int | None = None,
-                              deterministic: bool | None = None):
+                              threads: int | None = None):
     """Vectorized analytic gradients; same return signature as mdconv_backward.
 
-    Per-chunk partial sums for grad_x/grad_w/grad_bias are reduced in chunk
-    order by default; deterministic=False reduces in completion order
-    (agreement within 1e-4 of the ordered result).
+    With S the modulated sampling matrix of a chunk, S0 the unmodulated one
+    and Sy/Sx its coordinate derivatives, and G the upstream gradient:
+    dL/d(modulated sample) = G W; grad_x = S^T (G W), taken as
+    S0^T (G W * m) in float64; offset gradients contract G W * m with Sy X^T
+    and Sx X^T; modulation gradients contract G W with S0 X^T; grad_w =
+    (S X^T)^T G. Per-chunk partial sums of grad_x/grad_w/grad_bias are
+    reduced in chunk order, so the result is bit-identical for any thread
+    count.
     """
     x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field)
     g = as_array(upstream)
     c_out = w.weight.shape[0]
     if g.shape != (n, c_out, h_out, w_out):
         raise ShapeError(f"upstream shape {g.shape} != {(n, c_out, h_out, w_out)}")
-    if deterministic is None:
-        deterministic = runtime.deterministic()
 
+    k = spec.k
     grad_x = np.zeros((n, c_in, h, win), dtype=np.float64)
-    grad_w = np.zeros((c_out, c_in * spec.k), dtype=np.float64)
+    grad_w = np.zeros((k * c_in, c_out), dtype=np.float64)
     grad_b = np.zeros(c_out, dtype=np.float64) if w.bias is not None else None
-    grad_off = np.zeros((n, 2 * spec.k, h_out, w_out), dtype=np.float64)
-    grad_mod = np.zeros((n, spec.k, h_out, w_out), dtype=np.float64)
-    if x.size == 0 or g.size == 0:
-        if grad_b is not None and g.size:
-            grad_b += g.sum(axis=(0, 2, 3), dtype=np.float64)
-        return (grad_x.astype(x.dtype), grad_w.reshape(w.weight.shape).astype(x.dtype),
+    grad_off = np.zeros((n, 2 * k, h_out, w_out), dtype=np.float64)
+    grad_mod = np.zeros((n, k, h_out, w_out), dtype=np.float64)
+
+    def finish():
+        gw = grad_w.reshape(k, c_in, c_out).transpose(2, 1, 0).reshape(w.weight.shape)
+        return (grad_x.astype(x.dtype), gw.astype(x.dtype),
                 None if grad_b is None else grad_b.astype(x.dtype),
                 grad_off.astype(x.dtype), grad_mod.astype(x.dtype))
 
+    if x.size == 0 or g.size == 0:
+        if grad_b is not None and g.size:
+            grad_b += g.sum(axis=(0, 2, 3), dtype=np.float64)
+        return finish()
+
     geo = _ConvGeometry(x, w, spec, field)
-    k = spec.k
-    plane = h * win
 
     def do_chunk(task):
         n0, n1, r0, r1 = task
         nb = n1 - n0
         nr = r1 - r0
-        pr = nr * w_out
-        _, (vals, weights, (y0, x0, ly, lx)) = geo.gather(n0, n1, r0, r1)
-        v00, v01, v10, v11 = vals
-        sampled = v00 * weights[0][None]
-        for v, wt in zip(vals[1:], weights[1:]):
-            sampled += v * wt[None]  # (C, nb, K, PR)
-        m = geo.mods[n0:n1, :, r0:r1].reshape(nb, k, pr)
-        gmat = g[n0:n1, :, r0:r1].reshape(nb, c_out, pr).astype(geo.dtype)
+        cols, weights, dwy, dwx = geo.pattern(n0, n1, r0, r1, derivatives=True)
+        n_cols = nb * h * win
+        xt = geo.planes(n0, n1)
+        s0 = sampling_matrix(cols, weights, n_cols)
+        samples = s0 @ xt
+        dsdy = sampling_matrix(cols, dwy, n_cols) @ xt
+        dsdx = sampling_matrix(cols, dwx, n_cols) @ xt
+        m = geo.mods[n0:n1, r0:r1].reshape(-1, 1).astype(geo.dtype)
+        gmat = np.ascontiguousarray(g[n0:n1, :, r0:r1].transpose(0, 2, 3, 1),
+                                    dtype=geo.dtype).reshape(-1, c_out)
 
-        # dL/d(sample * m): batched (nb, C*K, PR) -> (C, nb, K, PR)
-        gsm = np.matmul(geo.wmat.T[None], gmat)
-        gsm = np.ascontiguousarray(
-            gsm.reshape(nb, c_in, k, pr).transpose(1, 0, 2, 3))
-        grad_mod[n0:n1, :, r0:r1] = (gsm * sampled).sum(axis=0).reshape(nb, k, nr, w_out)
-        gs = gsm * m[None]  # dL/d(sample)
-        hy = 1.0 - ly
-        hx = 1.0 - lx
-        dsdy = (v10 - v00) * hx[None] + (v11 - v01) * lx[None]
-        dsdx = (v01 - v00) * hy[None] + (v11 - v10) * ly[None]
-        grad_off[n0:n1, 0::2, r0:r1] = (gs * dsdy).sum(axis=0).reshape(nb, k, nr, w_out)
-        grad_off[n0:n1, 1::2, r0:r1] = (gs * dsdx).sum(axis=0).reshape(nb, k, nr, w_out)
+        def per_tap(v):  # (rows,) -> (nb, K, nr, W_out)
+            return v.reshape(nb, nr, w_out, k).transpose(0, 3, 1, 2)
+
+        gsm = (gmat @ geo.wmat.T).reshape(-1, c_in)  # dL/d(sample * m)
+        grad_mod[n0:n1, :, r0:r1] = per_tap(np.einsum("ij,ij->i", gsm, samples))
+        gs = gsm * m  # dL/d(sample)
+        grad_off[n0:n1, 0::2, r0:r1] = per_tap(np.einsum("ij,ij->i", gs, dsdy))
+        grad_off[n0:n1, 1::2, r0:r1] = per_tap(np.einsum("ij,ij->i", gs, dsdx))
 
         # partial sums that may overlap across chunks
-        smod = (sampled * m[None]).transpose(1, 0, 2, 3).reshape(nb, c_in * k, pr)
-        gw = np.tensordot(gmat, smod, axes=([0, 2], [0, 2]))
-        gb = gmat.sum(axis=(0, 2)) if grad_b is not None else None
-
-        chunk_plane = nb * plane
-        item_off = (np.arange(nb, dtype=np.int64) * plane)[:, None, None]
-        chan_off = (np.arange(c_in, dtype=np.int64) * chunk_plane)[:, None, None, None]
-        gxf = np.zeros(c_in * chunk_plane, dtype=np.float64)
-        # out-of-bounds corners carry weight 0, so their clipped index gets 0
-        for (dy, dx), wt in zip(((0, 0), (0, 1), (1, 0), (1, 1)), weights):
-            idx = np.clip(y0 + dy, 0, h - 1) * win + np.clip(x0 + dx, 0, win - 1)
-            flat = (chan_off + (idx + item_off)[None]).ravel()
-            gxf += np.bincount(flat, weights=(gs * wt[None]).ravel(),
-                               minlength=c_in * chunk_plane)
-        return n0, n1, gxf.reshape(c_in, nb, h, win), gw, gb
+        gw = (samples * m).reshape(-1, k * c_in).T @ gmat
+        gb = gmat.sum(axis=0) if grad_b is not None else None
+        gx = s0.T @ gs.astype(np.float64)
+        return n0, n1, gx.reshape(nb, h, win, c_in).transpose(0, 3, 1, 2), gw, gb
 
     tasks = _conv_chunks(n, c_in, k, h_out, w_out)
-    for n0, n1, gxf, gw, gb in runtime.run_chunks(do_chunk, tasks, threads=threads,
-                                                  ordered=deterministic):
-        grad_x[n0:n1] += gxf.transpose(1, 0, 2, 3)
+    for n0, n1, gx, gw, gb in runtime.run_chunks(do_chunk, tasks, threads=threads):
+        grad_x[n0:n1] += gx
         grad_w += gw
         if grad_b is not None:
             grad_b += gb
-    return (
-        grad_x.astype(x.dtype),
-        grad_w.reshape(w.weight.shape).astype(x.dtype),
-        None if grad_b is None else grad_b.astype(x.dtype),
-        grad_off.astype(x.dtype),
-        grad_mod.astype(x.dtype),
-    )
+    return finish()
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,14 @@ rounding anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .deform_conv import sigmoid
 from .errors import ArgumentError, ShapeError
-from .sampling import bilinear_corner_gather
+from .sampling import bilinear_corner_gather, sampling_matrix
 from .tensor import as_array
 
 
@@ -33,6 +34,8 @@ class RoI:
     y2: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.x1, self.y1, self.x2, self.y2)):
+            raise ArgumentError(f"RoI coordinates must be finite: {self}")
         if self.x2 < self.x1 or self.y2 < self.y1:
             raise ArgumentError(f"degenerate RoI extents: {self}")
 
@@ -85,7 +88,8 @@ class BinField:
             raise ShapeError(f"offsets must be a flat (2K,) vector, got {self.offsets.shape}")
         if self.modulation.shape != (self.offsets.size // 2,):
             raise ShapeError("modulation must have K entries matching offsets")
-        if self.modulation.size and (self.modulation.min() < 0 or self.modulation.max() > 1):
+        # written so that NaN fails the range test
+        if not ((self.modulation >= 0) & (self.modulation <= 1)).all():
             raise ArgumentError("modulation values must lie in [0, 1]")
         if not np.isfinite(self.offsets).all():
             raise ArgumentError("offsets must be finite")
@@ -125,9 +129,13 @@ def _check_pool_args(x, rois, spec: PoolSpec, fields):
     return x
 
 
-def _pool_geometry(x: np.ndarray, rois: list[RoI], spec: PoolSpec, fields: list[BinField]):
-    """Stacked (R, K, n_k) sampling positions, per-RoI plane offsets, and the
-    (C, N*H*W) plane stack for one shared gather across RoIs.
+def _pool_geometry(x: np.ndarray, rois: list[RoI], spec: PoolSpec, fields: list[BinField],
+                   modulated: bool = False, derivatives: bool = False):
+    """Sampling pattern of every (RoI, bin, sample) over the N*H*W pixels,
+    the (N*H*W, C) pixel-major input in compute dtype, and the (R, K)
+    modulation. The pattern's 4*n_k consecutive corners per bin make
+    `sampling_matrix(..., per_row=4 * n_k)` sum a bin's samples in one row;
+    modulated=True scales them by dm_k / n_k, so that row is the pooled bin.
     """
     n, c, h, w = x.shape
     r = len(rois)
@@ -138,12 +146,13 @@ def _pool_geometry(x: np.ndarray, rois: list[RoI], spec: PoolSpec, fields: list[
         py[i] = gy + f.offsets[0::2, None]
         px[i] = gx + f.offsets[1::2, None]
     plane_off = np.array([roi.batch_index for roi in rois], dtype=np.int64) * (h * w)
-    if n == 1:
-        xf = x.reshape(c, h * w)
-    else:
-        xf = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).reshape(c, n * h * w)
-    mods = np.stack([f.modulation for f in fields]) if fields else np.zeros((0, spec.k))
-    return xf, py, px, plane_off[:, None, None], mods
+    mods = np.stack([f.modulation for f in fields])
+    dtype = np.float32 if x.dtype == np.float32 else np.float64
+    pattern = bilinear_corner_gather(py, px, h, w, flat_offset=plane_off[:, None, None],
+                                     scale=(mods / spec.n_k)[:, :, None] if modulated else None,
+                                     derivatives=derivatives, dtype=dtype)
+    xt = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=dtype).reshape(n * h * w, c)
+    return pattern, xt, mods
 
 
 def mdpool_forward(x, rois: list[RoI], spec: PoolSpec, fields: list[BinField]) -> np.ndarray:
@@ -152,13 +161,10 @@ def mdpool_forward(x, rois: list[RoI], spec: PoolSpec, fields: list[BinField]) -
     _, c, h, w = x.shape
     if not rois:
         return np.zeros((0, c, spec.bins_h, spec.bins_w), dtype=x.dtype)
-    xf, py, px, plane_off, mods = _pool_geometry(x, rois, spec, fields)
-    vals, weights, _ = bilinear_corner_gather(xf, py, px, h, w, flat_offset=plane_off)
-    sampled = vals[0] * weights[0][None]
-    for v, wt in zip(vals[1:], weights[1:]):
-        sampled += v * wt[None]  # (C, R, K, n_k)
-    out = sampled.mean(axis=3, dtype=np.float64) * mods[None]
-    return out.transpose(1, 0, 2).reshape(len(rois), c, spec.bins_h, spec.bins_w).astype(x.dtype)
+    (cols, data), xt, _ = _pool_geometry(x, rois, spec, fields, modulated=True)
+    out = sampling_matrix(cols, data, xt.shape[0], per_row=4 * spec.n_k) @ xt  # (R*K, C)
+    out = out.reshape(len(rois), spec.k, c).transpose(0, 2, 1)
+    return out.reshape(len(rois), c, spec.bins_h, spec.bins_w).astype(x.dtype)
 
 
 def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, fields: list[BinField], upstream):
@@ -166,47 +172,33 @@ def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, fields: list[BinField], 
 
     The offset gradient sums the coordinate gradients of all n_k samples in
     the bin scaled by dm_k / n_k; the modulation gradient is the unmodulated
-    bin mean contracted against the upstream gradient over channels.
+    bin mean contracted against the upstream gradient over channels;
+    grad_x is S^T (upstream * dm / n_k), accumulated in float64.
     """
     x = _check_pool_args(x, rois, spec, fields)
     g = as_array(upstream)
     n, c, h, w = x.shape
     if g.shape != (len(rois), c, spec.bins_h, spec.bins_w):
         raise ShapeError(f"upstream shape {g.shape} != {(len(rois), c, spec.bins_h, spec.bins_w)}")
-    grad_x = np.zeros((n, c, h, w), dtype=np.float64)
-    grad_off = np.zeros((len(rois), 2 * spec.k), dtype=np.float64)
-    grad_mod = np.zeros((len(rois), spec.k), dtype=np.float64)
     if not rois:
-        return grad_x.astype(x.dtype), grad_off, grad_mod
+        return (np.zeros((n, c, h, w), dtype=x.dtype), np.zeros((0, 2 * spec.k)),
+                np.zeros((0, spec.k)))
 
-    xf, py, px, plane_off, mods = _pool_geometry(x, rois, spec, fields)
-    vals, weights, (y0, x0, ly, lx) = bilinear_corner_gather(xf, py, px, h, w,
-                                                             flat_offset=plane_off)
-    v00, v01, v10, v11 = vals
-    sampled = vals[0] * weights[0][None]
-    for v, wt in zip(vals[1:], weights[1:]):
-        sampled += v * wt[None]  # (C, R, K, n_k)
-    gk = g.reshape(len(rois), c, spec.k).transpose(1, 0, 2).astype(np.float64)  # (C, R, K)
+    (cols, weights, dwy, dwx), xt, mods = _pool_geometry(x, rois, spec, fields,
+                                                         derivatives=True)
+    per_bin = 4 * spec.n_k
 
-    grad_mod[...] = (gk * sampled.mean(axis=3)).sum(axis=0)
-    gs = gk[:, :, :, None] * (mods[None, :, :, None] / spec.n_k)  # dL/d(sample)
-    hy = 1.0 - ly
-    hx = 1.0 - lx
-    dsdy = (v10 - v00) * hx[None] + (v11 - v01) * lx[None]
-    dsdx = (v01 - v00) * hy[None] + (v11 - v10) * ly[None]
-    grad_off[:, 0::2] = (gs * dsdy).sum(axis=(0, 3))
-    grad_off[:, 1::2] = (gs * dsdx).sum(axis=(0, 3))
+    def binned(data):  # (R*K, C): per-bin sums of the samples' rows
+        return sampling_matrix(cols, data, xt.shape[0], per_bin) @ xt
 
-    # single deterministic scatter over (channel, batch plane, pixel)
-    total = c * n * h * w
-    chan_off = (np.arange(c, dtype=np.int64) * (n * h * w))[:, None, None, None]
-    gxf = np.zeros(total, dtype=np.float64)
-    for corner, wt in enumerate(weights):
-        dy, dx = divmod(corner, 2)
-        idx = np.clip(y0 + dy, 0, h - 1) * w + np.clip(x0 + dx, 0, w - 1) + plane_off
-        flat = (chan_off + idx[None]).ravel()
-        gxf += np.bincount(flat, weights=(gs * wt[None]).ravel(), minlength=total)
-    grad_x[...] = gxf.reshape(c, n, h, w).transpose(1, 0, 2, 3)
+    gk = g.reshape(len(rois), c, spec.k).transpose(0, 2, 1).reshape(-1, c).astype(np.float64)
+    grad_mod = np.einsum("ij,ij->i", gk, binned(weights)).reshape(len(rois), spec.k) / spec.n_k
+    gs = gk * (mods.reshape(-1, 1) / spec.n_k)  # dL/d(sample), shared by a bin's samples
+    grad_off = np.empty((len(rois), 2 * spec.k), dtype=np.float64)
+    grad_off[:, 0::2] = np.einsum("ij,ij->i", gs, binned(dwy)).reshape(len(rois), spec.k)
+    grad_off[:, 1::2] = np.einsum("ij,ij->i", gs, binned(dwx)).reshape(len(rois), spec.k)
+    grad_x = sampling_matrix(cols, weights, xt.shape[0], per_bin).T @ gs  # (N*H*W, C)
+    grad_x = grad_x.reshape(n, h, w, c).transpose(0, 3, 1, 2)
     return grad_x.astype(x.dtype), grad_off, grad_mod
 
 
@@ -285,11 +277,11 @@ def roi_branch_forward(pooled, fc1: Affine, fc2: Affine, out_w: Affine, roi: RoI
         raise ShapeError("output fc must take fc2 features and emit 3K values")
     k = out_w.out_dim // 3
 
-    z1 = fc1.weight.astype(np.float64) @ z0 + fc1.bias
+    z1 = np.asarray(fc1.weight, dtype=np.float64) @ z0 + fc1.bias
     mask1 = z1 > 0
     a1 = z1 * mask1
-    z2 = fc2.weight.astype(np.float64) @ a1 + fc2.bias
-    raw = out_w.weight.astype(np.float64) @ z2 + out_w.bias
+    z2 = np.asarray(fc2.weight, dtype=np.float64) @ a1 + fc2.bias
+    raw = np.asarray(out_w.weight, dtype=np.float64) @ z2 + out_w.bias
 
     normalized = raw[: 2 * k]
     scale = np.empty(2 * k)
@@ -320,14 +312,15 @@ def roi_branch_backward(fc1: Affine, fc2: Affine, out_w: Affine, cache: RoiBranc
 
     gwo = np.outer(grad_raw, cache.z2)
     gbo = grad_raw
-    gz2 = out_w.weight.astype(np.float64).T @ grad_raw
+    gz2 = np.asarray(out_w.weight, dtype=np.float64).T @ grad_raw
     gw2 = np.outer(gz2, cache.a1)
     gb2 = gz2
-    ga1 = fc2.weight.astype(np.float64).T @ gz2
+    ga1 = np.asarray(fc2.weight, dtype=np.float64).T @ gz2
     gz1 = ga1 * cache.mask1
     gw1 = np.outer(gz1, cache.z0)
     gb1 = gz1
-    grad_pooled = (fc1.weight.astype(np.float64).T @ gz1).reshape(cache.pooled_shape)
+    grad_pooled = np.asarray(fc1.weight, dtype=np.float64).T @ gz1
+    grad_pooled = grad_pooled.reshape(cache.pooled_shape)
     return grad_pooled, (gw1, gb1), (gw2, gb2), (gwo, gbo)
 
 

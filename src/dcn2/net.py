@@ -274,10 +274,14 @@ class RoIPoolLayer:
         return [self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b, self.out_w, self.out_b]
 
     def _affines(self):
+        """The branch fc layers in float64, cast once for all RoIs of a call."""
+        def f64(p):
+            return p.value.astype(np.float64)
+
         return (
-            Affine(self.fc1_w.value, self.fc1_b.value),
-            Affine(self.fc2_w.value, self.fc2_b.value),
-            Affine(self.out_w.value, self.out_b.value),
+            Affine(f64(self.fc1_w), f64(self.fc1_b)),
+            Affine(f64(self.fc2_w), f64(self.fc2_b)),
+            Affine(f64(self.out_w), f64(self.out_b)),
         )
 
     def forward(self, x: np.ndarray, rois: list[RoI]) -> np.ndarray:

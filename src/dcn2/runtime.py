@@ -1,4 +1,4 @@
-"""Process-wide kernel execution settings (thread count, deterministic mode)."""
+"""Process-wide kernel execution settings (thread count) and the chunk runner."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 _num_threads = None
-_deterministic = True
 
 
 def num_threads() -> int:
@@ -22,21 +21,12 @@ def set_num_threads(n: int) -> None:
     _num_threads = max(1, int(n))
 
 
-def deterministic() -> bool:
-    return _deterministic
-
-
-def set_deterministic(flag: bool) -> None:
-    global _deterministic
-    _deterministic = bool(flag)
-
-
-def run_chunks(fn, chunks, threads: int | None = None, ordered: bool = True):
+def run_chunks(fn, chunks, threads: int | None = None):
     """Apply fn over chunks, serially or on a thread pool.
 
-    With ordered=True results come back in chunk order regardless of thread
-    scheduling; ordered=False yields them in completion order (documented
-    nondeterministic-reduction mode).
+    Results come back in chunk order regardless of thread scheduling, so a
+    caller that reduces them in that order gets the same bits for any thread
+    count.
     """
     threads = num_threads() if threads is None else max(1, threads)
     if threads == 1 or len(chunks) <= 1:
@@ -44,11 +34,4 @@ def run_chunks(fn, chunks, threads: int | None = None, ordered: bool = True):
             yield fn(ch)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        if ordered:
-            yield from pool.map(fn, chunks)
-        else:
-            from concurrent.futures import as_completed
-
-            futures = [pool.submit(fn, ch) for ch in chunks]
-            for fut in as_completed(futures):
-                yield fut.result()
+        yield from pool.map(fn, chunks)

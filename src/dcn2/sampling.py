@@ -1,5 +1,14 @@
 """Bilinear interpolation on (H, W) planes: values, analytic gradients with
-respect to the plane and the sampling coordinate, and bilinear image resize.
+respect to the plane and the sampling coordinate, bilinear image resize, and
+the sparse sampling matrix the optimized kernels are built on.
+
+Bilinear weights do not depend on the channel, so sampling many positions of
+a C-channel plane stack is one sparse product: `bilinear_corner_gather` lays
+out, for every position, its 4 corner pixel indices and weights (and, for
+backward, the weights' y/x derivatives on the same sparsity pattern), and
+`sampling_matrix` wraps them as a CSR matrix S with 4 nonzeros per row, so
+that S @ X^T, with X^T the (pixels, C) input, gives every sample of every
+channel and S^T scatters gradients back onto the pixels.
 
 Out-of-bounds neighbors contribute zero (zero-padding convention). At exactly
 integer coordinates the spatial derivative uses the floor cell (the cell to
@@ -12,6 +21,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ArgumentError, ShapeError
 from .tensor import Tensor, as_array
@@ -109,40 +119,89 @@ def bilinear_resize(src, out_h: int, out_w: int):
     return Tensor(out) if wrap else out.astype(arr.dtype)
 
 
-def bilinear_corner_gather(xf: np.ndarray, py: np.ndarray, px: np.ndarray,
-                           h: int, w: int, flat_offset: np.ndarray | None = None):
-    """Gather the 4 bilinear corners for a batch of fractional positions.
+def bilinear_corner_gather(py: np.ndarray, px: np.ndarray, h: int, w: int,
+                           flat_offset: np.ndarray | None = None,
+                           scale: np.ndarray | None = None, derivatives: bool = False,
+                           dtype=np.float64):
+    """Sparse bilinear sampling pattern for a batch of fractional positions.
 
-    xf is a (C, M) flattened plane stack; py/px are position arrays of any
-    shape. `flat_offset`, when given, is added to the per-plane flat index
-    (so one call can gather across a stack of H*W planes laid out along M).
-    Returns (values, weights, (y0, x0, ly, lx)) where values[c] is (C, *pos)
-    with out-of-bounds corners zeroed, and weights[c] carries the matching
-    bilinear weight (also zero out of bounds). Corner order:
-    (0,0), (0,1), (1,0), (1,1).
+    py/px are float64 position arrays of one shape (*pos). For each position
+    the pattern lists its 4 corners (0,0), (0,1), (1,0), (1,1) as (*pos, 4)
+    arrays: `cols`, the flat pixel index of each corner (clipped into the
+    plane), and `weights`, its bilinear weight times `scale` (broadcast
+    against the positions) in `dtype`. `flat_offset`, broadcast the same way,
+    is added to every index, so one pattern can address a stack of H*W
+    planes. With derivatives=True the pattern also carries the derivatives of
+    the unscaled weights with respect to y and x. Out-of-bounds corners get
+    weight 0 in every array, and at integer coordinates the derivative is
+    that of the floor cell. Returns (cols, weights) or (cols, weights,
+    dweights_y, dweights_x); `sampling_matrix` turns any weight array into a
+    sparse matrix over the same columns.
     """
-    dtype = xf.dtype
-    y0 = np.floor(py).astype(np.int64)
-    x0 = np.floor(px).astype(np.int64)
-    ly = (py - y0).astype(dtype)
-    lx = (px - x0).astype(dtype)
-    one = dtype.type(1)
-    vals = []
-    weights = []
-    for dy in (0, 1):
-        for dx in (0, 1):
-            iy = y0 + dy
-            ix = x0 + dx
-            # float mask: multiplying by a broadcast bool array is far slower
-            valid = ((iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)).astype(dtype)
-            idx = np.clip(iy, 0, h - 1) * w + np.clip(ix, 0, w - 1)
-            if flat_offset is not None:
-                idx = idx + flat_offset
-            wy = ly if dy else one - ly
-            wx = lx if dx else one - lx
-            vals.append(xf[:, idx] * valid)
-            weights.append(wy * wx * valid)
-    return vals, weights, (y0, x0, ly, lx)
+    y0 = np.floor(py)
+    x0 = np.floor(px)
+    ly = py - y0
+    lx = px - x0
+    top = int(np.max(flat_offset)) if flat_offset is not None else 0
+    index_dtype = np.int32 if top + h * w <= np.iinfo(np.int32).max else np.int64
+    # clamp before the integer cast so that huge offsets cannot overflow it;
+    # a floor of -2 or h (w) leaves both corner rows (columns) out of bounds
+    iy = np.clip(y0, -2, h, out=y0).astype(index_dtype)
+    ix = np.clip(x0, -2, w, out=x0).astype(index_dtype)
+    iy1 = iy + 1
+    ix1 = ix + 1
+    # clipping moves exactly the out-of-bounds corners, which get weight 0
+    row = (np.clip(iy, 0, h - 1), np.clip(iy1, 0, h - 1))
+    col = (np.clip(ix, 0, w - 1), np.clip(ix1, 0, w - 1))
+    vy = (row[0] == iy, row[1] == iy1)
+    vx = (col[0] == ix, col[1] == ix1)
+    for r in row:
+        r *= w
+        if flat_offset is not None:
+            r += flat_offset
+    cols = _corner_table(np.add, row, col, index_dtype)
+
+    # per-axis factors with validity folded in: a corner's weight is its row
+    # factor times its column factor
+    fy = (np.where(vy[0], 1.0 - ly, 0.0), np.where(vy[1], ly, 0.0))
+    fx = (np.where(vx[0], 1.0 - lx, 0.0), np.where(vx[1], lx, 0.0))
+    scaled = fy if scale is None else (fy[0] * scale, fy[1] * scale)
+    weights = _corner_table(np.multiply, scaled, fx, dtype)
+    if not derivatives:
+        return cols, weights
+    sy = (np.where(vy[0], -1.0, 0.0), np.where(vy[1], 1.0, 0.0))
+    sx = (np.where(vx[0], -1.0, 0.0), np.where(vx[1], 1.0, 0.0))
+    return cols, weights, _corner_table(np.multiply, sy, fx, dtype), \
+        _corner_table(np.multiply, fy, sx, dtype)
+
+
+def _corner_table(op, rows, cols, dtype) -> np.ndarray:
+    """(*pos, 4) array of op(row factor, column factor) in corner order.
+
+    Filled corner by corner: numpy arithmetic broadcast along a trailing axis
+    of length 4 runs several times slower than on the position arrays.
+    """
+    shape = np.broadcast_shapes(rows[0].shape, cols[0].shape)
+    out = np.empty(shape + (4,), dtype=dtype)
+    for corner in range(4):
+        dy, dx = divmod(corner, 2)
+        op(rows[dy], cols[dx], out=out[..., corner], casting="same_kind")
+    return out
+
+
+def sampling_matrix(cols: np.ndarray, data: np.ndarray, n_cols: int,
+                    per_row: int = 4) -> sparse.csr_array:
+    """CSR matrix whose row i holds entries per_row*i .. per_row*(i+1)-1 of
+    the flattened (cols, data) pattern of `bilinear_corner_gather`.
+
+    per_row=4 gives one row per sampled position; a multiple of 4 sums
+    consecutive positions into one row. Rows follow the C order of the
+    position array, columns index the flattened plane stack.
+    """
+    indices = cols.reshape(-1)
+    indptr = np.arange(0, indices.size + 1, per_row, dtype=indices.dtype)
+    return sparse.csr_array((data.reshape(-1), indices, indptr),
+                            shape=(indptr.size - 1, n_cols))
 
 
 def _sample_grid(arr: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:

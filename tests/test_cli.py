@@ -15,6 +15,7 @@ from dcn2.cli import (
     mdconv_macs,
     mdconv_params,
 )
+from dcn2.errors import CapabilityError, ConfigurationError, ConvergenceError, ShapeError
 from dcn2.imageio import encode_pgm
 from dcn2.synthetic import ToyNetConfig
 
@@ -85,6 +86,26 @@ def test_bench_small_shape(tmp_path, capsys):
     rep = json.loads((tmp_path / "bench" / "bench.json").read_text())
     assert rep["speedup"] > 0
     assert rep["dense_flops"] == 2 * rep["dense_macs"]
+
+
+def test_bench_bad_kernel_is_usage_error():
+    assert main(["bench", "--kernel", "0,3", "--shape", "1,2,8,8", "--cout", "2"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("error, code", [
+    (ShapeError, EXIT_USAGE),
+    (ConfigurationError, EXIT_USAGE),
+    (CapabilityError, EXIT_USAGE),
+    (ConvergenceError, EXIT_DIVERGED),
+])
+def test_library_errors_map_to_exit_codes(monkeypatch, pgm_image, error, code):
+    import dcn2.cli as cli
+
+    def fail(*args, **kwargs):
+        raise error("raised by the library")
+
+    monkeypatch.setattr(cli, "effective_receptive_field", fail)
+    assert main(["erf", "--image", pgm_image]) == code
 
 
 def test_demo_train_deterministic_metrics(tmp_path):

@@ -18,7 +18,7 @@ from dcn2.deform_roipool import (
 )
 from dcn2.errors import ArgumentError, ShapeError
 from dcn2.oracle import aligned_roipool_oracle
-from dcn2.sampling import bilinear_sample
+from dcn2.sampling import bilinear_backward, bilinear_sample
 
 
 def test_constant_plane_identity_field():
@@ -123,6 +123,57 @@ def test_gradcheck_mdpool_blocks():
         assert rep.passed, rep.to_json()
 
 
+def _mdpool_loop_reference(x, rois, spec, fields, upstream):
+    """Float64 mdpool output and gradients, one bilinear sample at a time."""
+    from dcn2.deform_roipool import _grid_positions
+
+    c = x.shape[1]
+    out = np.zeros((len(rois), c, spec.k))
+    gx = np.zeros(x.shape)
+    goff = np.zeros((len(rois), 2 * spec.k))
+    gmod = np.zeros((len(rois), spec.k))
+    g = upstream.reshape(len(rois), c, spec.k)
+    for r, (roi, f) in enumerate(zip(rois, fields)):
+        py, px = _grid_positions(roi, spec)
+        for k in range(spec.k):
+            m = f.modulation[k]
+            for j in range(spec.n_k):
+                pt = (py[k, j] + f.offsets[2 * k], px[k, j] + f.offsets[2 * k + 1])
+                for ch in range(c):
+                    plane = x[roi.batch_index, ch]
+                    v = bilinear_sample(plane, pt)
+                    out[r, ch, k] += v * m / spec.n_k
+                    gmod[r, k] += g[r, ch, k] * v / spec.n_k
+                    gp, (dy, dx) = bilinear_backward(plane, pt, g[r, ch, k] * m / spec.n_k)
+                    for (iy, ix), val in gp.items():
+                        gx[roi.batch_index, ch, iy, ix] += val
+                    goff[r, 2 * k] += dy
+                    goff[r, 2 * k + 1] += dx
+    return out.reshape(upstream.shape), gx, goff, gmod
+
+
+def test_float32_mdpool_matches_float64_loop_reference():
+    # same tolerance rule as the float32 mdconv test
+    f32_rel_tol = 1e-4
+    rng = np.random.default_rng(9)
+    x32 = rng.normal(size=(2, 3, 6, 7)).astype(np.float32)
+    spec = PoolSpec(2, 2, samples=2)
+    # RoI 0's samples sit at half-integers; shifted by (0.5, 1.5) every one
+    # lands exactly on the lattice, reaching the last row (5) and column (6)
+    rois = [RoI(0, 1, 1, 5, 5), RoI(1, 0.3, 0.7, 6.2, 4.9), RoI(0, 2, 0, 2, 5)]
+    fields = [BinField(np.tile([0.5, 1.5], spec.k), rng.uniform(0.1, 1.0, spec.k))]
+    fields += [BinField(rng.uniform(-1.5, 1.5, 2 * spec.k), rng.uniform(0.1, 1.0, spec.k))
+               for _ in rois[1:]]
+    upstream = rng.normal(size=(len(rois), 3, 2, 2)).astype(np.float32)
+    want = _mdpool_loop_reference(x32.astype(np.float64), rois, spec, fields,
+                                  upstream.astype(np.float64))
+    got = (mdpool_forward(x32, rois, spec, fields),) + \
+        mdpool_backward(x32, rois, spec, fields, upstream)
+    assert got[0].dtype == np.float32 and got[1].dtype == np.float32
+    for a, b in zip(want, got):
+        assert np.abs(a - b).max() <= f32_rel_tol * max(1.0, np.abs(a).max())
+
+
 def test_backward_zero_modulation_kills_grad_x():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(1, 2, 8, 8))
@@ -217,6 +268,15 @@ def test_roi_file_rejects_malformed_line():
 def test_roi_invariants():
     with pytest.raises(ArgumentError):
         RoI(0, 5.0, 0.0, 4.0, 1.0)  # x2 < x1
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ArgumentError):
+            RoI(0, 0, bad, 3, 3)
+
+
+def test_bin_field_modulation_range_enforced():
+    for bad in (1.5, -0.5, np.nan):
+        with pytest.raises(ArgumentError):
+            BinField(np.zeros(2), np.array([bad]))
 
 
 def test_field_count_must_match_rois():
