@@ -4,7 +4,8 @@ finite-difference oracle.
 This is the only module allowed to see both the kernels and the oracle. Each
 target builds a random small instance (rejection-sampled so every bilinear
 sampling position stays at least 0.02 from the integer lattice and ReLU
-pre-activations stay away from their kink), contracts the operation output
+pre-activations stay away from their kink; a generator whose draws run out
+raises ConvergenceError), contracts the operation output
 against a fixed random projection to get a scalar objective, and hands the
 analytic gradients plus per-block objectives to `oracle.gradcheck`.
 """
@@ -35,11 +36,13 @@ from .deform_roipool import (
     roi_branch_backward,
     roi_branch_forward,
 )
-from .errors import UsageError
+from .errors import ConvergenceError, UsageError
 from .oracle import GradBlock, GradCheckReport, gradcheck
 from .sampling import bilinear_backward, bilinear_sample
 
 LATTICE_MARGIN = 2e-2
+# smallest |pre-activation| a ReLU input may have in a gradcheck instance
+KINK_MARGIN = 1e-2
 
 GRADCHECK_TARGETS: dict = {}
 
@@ -152,6 +155,8 @@ def _mdpool_instance_parts(rng: np.random.Generator):
                 break
         if ok:
             break
+    else:
+        raise ConvergenceError(f"no mdpool offsets {LATTICE_MARGIN} off the lattice in 50 draws")
     modulation = rng.uniform(0.1, 0.9, size=(len(rois), spec.k))
     upstream = rng.normal(size=(len(rois), 2, spec.bins_h, spec.bins_w))
     return spec, x, rois, offsets, modulation, upstream
@@ -204,26 +209,31 @@ def _offset_branch_instance(seed: int) -> list[GradBlock]:
     ]
 
 
-@register_gradcheck("roi_branch")
-def _roi_branch_instance(seed: int) -> list[GradBlock]:
+def _roi_branch_blocks(seed: int, stream: int, rois, pooled_shape: tuple) -> list[GradBlock]:
+    """Blocks for `roi_branch_forward/backward` on one RoI (pooled
+    (C, bh, bw)) or a list of R RoIs (pooled (R, C, bh, bw)); the objective
+    projects every RoI's offsets and modulation.
+    """
     hidden = 12
     k = 4
-    pooled_shape = (3, 2, 2)
     in_dim = 12
-    roi = RoI(0, 1.25, 2.5, 9.75, 8.0)
     for attempt in range(100):
-        rng = np.random.default_rng([seed, 6, attempt])
+        rng = np.random.default_rng([seed, stream, attempt])
         pooled = rng.normal(size=pooled_shape)
         fc1 = Affine(rng.normal(size=(hidden, in_dim)) * 0.4, rng.normal(size=hidden) * 0.1)
         fc2 = Affine(rng.normal(size=(hidden, hidden)) * 0.4, rng.normal(size=hidden) * 0.1)
         out_w = Affine(rng.normal(size=(3 * k, hidden)) * 0.4, rng.normal(size=3 * k) * 0.1)
-        z1 = fc1.weight @ pooled.reshape(-1) + fc1.bias
-        if np.abs(z1).min() > 1e-2:  # keep FD away from the ReLU kink
+        z1 = pooled.reshape(-1, in_dim) @ fc1.weight.T + fc1.bias
+        if np.abs(z1).min() > KINK_MARGIN:  # keep FD away from the ReLU kink
             break
-    u_off = rng.normal(size=2 * k)
-    u_mod = rng.normal(size=k)
+    else:
+        raise ConvergenceError(f"no RoI branch instance {KINK_MARGIN} off the ReLU kink "
+                               "in 100 draws")
+    lead = pooled_shape[:-3]  # () for one RoI, (R,) for a list
+    u_off = rng.normal(size=lead + (2 * k,))
+    u_mod = rng.normal(size=lead + (k,))
 
-    bf, cache = roi_branch_forward(pooled, fc1, fc2, out_w, roi, want_cache=True)
+    _, cache = roi_branch_forward(pooled, fc1, fc2, out_w, rois, want_cache=True)
     gp, (gw1, gb1), (gw2, gb2), (gwo, gbo) = roi_branch_backward(
         fc1, fc2, out_w, cache, u_off, u_mod)
 
@@ -231,8 +241,11 @@ def _roi_branch_instance(seed: int) -> list[GradBlock]:
         f1 = Affine(fc1.weight if w1 is None else w1, fc1.bias if b1 is None else b1)
         f2 = Affine(fc2.weight if w2 is None else w2, fc2.bias if b2 is None else b2)
         fo = Affine(out_w.weight if wo is None else wo, out_w.bias if bo is None else bo)
-        f = roi_branch_forward(pooled if pooled_ is None else pooled_, f1, f2, fo, roi)
-        return float((f.offsets * u_off).sum() + (f.modulation * u_mod).sum())
+        f = roi_branch_forward(pooled if pooled_ is None else pooled_, f1, f2, fo, rois)
+        fields = [f] if isinstance(f, BinField) else f
+        offsets = np.stack([b.offsets for b in fields]).reshape(u_off.shape)
+        modulation = np.stack([b.modulation for b in fields]).reshape(u_mod.shape)
+        return float((offsets * u_off).sum() + (modulation * u_mod).sum())
 
     return [
         GradBlock("pooled", pooled, gp, lambda v: obj(pooled_=v)),
@@ -243,6 +256,21 @@ def _roi_branch_instance(seed: int) -> list[GradBlock]:
         GradBlock("out_weight", out_w.weight, gwo, lambda v: obj(wo=v)),
         GradBlock("out_bias", out_w.bias, gbo, lambda v: obj(bo=v)),
     ]
+
+
+@register_gradcheck("roi_branch")
+def _roi_branch_instance(seed: int) -> list[GradBlock]:
+    return _roi_branch_blocks(seed, 6, RoI(0, 1.25, 2.5, 9.75, 8.0), (3, 2, 2))
+
+
+@register_gradcheck("roi_branch_batch")
+def _roi_branch_batch_instance(seed: int) -> list[GradBlock]:
+    """Three RoIs of different extents: the parameter gradients are sums over
+    RoIs, and each RoI's offsets scale with its own height and width.
+    """
+    rois = [RoI(0, 1.25, 2.5, 9.75, 8.0), RoI(1, 0.5, 0.0, 3.5, 12.25),
+            RoI(0, 4.0, 1.5, 21.0, 6.0)]
+    return _roi_branch_blocks(seed, 7, rois, (len(rois), 3, 2, 2))
 
 
 def matching_ops(pattern: str) -> list[str]:

@@ -6,7 +6,9 @@ by a per-bin learned offset and scaled by a per-bin modulation scalar. The
 sibling branch (`roi_branch_forward`) produces those values from the plainly
 pooled RoI features: two 1024-D fc layers with a ReLU between them, then an
 fc to 3K outputs whose first 2K entries are offsets normalized by the RoI
-height/width and whose last K pass through a sigmoid.
+height/width and whose last K pass through a sigmoid. The branch runs on all
+R RoIs of a call at once, one (R, D) matrix product per fc layer forward and
+backward; one RoI is the batch of one.
 
 RoI coordinates are continuous feature-map pixels, both edges inclusive; no
 rounding anywhere.
@@ -132,12 +134,12 @@ def _check_pool_args(x, rois, spec: PoolSpec, fields):
 def _pool_geometry(x: np.ndarray, rois: list[RoI], spec: PoolSpec, fields: list[BinField],
                    modulated: bool = False, derivatives: bool = False):
     """Sampling pattern of every (RoI, bin, sample) over the N*H*W pixels,
-    the (N*H*W, C) pixel-major input in compute dtype, and the (R, K)
-    modulation. The pattern's 4*n_k consecutive corners per bin make
-    `sampling_matrix(..., per_row=4 * n_k)` sum a bin's samples in one row;
-    modulated=True scales them by dm_k / n_k, so that row is the pooled bin.
+    in the compute dtype, and the (R, K) modulation. The pattern's 4*n_k
+    consecutive corners per bin make `sampling_matrix(..., per_row=4 * n_k)`
+    sum a bin's samples in one row; modulated=True scales them by dm_k / n_k,
+    so that row is the pooled bin.
     """
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
     r = len(rois)
     py = np.empty((r, spec.k, spec.n_k), dtype=np.float64)
     px = np.empty((r, spec.k, spec.n_k), dtype=np.float64)
@@ -147,12 +149,40 @@ def _pool_geometry(x: np.ndarray, rois: list[RoI], spec: PoolSpec, fields: list[
         px[i] = gx + f.offsets[1::2, None]
     plane_off = np.array([roi.batch_index for roi in rois], dtype=np.int64) * (h * w)
     mods = np.stack([f.modulation for f in fields])
-    dtype = np.float32 if x.dtype == np.float32 else np.float64
     pattern = bilinear_corner_gather(py, px, h, w, flat_offset=plane_off[:, None, None],
                                      scale=(mods / spec.n_k)[:, :, None] if modulated else None,
-                                     derivatives=derivatives, dtype=dtype)
-    xt = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=dtype).reshape(n * h * w, c)
-    return pattern, xt, mods
+                                     derivatives=derivatives, dtype=_compute_dtype(x))
+    return pattern, mods
+
+
+def _compute_dtype(x: np.ndarray):
+    return np.float32 if x.dtype == np.float32 else np.float64
+
+
+def _pixel_rows(x: np.ndarray) -> np.ndarray:
+    """(N*H*W, C) pixel-major input in the compute dtype: the columns of S."""
+    n, c, h, w = x.shape
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=_compute_dtype(x)).reshape(
+        n * h * w, c)
+
+
+def _upstream_rows(x: np.ndarray, rois: list[RoI], spec: PoolSpec, upstream) -> np.ndarray:
+    """The (R, C, bins_h, bins_w) upstream gradient as (R*K, C) float64 rows,
+    one per bin, in the row order of the pooling pattern.
+    """
+    g = as_array(upstream)
+    c = x.shape[1]
+    want = (len(rois), c, spec.bins_h, spec.bins_w)
+    if g.shape != want:
+        raise ShapeError(f"upstream shape {g.shape} != {want}")
+    return g.reshape(len(rois), c, spec.k).transpose(0, 2, 1).reshape(-1, c).astype(np.float64)
+
+
+def _scatter_to_pixels(cols, weights, gs: np.ndarray, x: np.ndarray, spec: PoolSpec):
+    """grad_x = S^T gs, accumulated in float64, in x's layout and dtype."""
+    n, c, h, w = x.shape
+    grad_x = sampling_matrix(cols, weights, n * h * w, 4 * spec.n_k).T @ gs  # (N*H*W, C)
+    return grad_x.reshape(n, h, w, c).transpose(0, 3, 1, 2).astype(x.dtype)
 
 
 def mdpool_forward(x, rois: list[RoI], spec: PoolSpec, fields: list[BinField]) -> np.ndarray:
@@ -161,7 +191,8 @@ def mdpool_forward(x, rois: list[RoI], spec: PoolSpec, fields: list[BinField]) -
     _, c, h, w = x.shape
     if not rois:
         return np.zeros((0, c, spec.bins_h, spec.bins_w), dtype=x.dtype)
-    (cols, data), xt, _ = _pool_geometry(x, rois, spec, fields, modulated=True)
+    (cols, data), _ = _pool_geometry(x, rois, spec, fields, modulated=True)
+    xt = _pixel_rows(x)
     out = sampling_matrix(cols, data, xt.shape[0], per_row=4 * spec.n_k) @ xt  # (R*K, C)
     out = out.reshape(len(rois), spec.k, c).transpose(0, 2, 1)
     return out.reshape(len(rois), c, spec.bins_h, spec.bins_w).astype(x.dtype)
@@ -176,30 +207,23 @@ def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, fields: list[BinField], 
     grad_x is S^T (upstream * dm / n_k), accumulated in float64.
     """
     x = _check_pool_args(x, rois, spec, fields)
-    g = as_array(upstream)
-    n, c, h, w = x.shape
-    if g.shape != (len(rois), c, spec.bins_h, spec.bins_w):
-        raise ShapeError(f"upstream shape {g.shape} != {(len(rois), c, spec.bins_h, spec.bins_w)}")
+    gk = _upstream_rows(x, rois, spec, upstream)
     if not rois:
-        return (np.zeros((n, c, h, w), dtype=x.dtype), np.zeros((0, 2 * spec.k)),
-                np.zeros((0, spec.k)))
+        return np.zeros(x.shape, dtype=x.dtype), np.zeros((0, 2 * spec.k)), np.zeros((0, spec.k))
 
-    (cols, weights, dwy, dwx), xt, mods = _pool_geometry(x, rois, spec, fields,
-                                                         derivatives=True)
+    (cols, weights, dwy, dwx), mods = _pool_geometry(x, rois, spec, fields, derivatives=True)
+    xt = _pixel_rows(x)
     per_bin = 4 * spec.n_k
 
     def binned(data):  # (R*K, C): per-bin sums of the samples' rows
         return sampling_matrix(cols, data, xt.shape[0], per_bin) @ xt
 
-    gk = g.reshape(len(rois), c, spec.k).transpose(0, 2, 1).reshape(-1, c).astype(np.float64)
     grad_mod = np.einsum("ij,ij->i", gk, binned(weights)).reshape(len(rois), spec.k) / spec.n_k
     gs = gk * (mods.reshape(-1, 1) / spec.n_k)  # dL/d(sample), shared by a bin's samples
     grad_off = np.empty((len(rois), 2 * spec.k), dtype=np.float64)
     grad_off[:, 0::2] = np.einsum("ij,ij->i", gs, binned(dwy)).reshape(len(rois), spec.k)
     grad_off[:, 1::2] = np.einsum("ij,ij->i", gs, binned(dwx)).reshape(len(rois), spec.k)
-    grad_x = sampling_matrix(cols, weights, xt.shape[0], per_bin).T @ gs  # (N*H*W, C)
-    grad_x = grad_x.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-    return grad_x.astype(x.dtype), grad_off, grad_mod
+    return _scatter_to_pixels(cols, weights, gs, x, spec), grad_off, grad_mod
 
 
 def aligned_pool_forward(x, rois: list[RoI], spec: PoolSpec) -> np.ndarray:
@@ -209,9 +233,16 @@ def aligned_pool_forward(x, rois: list[RoI], spec: PoolSpec) -> np.ndarray:
 
 
 def aligned_pool_backward(x, rois: list[RoI], spec: PoolSpec, upstream) -> np.ndarray:
+    """grad_x of `aligned_pool_forward`: S^T (upstream / n_k) on the plain
+    pattern, bit for bit the grad_x of `mdpool_backward` with identity fields.
+    """
     fields = [BinField.identity(spec.k) for _ in rois]
-    grad_x, _, _ = mdpool_backward(x, rois, spec, fields, upstream)
-    return grad_x
+    x = _check_pool_args(x, rois, spec, fields)
+    gk = _upstream_rows(x, rois, spec, upstream)
+    if not rois:
+        return np.zeros(x.shape, dtype=x.dtype)
+    (cols, weights), _ = _pool_geometry(x, rois, spec, fields)
+    return _scatter_to_pixels(cols, weights, gk * (1.0 / spec.n_k), x, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -251,77 +282,85 @@ def make_roi_branch(in_dim: int, k: int, hidden: int = 1024,
 
 @dataclass
 class RoiBranchCache:
+    """What `roi_branch_backward` needs from one forward over R RoIs: the
+    (R, D) flattened inputs, the (R, hidden) ReLU output and second fc
+    output, the (R, K) modulation and the (R, 2K) (height, width) table that
+    scales the offsets. `pooled_shape` is the shape of the forward's input.
+    """
+
     pooled_shape: tuple
     z0: np.ndarray
     a1: np.ndarray
-    mask1: np.ndarray
     z2: np.ndarray
     modulation: np.ndarray
-    roi: RoI
+    scale: np.ndarray
 
 
-def roi_branch_forward(pooled, fc1: Affine, fc2: Affine, out_w: Affine, roi: RoI,
+def roi_branch_forward(pooled, fc1: Affine, fc2: Affine, out_w: Affine, rois,
                        want_cache: bool = False):
-    """Produce the BinField for one RoI from its plainly pooled features.
+    """Produce the BinFields of R RoIs from their plainly pooled features.
 
-    The first 2K outputs are offsets normalized by the RoI extent: pair k is
-    multiplied elementwise by (height, width) to give absolute pixels.
+    `pooled` is (R, C, bins_h, bins_w) for a list of R RoIs; each fc layer is
+    one (R, D) matrix product in float64 and a list of R BinFields comes
+    back. A single RoI with a (C, bins_h, bins_w) input is a batch of one
+    and gives one BinField. The first 2K outputs are offsets normalized by
+    the RoI extent: pair k is multiplied elementwise by (height, width) to
+    give absolute pixels. want_cache=True also returns the RoiBranchCache.
     """
+    single = isinstance(rois, RoI)
+    if single:
+        rois = [rois]
     p = as_array(pooled).astype(np.float64)
-    z0 = p.reshape(-1)
-    if fc1.weight.shape[1] != z0.size:
-        raise ShapeError(f"fc1 expects {fc1.weight.shape[1]} inputs, pooled has {z0.size}")
+    r, d = len(rois), fc1.weight.shape[1]
+    if p.size != r * d or (not single and p.shape[:1] != (r,)):
+        raise ShapeError(f"fc1 expects {d} inputs per RoI, pooled is {p.shape} for {r} RoIs")
     if fc2.weight.shape[1] != fc1.out_dim:
         raise ShapeError("fc2 input dim != fc1 output dim")
     if out_w.weight.shape[1] != fc2.out_dim or out_w.out_dim % 3 != 0:
         raise ShapeError("output fc must take fc2 features and emit 3K values")
     k = out_w.out_dim // 3
 
-    z1 = np.asarray(fc1.weight, dtype=np.float64) @ z0 + fc1.bias
-    mask1 = z1 > 0
-    a1 = z1 * mask1
-    z2 = np.asarray(fc2.weight, dtype=np.float64) @ a1 + fc2.bias
-    raw = np.asarray(out_w.weight, dtype=np.float64) @ z2 + out_w.bias
+    z0 = p.reshape(r, d)
+    a1 = np.maximum(z0 @ np.asarray(fc1.weight, dtype=np.float64).T + fc1.bias, 0.0)
+    z2 = a1 @ np.asarray(fc2.weight, dtype=np.float64).T + fc2.bias
+    raw = z2 @ np.asarray(out_w.weight, dtype=np.float64).T + out_w.bias
 
-    normalized = raw[: 2 * k]
-    scale = np.empty(2 * k)
-    scale[0::2] = roi.height
-    scale[1::2] = roi.width
-    offsets = normalized * scale
-    modulation = sigmoid(raw[2 * k :])
-    bin_field = BinField(offsets, modulation)
+    extents = np.array([(roi.height, roi.width) for roi in rois], dtype=np.float64)
+    scale = np.tile(extents.reshape(r, 2), k)  # (R, 2K): (height, width) per bin
+    offsets = raw[:, : 2 * k] * scale
+    modulation = sigmoid(raw[:, 2 * k :])
+    fields = [BinField(o, m) for o, m in zip(offsets, modulation)]
+    out = fields[0] if single else fields
     if not want_cache:
-        return bin_field
-    return bin_field, RoiBranchCache(p.shape, z0, a1, mask1, z2, modulation, roi)
+        return out
+    return out, RoiBranchCache(p.shape, z0, a1, z2, modulation, scale)
 
 
 def roi_branch_backward(fc1: Affine, fc2: Affine, out_w: Affine, cache: RoiBranchCache,
                         grad_offsets, grad_modulation):
-    """Gradients of the branch given gradients on the absolute-pixel field.
+    """Gradients of the branch given gradients on the absolute-pixel fields:
+    grad_offsets (R, 2K) and grad_modulation (R, K), or (2K,) and (K,) for
+    the cache of a single RoI.
 
-    Returns (grad_pooled, (gw1, gb1), (gw2, gb2), (gwo, gbo)).
+    Returns (grad_pooled, (gw1, gb1), (gw2, gb2), (gwo, gbo)). grad_pooled
+    has the shape of the forward's pooled input; each parameter gradient is
+    one matrix product summed over the RoIs.
     """
-    k = out_w.out_dim // 3
-    go = np.asarray(grad_offsets, dtype=np.float64)
-    gm = np.asarray(grad_modulation, dtype=np.float64)
-    scale = np.empty(2 * k)
-    scale[0::2] = cache.roi.height
-    scale[1::2] = cache.roi.width
+    go = np.asarray(grad_offsets, dtype=np.float64).reshape(cache.scale.shape)
+    gm = np.asarray(grad_modulation, dtype=np.float64).reshape(cache.modulation.shape)
     m = cache.modulation
-    grad_raw = np.concatenate([go * scale, gm * m * (1.0 - m)])
+    grad_raw = np.concatenate([go * cache.scale, gm * m * (1.0 - m)], axis=1)  # (R, 3K)
 
-    gwo = np.outer(grad_raw, cache.z2)
-    gbo = grad_raw
-    gz2 = np.asarray(out_w.weight, dtype=np.float64).T @ grad_raw
-    gw2 = np.outer(gz2, cache.a1)
-    gb2 = gz2
-    ga1 = np.asarray(fc2.weight, dtype=np.float64).T @ gz2
-    gz1 = ga1 * cache.mask1
-    gw1 = np.outer(gz1, cache.z0)
-    gb1 = gz1
-    grad_pooled = np.asarray(fc1.weight, dtype=np.float64).T @ gz1
-    grad_pooled = grad_pooled.reshape(cache.pooled_shape)
-    return grad_pooled, (gw1, gb1), (gw2, gb2), (gwo, gbo)
+    gwo = grad_raw.T @ cache.z2
+    gbo = grad_raw.sum(axis=0)
+    gz2 = grad_raw @ np.asarray(out_w.weight, dtype=np.float64)
+    gw2 = gz2.T @ cache.a1
+    gb2 = gz2.sum(axis=0)
+    gz1 = (gz2 @ np.asarray(fc2.weight, dtype=np.float64)) * (cache.a1 > 0)
+    gw1 = gz1.T @ cache.z0
+    gb1 = gz1.sum(axis=0)
+    grad_pooled = gz1 @ np.asarray(fc1.weight, dtype=np.float64)
+    return grad_pooled.reshape(cache.pooled_shape), (gw1, gb1), (gw2, gb2), (gwo, gbo)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +386,10 @@ def parse_roi_lines(text: str) -> list[RoI]:
 
 
 def format_roi_lines(rois: list[RoI]) -> str:
+    """Coordinates in shortest round-trip form, so that parsing gives them back exactly."""
     return "".join(
-        f"{r.batch_index} {r.x1:.6g} {r.y1:.6g} {r.x2:.6g} {r.y2:.6g}\n" for r in rois
+        f"{r.batch_index} " + " ".join(repr(float(v)) for v in (r.x1, r.y1, r.x2, r.y2)) + "\n"
+        for r in rois
     )
 
 

@@ -252,6 +252,8 @@ class RoIPoolLayer:
 
     In deformable mode the sibling fc branch (Gaussian hidden layers, zero
     output layer) is trained jointly; its fc parameters use the base rate.
+    The branch runs once per call over all RoIs, and the recorded state is
+    (x, rois, fields, branch cache).
     """
 
     def __init__(self, c_in: int, spec: PoolSpec, rng: np.random.Generator,
@@ -274,7 +276,7 @@ class RoIPoolLayer:
         return [self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b, self.out_w, self.out_b]
 
     def _affines(self):
-        """The branch fc layers in float64, cast once for all RoIs of a call."""
+        """The branch fc layers in float64, cast once per call."""
         def f64(p):
             return p.value.astype(np.float64)
 
@@ -290,33 +292,25 @@ class RoIPoolLayer:
             return aligned_pool_forward(x, rois, self.spec)
         fc1, fc2, out_w = self._affines()
         plain = aligned_pool_forward(x, rois, self.spec)
-        fields = []
-        caches = []
-        for r, roi in enumerate(rois):
-            f, cache = roi_branch_forward(plain[r], fc1, fc2, out_w, roi, want_cache=True)
-            fields.append(f)
-            caches.append(cache)
-        self._cache = (x, rois, fields, caches)
+        fields, branch = roi_branch_forward(plain, fc1, fc2, out_w, rois, want_cache=True)
+        self._cache = (x, rois, fields, branch)
         return mdpool_forward(x, rois, self.spec, fields)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         if not self.deformable:
             x, rois = self._cache
             return aligned_pool_backward(x, rois, self.spec, gy)
-        x, rois, fields, caches = self._cache
+        x, rois, fields, branch = self._cache
         fc1, fc2, out_w = self._affines()
         gx, goff, gmod = mdpool_backward(x, rois, self.spec, fields, gy)
-        grad_plain = np.zeros((len(rois),) + gy.shape[1:], dtype=np.float64)
-        for r in range(len(rois)):
-            gp, (gw1, gb1), (gw2, gb2), (gwo, gbo) = roi_branch_backward(
-                fc1, fc2, out_w, caches[r], goff[r], gmod[r])
-            grad_plain[r] = gp
-            self.fc1_w.grad += gw1
-            self.fc1_b.grad += gb1
-            self.fc2_w.grad += gw2
-            self.fc2_b.grad += gb2
-            self.out_w.grad += gwo
-            self.out_b.grad += gbo
+        grad_plain, (gw1, gb1), (gw2, gb2), (gwo, gbo) = roi_branch_backward(
+            fc1, fc2, out_w, branch, goff, gmod)
+        self.fc1_w.grad += gw1
+        self.fc1_b.grad += gb1
+        self.fc2_w.grad += gw2
+        self.fc2_b.grad += gb2
+        self.out_w.grad += gwo
+        self.out_b.grad += gbo
         gx += aligned_pool_backward(x, rois, self.spec, grad_plain)
         return gx
 

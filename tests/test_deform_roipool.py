@@ -7,6 +7,7 @@ from dcn2.deform_roipool import (
     BinField,
     PoolSpec,
     RoI,
+    aligned_pool_backward,
     aligned_pool_forward,
     format_roi_lines,
     make_roi_branch,
@@ -17,6 +18,7 @@ from dcn2.deform_roipool import (
     roi_branch_forward,
 )
 from dcn2.errors import ArgumentError, ShapeError
+from dcn2.net import RoIPoolLayer
 from dcn2.oracle import aligned_roipool_oracle
 from dcn2.sampling import bilinear_backward, bilinear_sample
 
@@ -236,6 +238,74 @@ def test_roi_branch_gradcheck():
                      "out_weight", "out_bias"}
 
 
+def test_roi_branch_batch_gradcheck():
+    reports = run_gradcheck("roi_branch_batch", seeds=5)
+    for rep in reports:
+        assert rep.passed, rep.to_json()
+    assert {b.name for b in reports[0].blocks} == {
+        "pooled", "fc1_weight", "fc1_bias", "fc2_weight", "fc2_bias", "out_weight", "out_bias"}
+
+
+def _rel(got, want) -> float:
+    want = np.asarray(want, dtype=np.float64)
+    return float(np.abs(np.asarray(got, dtype=np.float64) - want).max() / np.abs(want).max())
+
+
+def test_deformable_pool_layer_matches_per_roi_branch_loop():
+    # the layer runs the branch once over all RoIs; the reference runs the
+    # single-RoI form per RoI and sums the parameter gradients RoI by RoI
+    rng = np.random.default_rng(12)
+    spec = PoolSpec(2, 3, samples=2)
+    layer = RoIPoolLayer(3, spec, rng, deformable=True, hidden=16)
+    for p in (layer.out_w, layer.out_b):
+        p.value[...] = rng.normal(0.0, 0.05, p.value.shape)
+    x = rng.normal(size=(2, 3, 12, 14))
+    rois = [RoI(0, 1.0, 2.0, 9.5, 8.0), RoI(1, 0.5, 0.5, 4.0, 11.0),
+            RoI(1, 3.25, 1.75, 12.5, 6.0), RoI(0, 2.0, 2.0, 2.5, 3.0)]
+    gy = rng.normal(size=(len(rois), 3, spec.bins_h, spec.bins_w))
+    out = layer.forward(x, rois)
+    gx = layer.backward(gy)
+    _, _, fields, _ = layer.recorded_state()
+
+    fc1, fc2, out_w = layer._affines()
+    plain = aligned_pool_forward(x, rois, spec)
+    ref = [roi_branch_forward(plain[r], fc1, fc2, out_w, roi, want_cache=True)
+           for r, roi in enumerate(rois)]
+    ref_fields = [f for f, _ in ref]
+    ref_gx, goff, gmod = mdpool_backward(x, rois, spec, ref_fields, gy)
+    grad_plain = np.zeros(plain.shape)
+    ref_grads = [np.zeros(p.value.shape) for p in layer.params()]
+    for r, (_, cache) in enumerate(ref):
+        gp, *pairs = roi_branch_backward(fc1, fc2, out_w, cache, goff[r], gmod[r])
+        grad_plain[r] = gp
+        for acc, g in zip(ref_grads, [g for pair in pairs for g in pair]):
+            acc += g
+    ref_gx += aligned_pool_backward(x, rois, spec, grad_plain)
+
+    for f, want in zip(fields, ref_fields):
+        assert _rel(f.offsets, want.offsets) <= 1e-12
+        assert _rel(f.modulation, want.modulation) <= 1e-12
+    assert _rel(out, mdpool_forward(x, rois, spec, ref_fields)) <= 1e-12
+    assert _rel(gx, ref_gx) <= 1e-12
+    for p, want in zip(layer.params(), ref_grads):
+        assert _rel(p.grad, want) <= 1e-12, p.name
+
+
+def test_aligned_pool_backward_is_mdpool_grad_x_with_identity_fields():
+    # bit for bit: the same pattern, S^T and upstream / n_k
+    rng = np.random.default_rng(13)
+    spec = PoolSpec(3, 2, samples=3)
+    rois = [RoI(0, 1.2, 0.4, 9.7, 6.3), RoI(1, 0.0, 2.5, 5.5, 7.0)]
+    for dtype in (np.float32, np.float64):
+        x = rng.normal(size=(2, 4, 9, 11)).astype(dtype)
+        gy = rng.normal(size=(2, 4, 3, 2)).astype(dtype)
+        identity = [BinField.identity(spec.k) for _ in rois]
+        want, _, _ = mdpool_backward(x, rois, spec, identity, gy)
+        got = aligned_pool_backward(x, rois, spec, gy)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_roi_branch_backward_shapes():
     rng = np.random.default_rng(8)
     fc1, fc2, out_w = make_roi_branch(in_dim=12, k=4, hidden=16, rng=rng)
@@ -252,7 +322,8 @@ def test_roi_branch_backward_shapes():
 
 
 def test_roi_file_round_trip():
-    rois = [RoI(0, 1.5, 2.25, 10.0, 12.5), RoI(3, 0.0, 0.0, 4.0, 4.0)]
+    rois = [RoI(0, 1.5, 2.25, 10.0, 12.5), RoI(3, 0.0, 0.0, 4.0, 4.0),
+            RoI(1, 123.456789, 0.1, 200.0 + 1.0 / 3.0, 1e-7 + 150.0)]
     text = format_roi_lines(rois)
     back = parse_roi_lines(text)
     assert back == rois

@@ -135,7 +135,20 @@ def test_registry_covers_every_differentiable_op():
 
     assert set(GRADCHECK_TARGETS) == {
         "bilinear", "cosine_mimic", "mdconv", "mdpool", "offset_branch", "roi_branch",
+        "roi_branch_batch",
     }
+
+
+def test_gradcheck_generators_raise_when_draws_run_out(monkeypatch):
+    # margins no draw can meet: the generators must not fall back on their last draw
+    import dcn2.checks as checks
+    from dcn2.errors import ConvergenceError
+
+    monkeypatch.setattr(checks, "LATTICE_MARGIN", 0.6)
+    monkeypatch.setattr(checks, "KINK_MARGIN", np.inf)
+    for op in ("mdpool", "roi_branch", "roi_branch_batch"):
+        with pytest.raises(ConvergenceError):
+            checks.GRADCHECK_TARGETS[op](0)
 
 
 def test_oracle_module_imports_no_kernel_code():
