@@ -32,7 +32,7 @@ from .errors import (
     UsageError,
 )
 from .mimic import MimicBatch, MimicConfig, cosine_mimic_backward, cosine_mimic_loss
-from .sampling import SamplePoint, bilinear_backward, bilinear_resize, bilinear_sample
+from .sampling import bilinear_backward, bilinear_sample
 from .support import (
     NodeProbe,
     SaliencyMask,
@@ -42,6 +42,6 @@ from .support import (
     saliency_region,
     slic_segment,
 )
-from .tensor import Tensor, TensorView, alloc, axpy_accumulate, read_tensor, write_tensor
+from .tensor import Tensor, alloc, read_tensor, write_tensor
 
 __version__ = "0.1.0"

@@ -31,12 +31,14 @@ from .deform_roipool import (
     BinField,
     PoolSpec,
     RoI,
+    _grid_positions,
     mdpool_backward,
     mdpool_forward,
     roi_branch_backward,
     roi_branch_forward,
 )
 from .errors import ConvergenceError, UsageError
+from .net import DeformConv2dLayer
 from .oracle import GradBlock, GradCheckReport, gradcheck
 from .sampling import bilinear_backward, bilinear_sample
 
@@ -63,6 +65,12 @@ def _off_lattice(values: np.ndarray) -> np.ndarray:
     lo = frac < LATTICE_MARGIN
     hi = frac > 1.0 - LATTICE_MARGIN
     return values + lo * LATTICE_MARGIN + hi * (-LATTICE_MARGIN)
+
+
+def _near_lattice(positions: np.ndarray) -> bool:
+    """Whether any sampling coordinate lies within LATTICE_MARGIN of an integer."""
+    frac = positions - np.floor(positions)
+    return bool(((frac < LATTICE_MARGIN) | (frac > 1.0 - LATTICE_MARGIN)).any())
 
 
 @register_gradcheck("bilinear")
@@ -140,20 +148,11 @@ def _mdpool_instance_parts(rng: np.random.Generator):
         RoI(int(rng.integers(0, 2)), 0.4, 2.2, 6.9, 5.3),
     ]
     # keep every sampling position off the lattice under FD perturbation
+    py, px = _grid_positions(rois, spec)
     for _ in range(50):
         offsets = rng.uniform(-1.5, 1.5, size=(len(rois), 2 * spec.k))
-        ok = True
-        for roi, off in zip(rois, offsets):
-            from .deform_roipool import _grid_positions
-
-            py, px = _grid_positions(roi, spec)
-            pos = np.concatenate([(py + off[0::2, None]).ravel(),
-                                  (px + off[1::2, None]).ravel()])
-            frac = pos - np.floor(pos)
-            if (frac < LATTICE_MARGIN).any() or (frac > 1 - LATTICE_MARGIN).any():
-                ok = False
-                break
-        if ok:
+        if not _near_lattice(np.concatenate([py + offsets[:, 0::2, None],
+                                             px + offsets[:, 1::2, None]])):
             break
     else:
         raise ConvergenceError(f"no mdpool offsets {LATTICE_MARGIN} off the lattice in 50 draws")
@@ -207,6 +206,63 @@ def _offset_branch_instance(seed: int) -> list[GradBlock]:
         GradBlock("branch_weight", bw.weight, gw, lambda v: obj(w_=v)),
         GradBlock("branch_bias", bw.bias, gb, lambda v: obj(b_=v)),
     ]
+
+
+def _deform_layer_blocks(seed: int, stream: int, modulated: bool) -> list[GradBlock]:
+    """Blocks for a whole float64 `DeformConv2dLayer`, offset branch included.
+
+    The kernel lattice is integer, so a sampling position is off the lattice
+    exactly when its offset is. Offset biases near the middle of a cell and
+    small branch weights make such draws common; the draw is rejected when
+    any offset comes within LATTICE_MARGIN of an integer.
+    """
+    spec = KernelSpec(3, 3)
+    k = spec.k
+    for attempt in range(100):
+        rng = np.random.default_rng([seed, stream, attempt])
+        layer = DeformConv2dLayer(2, 2, spec, rng, modulated=modulated)
+        branch_out = layer.branch_bias.value.size
+        values = {
+            "weight": rng.normal(size=layer.weight.value.shape),
+            "bias": rng.normal(size=2),
+            "branch_weight": rng.normal(size=layer.branch_weight.value.shape) * 0.03,
+            "branch_bias": np.concatenate([
+                rng.integers(-1, 2, size=2 * k) + rng.uniform(0.4, 0.6, size=2 * k),
+                rng.normal(size=branch_out - 2 * k)]),
+        }
+        params = {name: getattr(layer, name) for name in values}
+        for name, value in values.items():
+            params[name].value = value
+        x = rng.normal(size=(1, 2, 5, 5))
+        layer.forward(x)
+        if not _near_lattice(layer.recorded_state()[1].offsets):
+            break
+    else:
+        raise ConvergenceError(f"no deformable layer offsets {LATTICE_MARGIN} off the lattice "
+                               "in 100 draws")
+    upstream = rng.normal(size=(1, 2, 3, 3))
+    gx = layer.backward(upstream)
+
+    def obj(**override) -> float:
+        for name, p in params.items():
+            p.value = override.get(name, values[name])
+        return float((layer.forward(override.get("x", x)) * upstream).sum())
+
+    return [GradBlock("x", x, gx, lambda v: obj(x=v))] + [
+        GradBlock(name, values[name], params[name].grad, lambda v, name=name: obj(**{name: v}))
+        for name in values
+    ]
+
+
+@register_gradcheck("mdconv_layer")
+def _mdconv_layer_instance(seed: int) -> list[GradBlock]:
+    return _deform_layer_blocks(seed, 8, modulated=True)
+
+
+@register_gradcheck("dconv_layer")
+def _dconv_layer_instance(seed: int) -> list[GradBlock]:
+    """The unmodulated layer: a 2K branch, modulation fixed at 1."""
+    return _deform_layer_blocks(seed, 9, modulated=False)
 
 
 def _roi_branch_blocks(seed: int, stream: int, rois, pooled_shape: tuple) -> list[GradBlock]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -166,10 +167,13 @@ def cmd_bench(args) -> int:
 
 
 def _load_net_config(args) -> ToyNetConfig:
-    if args.config:
-        with open(args.config, "r", encoding="ascii") as fh:
+    if not args.config:
+        return ToyNetConfig()
+    with open(args.config, "r", encoding="ascii") as fh:
+        try:
             return ToyNetConfig.from_json(fh.read())
-    return ToyNetConfig()
+        except ValueError as exc:  # not ASCII, not JSON, or a malformed value
+            raise ConfigurationError(f"config {args.config}: {exc}") from None
 
 
 def cmd_demo_train(args) -> int:
@@ -210,6 +214,10 @@ def _build_probe(args, image_shape) -> NodeProbe:
             y, x, h, w = (int(v) for v in rest.split(","))
         except ValueError:
             raise UsageError(f"selector {sel!r}: want {kind}:y,x,h,w") from None
+        img_h, img_w = image_shape[-2:]
+        if min(y, x) < 0 or min(h, w) < 1 or y + h > img_h or x + w > img_w:
+            raise UsageError(f"selector {sel!r}: window must lie inside the "
+                             f"{img_h}x{img_w} image")
         return window_probe(y, x, h, w) if kind == "window" else window_mean_probe(y, x, h, w)
     if kind == "net":
         if not args.model:
@@ -228,7 +236,12 @@ def cmd_saliency(args) -> int:
     probe = _build_probe(args, image.shape)
     center = None
     if args.center:
-        cy, cx = (float(v) for v in args.center.split(","))
+        try:
+            cy, cx = (float(v) for v in args.center.split(","))
+        except ValueError:
+            cy = cx = math.nan
+        if not (math.isfinite(cy) and math.isfinite(cx)):
+            raise UsageError(f"--center {args.center!r}: want finite cy,cx")
         center = (cy, cx)
     mask = saliency_region(probe, image, epsilon=args.epsilon, center=center,
                            target_segments=args.segments)
@@ -327,7 +340,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.threads is not None:
         runtime.set_num_threads(args.threads)
-    np.random.seed(args.seed)
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -11,7 +11,8 @@ derivatives and scatters grad_x through S^T in float64.
 
 Offsets and modulation come from a sibling regular convolution
 (`offset_branch_forward`) with 3K output channels, zero-initialized so
-training starts at dp=0, dm=0.5.
+training starts at dp=0, dm=0.5. A 2K-channel branch is the unmodulated
+DCNv1 operator, the special case dm = 1.
 
 Offset channel layout is pinned for file compatibility: channel pair
 (2k, 2k+1) holds (dy_k, dx_k) for tap k in row-major kernel order.
@@ -528,35 +529,53 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _branch_k(branch_w: ConvWeights, spec: KernelSpec) -> tuple[int, bool]:
+    """(K, modulated) of a branch: 3K output channels are modulated, 2K are not."""
+    k = spec.k
+    channels = branch_w.weight.shape[0]
+    if channels not in (2 * k, 3 * k):
+        raise ShapeError(
+            f"offset branch must output 3K={3 * k} or 2K={2 * k} channels, got {channels}"
+        )
+    return k, channels == 3 * k
+
+
 def offset_branch_forward(x, branch_w: ConvWeights, spec: KernelSpec) -> OffsetModulationField:
     """Regular convolution producing 3K channels: the first 2K are offsets
     verbatim, the last K pass through a logistic sigmoid to give modulation.
     Zero weights (the standard init) therefore yield dp=0, dm=0.5 exactly.
+    A 2K-channel branch is the unmodulated (DCNv1) case: offsets only, with
+    the modulation fixed at 1.
     """
     x = as_array(x)
-    k = spec.k
-    if branch_w.weight.shape[0] != 3 * k:
-        raise ShapeError(
-            f"offset branch must output 3K={3 * k} channels, got {branch_w.weight.shape[0]}"
-        )
+    k, modulated = _branch_k(branch_w, spec)
     raw = dense_conv_forward(x, branch_w, spec)
     offsets = raw[:, : 2 * k]
-    modulation = sigmoid(raw[:, 2 * k :]).astype(raw.dtype)
+    if modulated:
+        modulation = sigmoid(raw[:, 2 * k :]).astype(raw.dtype, copy=False)
+    else:
+        n, _, h_out, w_out = raw.shape
+        modulation = np.ones((n, k, h_out, w_out), dtype=raw.dtype)
     return OffsetModulationField(offsets, modulation)
 
 
 def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
                            field: OffsetModulationField, grad_offsets, grad_modulation):
     """Gradients (grad_x, grad_branch_w, grad_branch_bias) given gradients on
-    the produced field. Modulation grads are pulled back through the sigmoid.
+    the produced field. Modulation grads are pulled back through the sigmoid
+    of a 3K branch; a 2K branch has no modulation channels to reach. The
+    branch-output gradient is formed in x's compute dtype.
     """
-    k = spec.k
-    go = as_array(grad_offsets).astype(np.float64)
-    gm = as_array(grad_modulation).astype(np.float64)
-    m = as_array(field.modulation).astype(np.float64)
-    grad_raw = np.concatenate([go, gm * m * (1.0 - m)], axis=1)
-    if grad_raw.shape[1] != 3 * k:
-        raise ShapeError("field gradients inconsistent with 3K branch channels")
+    k, modulated = _branch_k(branch_w, spec)
+    dtype = _compute_dtype(as_array(x))
+    grad_raw = as_array(grad_offsets).astype(dtype, copy=False)
+    if modulated:
+        gm = as_array(grad_modulation).astype(dtype, copy=False)
+        m = as_array(field.modulation).astype(dtype, copy=False)
+        grad_raw = np.concatenate([grad_raw, gm * m * (1.0 - m)], axis=1)
+    if grad_raw.shape[1] != branch_w.weight.shape[0]:
+        raise ShapeError(f"field gradients inconsistent with {branch_w.weight.shape[0]} "
+                         "branch channels")
     return dense_conv_backward(x, branch_w, spec, grad_raw)
 
 

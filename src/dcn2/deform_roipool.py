@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deform_conv import sigmoid
+from .deform_conv import _compute_dtype, sigmoid
 from .errors import ArgumentError, ShapeError
 from .sampling import bilinear_corner_gather, sampling_matrix
 from .tensor import as_array
@@ -101,19 +101,24 @@ class BinField:
         return BinField(np.zeros(2 * k), np.full(k, modulation))
 
 
-def _grid_positions(roi: RoI, spec: PoolSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(K, n_k) sampling positions p_kj before the learned offset is added."""
-    bh = roi.height / spec.bins_h
-    bw = roi.width / spec.bins_w
+def _grid_positions(rois: list[RoI], spec: PoolSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(R, K, n_k) sampling positions p_kj of every RoI before the learned
+    offset is added.
+    """
+    box = np.array([(roi.y1, roi.x1, roi.y2, roi.x2) for roi in rois],
+                   dtype=np.float64).reshape(-1, 4)
     n = spec.samples
     frac = (np.arange(n, dtype=np.float64) + 0.5) / n
-    by = np.arange(spec.bins_h, dtype=np.float64)
-    bx = np.arange(spec.bins_w, dtype=np.float64)
-    sy = roi.y1 + (by[:, None] + frac[None, :]) * bh  # (bins_h, n)
-    sx = roi.x1 + (bx[:, None] + frac[None, :]) * bw  # (bins_w, n)
-    py = np.broadcast_to(sy[:, None, :, None], (spec.bins_h, spec.bins_w, n, n))
-    px = np.broadcast_to(sx[None, :, None, :], (spec.bins_h, spec.bins_w, n, n))
-    return py.reshape(spec.k, spec.n_k), px.reshape(spec.k, spec.n_k)
+    by = np.arange(spec.bins_h, dtype=np.float64)[:, None] + frac  # (bins_h, n)
+    bx = np.arange(spec.bins_w, dtype=np.float64)[:, None] + frac  # (bins_w, n)
+    bh = (box[:, 2] - box[:, 0]) / spec.bins_h
+    bw = (box[:, 3] - box[:, 1]) / spec.bins_w
+    sy = box[:, 0, None, None] + by * bh[:, None, None]  # (R, bins_h, n)
+    sx = box[:, 1, None, None] + bx * bw[:, None, None]  # (R, bins_w, n)
+    shape = (len(box), spec.bins_h, spec.bins_w, n, n)
+    py = np.broadcast_to(sy[:, :, None, :, None], shape)
+    px = np.broadcast_to(sx[:, None, :, None, :], shape)
+    return py.reshape(-1, spec.k, spec.n_k), px.reshape(-1, spec.k, spec.n_k)
 
 
 def _check_pool_args(x, rois, spec: PoolSpec, fields):
@@ -140,23 +145,16 @@ def _pool_geometry(x: np.ndarray, rois: list[RoI], spec: PoolSpec, fields: list[
     so that row is the pooled bin.
     """
     _, _, h, w = x.shape
-    r = len(rois)
-    py = np.empty((r, spec.k, spec.n_k), dtype=np.float64)
-    px = np.empty((r, spec.k, spec.n_k), dtype=np.float64)
-    for i, (roi, f) in enumerate(zip(rois, fields)):
-        gy, gx = _grid_positions(roi, spec)
-        py[i] = gy + f.offsets[0::2, None]
-        px[i] = gx + f.offsets[1::2, None]
+    gy, gx = _grid_positions(rois, spec)
+    offsets = np.stack([f.offsets for f in fields])
+    py = gy + offsets[:, 0::2, None]
+    px = gx + offsets[:, 1::2, None]
     plane_off = np.array([roi.batch_index for roi in rois], dtype=np.int64) * (h * w)
     mods = np.stack([f.modulation for f in fields])
     pattern = bilinear_corner_gather(py, px, h, w, flat_offset=plane_off[:, None, None],
                                      scale=(mods / spec.n_k)[:, :, None] if modulated else None,
                                      derivatives=derivatives, dtype=_compute_dtype(x))
     return pattern, mods
-
-
-def _compute_dtype(x: np.ndarray):
-    return np.float32 if x.dtype == np.float32 else np.float64
 
 
 def _pixel_rows(x: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .deform_roipool import RoI
 from .errors import ArgumentError, ConfigurationError, ShapeError
 from .net import COMPUTE_DTYPE, Param, ReLULayer, RoIPoolLayer, Sequential, softmax_cross_entropy
-from .sampling import _sample_grid
+from .sampling import bilinear_corner_gather, sampling_matrix
 from .tensor import as_array
 
 # norms below this are treated as zero vectors by the cosine guard
@@ -104,14 +104,15 @@ def crop_resize_patch(image, roi: RoI, out_hw: tuple[int, int]) -> np.ndarray:
 
     `image` is one (C, H, W) image or an (N, C, H, W) stack from which the
     RoI's batch element is taken. An RoI that misses the image entirely is a
-    zero-area crop and raises ArgumentError.
+    zero-area crop and raises ArgumentError. The separable grid samples
+    through the kernels' sparse bilinear matrix, in float64.
     """
     arr = as_array(image)
     if arr.ndim == 4:
         arr = arr[roi.batch_index]
     if arr.ndim != 3:
         raise ShapeError(f"expected (C,H,W) image, got shape {arr.shape}")
-    _, h, w = arr.shape
+    c, h, w = arr.shape
     y1 = max(roi.y1, 0.0)
     y2 = min(roi.y2, h - 1.0)
     x1 = max(roi.x1, 0.0)
@@ -127,7 +128,10 @@ def crop_resize_patch(image, roi: RoI, out_hw: tuple[int, int]) -> np.ndarray:
     ew = x2 - x1 + 1.0
     ys = np.clip(y1 + (np.arange(out_h, dtype=np.float64) + 0.5) * (eh / out_h) - 0.5, y1, y2)
     xs = np.clip(x1 + (np.arange(out_w, dtype=np.float64) + 0.5) * (ew / out_w) - 0.5, x1, x2)
-    return _sample_grid(arr[None], ys, xs)[0].astype(arr.dtype)
+    cols, weights = bilinear_corner_gather(ys[:, None], xs[None, :], h, w)
+    pixels = np.ascontiguousarray(arr.transpose(1, 2, 0), dtype=np.float64).reshape(h * w, c)
+    out = sampling_matrix(cols, weights, h * w) @ pixels  # (out_h * out_w, C)
+    return out.T.reshape(c, out_h, out_w).astype(arr.dtype)
 
 
 # ---------------------------------------------------------------------------

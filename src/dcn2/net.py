@@ -1,8 +1,12 @@
 """Minimal hand-backpropagated layers for the toy training harness.
 
 Not an autograd system: each layer caches what its own backward pass needs,
-and models wire layers together explicitly. Parameters carry a learning-rate
-multiplier so offset/modulation branches can train at 0.1x the base rate.
+and models wire layers together explicitly. The deformable layers keep no
+operator math of their own: `DeformConv2dLayer` calls
+`offset_branch_forward`/`_backward` and the mdconv kernels, `RoIPoolLayer`
+calls `roi_branch_forward`/`_backward` and the pooling kernels. Parameters
+carry a learning-rate multiplier so offset/modulation branches can train at
+0.1x the base rate.
 """
 
 from __future__ import annotations
@@ -13,12 +17,12 @@ from .deform_conv import (
     BRANCH_LR_MULTIPLIER,
     ConvWeights,
     KernelSpec,
-    OffsetModulationField,
     dense_conv_backward,
     dense_conv_forward,
     mdconv_backward_optimized,
     mdconv_forward_optimized,
-    sigmoid,
+    offset_branch_backward,
+    offset_branch_forward,
 )
 from .deform_roipool import (
     Affine,
@@ -114,9 +118,10 @@ class Conv2dLayer:
 class DeformConv2dLayer:
     """Deformable convolution layer; modulated=True adds the dm_k channels.
 
-    The sibling branch convolution is zero-initialized and its parameters
-    carry the 0.1 learning-rate multiplier. The last forward's input and
-    field stay recorded for spatial-support analysis.
+    The sibling branch convolution (`offset_branch_forward`: 3K channels,
+    or 2K with dm = 1 when unmodulated) is zero-initialized and its
+    parameters carry the 0.1 learning-rate multiplier. The last forward's
+    input and field stay recorded for spatial-support analysis.
     """
 
     def __init__(self, c_in: int, c_out: int, spec: KernelSpec,
@@ -135,7 +140,6 @@ class DeformConv2dLayer:
                                  lr_mult=BRANCH_LR_MULTIPLIER, name=f"{name}.branch_bias")
         self._x = None
         self._field = None
-        self._raw_mod = None
 
     def params(self):
         return [self.weight, self.bias, self.branch_weight, self.branch_bias]
@@ -147,31 +151,17 @@ class DeformConv2dLayer:
         return ConvWeights(self.weight.value, self.bias.value)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        k = self.spec.k
-        raw = dense_conv_forward(x, self._branch_weights(), self.spec)
-        offsets = raw[:, : 2 * k]
-        if self.modulated:
-            mod = sigmoid(raw[:, 2 * k :])
-        else:
-            mod = np.ones((raw.shape[0], k, raw.shape[2], raw.shape[3]), dtype=raw.dtype)
-        field = OffsetModulationField(offsets, mod)
-        self._x = x
-        self._field = field
-        y = mdconv_forward_optimized(x, self._weights(), self.spec, field)
-        return y
+        field = offset_branch_forward(x, self._branch_weights(), self.spec)
+        self._x, self._field = x, field
+        return mdconv_forward_optimized(x, self._weights(), self.spec, field)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         gx, gw, gb, goff, gmod = mdconv_backward_optimized(
             self._x, self._weights(), self.spec, self._field, gy)
         self.weight.grad += gw
         self.bias.grad += gb
-        if self.modulated:
-            m = self._field.modulation
-            grad_raw = np.concatenate([goff, gmod * m * (1.0 - m)], axis=1)
-        else:
-            grad_raw = goff
-        gx_branch, gbw, gbb = dense_conv_backward(
-            self._x, self._branch_weights(), self.spec, grad_raw)
+        gx_branch, gbw, gbb = offset_branch_backward(
+            self._x, self._branch_weights(), self.spec, self._field, goff, gmod)
         self.branch_weight.grad += gbw
         self.branch_bias.grad += gbb
         return gx + gx_branch

@@ -1,6 +1,6 @@
-"""Bilinear interpolation on (H, W) planes: values, analytic gradients with
-respect to the plane and the sampling coordinate, bilinear image resize, and
-the sparse sampling matrix the optimized kernels are built on.
+"""Bilinear interpolation on (H, W) planes: values and analytic gradients
+with respect to the plane and the sampling coordinate, and the sparse
+sampling matrix that mdconv, mdpool and crop-and-resize all sample through.
 
 Bilinear weights do not depend on the channel, so sampling many positions of
 a C-channel plane stack is one sparse product: `bilinear_corner_gather` lays
@@ -18,18 +18,12 @@ the lower-right).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
 from .errors import ArgumentError, ShapeError
-from .tensor import Tensor, as_array
-
-
-class SamplePoint(NamedTuple):
-    y: float
-    x: float
+from .tensor import as_array
 
 
 def _check_point(y: float, x: float) -> None:
@@ -98,38 +92,18 @@ def bilinear_backward(plane, pt, upstream: float = 1.0):
     return grad_plane, (upstream * dy, upstream * dx)
 
 
-def bilinear_resize(src, out_h: int, out_w: int):
-    """Resize (N, C, H, W) with the half-pixel-center mapping
-    ((i+0.5)*H/out_h - 0.5, (j+0.5)*W/out_w - 0.5), channels independent.
-    """
-    wrap = isinstance(src, Tensor)
-    arr = as_array(src)
-    if arr.ndim != 4:
-        raise ShapeError(f"resize expects (N,C,H,W), got shape {arr.shape}")
-    n, c, h, w = arr.shape
-    if h < 1 or w < 1:
-        raise ShapeError(f"source spatial extent {h}x{w} must be positive")
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(f"output extent {out_h}x{out_w} must be positive")
-
-    # clamp to the valid range so borders replicate (constant stays constant)
-    ys = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
-    xs = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
-    out = _sample_grid(arr, ys, xs)
-    return Tensor(out) if wrap else out.astype(arr.dtype)
-
-
 def bilinear_corner_gather(py: np.ndarray, px: np.ndarray, h: int, w: int,
                            flat_offset: np.ndarray | None = None,
                            scale: np.ndarray | None = None, derivatives: bool = False,
                            dtype=np.float64):
     """Sparse bilinear sampling pattern for a batch of fractional positions.
 
-    py/px are float64 position arrays of one shape (*pos). For each position
-    the pattern lists its 4 corners (0,0), (0,1), (1,0), (1,1) as (*pos, 4)
-    arrays: `cols`, the flat pixel index of each corner (clipped into the
-    plane), and `weights`, its bilinear weight times `scale` (broadcast
-    against the positions) in `dtype`. `flat_offset`, broadcast the same way,
+    py/px are float64 position arrays that broadcast to one shape (*pos) (a
+    separable grid passes an (H', 1) column and a (1, W') row). For each
+    position the pattern lists its 4 corners (0,0), (0,1), (1,0), (1,1) as
+    (*pos, 4) arrays: `cols`, the flat pixel index of each corner (clipped
+    into the plane), and `weights`, its bilinear weight times `scale`
+    (broadcast against the positions) in `dtype`. `flat_offset`, broadcast the same way,
     is added to every index, so one pattern can address a stack of H*W
     planes. With derivatives=True the pattern also carries the derivatives of
     the unscaled weights with respect to y and x. Out-of-bounds corners get
@@ -202,28 +176,3 @@ def sampling_matrix(cols: np.ndarray, data: np.ndarray, n_cols: int,
     indptr = np.arange(0, indices.size + 1, per_row, dtype=indices.dtype)
     return sparse.csr_array((data.reshape(-1), indices, indptr),
                             shape=(indptr.size - 1, n_cols))
-
-
-def _sample_grid(arr: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Vectorized zero-padded bilinear sampling on a separable (ys x xs) grid."""
-    n, c, h, w = arr.shape
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    ly = ys - y0
-    lx = xs - x0
-
-    out = np.zeros((n, c, len(ys), len(xs)), dtype=np.float64)
-    for dy in (0, 1):
-        iy = y0 + dy
-        wy = np.where(dy == 0, 1.0 - ly, ly)
-        vy = (iy >= 0) & (iy < h)
-        iyc = np.clip(iy, 0, h - 1)
-        for dx in (0, 1):
-            ix = x0 + dx
-            wx = np.where(dx == 0, 1.0 - lx, lx)
-            vx = (ix >= 0) & (ix < w)
-            ixc = np.clip(ix, 0, w - 1)
-            vals = arr[:, :, iyc[:, None], ixc[None, :]].astype(np.float64)
-            weight = (wy * vy)[:, None] * (wx * vx)[None, :]
-            out += vals * weight
-    return out

@@ -1,7 +1,7 @@
 """Dense 4-D (N, C, H, W) float32 tensor container and its binary file format.
 
-Storage is always float32, row-major. Reductions and accumulation run through
-float64 intermediates so downstream finite-difference comparisons stay quiet.
+Storage is always float32, row-major. Reductions run through float64
+intermediates so downstream finite-difference comparisons stay quiet.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class Tensor:
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy())
 
-    def view(self, channels: slice = slice(None), rows: slice = slice(None),
-             cols: slice = slice(None)) -> "TensorView":
-        return TensorView(self, channels, rows, cols)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
             return NotImplemented
@@ -57,32 +53,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(dims={self.dims})"
-
-
-class TensorView:
-    """A channel/spatial sub-range of a parent tensor (all batches).
-
-    The sub-range must lie inside the parent's extents; `array()` exposes it
-    as a writable numpy view.
-    """
-
-    __slots__ = ("parent", "channels", "rows", "cols")
-
-    def __init__(self, parent: Tensor, channels: slice, rows: slice, cols: slice):
-        n, c, h, w = parent.dims
-        for sl, extent, name in ((channels, c, "channel"), (rows, h, "row"), (cols, w, "col")):
-            start, stop, step = sl.indices(extent)
-            if step != 1:
-                raise ShapeError(f"{name} sub-range must be contiguous")
-            if (sl.start is not None and sl.start < 0) or (sl.stop is not None and sl.stop > extent):
-                raise ShapeError(f"{name} sub-range [{sl.start}:{sl.stop}] outside extent {extent}")
-        self.parent = parent
-        self.channels = channels
-        self.rows = rows
-        self.cols = cols
-
-    def array(self) -> np.ndarray:
-        return self.parent.data[:, self.channels, self.rows, self.cols]
 
 
 def alloc(dims: tuple[int, int, int, int], fill: float = 0.0) -> Tensor:
@@ -145,19 +115,6 @@ def load_tensor(path) -> Tensor:
 def save_tensor(t: Tensor, path) -> None:
     with open(path, "wb") as fh:
         fh.write(write_tensor(t))
-
-
-def axpy_accumulate(dst, src, scale: float) -> None:
-    """dst += scale * src elementwise, accumulating in float64.
-
-    `dst`/`src` may be Tensors, TensorViews, or numpy arrays of equal shape.
-    """
-    d = dst.array() if isinstance(dst, TensorView) else (dst.data if isinstance(dst, Tensor) else dst)
-    s = src.array() if isinstance(src, TensorView) else (src.data if isinstance(src, Tensor) else src)
-    if d.shape != s.shape:
-        raise ShapeError(f"axpy shape mismatch: {d.shape} vs {s.shape}")
-    acc = d.astype(np.float64) + float(scale) * s.astype(np.float64)
-    d[...] = acc.astype(d.dtype)
 
 
 def as_array(x) -> np.ndarray:

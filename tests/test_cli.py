@@ -188,6 +188,29 @@ def test_unresolvable_probe_is_usage_error(pgm_image):
     assert main(["erf", "--image", pgm_image, "--probe", "net:1,1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command,probe", [
+    ("saliency", "window:-4,0,8,8"),  # negative origin
+    ("erf", "window:20,20,8,8"),  # runs past the 24x24 image
+    ("erf", "window-mean:40,40,8,8"),  # misses the image entirely
+    ("erf", "window-mean:4,4,0,8"),  # empty window
+])
+def test_probe_window_outside_image_is_usage_error(pgm_image, command, probe):
+    assert main([command, "--image", pgm_image, "--probe", probe]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("center", ["a,b", "1", "nan,12"])
+def test_bad_saliency_center_is_usage_error(pgm_image, center):
+    assert main(["saliency", "--image", pgm_image, "--center", center]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("payload", ['{"mimic": "café"}'.encode("utf-8"), b"{not json"],
+                         ids=["non_ascii", "not_json"])
+def test_unreadable_config_is_usage_error(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(payload)
+    assert main(["demo-train", "--config", str(path), "--steps", "0"]) == EXIT_USAGE
+
+
 def test_missing_image_is_io_error(tmp_path):
     assert main(["erf", "--image", str(tmp_path / "nope.pgm"),
                  "--probe", "const"]) == EXIT_IO

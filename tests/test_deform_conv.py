@@ -280,6 +280,16 @@ def test_gradcheck_mdconv_block_count_and_pass():
         assert rep.passed, rep.to_json()
 
 
+def test_layer_gradcheck_targets_pass():
+    # whole DeformConv2dLayer, offset branch included, modulated and not
+    for op in ("mdconv_layer", "dconv_layer"):
+        reports = run_gradcheck(op, seeds=3)
+        assert [b.name for b in reports[0].blocks] == [
+            "x", "weight", "bias", "branch_weight", "branch_bias"]
+        for rep in reports:
+            assert rep.passed, rep.to_json()
+
+
 def test_reference_pair_also_gradchecks():
     # the registered target exercises the optimized pair; spot-check the
     # reference kernels against finite differences too
@@ -310,6 +320,12 @@ def test_offset_branch_zero_init_contract():
     field = offset_branch_forward(x, branch, spec)
     assert np.all(field.offsets == 0.0)
     assert np.all(field.modulation == 0.5)
+    # a 2K branch is the unmodulated case: same field shapes, dm fixed at 1
+    v1 = offset_branch_forward(x, ConvWeights(np.zeros((2 * k, 3, 3, 3)), np.zeros(2 * k)), spec)
+    assert v1.offsets.shape == field.offsets.shape == (2, 2 * k, 6, 6)
+    assert v1.modulation.shape == field.modulation.shape == (2, k, 6, 6)
+    assert np.all(v1.offsets == 0.0)
+    assert np.all(v1.modulation == 1.0)
 
 
 def test_offset_branch_sigmoid_saturation():

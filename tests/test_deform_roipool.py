@@ -136,7 +136,7 @@ def _mdpool_loop_reference(x, rois, spec, fields, upstream):
     gmod = np.zeros((len(rois), spec.k))
     g = upstream.reshape(len(rois), c, spec.k)
     for r, (roi, f) in enumerate(zip(rois, fields)):
-        py, px = _grid_positions(roi, spec)
+        py, px = (pos[0] for pos in _grid_positions([roi], spec))
         for k in range(spec.k):
             m = f.modulation[k]
             for j in range(spec.n_k):

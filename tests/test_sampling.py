@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dcn2.errors import ArgumentError, ShapeError
-from dcn2.sampling import bilinear_backward, bilinear_resize, bilinear_sample
+from dcn2.errors import ArgumentError
+from dcn2.sampling import bilinear_backward, bilinear_sample
 
 PLANE = np.array([[1.0, 2.0], [3.0, 4.0]])
 
@@ -111,31 +111,3 @@ def test_plane_gradient_matches_fd():
             fminus = upstream * bilinear_sample(bumped, pt)
             numeric = (fplus - fminus) / (2 * h)
             assert abs(g - numeric) <= 1e-4 * max(abs(g), abs(numeric), 1.0)
-
-
-def test_resize_identity():
-    rng = np.random.default_rng(4)
-    t = rng.normal(size=(2, 3, 4, 5))
-    out = bilinear_resize(t, 4, 5)
-    assert np.allclose(out, t, atol=1e-12)
-
-
-def test_resize_constant():
-    t = np.full((1, 1, 3, 3), 2.5)
-    out = bilinear_resize(t, 7, 2)
-    assert out.shape == (1, 1, 7, 2)
-    assert np.allclose(out, 2.5)
-
-
-def test_resize_2x2_to_1x1():
-    t = PLANE.reshape(1, 1, 2, 2)
-    out = bilinear_resize(t, 1, 1)
-    # mapping puts the single output sample at (0.5, 0.5)
-    assert out[0, 0, 0, 0] == pytest.approx(2.5)
-
-
-def test_resize_rejects_empty_source():
-    with pytest.raises(ShapeError):
-        bilinear_resize(np.zeros((1, 1, 0, 3)), 2, 2)
-    with pytest.raises(ShapeError):
-        bilinear_resize(np.zeros((1, 1, 3, 3)), 0, 2)

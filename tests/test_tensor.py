@@ -1,5 +1,4 @@
 import struct
-import threading
 
 import numpy as np
 import pytest
@@ -8,9 +7,7 @@ from dcn2.errors import FormatError, ShapeError, SizeError
 from dcn2.tensor import (
     MAGIC,
     Tensor,
-    TensorView,
     alloc,
-    axpy_accumulate,
     read_tensor,
     write_tensor,
 )
@@ -109,55 +106,3 @@ def test_trailing_garbage_rejected():
 def test_truncated_header_rejected():
     with pytest.raises(FormatError):
         read_tensor(MAGIC + b"\x01\x00")
-
-
-def test_axpy_basic_identities():
-    rng = np.random.default_rng(2)
-    x = Tensor(rng.normal(size=(1, 2, 3, 3)).astype(np.float32))
-
-    dst = alloc((1, 2, 3, 3), 0.0)
-    axpy_accumulate(dst, x, 1.0)
-    assert np.array_equal(dst.data, x.data)
-
-    before = dst.data.copy()
-    axpy_accumulate(dst, x, 0.0)
-    assert np.array_equal(dst.data, before)
-
-    axpy_accumulate(dst, x, -1.0)
-    # dst was x; x - x = 0
-    assert np.all(dst.data == 0.0)
-
-
-def test_axpy_shape_mismatch():
-    with pytest.raises(ShapeError):
-        axpy_accumulate(alloc((1, 1, 2, 2)), alloc((1, 1, 2, 3)), 1.0)
-
-
-def test_view_bounds_checked():
-    t = alloc((1, 2, 4, 4))
-    with pytest.raises(ShapeError):
-        TensorView(t, slice(0, 3), slice(0, 4), slice(0, 4))
-
-
-def test_axpy_on_disjoint_views_matches_sequential():
-    rng = np.random.default_rng(3)
-    base = Tensor(rng.normal(size=(1, 2, 8, 8)).astype(np.float32))
-    src = Tensor(rng.normal(size=(1, 2, 8, 8)).astype(np.float32))
-
-    seq = base.copy()
-    axpy_accumulate(seq.view(rows=slice(0, 4)), src.view(rows=slice(0, 4)), 0.5)
-    axpy_accumulate(seq.view(rows=slice(4, 8)), src.view(rows=slice(4, 8)), 0.5)
-
-    par = base.copy()
-    threads = [
-        threading.Thread(
-            target=axpy_accumulate,
-            args=(par.view(rows=slice(r, r + 4)), src.view(rows=slice(r, r + 4)), 0.5),
-        )
-        for r in (0, 4)
-    ]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    assert np.array_equal(par.data, seq.data)
