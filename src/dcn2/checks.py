@@ -67,10 +67,10 @@ def _off_lattice(values: np.ndarray) -> np.ndarray:
     return values + lo * LATTICE_MARGIN + hi * (-LATTICE_MARGIN)
 
 
-def _near_lattice(positions: np.ndarray) -> bool:
-    """Whether any sampling coordinate lies within LATTICE_MARGIN of an integer."""
+def _near_lattice(positions: np.ndarray) -> np.ndarray:
+    """Mask of the sampling coordinates within LATTICE_MARGIN of an integer."""
     frac = positions - np.floor(positions)
-    return bool(((frac < LATTICE_MARGIN) | (frac > 1.0 - LATTICE_MARGIN)).any())
+    return (frac < LATTICE_MARGIN) | (frac > 1.0 - LATTICE_MARGIN)
 
 
 @register_gradcheck("bilinear")
@@ -117,10 +117,8 @@ def _mdconv_instance_parts(rng: np.random.Generator):
     return spec, x, w, offsets, modulation, upstream
 
 
-@register_gradcheck("mdconv")
-def _mdconv_instance(seed: int) -> list[GradBlock]:
-    rng = np.random.default_rng([seed, 3])
-    spec, x, w, offsets, modulation, upstream = _mdconv_instance_parts(rng)
+def _mdconv_blocks(spec: KernelSpec, x, w: ConvWeights, offsets, modulation,
+                   upstream) -> list[GradBlock]:
     field = OffsetModulationField(offsets, modulation)
     gx, gw, gb, goff, gmod = mdconv_backward_optimized(x, w, spec, field, upstream)
 
@@ -140,6 +138,37 @@ def _mdconv_instance(seed: int) -> list[GradBlock]:
     ]
 
 
+@register_gradcheck("mdconv")
+def _mdconv_instance(seed: int) -> list[GradBlock]:
+    rng = np.random.default_rng([seed, 3])
+    return _mdconv_blocks(*_mdconv_instance_parts(rng))
+
+
+@register_gradcheck("mdconv_geometry")
+def _mdconv_geometry_instance(seed: int) -> list[GradBlock]:
+    """Strided, padded and dilated mdconv. The kernel lattice is integer, so
+    a sampling position is off the lattice exactly when its offset is; the
+    offsets that come within LATTICE_MARGIN of an integer are redrawn.
+    """
+    rng = np.random.default_rng([seed, 10])
+    spec = KernelSpec(3, 3, stride=(2, 2), pad=(1, 1), dilation=(2, 2))
+    x = rng.normal(size=(1, 2, 7, 8))
+    w = ConvWeights(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3))
+    h_out, w_out = spec.out_size(7, 8)
+    offsets = rng.uniform(-2.0, 2.0, size=(1, 2 * spec.k, h_out, w_out))
+    for _ in range(100):
+        near = _near_lattice(offsets)
+        if not near.any():
+            break
+        offsets[near] = rng.uniform(-2.0, 2.0, size=int(near.sum()))
+    else:
+        raise ConvergenceError(f"no mdconv offsets {LATTICE_MARGIN} off the lattice "
+                               "in 100 draws")
+    modulation = rng.uniform(0.1, 0.9, size=(1, spec.k, h_out, w_out))
+    upstream = rng.normal(size=(1, 3, h_out, w_out))
+    return _mdconv_blocks(spec, x, w, offsets, modulation, upstream)
+
+
 def _mdpool_instance_parts(rng: np.random.Generator):
     spec = PoolSpec(2, 2, samples=2)
     x = rng.normal(size=(2, 2, 8, 8))
@@ -152,7 +181,7 @@ def _mdpool_instance_parts(rng: np.random.Generator):
     for _ in range(50):
         offsets = rng.uniform(-1.5, 1.5, size=(len(rois), 2 * spec.k))
         if not _near_lattice(np.concatenate([py + offsets[:, 0::2, None],
-                                             px + offsets[:, 1::2, None]])):
+                                             px + offsets[:, 1::2, None]])).any():
             break
     else:
         raise ConvergenceError(f"no mdpool offsets {LATTICE_MARGIN} off the lattice in 50 draws")
@@ -235,7 +264,7 @@ def _deform_layer_blocks(seed: int, stream: int, modulated: bool) -> list[GradBl
             params[name].value = value
         x = rng.normal(size=(1, 2, 5, 5))
         layer.forward(x)
-        if not _near_lattice(layer.recorded_state()[1].offsets):
+        if not _near_lattice(layer.recorded_state()[1].offsets).any():
             break
     else:
         raise ConvergenceError(f"no deformable layer offsets {LATTICE_MARGIN} off the lattice "

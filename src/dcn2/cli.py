@@ -227,6 +227,10 @@ def _build_probe(args, image_shape) -> NodeProbe:
         except ValueError:
             raise UsageError(f"selector {sel!r}: want net:y,x") from None
         net = load_model(args.model)
+        out_h, out_w = net.trunk.forward(np.zeros((1, *image_shape))).shape[-2:]
+        if not (0 <= y < out_h and 0 <= x < out_w):
+            raise UsageError(f"selector {sel!r}: node must lie inside the trunk's "
+                             f"{out_h}x{out_w} output map")
         return network_probe(net.trunk, y, x)
     raise UsageError(f"unknown node selector {sel!r}")
 

@@ -204,6 +204,8 @@ class SuperpixelLabeling:
 
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+# window candidates scored at once by SLIC: bounds its memory on large images
+_SLIC_CANDIDATES = 1 << 16
 
 
 def slic_segment(image, target_segments: int, compactness: float = 10.0,
@@ -212,6 +214,15 @@ def slic_segment(image, target_segments: int, compactness: float = 10.0,
     d = d_color + (compactness / S) * d_spatial, S = sqrt(H*W/target), then
     connectivity enforcement merging orphan fragments into the largest
     adjacent segment.
+
+    The image must be finite. Each center competes for the pixels of its
+    window, rows and columns int(c - 2S) .. int(c + 2S) clipped to the image.
+    A pixel goes to the center with the smallest d among the windows
+    covering it, ties to the lowest center index; a pixel that no window
+    reaches is scored against all centers. Each nonempty cluster's center
+    moves to the mean position and color of its pixels, summed in raster
+    order. Window candidates are scored as flat arrays, a block of centers
+    (at most `_SLIC_CANDIDATES` candidates) at a time.
     """
     img = _chw(image)
     c, h, w = img.shape
@@ -219,6 +230,8 @@ def slic_segment(image, target_segments: int, compactness: float = 10.0,
         raise ArgumentError("target_segments must be >= 1")
     if target_segments > h * w:
         raise ArgumentError(f"target_segments {target_segments} exceeds pixel count {h * w}")
+    if not np.isfinite(img).all():
+        raise ArgumentError("SLIC needs a finite image")
 
     s = math.sqrt(h * w / target_segments)
     gh = max(1, round(math.sqrt(target_segments * h / w)))
@@ -232,118 +245,149 @@ def slic_segment(image, target_segments: int, compactness: float = 10.0,
     centers_col = img[:, iy, ix].T.copy()  # (K0, C)
     k0 = len(centers_pos)
 
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    colors = img.reshape(c, -1)  # (C, H*W): distances add the channels one by one
+    pixels = np.ascontiguousarray(colors.T)  # (H*W, C): the layout of img[:, mask]
     ratio = compactness / s
-    assign = np.zeros((h, w), dtype=np.int64)
-
     for _ in range(max(1, iters)):
-        best = np.full((h, w), np.inf)
-        assign.fill(-1)
-        for kc in range(k0):
-            cy, cx = centers_pos[kc]
-            r0 = max(0, int(cy - 2 * s))
-            r1 = min(h, int(cy + 2 * s) + 1)
-            c0 = max(0, int(cx - 2 * s))
-            c1 = min(w, int(cx + 2 * s) + 1)
-            if r0 >= r1 or c0 >= c1:
-                continue
-            patch = img[:, r0:r1, c0:c1]
-            d_col = np.sqrt(((patch - centers_col[kc][:, None, None]) ** 2).sum(axis=0))
-            d_sp = np.hypot(yy[r0:r1, c0:c1] - cy, xx[r0:r1, c0:c1] - cx)
-            d = d_col + ratio * d_sp
-            win_best = best[r0:r1, c0:c1]
-            better = d < win_best
-            win_best[better] = d[better]
-            assign[r0:r1, c0:c1][better] = kc
-        missing = assign < 0
-        if missing.any():
+        cy, cx = centers_pos.T
+        r0 = np.maximum(0, (cy - 2 * s).astype(np.int64))
+        r1 = np.minimum(h, (cy + 2 * s).astype(np.int64) + 1)
+        c0 = np.maximum(0, (cx - 2 * s).astype(np.int64))
+        c1 = np.minimum(w, (cx + 2 * s).astype(np.int64) + 1)
+        span = np.arange(max(1, (r1 - r0).max(), (c1 - c0).max()))
+        ys = r0[:, None] + span  # (K0, span): window rows, then columns
+        xs = c0[:, None] + span
+        inside = (ys < r1[:, None])[:, :, None] & (xs < c1[:, None])[:, None, :]
+        best = np.full(h * w, np.inf)
+        assign = np.full(h * w, -1)
+        step = max(1, _SLIC_CANDIDATES // span.size ** 2)
+        for k in range(0, k0, step):
+            # the (pixel, center) candidates of these centers, windows end to end
+            sel = slice(k, k + step)
+            win = inside[sel]
+            kc = np.repeat(np.arange(k0)[sel], win.sum(axis=(1, 2)))
+            pix = (ys[sel, :, None] * w + xs[sel, None, :])[win]
+            dy = np.broadcast_to((ys[sel] - cy[sel, None])[:, :, None], win.shape)[win]
+            dx = np.broadcast_to((xs[sel] - cx[sel, None])[:, None, :], win.shape)[win]
+            diff = np.take(colors, pix, axis=1)  # (C, candidates), summed channel by channel
+            diff -= centers_col.T[:, kc]
+            d = np.sqrt((diff ** 2).sum(axis=0)) + ratio * np.hypot(dy, dx)
+            step_best = np.full(h * w, np.inf)
+            np.fmin.at(step_best, pix, d)  # fmin: a NaN d never wins, as under `<`
+            tie = d == step_best[pix]
+            first = np.full(h * w, k0)
+            np.minimum.at(first, pix[tie], kc[tie])
+            better = step_best < best  # strict: on a tie the lower centers keep the pixel
+            best[better] = step_best[better]
+            assign[better] = first[better]
+        missing = np.flatnonzero(assign < 0)
+        if missing.size:
             # clusters drifted away from some pixels: full pass for those only
-            my, mx = np.nonzero(missing)
-            d_all = np.full(my.size, np.inf)
-            for kc in range(k0):
-                d_col = np.sqrt(((img[:, my, mx] - centers_col[kc][:, None]) ** 2).sum(axis=0))
-                d_sp = np.hypot(my - centers_pos[kc, 0], mx - centers_pos[kc, 1])
-                d = d_col + ratio * d_sp
-                better = d < d_all
-                d_all[better] = d[better]
-                assign[my[better], mx[better]] = kc
-        for kc in range(k0):
-            mask = assign == kc
-            if mask.any():
-                centers_pos[kc] = (yy[mask].mean(), xx[mask].mean())
-                centers_col[kc] = img[:, mask].mean(axis=1)
+            my, mx = np.divmod(missing, w)
+            d_all = np.full(missing.size, np.inf)
+            for k in range(k0):
+                d_col = np.sqrt(((img[:, my, mx] - centers_col[k][:, None]) ** 2).sum(axis=0))
+                d_m = d_col + ratio * np.hypot(my - centers_pos[k, 0], mx - centers_pos[k, 1])
+                better = d_m < d_all
+                d_all[better] = d_m[better]
+                assign[missing[better]] = k
+        _move_centers(pixels, w, assign, centers_pos, centers_col)
 
-    labels = _enforce_connectivity(assign, k0)
+    labels = _enforce_connectivity(assign.reshape(h, w))
     return SuperpixelLabeling(labels, int(labels.max()) + 1)
 
 
-def _enforce_connectivity(assign: np.ndarray, k0: int) -> np.ndarray:
+def _move_centers(pixels: np.ndarray, w: int, assign: np.ndarray,
+                  centers_pos: np.ndarray, centers_col: np.ndarray) -> None:
+    """Move each nonempty cluster's center to the mean (y, x) and color of its
+    pixels, bit for bit `yy[mask].mean()` and `img[:, mask].mean(axis=1)`.
+
+    `pixels` is the (H*W, C) image in raster order. Coordinates are
+    integers, so their sums are exact in any order. Clusters of equal size
+    are summed together from a (clusters, size, C) gather: per cluster the
+    pixel-major layout that `img[:, mask]` has, so numpy sums in the same
+    order (pairwise over the pixels for one channel, pixel by pixel for more).
+    """
+    order = np.argsort(assign, kind="stable")
+    order = order[np.count_nonzero(assign < 0):]  # unscored pixels (-1) move no center
+    lab = assign[order]
+    starts = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
+    sizes = np.diff(np.r_[starts, lab.size])
+    yx = np.stack(np.divmod(order, w)).astype(np.float64)
+    pos_sums = np.add.reduceat(yx, starts, axis=1)
+    colors = pixels[order]
+    col_sums = np.empty((sizes.size, pixels.shape[1]))
+    by_size = np.argsort(sizes, kind="stable")
+    runs, first = np.unique(sizes[by_size], return_index=True)
+    for n, i0, i1 in zip(runs.tolist(), first.tolist(), [*first[1:].tolist(), sizes.size]):
+        group = by_size[i0:i1]
+        col_sums[group] = colors[starts[group, None] + np.arange(n)].sum(axis=1)
+    centers_pos[lab[starts]] = (pos_sums / sizes).T
+    centers_col[lab[starts]] = col_sums / sizes[:, None]
+
+
+def _enforce_connectivity(assign: np.ndarray) -> np.ndarray:
     """Keep each label's largest 4-connected component; merge every other
     fragment into the largest adjacent segment.
+
+    Components are found in one labeling pass over a (2H-1, 2W-1) grid whose
+    even cells are the pixels and whose cells between two pixels are set when
+    their labels agree. They are numbered by label, then size descending,
+    then first pixel in raster order; per label the first is kept and the
+    rest are orphans. Orphans are merged in that order, each into its
+    largest adjacent non-orphan segment (ties to the lower number), or into
+    its largest adjacent orphan when none is adjacent, with sizes and
+    adjacency updated after every merge. Final labels number the surviving
+    segments in that order.
     """
     h, w = assign.shape
-    comp = np.full((h, w), -1, dtype=np.int64)
-    canonical = []
-    orphans = []
-    next_id = 0
-    for kc in range(k0):
-        mask = assign == kc
-        if not mask.any():
+    grid = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
+    grid[::2, ::2] = True
+    grid[1::2, ::2] = assign[1:] == assign[:-1]
+    grid[::2, 1::2] = assign[:, 1:] == assign[:, :-1]
+    found, n = ndimage.label(grid, structure=_FOUR_CONN)
+    found = found[::2, ::2].reshape(-1) - 1  # numbered in first-pixel raster order
+    sizes = np.bincount(found, minlength=n)
+    label_of = np.empty(n, dtype=assign.dtype)
+    label_of[found] = assign.reshape(-1)
+    rank = np.lexsort((np.arange(n), -sizes, label_of))
+    comp_id = np.empty(n, dtype=np.int64)
+    comp_id[rank] = np.arange(n)
+    comp = comp_id[found].reshape(h, w)
+    sizes = sizes[rank]
+    is_orphan = np.r_[False, label_of[rank][1:] == label_of[rank][:-1]]
+
+    # component adjacency, built once from the 4-neighbor pixel pairs
+    a = np.concatenate([comp[:, :-1].ravel(), comp[:-1].ravel()])
+    b = np.concatenate([comp[:, 1:].ravel(), comp[1:].ravel()])
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keys = np.unique((lo * n + hi)[lo != hi])
+    neighbors = [set() for _ in range(n)]
+    for p, q in zip((keys // n).tolist(), (keys % n).tolist()):
+        neighbors[p].add(q)
+        neighbors[q].add(p)
+
+    merged_into = np.arange(n)
+    for frag in np.flatnonzero(is_orphan).tolist():
+        adjacent = neighbors[frag]
+        if not adjacent:
             continue
-        lab, n = ndimage.label(mask, structure=_FOUR_CONN)
-        sizes = ndimage.sum_labels(np.ones_like(lab), lab, index=np.arange(1, n + 1))
-        order = np.argsort(-sizes, kind="stable")
-        for rank, ci in enumerate(order):
-            sel = lab == ci + 1
-            comp[sel] = next_id
-            (canonical if rank == 0 else orphans).append(next_id)
-            next_id += 1
-
-    sizes = np.bincount(comp.reshape(-1), minlength=next_id).astype(np.int64)
-    is_orphan = np.zeros(next_id, dtype=bool)
-    is_orphan[orphans] = True
-    merged_into = np.arange(next_id)
-
-    def resolve(i):
-        while merged_into[i] != i:
-            i = merged_into[i]
-        return i
-
-    pending = sorted(orphans)
-    while pending:
-        progressed = False
-        deferred = []
-        for frag in pending:
-            mask = comp == frag
-            if not mask.any():
-                continue
-            neighbors = set()
-            padded = np.pad(comp, 1, constant_values=-1)
-            core = np.pad(mask, 1)
-            for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                shifted = np.roll(core, (dy, dx), axis=(0, 1))
-                vals = padded[shifted & ~core]
-                neighbors.update(int(v) for v in vals if v >= 0)
-            neighbors = {resolve(v) for v in neighbors if resolve(v) != frag}
-            solid = [v for v in neighbors if not is_orphan[v]]
-            pool = solid if solid else sorted(neighbors)
-            if not pool:
-                deferred.append(frag)
-                continue
-            target = max(pool, key=lambda v: (sizes[v], -v))
-            comp[mask] = target
-            sizes[target] += sizes[frag]
-            sizes[frag] = 0
-            merged_into[frag] = target
-            progressed = True
-        if not progressed:
+        pool = [v for v in adjacent if not is_orphan[v]] or adjacent
+        target = max(pool, key=lambda v: (sizes[v], -v))
+        sizes[target] += sizes[frag]
+        merged_into[frag] = target
+        for v in adjacent:
+            neighbors[v].discard(frag)
+            if v != target:
+                neighbors[v].add(target)
+                neighbors[target].add(v)
+    while True:
+        root = merged_into[merged_into]
+        if np.array_equal(root, merged_into):
             break
-        pending = deferred
-
-    final_ids = np.unique(comp)
-    remap = np.zeros(next_id, dtype=np.int64)
-    remap[final_ids] = np.arange(len(final_ids))
-    return remap[comp]
+        merged_into = root
+    _, labels = np.unique(merged_into[comp], return_inverse=True)
+    return labels.reshape(h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +430,8 @@ class SaliencyMask:
 
 
 def _reconstruction_loss(orig: np.ndarray, masked: np.ndarray) -> float:
+    if np.array_equal(orig, masked):
+        return 0.0  # also for a zero response, whose cosine is undefined
     if orig.size > 1:
         return cosine_mimic_loss(orig, masked)
     a = float(orig.reshape(()) if orig.ndim == 0 else orig[0])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .deform_conv import BRANCH_LR_MULTIPLIER, KernelSpec
 from .deform_roipool import PoolSpec, RoI
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError, ConfigurationError, ShapeError
 from .mimic import MimicBatch, MimicConfig, TwoBranchModel, mimic_step
 from .net import (
     COMPUTE_DTYPE,
@@ -89,22 +89,34 @@ class ToyNetConfig:
     @staticmethod
     def from_json(text: str) -> "ToyNetConfig":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ConfigurationError(f"config must be a JSON object, not {type(obj).__name__}")
         cfg = ToyNetConfig()
-        return replace(
-            cfg,
-            layers=tuple(obj.get("layers", cfg.layers)),
-            channels=tuple(int(v) for v in obj.get("channels", cfg.channels)),
-            bins=tuple(int(v) for v in obj.get("bins", cfg.bins)),
-            pool_samples=int(obj.get("pool_samples", cfg.pool_samples)),
-            head_widths=tuple(int(v) for v in obj.get("head_widths", cfg.head_widths)),
-            mimic=bool(obj.get("mimic", cfg.mimic)),
-            learning_rate=float(obj.get("learning_rate", cfg.learning_rate)),
-            momentum=float(obj.get("momentum", cfg.momentum)),
-            weight_decay=float(obj.get("weight_decay", cfg.weight_decay)),
-            branch_lr_mult=float(obj.get("branch_lr_mult", cfg.branch_lr_mult)),
-            image_size=int(obj.get("image_size", cfg.image_size)),
-            batch_size=int(obj.get("batch_size", cfg.batch_size)),
-        )
+
+        def listed(key, cast):
+            vals = obj.get(key, getattr(cfg, key))
+            if not isinstance(vals, (list, tuple)):
+                raise ConfigurationError(f"config {key!r} must be a list, not {vals!r}")
+            return tuple(cast(v) for v in vals)
+
+        try:
+            return replace(
+                cfg,
+                layers=listed("layers", str),
+                channels=listed("channels", int),
+                bins=listed("bins", int),
+                pool_samples=int(obj.get("pool_samples", cfg.pool_samples)),
+                head_widths=listed("head_widths", int),
+                mimic=bool(obj.get("mimic", cfg.mimic)),
+                learning_rate=float(obj.get("learning_rate", cfg.learning_rate)),
+                momentum=float(obj.get("momentum", cfg.momentum)),
+                weight_decay=float(obj.get("weight_decay", cfg.weight_decay)),
+                branch_lr_mult=float(obj.get("branch_lr_mult", cfg.branch_lr_mult)),
+                image_size=int(obj.get("image_size", cfg.image_size)),
+                batch_size=int(obj.get("batch_size", cfg.batch_size)),
+            )
+        except TypeError as exc:  # null, a list or an object where a number belongs
+            raise ConfigurationError(f"config value of the wrong JSON type: {exc}") from None
 
 
 @dataclass(frozen=True)

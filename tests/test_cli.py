@@ -211,6 +211,18 @@ def test_unreadable_config_is_usage_error(tmp_path, payload):
     assert main(["demo-train", "--config", str(path), "--steps", "0"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("payload, complaint", [
+    ('{"channels": 5}', "'channels' must be a list"),
+    ("[1, 2]", "must be a JSON object"),
+    ('{"layers": "regular"}', "'layers' must be a list"),
+], ids=["scalar_list", "top_level_list", "string_list"])
+def test_config_wrong_json_type_is_usage_error(tmp_path, capsys, payload, complaint):
+    path = tmp_path / "cfg.json"
+    path.write_text(payload)
+    assert main(["demo-train", "--config", str(path), "--steps", "0"]) == EXIT_USAGE
+    assert complaint in capsys.readouterr().err
+
+
 def test_missing_image_is_io_error(tmp_path):
     assert main(["erf", "--image", str(tmp_path / "nope.pgm"),
                  "--probe", "const"]) == EXIT_IO
@@ -249,6 +261,18 @@ def test_net_probe_via_model_dir(tmp_path, pgm_image):
     assert code == EXIT_OK
     rep = json.loads((out / "erf.json").read_text())
     assert rep["nonzero"] > 0
+
+
+@pytest.mark.parametrize("node", ["100,100", "-3,2"])
+def test_net_probe_outside_output_map_is_usage_error(tmp_path, pgm_image, node):
+    from dcn2.synthetic import SyntheticTask, run_toy_training, save_model
+
+    cfg = ToyNetConfig(layers=("regular",), channels=(4,), image_size=24, batch_size=2)
+    task = SyntheticTask(mode="dilate", image_size=24, seed=0)
+    _, net = run_toy_training(cfg, task, steps=1, seed=0)
+    save_model(net, tmp_path / "model")
+    assert main(["erf", "--image", pgm_image, "--probe", f"net:{node}",
+                 "--model", str(tmp_path / "model")]) == EXIT_USAGE
 
 
 def test_threads_env_fallback(monkeypatch):

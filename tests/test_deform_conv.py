@@ -290,6 +290,15 @@ def test_layer_gradcheck_targets_pass():
             assert rep.passed, rep.to_json()
 
 
+def test_mdconv_geometry_gradcheck_target_passes():
+    # stride 2, pad 1, dilation 2: samples off the image and spread-out taps
+    reports = run_gradcheck("mdconv_geometry", seeds=5)
+    assert [b.name for b in reports[0].blocks] == [
+        "x", "weight", "bias", "offsets", "modulation"]
+    for rep in reports:
+        assert rep.passed, rep.to_json()
+
+
 def test_reference_pair_also_gradchecks():
     # the registered target exercises the optimized pair; spot-check the
     # reference kernels against finite differences too

@@ -135,7 +135,7 @@ def test_registry_covers_every_differentiable_op():
 
     assert set(GRADCHECK_TARGETS) == {
         "bilinear", "cosine_mimic", "mdconv", "mdpool", "offset_branch", "roi_branch",
-        "roi_branch_batch", "mdconv_layer", "dconv_layer",
+        "roi_branch_batch", "mdconv_layer", "dconv_layer", "mdconv_geometry",
     }
 
 
@@ -146,7 +146,8 @@ def test_gradcheck_generators_raise_when_draws_run_out(monkeypatch):
 
     monkeypatch.setattr(checks, "LATTICE_MARGIN", 0.6)
     monkeypatch.setattr(checks, "KINK_MARGIN", np.inf)
-    for op in ("mdpool", "roi_branch", "roi_branch_batch", "mdconv_layer", "dconv_layer"):
+    for op in ("mdpool", "roi_branch", "roi_branch_batch", "mdconv_layer", "dconv_layer",
+               "mdconv_geometry"):
         with pytest.raises(ConvergenceError):
             checks.GRADCHECK_TARGETS[op](0)
 

@@ -171,6 +171,137 @@ def test_slic_rejects_oversubscription():
         slic_segment(np.zeros((1, 4, 4)), 17)
 
 
+def test_slic_rejects_non_finite_image():
+    img = np.zeros((1, 8, 8))
+    img[0, 3, 4] = np.nan
+    with pytest.raises(ArgumentError):
+        slic_segment(img, 4)
+
+
+@pytest.mark.parametrize("case, count, digest", [
+    ("task0", 156, "8beb22e927ec65a112699f1faecaab28e614f6a5e968da12b333a1561f2a15d2"),
+    ("task1", 156, "fa1b54835c3b1efcfef9b4d542cb7b121d679f14ed6e02e1d1479ad3c4c16e1b"),
+    ("noise3", 9, "1e0116da8a2568950f4df2d35e3746add13cab8f4dfd8e325165e15356135c14"),
+    ("orphans", 30, "ab7d14c687aa3f2aaf897e72e208447b9d9ecc49ff5a37d2c916c8538107f151"),
+    ("uncovered", 4, "4206f78928836ca5b48a5e637f4dcc529018a95b381da1f4cdc993264442d965"),
+])
+def test_slic_labels_pinned(case, count, digest):
+    # labels of the per-center loop implementation, bit for bit
+    import hashlib
+
+    from dcn2.synthetic import SyntheticTask
+
+    task = SyntheticTask(mode="dilate", image_size=48)
+    args = {
+        "task0": (task.sample_batch(np.random.default_rng(0), 1)[0][0], 150),
+        "task1": (task.sample_batch(np.random.default_rng(1), 1)[0][0], 150),
+        "noise3": (np.random.default_rng(2).normal(size=(3, 20, 24)), 9),
+        # color-dominated distance: 340 orphan fragments to merge
+        "orphans": (np.random.default_rng(3).normal(size=(1, 24, 20)), 30, 0.1),
+        # seeds 50 px apart, windows +-2S = +-20 px: some pixels take the full pass
+        "uncovered": (np.random.default_rng(4).normal(size=(1, 2, 200)), 4),
+    }[case]
+    seg = slic_segment(*args)
+    assert seg.labels.dtype == np.int64
+    assert seg.count == count
+    assert hashlib.sha256(seg.labels.tobytes()).hexdigest() == digest
+
+
+def _slic_loop_reference(img, target, compactness=10.0, iters=10):
+    """SLIC as a loop over centers (strict `<` in center order, boolean-mask
+    means) and connectivity as a loop over fragments, each rescanned for its
+    neighbors: the arithmetic `slic_segment` must reproduce bit for bit.
+    """
+    import math
+
+    from scipy import ndimage
+
+    c, h, w = img.shape
+    s = math.sqrt(h * w / target)
+    gh = max(1, round(math.sqrt(target * h / w)))
+    gw = max(1, math.ceil(target / gh))
+    seed_y = (np.arange(gh) + 0.5) * h / gh - 0.5
+    seed_x = (np.arange(gw) + 0.5) * w / gw - 0.5
+    pos = np.array([(sy, sx) for sy in seed_y for sx in seed_x])
+    iy = np.clip(np.round(pos[:, 0]).astype(int), 0, h - 1)
+    ix = np.clip(np.round(pos[:, 1]).astype(int), 0, w - 1)
+    col = img[:, iy, ix].T.copy()
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    ratio = compactness / s
+    for _ in range(iters):
+        best = np.full((h, w), np.inf)
+        assign = np.full((h, w), -1)
+        for k, (cy, cx) in enumerate(pos):
+            r0, r1 = max(0, int(cy - 2 * s)), min(h, int(cy + 2 * s) + 1)
+            c0, c1 = max(0, int(cx - 2 * s)), min(w, int(cx + 2 * s) + 1)
+            d = (np.sqrt(((img[:, r0:r1, c0:c1] - col[k][:, None, None]) ** 2).sum(axis=0))
+                 + ratio * np.hypot(yy[r0:r1, c0:c1] - cy, xx[r0:r1, c0:c1] - cx))
+            better = d < best[r0:r1, c0:c1]
+            best[r0:r1, c0:c1][better] = d[better]
+            assign[r0:r1, c0:c1][better] = k
+        my, mx = np.nonzero(assign < 0)
+        d_all = np.full(my.size, np.inf)
+        for k in range(len(pos)):
+            d = (np.sqrt(((img[:, my, mx] - col[k][:, None]) ** 2).sum(axis=0))
+                 + ratio * np.hypot(my - pos[k, 0], mx - pos[k, 1]))
+            better = d < d_all
+            d_all[better] = d[better]
+            assign[my[better], mx[better]] = k
+        for k in range(len(pos)):
+            mask = assign == k
+            if mask.any():
+                pos[k] = (yy[mask].mean(), xx[mask].mean())
+                col[k] = img[:, mask].mean(axis=1)
+
+    four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    comp = np.full((h, w), -1)
+    orphans = []
+    for k in range(len(pos)):
+        lab, n = ndimage.label(assign == k, structure=four)
+        sizes = np.bincount(lab.ravel(), minlength=n + 1)[1:]
+        for rank, ci in enumerate(np.argsort(-sizes, kind="stable")):
+            comp[lab == ci + 1] = comp.max() + 1
+            if rank:
+                orphans.append(comp.max())
+    sizes = np.bincount(comp.ravel())
+    for frag in orphans:
+        mask = comp == frag
+        grown = np.zeros_like(mask)
+        grown[1:] |= mask[:-1]
+        grown[:-1] |= mask[1:]
+        grown[:, 1:] |= mask[:, :-1]
+        grown[:, :-1] |= mask[:, 1:]
+        near = set(comp[grown & ~mask].tolist())
+        pool = [v for v in near if v not in orphans] or near
+        if pool:
+            target = max(pool, key=lambda v: (sizes[v], -v))
+            comp[mask] = target
+            sizes[target] += sizes[frag]
+    return np.unique(comp, return_inverse=True)[1].reshape(h, w)
+
+
+@pytest.mark.parametrize("candidates", [None, 300], ids=["one_block", "blocks_of_300"])
+def test_slic_matches_loop_reference(monkeypatch, candidates):
+    # large images score their window candidates a block of centers at a
+    # time; forced small blocks must merge as one pass does
+    import dcn2.support as support
+
+    if candidates:
+        monkeypatch.setattr(support, "_SLIC_CANDIDATES", candidates)
+    rng = np.random.default_rng(14)
+    cases = [
+        (rng.normal(size=(3, 20, 24)), 12, 10.0),
+        (rng.normal(size=(1, 24, 20)), 30, 0.1),  # hundreds of orphans
+        (np.round(rng.uniform(size=(1, 16, 16)) * 3), 20, 1.0),  # tied distances
+        (rng.normal(size=(5, 12, 14)), 9, 1.0),
+        (rng.normal(size=(1, 2, 200)), 4, 10.0),  # pixels no window reaches
+        (np.full((1, 15, 15), 0.5), 4, 10.0),  # row and column 7 tie two centers
+    ]
+    for img, target, compactness in cases:
+        seg = slic_segment(img, target, compactness)
+        assert np.array_equal(seg.labels, _slic_loop_reference(img, target, compactness))
+
+
 # ---------------------------------------------------------------------------
 # saliency region
 # ---------------------------------------------------------------------------
@@ -247,6 +378,15 @@ def test_saliency_nondeterministic_probe_raises():
 
     with pytest.raises(ConvergenceError):
         saliency_region(NodeProbe(noisy), np.ones((1, 8, 8)), epsilon=1e-6)
+
+
+def test_saliency_zero_response_reproduced_exactly():
+    # the window is 0, so every mask reproduces the zero response exactly
+    img = np.random.default_rng(13).uniform(0.1, 1.0, size=(1, 16, 16))
+    img[:, 8:12, 8:12] = 0.0
+    mask = saliency_region(window_probe(8, 8, 4, 4), img)
+    assert mask.achieved_error == 0.0
+    assert mask.mask.sum() == 0
 
 
 def test_saliency_mask_invariant_enforced():
