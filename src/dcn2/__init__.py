@@ -1,5 +1,9 @@
 """Modulated deformable convolution and RoI pooling with analytic gradients,
 feature-mimic training at desk scale, and spatial-support analysis tools.
+
+Feature maps are plain (N, C, H, W) numpy arrays throughout;
+`read_tensor`/`write_tensor` convert them to and from the `.dcnt` file
+format.
 """
 
 from .deform_conv import (
@@ -28,7 +32,6 @@ from .errors import (
     ConvergenceError,
     FormatError,
     ShapeError,
-    SizeError,
     UsageError,
 )
 from .mimic import MimicBatch, MimicConfig, cosine_mimic_backward, cosine_mimic_loss
@@ -42,6 +45,6 @@ from .support import (
     saliency_region,
     slic_segment,
 )
-from .tensor import Tensor, alloc, read_tensor, write_tensor
+from .tensor import read_tensor, write_tensor
 
 __version__ = "0.1.0"

@@ -28,7 +28,6 @@ import numpy as np
 from . import runtime
 from .errors import ArgumentError, ShapeError
 from .sampling import bilinear_backward, bilinear_corner_gather, bilinear_sample, sampling_matrix
-from .tensor import as_array
 
 # learning-rate multiplier carried by offset/modulation branch weights (the
 # descriptor asserted by tests; applied by the optimizer in net.py)
@@ -95,7 +94,7 @@ class ConvWeights:
     bias: np.ndarray | None = None
 
     def __post_init__(self):
-        self.weight = as_array(self.weight)
+        self.weight = np.asarray(self.weight)
         if self.weight.ndim != 4:
             raise ShapeError(f"weights must be 4-D, got shape {self.weight.shape}")
         if self.bias is not None:
@@ -124,8 +123,8 @@ class OffsetModulationField:
     modulation: np.ndarray
 
     def __post_init__(self):
-        self.offsets = as_array(self.offsets)
-        self.modulation = as_array(self.modulation)
+        self.offsets = np.asarray(self.offsets)
+        self.modulation = np.asarray(self.modulation)
         if self.offsets.ndim != 4 or self.modulation.ndim != 4:
             raise ShapeError("offset/modulation fields must be 4-D")
         n, twok, h, w = self.offsets.shape
@@ -156,7 +155,7 @@ class OffsetModulationField:
 
 
 def _check_mdconv_args(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField):
-    x = as_array(x)
+    x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeError(f"input must be (N,C,H,W), got shape {x.shape}")
     n, c_in, h, win = x.shape
@@ -208,7 +207,7 @@ def mdconv_backward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulation
     bilinear coordinate derivative scaled by w_k * dm_k.
     """
     x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field)
-    g = as_array(upstream)
+    g = np.asarray(upstream)
     c_out = w.weight.shape[0]
     if g.shape != (n, c_out, h_out, w_out):
         raise ShapeError(f"upstream shape {g.shape} != {(n, c_out, h_out, w_out)}")
@@ -221,8 +220,8 @@ def mdconv_backward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulation
     grad_x = np.zeros((n, c_in, h, win), dtype=np.float64)
     grad_w = np.zeros((c_out, c_in, spec.k), dtype=np.float64)
     grad_b = g.sum(axis=(0, 2, 3), dtype=np.float64) if w.bias is not None else None
-    grad_off = np.zeros_like(as_array(field.offsets), dtype=np.float64)
-    grad_mod = np.zeros_like(as_array(field.modulation), dtype=np.float64)
+    grad_off = np.zeros_like(field.offsets, dtype=np.float64)
+    grad_mod = np.zeros_like(field.modulation, dtype=np.float64)
 
     for b in range(n):
         for i in range(h_out):
@@ -303,10 +302,10 @@ class _ConvGeometry:
             w.weight.reshape(c_out, self.c_in, spec.k).transpose(2, 1, 0),
             dtype=self.dtype).reshape(spec.k * self.c_in, c_out)
         self.bias = None if w.bias is None else np.asarray(w.bias, dtype=self.dtype)
-        offs = as_array(field.offsets).astype(np.float64)
+        offs = field.offsets.astype(np.float64)
         self.off_y = offs[:, 0::2].transpose(0, 2, 3, 1)
         self.off_x = offs[:, 1::2].transpose(0, 2, 3, 1)
-        self.mods = as_array(field.modulation).astype(np.float64).transpose(0, 2, 3, 1)
+        self.mods = field.modulation.astype(np.float64).transpose(0, 2, 3, 1)
         taps = spec.taps()
         cy, cx = spec.center()
         self.base_y = np.arange(h_out, dtype=np.float64) * spec.stride[0] - spec.pad[0] + cy
@@ -380,7 +379,7 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
     count.
     """
     x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field)
-    g = as_array(upstream)
+    g = np.asarray(upstream)
     c_out = w.weight.shape[0]
     if g.shape != (n, c_out, h_out, w_out):
         raise ShapeError(f"upstream shape {g.shape} != {(n, c_out, h_out, w_out)}")
@@ -469,7 +468,7 @@ def _im2col(x: np.ndarray, spec: KernelSpec):
 
 def dense_conv_forward(x, w: ConvWeights, spec: KernelSpec) -> np.ndarray:
     """Regular zero-padded strided dilated convolution (vectorized)."""
-    x = as_array(x)
+    x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeError(f"input must be (N,C,H,W), got {x.shape}")
     w.check_spec(spec, x.shape[1])
@@ -484,9 +483,9 @@ def dense_conv_forward(x, w: ConvWeights, spec: KernelSpec) -> np.ndarray:
 
 def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream):
     """Gradients (grad_x, grad_w, grad_bias) of dense_conv_forward."""
-    x = as_array(x)
+    x = np.asarray(x)
     dtype = _compute_dtype(x)
-    g = as_array(upstream).astype(dtype)
+    g = np.asarray(upstream).astype(dtype)
     n, c, h, win = x.shape
     kh, kw = spec.kernel_h, spec.kernel_w
     sh, sw = spec.stride
@@ -547,7 +546,7 @@ def offset_branch_forward(x, branch_w: ConvWeights, spec: KernelSpec) -> OffsetM
     A 2K-channel branch is the unmodulated (DCNv1) case: offsets only, with
     the modulation fixed at 1.
     """
-    x = as_array(x)
+    x = np.asarray(x)
     k, modulated = _branch_k(branch_w, spec)
     raw = dense_conv_forward(x, branch_w, spec)
     offsets = raw[:, : 2 * k]
@@ -567,11 +566,11 @@ def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
     branch-output gradient is formed in x's compute dtype.
     """
     k, modulated = _branch_k(branch_w, spec)
-    dtype = _compute_dtype(as_array(x))
-    grad_raw = as_array(grad_offsets).astype(dtype, copy=False)
+    dtype = _compute_dtype(np.asarray(x))
+    grad_raw = np.asarray(grad_offsets).astype(dtype, copy=False)
     if modulated:
-        gm = as_array(grad_modulation).astype(dtype, copy=False)
-        m = as_array(field.modulation).astype(dtype, copy=False)
+        gm = np.asarray(grad_modulation).astype(dtype, copy=False)
+        m = field.modulation.astype(dtype, copy=False)
         grad_raw = np.concatenate([grad_raw, gm * m * (1.0 - m)], axis=1)
     if grad_raw.shape[1] != branch_w.weight.shape[0]:
         raise ShapeError(f"field gradients inconsistent with {branch_w.weight.shape[0]} "

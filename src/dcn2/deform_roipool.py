@@ -24,7 +24,6 @@ import numpy as np
 from .deform_conv import _compute_dtype, sigmoid
 from .errors import ArgumentError, ShapeError
 from .sampling import bilinear_corner_gather, sampling_matrix
-from .tensor import as_array
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ def _grid_positions(rois: list[RoI], spec: PoolSpec) -> tuple[np.ndarray, np.nda
 
 
 def _check_pool_args(x, rois, spec: PoolSpec, fields):
-    x = as_array(x)
+    x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeError(f"input must be (N,C,H,W), got {x.shape}")
     if len(fields) != len(rois):
@@ -168,7 +167,7 @@ def _upstream_rows(x: np.ndarray, rois: list[RoI], spec: PoolSpec, upstream) -> 
     """The (R, C, bins_h, bins_w) upstream gradient as (R*K, C) float64 rows,
     one per bin, in the row order of the pooling pattern.
     """
-    g = as_array(upstream)
+    g = np.asarray(upstream)
     c = x.shape[1]
     want = (len(rois), c, spec.bins_h, spec.bins_w)
     if g.shape != want:
@@ -308,7 +307,7 @@ def roi_branch_forward(pooled, fc1: Affine, fc2: Affine, out_w: Affine, rois,
     single = isinstance(rois, RoI)
     if single:
         rois = [rois]
-    p = as_array(pooled).astype(np.float64)
+    p = np.asarray(pooled).astype(np.float64)
     r, d = len(rois), fc1.weight.shape[1]
     if p.size != r * d or (not single and p.shape[:1] != (r,)):
         raise ShapeError(f"fc1 expects {d} inputs per RoI, pooled is {p.shape} for {r} RoIs")

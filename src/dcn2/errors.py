@@ -2,22 +2,20 @@
 
 
 class ShapeError(ValueError):
-    """Tensor/weight dimensions are inconsistent with the operation."""
+    """Array or weight dimensions are inconsistent with the operation."""
 
 
 class ArgumentError(ValueError):
     """An argument value is out of contract (non-finite coordinate, bad range, ...)."""
 
 
-class SizeError(ValueError):
-    """Requested allocation exceeds the addressable size."""
-
-
 class FormatError(ValueError):
-    """Malformed tensor file. `offset` is the byte position where parsing failed."""
+    """Malformed input file. `offset` is the byte position where parsing
+    failed, or None when the fault is not at one position.
+    """
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte offset {offset})")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (at byte offset {offset})")
         self.offset = offset
 
 

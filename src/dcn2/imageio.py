@@ -71,8 +71,3 @@ def encode_mask_pgm(mask: np.ndarray) -> bytes:
 def load_image(path) -> np.ndarray:
     with open(path, "rb") as fh:
         return decode_netpbm(fh.read())
-
-
-def save_pgm(plane: np.ndarray, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_pgm(plane))

@@ -11,8 +11,7 @@ only the main branch runs.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .deform_roipool import RoI
 from .errors import ArgumentError, ConfigurationError, ShapeError
 from .net import COMPUTE_DTYPE, Param, ReLULayer, RoIPoolLayer, Sequential, softmax_cross_entropy
 from .sampling import bilinear_corner_gather, sampling_matrix
-from .tensor import as_array
 
 # norms below this are treated as zero vectors by the cosine guard
 _NORM_GUARD = 1e-30
@@ -107,7 +105,7 @@ def crop_resize_patch(image, roi: RoI, out_hw: tuple[int, int]) -> np.ndarray:
     zero-area crop and raises ArgumentError. The separable grid samples
     through the kernels' sparse bilinear matrix, in float64.
     """
-    arr = as_array(image)
+    arr = np.asarray(image)
     if arr.ndim == 4:
         arr = arr[roi.batch_index]
     if arr.ndim != 3:
@@ -160,33 +158,6 @@ class MimicConfig:
     # pure-teacher alternative stops them there
     stop_teacher: bool = False
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mimic_weight": self.mimic_weight,
-                "rcnn_cls_weight": self.rcnn_cls_weight,
-                "positive_iou": self.positive_iou,
-                "omega_size": self.omega_size,
-                "patch_size": list(self.patch_size),
-                "stop_teacher": self.stop_teacher,
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "MimicConfig":
-        obj = json.loads(text)
-        cfg = MimicConfig()
-        return replace(
-            cfg,
-            mimic_weight=float(obj.get("mimic_weight", cfg.mimic_weight)),
-            rcnn_cls_weight=float(obj.get("rcnn_cls_weight", cfg.rcnn_cls_weight)),
-            positive_iou=float(obj.get("positive_iou", cfg.positive_iou)),
-            omega_size=int(obj.get("omega_size", cfg.omega_size)),
-            patch_size=tuple(int(v) for v in obj.get("patch_size", cfg.patch_size)),
-            stop_teacher=bool(obj.get("stop_teacher", cfg.stop_teacher)),
-        )
-
 
 @dataclass
 class MimicBatch:
@@ -228,7 +199,7 @@ class MimicBatch:
         if rois:
             patches = np.stack([crop_resize_patch(images, r, cfg.patch_size) for r in rois])
         else:
-            arr = as_array(images)
+            arr = np.asarray(images)
             patches = np.zeros((0, arr.shape[1]) + tuple(cfg.patch_size), dtype=arr.dtype)
         return MimicBatch(rois, patches, labels, overlaps, cfg.positive_iou)
 
@@ -262,7 +233,7 @@ class TwoBranchModel:
 
     def roi_features(self, images, rois: list[RoI]) -> np.ndarray:
         """(R, D) trunk features; caches stay valid for one backward pass."""
-        feat = self.backbone.forward(as_array(images).astype(COMPUTE_DTYPE))
+        feat = self.backbone.forward(np.asarray(images).astype(COMPUTE_DTYPE))
         pooled = self.pool.forward(feat, rois)
         self._pooled_shape = pooled.shape
         flat = pooled.reshape(pooled.shape[0], -1)

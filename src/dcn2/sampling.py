@@ -23,7 +23,6 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ArgumentError, ShapeError
-from .tensor import as_array
 
 
 def _check_point(y: float, x: float) -> None:
@@ -54,7 +53,7 @@ def _corners(plane: np.ndarray, y: float, x: float):
 
 def bilinear_sample(plane, pt) -> float:
     """Bilinear value of a single (H, W) plane at fractional point (y, x)."""
-    arr = as_array(plane)
+    arr = np.asarray(plane)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"expected a non-empty (H, W) plane, got shape {arr.shape}")
     y, x = pt
@@ -72,7 +71,7 @@ def bilinear_backward(plane, pt, upstream: float = 1.0):
     in-bounds neighbors, grad_pt is (dY, dX) from the analytic derivative of
     the bilinear surface.
     """
-    arr = as_array(plane)
+    arr = np.asarray(plane)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"expected a non-empty (H, W) plane, got shape {arr.shape}")
     y, x = pt

@@ -26,11 +26,10 @@ from .deform_roipool import mdpool_backward
 from .errors import ArgumentError, CapabilityError, ConvergenceError, ShapeError, UsageError
 from .mimic import cosine_mimic_loss
 from .net import DeformConv2dLayer, RoIPoolLayer, Sequential
-from .tensor import as_array
 
 
 def _chw(image) -> np.ndarray:
-    arr = as_array(image)
+    arr = np.asarray(image)
     if arr.ndim == 4:
         if arr.shape[0] != 1:
             raise ShapeError("analysis expects a single image")

@@ -11,13 +11,15 @@ draws the dilation factor per sample.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
 from .deform_conv import BRANCH_LR_MULTIPLIER, KernelSpec
 from .deform_roipool import PoolSpec, RoI
-from .errors import ArgumentError, ConfigurationError, ShapeError
+from .errors import ArgumentError, ConfigurationError, FormatError, ShapeError
 from .mimic import MimicBatch, MimicConfig, TwoBranchModel, mimic_step
 from .net import (
     COMPUTE_DTYPE,
@@ -31,7 +33,7 @@ from .net import (
     Sequential,
     mse_loss,
 )
-from .tensor import Tensor, load_tensor, save_tensor
+from .tensor import load_tensor, save_tensor
 
 LAYER_KINDS = ("regular", "dconv", "mdconv")
 TASK_MODES = ("translate", "dilate", "scale-jitter")
@@ -66,6 +68,10 @@ class ToyNetConfig:
             raise ShapeError("layers and channels lists must align")
         if any(c < 1 for c in self.channels) or any(hw < 1 for hw in self.head_widths):
             raise ShapeError("widths must be >= 1")
+        if len(self.bins) != 2:
+            raise ShapeError(f"bins must be (bins_h, bins_w), got {self.bins}")
+        if self.image_size < 1 or self.batch_size < 1:
+            raise ConfigurationError("image_size and batch_size must be >= 1")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -88,35 +94,50 @@ class ToyNetConfig:
 
     @staticmethod
     def from_json(text: str) -> "ToyNetConfig":
+        """Parse a JSON object of config keys; missing keys take their
+        defaults. Raises ConfigurationError for an unknown key or a value of
+        the wrong JSON type.
+        """
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ConfigurationError(f"config must be a JSON object, not {type(obj).__name__}")
-        cfg = ToyNetConfig()
+        unknown = sorted(set(obj) - set(_JSON_KINDS))
+        if unknown:
+            raise ConfigurationError(f"unknown config keys {unknown}")
+        values = {}
+        for key, value in obj.items():
+            kind = _JSON_KINDS[key]
+            if isinstance(kind, list):
+                if not isinstance(value, list):
+                    raise ConfigurationError(f"config {key!r} must be a list, not {value!r}")
+                values[key] = tuple(_json_scalar(key, v, kind[0]) for v in value)
+            else:
+                values[key] = _json_scalar(key, value, kind)
+        return ToyNetConfig(**values)
 
-        def listed(key, cast):
-            vals = obj.get(key, getattr(cfg, key))
-            if not isinstance(vals, (list, tuple)):
-                raise ConfigurationError(f"config {key!r} must be a list, not {vals!r}")
-            return tuple(cast(v) for v in vals)
 
+# JSON type of each config key; a one-element list marks an array of that type
+_JSON_KINDS = {
+    "layers": [str], "channels": [int], "bins": [int], "pool_samples": int,
+    "head_widths": [int], "mimic": bool, "learning_rate": float, "momentum": float,
+    "weight_decay": float, "branch_lr_mult": float, "image_size": int, "batch_size": int,
+}
+
+
+def _json_scalar(key: str, value, kind: type):
+    """`value` as `kind`: bools are JSON booleans, ints JSON integers, floats
+    finite JSON numbers, strs JSON strings.
+    """
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            return replace(
-                cfg,
-                layers=listed("layers", str),
-                channels=listed("channels", int),
-                bins=listed("bins", int),
-                pool_samples=int(obj.get("pool_samples", cfg.pool_samples)),
-                head_widths=listed("head_widths", int),
-                mimic=bool(obj.get("mimic", cfg.mimic)),
-                learning_rate=float(obj.get("learning_rate", cfg.learning_rate)),
-                momentum=float(obj.get("momentum", cfg.momentum)),
-                weight_decay=float(obj.get("weight_decay", cfg.weight_decay)),
-                branch_lr_mult=float(obj.get("branch_lr_mult", cfg.branch_lr_mult)),
-                image_size=int(obj.get("image_size", cfg.image_size)),
-                batch_size=int(obj.get("batch_size", cfg.batch_size)),
-            )
-        except TypeError as exc:  # null, a list or an object where a number belongs
-            raise ConfigurationError(f"config value of the wrong JSON type: {exc}") from None
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    elif isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise ConfigurationError(f"config {key!r} wants a {'finite ' * (kind is float)}"
+                             f"JSON {kind.__name__}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -355,44 +376,57 @@ def run_mimic_training(cfg: ToyNetConfig, task: SyntheticTask, steps: int, seed:
 # model files: config JSON plus one .dcnt tensor per parameter
 # ---------------------------------------------------------------------------
 
-def _param_to_tensor(p: Param) -> Tensor:
-    v = p.value
-    if v.ndim == 4:
-        arr = v
-    elif v.ndim == 2:
-        arr = v.reshape(1, 1, *v.shape)
-    elif v.ndim == 1:
-        arr = v.reshape(1, 1, 1, -1)
-    else:
-        raise ShapeError(f"cannot serialize parameter of shape {v.shape}")
-    return Tensor(arr.astype(np.float32))
-
-
 def save_model(net: ToyRegressionNet, out_dir) -> None:
-    import os
-
+    """Write `model.json` (config plus parameter file names) and one `.dcnt`
+    file per parameter, its value reshaped to 4-D with leading unit extents.
+    """
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"config": json.loads(net.cfg.to_json()), "params": {}}
     for i, p in enumerate(net.params()):
         fname = f"param{i:03d}.dcnt"
-        save_tensor(_param_to_tensor(p), os.path.join(out_dir, fname))
+        save_tensor(p.value.reshape((1,) * (4 - p.value.ndim) + p.value.shape),
+                    os.path.join(out_dir, fname))
         manifest["params"][p.name] = fname
     with open(os.path.join(out_dir, "model.json"), "w", encoding="ascii") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
 
 
 def load_model(model_dir) -> ToyRegressionNet:
-    import os
-
-    with open(os.path.join(model_dir, "model.json"), "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
-    cfg = ToyNetConfig.from_json(json.dumps(manifest["config"]))
+    """Rebuild a net written by `save_model`. A malformed manifest or
+    parameter file raises FormatError naming the file.
+    """
+    path = os.path.join(model_dir, "model.json")
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        manifest = json.loads(raw.decode("ascii"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not ASCII", exc.start) from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: not JSON: {exc.msg}", exc.pos) from None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("params"), dict)):
+        raise FormatError(f'{path}: want an object with "config" and "params" objects')
+    try:
+        cfg = ToyNetConfig.from_json(json.dumps(manifest["config"]))
+    except (ArgumentError, ConfigurationError, ShapeError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
     net = ToyRegressionNet(cfg, np.random.default_rng(0))
     by_name = {p.name: p for p in net.params()}
-    if set(by_name) != set(manifest["params"]):
-        raise ArgumentError("model manifest does not match the configured network")
-    for name, fname in manifest["params"].items():
-        t = load_tensor(os.path.join(model_dir, fname))
+    files = manifest["params"]
+    if set(by_name) != set(files) or not all(isinstance(f, str) for f in files.values()):
+        raise FormatError(f"{path}: want one file name per parameter of the configured network")
+    for name, fname in files.items():
+        param_path = os.path.join(model_dir, fname)
+        try:
+            arr = load_tensor(param_path)
+        except FormatError as exc:
+            raise FormatError(f"{param_path}: {exc}") from None
         p = by_name[name]
-        p.value[...] = t.data.reshape(p.value.shape).astype(np.float64)
+        if arr.size != p.value.size:
+            raise FormatError(f"{param_path}: {arr.size} values, parameter {name!r} "
+                              f"of shape {p.value.shape} needs {p.value.size}")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{param_path}: non-finite value in parameter {name!r}")
+        p.value[...] = arr.reshape(p.value.shape)
     return net

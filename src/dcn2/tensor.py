@@ -1,7 +1,8 @@
-"""Dense 4-D (N, C, H, W) float32 tensor container and its binary file format.
+"""The `.dcnt` binary file format for dense 4-D (N, C, H, W) float32 arrays.
 
-Storage is always float32, row-major. Reductions run through float64
-intermediates so downstream finite-difference comparisons stay quiet.
+A file is the magic, four u32 little-endian extents, then the values as
+float32 little-endian in C order: element (n, c, h, w) sits at flat index
+((n*C + c)*H + h)*W + w.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, ShapeError, SizeError
+from .errors import FormatError, ShapeError
 
 MAGIC = b"DCN2TENS"
 FILE_EXTENSION = ".dcnt"
@@ -19,66 +20,21 @@ FILE_EXTENSION = ".dcnt"
 _MAX_ELEMENTS = 2**61
 
 
-class Tensor:
-    """A dense (N, C, H, W) float32 array. Element (n,c,h,w) lives at flat
-    index ((n*C + c)*H + h)*W + w.
+def write_tensor(arr) -> bytes:
+    """Serialize a 4-D array; its values are written as float32. Raises
+    ShapeError for any other number of dimensions.
     """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: np.ndarray):
-        arr = np.asarray(data)
-        if arr.ndim != 4:
-            raise ShapeError(f"tensor data must be 4-D (N,C,H,W), got ndim={arr.ndim}")
-        self.data = np.ascontiguousarray(arr, dtype=np.float32)
-
-    @property
-    def dims(self) -> tuple[int, int, int, int]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def sum(self) -> float:
-        return float(self.data.sum(dtype=np.float64))
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self.dims == other.dims and self.data.tobytes() == other.data.tobytes()
-
-    def __repr__(self) -> str:
-        return f"Tensor(dims={self.dims})"
+    arr = np.asarray(arr)
+    if arr.ndim != 4:
+        raise ShapeError(f"tensor data must be 4-D (N,C,H,W), got ndim={arr.ndim}")
+    header = MAGIC + struct.pack("<4I", *arr.shape)
+    return header + np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
 
-def alloc(dims: tuple[int, int, int, int], fill: float = 0.0) -> Tensor:
-    """Allocate an (N, C, H, W) tensor with every element set to `fill`."""
-    if len(dims) != 4:
-        raise ShapeError(f"expected 4 extents, got {len(dims)}")
-    if any(d < 0 for d in dims):
-        raise ShapeError(f"extents must be non-negative, got {dims}")
-    count = 1
-    for d in dims:
-        count *= int(d)
-    if count > _MAX_ELEMENTS:
-        raise SizeError(f"element count {count} exceeds addressable size")
-    return Tensor(np.full(dims, fill, dtype=np.float32))
-
-
-def write_tensor(t: Tensor) -> bytes:
-    """Serialize: magic, four u32-LE extents, then float32-LE payload row-major."""
-    header = MAGIC + struct.pack("<4I", *t.dims)
-    return header + np.ascontiguousarray(t.data, dtype="<f4").tobytes()
-
-
-def read_tensor(buf: bytes) -> Tensor:
-    """Parse the `write_tensor` layout. Raises FormatError with the byte
-    offset where parsing failed; round-trips are bit-identical (NaN payloads
-    included).
+def read_tensor(buf: bytes) -> np.ndarray:
+    """Parse the `write_tensor` layout into a writable, C-contiguous float32
+    (N, C, H, W) array. Raises FormatError with the byte offset where parsing
+    failed; round-trips are bit-identical (NaN payloads included).
     """
     buf = bytes(buf)
     if len(buf) < len(MAGIC):
@@ -104,19 +60,14 @@ def read_tensor(buf: bytes) -> Tensor:
     if len(buf) > expected_end:
         raise FormatError(f"{len(buf) - expected_end} trailing bytes after payload", expected_end)
     data = np.frombuffer(buf, dtype="<f4", count=count, offset=payload_start)
-    return Tensor(data.reshape(dims).copy())
+    return data.reshape(dims).astype(np.float32)
 
 
-def load_tensor(path) -> Tensor:
+def load_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
         return read_tensor(fh.read())
 
 
-def save_tensor(t: Tensor, path) -> None:
+def save_tensor(arr, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(write_tensor(t))
-
-
-def as_array(x) -> np.ndarray:
-    """Unwrap a Tensor (or pass through an ndarray) for kernel-level code."""
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
+        fh.write(write_tensor(arr))

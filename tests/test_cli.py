@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from dcn2.cli import (
 )
 from dcn2.errors import CapabilityError, ConfigurationError, ConvergenceError, ShapeError
 from dcn2.imageio import encode_pgm
-from dcn2.synthetic import ToyNetConfig
+from dcn2.synthetic import ToyNetConfig, ToyRegressionNet, save_model
 
 
 @pytest.fixture()
@@ -215,7 +216,18 @@ def test_unreadable_config_is_usage_error(tmp_path, payload):
     ('{"channels": 5}', "'channels' must be a list"),
     ("[1, 2]", "must be a JSON object"),
     ('{"layers": "regular"}', "'layers' must be a list"),
-], ids=["scalar_list", "top_level_list", "string_list"])
+    ('{"mimic": "false"}', "'mimic' wants a JSON bool"),
+    ('{"channels": [2.9, 8]}', "'channels' wants a JSON int"),
+    ('{"channels": [true, 8]}', "'channels' wants a JSON int"),
+    ('{"learning_rate": "nan"}', "'learning_rate' wants a finite JSON float"),
+    ('{"momentum": "1e400"}', "'momentum' wants a finite JSON float"),
+    ('{"momentum": 1e400}', "'momentum' wants a finite JSON float"),
+    ('{"batch_size": 0}', "batch_size must be >= 1"),
+    ('{"image_size": 1e9}', "'image_size' wants a JSON int"),
+    ('{"learning_rat": 0.1}', "unknown config keys ['learning_rat']"),
+], ids=["scalar_list", "top_level_list", "string_list", "string_bool", "float_int", "bool_int",
+        "string_float", "string_inf_float", "inf_float", "zero_batch", "float_image_size",
+        "unknown_key"])
 def test_config_wrong_json_type_is_usage_error(tmp_path, capsys, payload, complaint):
     path = tmp_path / "cfg.json"
     path.write_text(payload)
@@ -261,6 +273,53 @@ def test_net_probe_via_model_dir(tmp_path, pgm_image):
     assert code == EXIT_OK
     rep = json.loads((out / "erf.json").read_text())
     assert rep["nonzero"] > 0
+
+
+def _rewrite_manifest(model, edit):
+    path = model / "model.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+def _rewrite_param(model, edit):
+    path = model / "param000.dcnt"
+    buf = path.read_bytes()
+    path.write_bytes(buf[:8] + edit(buf[24:]))  # keep the magic, redo the extents
+    return path
+
+
+def _write_manifest_bytes(model, payload):
+    path = model / "model.json"
+    path.write_bytes(payload)
+    return path
+
+
+_MODEL_FAULTS = {
+    "short_param": lambda m: _rewrite_param(
+        m, lambda v: struct.pack("<4I", 1, 1, 1, len(v) // 4 - 1) + v[4:]),
+    "nan_param": lambda m: _rewrite_param(
+        m, lambda v: struct.pack("<4I", 1, 1, 1, len(v) // 4) + struct.pack("<f", np.nan) + v[4:]),
+    "no_params": lambda m: _rewrite_manifest(m, lambda d: d.pop("params")),
+    "params_list": lambda m: _rewrite_manifest(
+        m, lambda d: d.update(params=sorted(d["params"].values()))),
+    "string_bool_config": lambda m: _rewrite_manifest(
+        m, lambda d: d["config"].update(mimic="false")),
+    "not_json": lambda m: _write_manifest_bytes(m, b"{not json"),
+    "non_ascii": lambda m: _write_manifest_bytes(m, '{"config": "café"}'.encode("utf-8")),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_MODEL_FAULTS))
+def test_malformed_model_dir_is_io_error(tmp_path, capsys, pgm_image, fault):
+    cfg = ToyNetConfig(layers=("regular",), channels=(4,), image_size=24)
+    model = tmp_path / "model"
+    save_model(ToyRegressionNet(cfg, np.random.default_rng(0)), model)
+    broken = _MODEL_FAULTS[fault](model)
+    assert main(["erf", "--image", pgm_image, "--probe", "net:4,4",
+                 "--model", str(model)]) == EXIT_IO
+    assert str(broken) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("node", ["100,100", "-3,2"])

@@ -127,14 +127,6 @@ def test_box_iou_basic():
     assert box_iou(a, RoI(0, 2, 0, 6, 4)) == pytest.approx(2 * 4 / (16 + 16 - 8))
 
 
-def test_mimic_config_json_round_trip():
-    cfg = MimicConfig(mimic_weight=0.2, omega_size=8, patch_size=(16, 16))
-    text = cfg.to_json()
-    back = MimicConfig.from_json(text)
-    assert back == cfg
-    assert back.to_json() == text
-
-
 def test_batch_filters_below_threshold():
     rng = np.random.default_rng(4)
     images = rng.normal(size=(2, 1, 16, 16))

@@ -1,8 +1,14 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcn2.errors import ArgumentError, ShapeError
+from dcn2.errors import ArgumentError, ConfigurationError, ShapeError
 from dcn2.synthetic import (
+    LAYER_KINDS,
     SyntheticTask,
     ToyNetConfig,
     ToyRegressionNet,
@@ -59,6 +65,44 @@ def test_config_validation():
         ToyNetConfig(layers=("regular",), channels=(4, 4))
     with pytest.raises(ShapeError):
         ToyNetConfig(layers=("regular",), channels=(0,))
+
+
+_DEFAULTS = json.loads(ToyNetConfig().to_json())
+_FLOAT_KEYS = {k for k, v in _DEFAULTS.items() if isinstance(v, float)}
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=2),
+    max_leaves=4,
+)
+# mostly well-typed values; the override below then mistypes at most one key
+_TYPED = {
+    "layers": st.lists(st.sampled_from(LAYER_KINDS), min_size=2, max_size=2),
+    "channels": st.lists(st.integers(0, 8), min_size=2, max_size=2),
+    "bins": st.lists(st.integers(1, 3), min_size=2, max_size=2),
+    "pool_samples": st.integers(1, 4),
+    "head_widths": st.lists(st.integers(1, 8), max_size=2),
+    "mimic": st.booleans(),
+    "image_size": st.integers(0, 64),
+    "batch_size": st.integers(0, 16),
+    **{k: st.floats() | st.integers() for k in _FLOAT_KEYS},
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fixed_dictionaries({}, optional=_TYPED),
+       st.dictionaries(st.sampled_from(sorted(_DEFAULTS)) | st.text(max_size=4), _ANY_JSON,
+                       max_size=1))
+def test_config_from_json_accepts_exactly_well_typed_objects(typed, override):
+    obj = {**typed, **override}
+    try:
+        cfg = ToyNetConfig.from_json(json.dumps(obj))
+    except (ArgumentError, ConfigurationError, ShapeError):
+        return
+    # numbers in float fields come back as floats; everything else as given
+    expected = {**_DEFAULTS, **{k: float(v) if k in _FLOAT_KEYS else v for k, v in obj.items()}}
+    assert cfg.to_json() == json.dumps(expected, sort_keys=True)
+    assert all(math.isfinite(getattr(cfg, k)) for k in _FLOAT_KEYS)
 
 
 def test_zero_steps_reports_initial_state():

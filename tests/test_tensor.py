@@ -2,73 +2,52 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dcn2.errors import FormatError, ShapeError, SizeError
-from dcn2.tensor import (
-    MAGIC,
-    Tensor,
-    alloc,
-    read_tensor,
-    write_tensor,
-)
-
-
-def test_alloc_zero_fill():
-    t = alloc((1, 1, 2, 2), 0.0)
-    assert t.dims == (1, 1, 2, 2)
-    assert np.all(t.data == 0.0)
-
-
-def test_alloc_zero_extent_is_valid():
-    t = alloc((1, 3, 0, 5), 7.0)
-    assert t.dims == (1, 3, 0, 5)
-    assert t.size == 0
-
-
-def test_alloc_fill_sum_counts_elements():
-    t = alloc((2, 2, 2, 2), 1.0)
-    assert t.sum() == 16.0
-
-
-def test_alloc_rejects_negative_extent():
-    with pytest.raises(ShapeError):
-        alloc((1, -1, 2, 2))
-
-
-def test_alloc_overflow_is_size_error():
-    with pytest.raises(SizeError):
-        alloc((2**40, 2**40, 1, 1))
+from dcn2.errors import FormatError, ShapeError
+from dcn2.tensor import MAGIC, read_tensor, write_tensor
 
 
 def test_flat_index_layout_fuzz():
     rng = np.random.default_rng(0)
-    for _ in range(25):
-        dims = tuple(int(v) for v in rng.integers(1, 5, size=4))
+    for trial in range(25):
+        dims = tuple(int(v) for v in rng.integers(2, 5, size=4))
         n, c, h, w = dims
-        t = Tensor(rng.normal(size=dims).astype(np.float32))
-        flat = t.data.reshape(-1)
+        arr = rng.normal(size=dims)
+        if trial % 2:  # memory order must not leak into the file
+            arr = np.asfortranarray(arr)
+        payload = write_tensor(arr)[len(MAGIC) + 16:]
+        assert payload == arr.astype("<f4").tobytes(order="C")
         for _ in range(10):
             i = tuple(int(rng.integers(0, d)) for d in dims)
             idx = ((i[0] * c + i[1]) * h + i[2]) * w + i[3]
-            assert idx < flat.size
-            assert flat[idx] == t.data[i]
+            assert payload[4 * idx: 4 * idx + 4] == arr[i].astype("<f4").tobytes()
 
 
 def test_write_layout_and_byte_count():
-    t = alloc((1, 1, 1, 1), 2.5)
-    buf = write_tensor(t)
+    buf = write_tensor(np.full((1, 1, 1, 1), 2.5))
     assert len(buf) == 8 + 16 + 4
     assert buf[:8] == MAGIC
     assert struct.unpack("<4I", buf[8:24]) == (1, 1, 1, 1)
     assert buf[24:] == struct.pack("<f", 2.5)
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 4), (1, 1, 1, 1, 1), ()])
+def test_write_rejects_non_4d(shape):
+    with pytest.raises(ShapeError):
+        write_tensor(np.zeros(shape, dtype=np.float32))
+
+
 def test_round_trip_identity_random():
     rng = np.random.default_rng(1)
     for _ in range(10):
         dims = tuple(int(v) for v in rng.integers(0, 6, size=4))
-        t = Tensor(rng.normal(size=dims).astype(np.float32))
-        assert read_tensor(write_tensor(t)) == t
+        arr = rng.normal(size=dims).astype(np.float32)
+        back = read_tensor(write_tensor(arr))
+        assert back.dtype == np.float32 and back.shape == dims
+        assert back.flags.c_contiguous and back.flags.writeable
+        assert back.tobytes() == arr.tobytes()
 
 
 def test_round_trip_preserves_nan_payload_bits():
@@ -76,20 +55,20 @@ def test_round_trip_preserves_nan_payload_bits():
     # a non-default NaN payload
     raw_bits = raw.view(np.uint32).copy()
     raw_bits[0] = 0x7FC00123
-    t = Tensor(raw_bits.view(np.float32).reshape(1, 1, 2, 2))
-    back = read_tensor(write_tensor(t))
-    assert back.data.tobytes() == t.data.tobytes()
+    arr = raw_bits.view(np.float32).reshape(1, 1, 2, 2)
+    back = read_tensor(write_tensor(arr))
+    assert back.tobytes() == arr.tobytes()
 
 
 def test_truncated_payload_reports_offset():
-    buf = write_tensor(alloc((1, 1, 1, 1), 2.5))
+    buf = write_tensor(np.full((1, 1, 1, 1), 2.5))
     with pytest.raises(FormatError) as err:
         read_tensor(buf[:-1])
     assert err.value.offset == 27
 
 
 def test_bad_magic_reports_offset_of_mismatch():
-    buf = bytearray(write_tensor(alloc((1, 1, 1, 1), 0.0)))
+    buf = bytearray(write_tensor(np.zeros((1, 1, 1, 1))))
     buf[3] ^= 0xFF
     with pytest.raises(FormatError) as err:
         read_tensor(bytes(buf))
@@ -97,7 +76,7 @@ def test_bad_magic_reports_offset_of_mismatch():
 
 
 def test_trailing_garbage_rejected():
-    buf = write_tensor(alloc((1, 1, 1, 1), 0.0)) + b"x"
+    buf = write_tensor(np.zeros((1, 1, 1, 1))) + b"x"
     with pytest.raises(FormatError) as err:
         read_tensor(buf)
     assert err.value.offset == 28
@@ -106,3 +85,31 @@ def test_trailing_garbage_rejected():
 def test_truncated_header_rejected():
     with pytest.raises(FormatError):
         read_tensor(MAGIC + b"\x01\x00")
+
+
+def test_extent_overflow_reports_offset_of_extents():
+    # 2**16 * 2**16 * 2**16 * 2**14 = 2**62 elements
+    buf = MAGIC + struct.pack("<4I", 2**16, 2**16, 2**16, 2**14)
+    with pytest.raises(FormatError) as err:
+        read_tensor(buf)
+    assert err.value.offset == 8
+
+
+def _headed(dims, tail):
+    return MAGIC + struct.pack("<4I", *dims) + tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.builds(_headed,
+              st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1))] * 4),
+              st.binary(max_size=200)),
+))
+def test_read_arbitrary_bytes_gives_array_or_format_error(buf):
+    try:
+        arr = read_tensor(buf)
+    except FormatError:
+        return
+    assert arr.ndim == 4 and arr.dtype == np.float32
+    assert write_tensor(arr) == buf
