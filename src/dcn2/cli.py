@@ -90,6 +90,9 @@ def mdconv_params(c_in: int, c_out: int, kh: int, kw: int, bias: bool = True,
 # ---------------------------------------------------------------------------
 
 def _write_out(out_dir: str | None, name: str, payload: bytes | str) -> None:
+    """Write `name` under `out_dir`; without one, a text payload is printed to
+    stdout (the command's report, printed once here) and bytes are dropped.
+    """
     if out_dir is None:
         if isinstance(payload, str):
             sys.stdout.write(payload)
@@ -199,8 +202,6 @@ def cmd_demo_train(args) -> int:
     _write_out(args.out, "metrics.json", text)
     if args.out:
         sys.stdout.write(f"final loss {metrics.get('final_eval_loss', float('nan'))}\n")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -251,8 +252,6 @@ def cmd_saliency(args) -> int:
                            target_segments=args.segments)
     _write_out(args.out, "mask.pgm", encode_mask_pgm(mask.mask))
     _write_out(args.out, "saliency.json", mask.report_json() + "\n")
-    if not args.out:
-        sys.stdout.write(mask.report_json() + "\n")
     return EXIT_OK
 
 
@@ -266,8 +265,6 @@ def cmd_erf(args) -> int:
     report = json.dumps({"peak_magnitude": peak, "nonzero": int((erf > 0).sum())},
                         sort_keys=True) + "\n"
     _write_out(args.out, "erf.json", report)
-    if not args.out:
-        sys.stdout.write(report)
     return EXIT_OK
 
 

@@ -154,13 +154,25 @@ class OffsetModulationField:
         )
 
 
-def _check_mdconv_args(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField):
+def _check_mdconv_args(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField,
+                       origin: tuple[int, int] | None = None):
+    """Validated (x, N, C_in, H, W, H_out, W_out). With an `origin` (r0, c0)
+    the field covers the output window starting there, and (H_out, W_out) is
+    the window's size; the window must lie inside the output grid.
+    """
     x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeError(f"input must be (N,C,H,W), got shape {x.shape}")
     n, c_in, h, win = x.shape
     w.check_spec(spec, c_in)
     h_out, w_out = spec.out_size(h, win)
+    if origin is not None:
+        r0, c0 = origin
+        fh, fw = field.offsets.shape[2:]
+        if min(r0, c0) < 0 or r0 + fh > h_out or c0 + fw > w_out:
+            raise ShapeError(f"output window {fh}x{fw} at {(r0, c0)} leaves the "
+                             f"{h_out}x{w_out} output grid")
+        h_out, w_out = fh, fw
     if field.offsets.shape != (n, 2 * spec.k, h_out, w_out):
         raise ShapeError(
             f"field offsets {field.offsets.shape} != {(n, 2 * spec.k, h_out, w_out)}"
@@ -291,12 +303,14 @@ class _ConvGeometry:
     (positions, K*C_in) operand of the GEMM.
     """
 
-    def __init__(self, x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField):
+    def __init__(self, x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField,
+                 origin: tuple[int, int] = (0, 0)):
         self.x = x
         self.dtype = _compute_dtype(x)
         _, self.c_in, self.h, self.w_in = x.shape
         c_out = w.weight.shape[0]
-        h_out, w_out = spec.out_size(self.h, self.w_in)
+        h_out, w_out = field.offsets.shape[2:]
+        r0, c0 = origin
         # (K*C_in, C_out), rows in the (tap, channel) order of a sampled row
         self.wmat = np.ascontiguousarray(
             w.weight.reshape(c_out, self.c_in, spec.k).transpose(2, 1, 0),
@@ -308,8 +322,10 @@ class _ConvGeometry:
         self.mods = field.modulation.astype(np.float64).transpose(0, 2, 3, 1)
         taps = spec.taps()
         cy, cx = spec.center()
-        self.base_y = np.arange(h_out, dtype=np.float64) * spec.stride[0] - spec.pad[0] + cy
-        self.base_x = np.arange(w_out, dtype=np.float64) * spec.stride[1] - spec.pad[1] + cx
+        self.base_y = (np.arange(r0, r0 + h_out, dtype=np.float64) * spec.stride[0]
+                       - spec.pad[0] + cy)
+        self.base_x = (np.arange(c0, c0 + w_out, dtype=np.float64) * spec.stride[1]
+                       - spec.pad[1] + cx)
         self.tap_y = taps[:, 0]
         self.tap_x = taps[:, 1]
 
@@ -332,19 +348,25 @@ class _ConvGeometry:
 
 
 def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
-                             field: OffsetModulationField, threads: int | None = None) -> np.ndarray:
+                             field: OffsetModulationField, threads: int | None = None,
+                             origin: tuple[int, int] | None = None) -> np.ndarray:
     """Same contract as mdconv_forward. Per chunk, one sparse product with the
     modulated sampling matrix gathers every tap, and one GEMM applies the
     weights. Output writes are disjoint across chunks, so the result is
     independent of thread count.
+
+    With `origin=(r0, c0)` the field may cover only the output window of rows
+    r0 .. r0+H_f and columns c0 .. c0+W_f; the output is that window, equal
+    to the same slice of the full output. Sampling still reads the whole
+    input, since offsets can land anywhere.
     """
-    x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field)
+    x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field, origin)
     c_out = w.weight.shape[0]
     out = np.empty((n, c_out, h_out, w_out), dtype=x.dtype)
     if out.size == 0 or x.size == 0:
         out[...] = 0.0 if w.bias is None else np.asarray(w.bias)[None, :, None, None]
         return out
-    geo = _ConvGeometry(x, w, spec, field)
+    geo = _ConvGeometry(x, w, spec, field, origin or (0, 0))
     k = spec.k
 
     def do_chunk(task):

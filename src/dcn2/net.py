@@ -11,6 +11,8 @@ carry a learning-rate multiplier so offset/modulation branches can train at
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .deform_conv import (
@@ -121,7 +123,8 @@ class DeformConv2dLayer:
     The sibling branch convolution (`offset_branch_forward`: 3K channels,
     or 2K with dm = 1 when unmodulated) is zero-initialized and its
     parameters carry the 0.1 learning-rate multiplier. The last forward's
-    input and field stay recorded for spatial-support analysis.
+    input and field stay recorded for spatial-support analysis;
+    `forward_window` computes part of the output map and records nothing.
     """
 
     def __init__(self, c_in: int, c_out: int, spec: KernelSpec,
@@ -154,6 +157,26 @@ class DeformConv2dLayer:
         field = offset_branch_forward(x, self._branch_weights(), self.spec)
         self._x, self._field = x, field
         return mdconv_forward_optimized(x, self._weights(), self.spec, field)
+
+    def forward_window(self, x: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """Output rows r0..r1 and columns c0..c1 (ends exclusive) of
+        `forward(x)`. The offset branch runs on the zero-padded input crop
+        that the window reads; the kernel samples all of x. Records nothing:
+        `recorded_state()` stays that of the last `forward`.
+        """
+        spec = self.spec
+        h_out, w_out = spec.out_size(*x.shape[-2:])
+        if not (0 <= r0 < r1 <= h_out and 0 <= c0 < c1 <= w_out):
+            raise ShapeError(f"window rows {r0}:{r1}, columns {c0}:{c1} is empty or "
+                             f"leaves the {h_out}x{w_out} output grid")
+        (sh, sw), (ph, pw), (dh, dw) = spec.stride, spec.pad, spec.dilation
+        n, c, h, w = x.shape
+        xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        xp[:, :, ph : ph + h, pw : pw + w] = x
+        crop = xp[:, :, r0 * sh : (r1 - 1) * sh + (spec.kernel_h - 1) * dh + 1,
+                  c0 * sw : (c1 - 1) * sw + (spec.kernel_w - 1) * dw + 1]
+        field = offset_branch_forward(crop, self._branch_weights(), replace(spec, pad=(0, 0)))
+        return mdconv_forward_optimized(x, self._weights(), spec, field, origin=(r0, c0))
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         gx, gw, gb, goff, gmod = mdconv_backward_optimized(

@@ -22,11 +22,15 @@ _MAX_ELEMENTS = 2**61
 
 def write_tensor(arr) -> bytes:
     """Serialize a 4-D array; its values are written as float32. Raises
-    ShapeError for any other number of dimensions.
+    ShapeError for any other number of dimensions, or for an extent that does
+    not fit the u32 header (possible when another extent is 0).
     """
     arr = np.asarray(arr)
     if arr.ndim != 4:
         raise ShapeError(f"tensor data must be 4-D (N,C,H,W), got ndim={arr.ndim}")
+    for axis, extent in enumerate(arr.shape):
+        if extent >= 2**32:
+            raise ShapeError(f"extent {extent} of axis {axis} does not fit the u32 header")
     header = MAGIC + struct.pack("<4I", *arr.shape)
     return header + np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
@@ -46,9 +50,11 @@ def read_tensor(buf: bytes) -> np.ndarray:
         raise FormatError("truncated extent header", len(buf))
     dims = struct.unpack_from("<4I", buf, len(MAGIC))
     count = 1
+    span = 1  # numpy addresses the non-zero extents even of an empty array
     for d in dims:
         count *= d
-    if count > _MAX_ELEMENTS:
+        span *= max(d, 1)
+    if span > _MAX_ELEMENTS:
         raise FormatError(f"extents {dims} overflow addressable size", len(MAGIC))
     payload_start = len(MAGIC) + 16
     expected_end = payload_start + 4 * count

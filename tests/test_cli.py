@@ -184,6 +184,20 @@ def test_erf_window_mean_probe(tmp_path, pgm_image):
     assert rep["nonzero"] == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["demo-train", "--steps", "1"],
+    ["saliency", "--probe", "window:8,8,8,8", "--segments", "25"],
+    ["erf", "--probe", "window-mean:4,4,8,8"],
+], ids=["demo-train", "saliency", "erf"])
+def test_report_printed_once_without_out(capsys, pgm_image, argv):
+    if argv[0] != "demo-train":
+        argv = [*argv, "--image", pgm_image]
+    assert main(argv) == EXIT_OK
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
+    assert len(lines) == 1
+    json.loads(lines[0])
+
+
 def test_unresolvable_probe_is_usage_error(pgm_image):
     assert main(["saliency", "--image", pgm_image, "--probe", "bogus:1"]) == EXIT_USAGE
     assert main(["erf", "--image", pgm_image, "--probe", "net:1,1"]) == EXIT_USAGE

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcn2.checks import run_gradcheck
 from dcn2.deform_conv import (
@@ -18,6 +20,7 @@ from dcn2.deform_conv import (
     offset_branch_forward,
 )
 from dcn2.errors import ArgumentError, ShapeError
+from dcn2.net import DeformConv2dLayer
 from dcn2.oracle import dcnv1_conv_oracle, dense_conv_oracle
 
 
@@ -423,3 +426,97 @@ def test_dense_conv_backward_matches_finite_diff():
     check(gx, x, lambda v: (v, weights, spec))
     check(gw, weights.weight, lambda v: (x, ConvWeights(v, weights.bias), spec))
     check(gb, weights.bias, lambda v: (x, ConvWeights(weights.weight, v), spec))
+
+
+# ---------------------------------------------------------------------------
+# output windows (origin=...) and forward_window
+# ---------------------------------------------------------------------------
+
+def _rel_err(got, want) -> float:
+    return float(np.abs(got - want).max(initial=0.0) / max(1.0, np.abs(want).max(initial=0.0)))
+
+
+def _window_field(field, r0, r1, c0, c1):
+    return OffsetModulationField(field.offsets[:, :, r0:r1, c0:c1],
+                                 field.modulation[:, :, r0:r1, c0:c1])
+
+
+def test_origin_window_past_grid_is_shape_error():
+    spec = KernelSpec(3, 3, pad=(1, 1))
+    x = np.zeros((1, 2, 5, 6))
+    weights = ConvWeights(np.zeros((2, 2, 3, 3)))
+    field = OffsetModulationField.identity(1, 9, 2, 3)
+    for origin in ((4, 0), (0, 4), (-1, 0), (0, -1)):
+        with pytest.raises(ShapeError):
+            mdconv_forward_optimized(x, weights, spec, field, origin=origin)
+    assert mdconv_forward_optimized(x, weights, spec, field, origin=(3, 3)).shape == (1, 2, 2, 3)
+    layer = DeformConv2dLayer(2, 2, spec, np.random.default_rng(0))
+    for window in ((0, 6, 0, 3), (0, 2, 4, 7), (2, 2, 0, 3), (-1, 2, 0, 3)):
+        with pytest.raises(ShapeError):
+            layer.forward_window(x, *window)
+
+
+@st.composite
+def windowed_layers(draw):
+    """A deformable layer of random geometry with a non-zero offset branch,
+    an input it fits and an in-grid output window.
+    """
+    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    pad = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    dilation = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    spec = KernelSpec(kh, kw, stride=stride, pad=pad, dilation=dilation)
+    h = draw(st.integers(max(1, (kh - 1) * dilation[0] + 1 - 2 * pad[0]), 9))
+    w = draw(st.integers(max(1, (kw - 1) * dilation[1] + 1 - 2 * pad[1]), 9))
+    h_out, w_out = spec.out_size(h, w)
+    r0, c0 = draw(st.integers(0, h_out - 1)), draw(st.integers(0, w_out - 1))
+    r1, c1 = draw(st.integers(r0 + 1, h_out)), draw(st.integers(c0 + 1, w_out))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layer = DeformConv2dLayer(draw(st.integers(1, 3)), draw(st.integers(1, 3)), spec, rng,
+                              modulated=draw(st.booleans()))
+    for p in (layer.bias, layer.branch_weight, layer.branch_bias):
+        p.value[...] = rng.normal(0.0, 1.0, p.value.shape)
+    x = rng.normal(size=(draw(st.integers(1, 2)), layer.weight.value.shape[1], h, w))
+    return layer, x, (r0, r1, c0, c1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(windowed_layers())
+def test_forward_window_matches_full_slice_property(case):
+    layer, x, (r0, r1, c0, c1) = case
+    full = layer.forward(x)
+    x_rec, field = layer.recorded_state()
+    win = layer.forward_window(x, r0, r1, c0, c1)
+    assert win.shape == full[:, :, r0:r1, c0:c1].shape
+    assert _rel_err(win, full[:, :, r0:r1, c0:c1]) <= 1e-10
+    assert layer.recorded_state()[0] is x_rec and layer.recorded_state()[1] is field
+    # the kernel alone, on the same window of the full field
+    got = mdconv_forward_optimized(x, layer._weights(), layer.spec,
+                                   _window_field(field, r0, r1, c0, c1), origin=(r0, c0))
+    assert _rel_err(got, full[:, :, r0:r1, c0:c1]) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(windowed_layers())
+def test_float32_forward_matches_float64_property(case):
+    layer, x, (r0, r1, c0, c1) = case
+    layer.forward(x)
+    _, field = layer.recorded_state()
+    # one set of float32 values, computed in both precisions
+    x32 = x.astype(np.float32)
+    # offsets of a few pixels keep most samples inside these small inputs
+    off32 = np.clip(field.offsets, -4.0, 4.0).astype(np.float32)
+    mod32 = field.modulation.astype(np.float32)
+    w32 = layer._weights()
+    w64 = ConvWeights(w32.weight.astype(np.float64), w32.bias.astype(np.float64))
+    for window in (None, (r0, r1, c0, c1)):
+        origin = None if window is None else (r0, c0)
+        f32 = OffsetModulationField(off32, mod32)
+        f64 = OffsetModulationField(off32.astype(np.float64), mod32.astype(np.float64))
+        if window is not None:
+            f32, f64 = _window_field(f32, *window), _window_field(f64, *window)
+        got = mdconv_forward_optimized(x32, w32, layer.spec, f32, origin=origin)
+        want = mdconv_forward_optimized(x32.astype(np.float64), w64, layer.spec, f64,
+                                        origin=origin)
+        assert got.dtype == np.float32
+        assert _rel_err(got, want) <= 1e-5

@@ -78,6 +78,78 @@ def test_network_probe_erf_nonzero_near_node():
     assert erf[4:7, 4:7].max() > 0
 
 
+def _probe_trunks():
+    from dcn2.net import Conv2dLayer, DeformConv2dLayer, ReLULayer, Sequential
+    from dcn2.synthetic import ToyNetConfig, ToyRegressionNet
+
+    rng = np.random.default_rng(7)
+    s3 = KernelSpec(3, 3, pad=(1, 1))
+
+    def deform(c_in, c_out, spec, modulated=True):
+        layer = DeformConv2dLayer(c_in, c_out, spec, rng, modulated=modulated)
+        for p in (layer.branch_weight, layer.branch_bias):
+            p.value[...] = rng.normal(0.0, 0.3, p.value.shape)
+        return layer
+
+    full = ToyRegressionNet(ToyNetConfig(channels=(4, 5), image_size=12), rng).trunk
+    for layer in full.layers:
+        if isinstance(layer, DeformConv2dLayer):
+            layer.branch_weight.value[...] = rng.normal(0.0, 0.3, layer.branch_weight.value.shape)
+    padding_conv = Conv2dLayer(3, 2, KernelSpec(1, 1, pad=(2, 2)), rng)
+    padding_conv.bias.value[...] = (0.5, -0.25)
+    return {
+        # the analyze node: regular + mdconv, before the last ReLU
+        "regular_mdconv": Sequential(full.layers[:-1]),
+        # the CLI `net:y,x` node: the whole trunk, trailing ReLU included
+        "full_trunk": full,
+        # a later strided, dilated conv widens the window the node reads
+        "mdconv_regular": Sequential([
+            deform(1, 4, s3), ReLULayer(),
+            Conv2dLayer(4, 3, KernelSpec(3, 2, stride=(2, 1), pad=(2, 1), dilation=(2, 2)),
+                        rng)]),
+        # border nodes of the later conv read only zero padding
+        "mdconv_padding_conv": Sequential([deform(1, 3, s3), padding_conv]),
+        "dconv": Sequential([
+            deform(1, 4, KernelSpec(3, 2, stride=(2, 1), pad=(0, 2), dilation=(1, 2)),
+                   modulated=False)]),
+        "regular_only": Sequential([Conv2dLayer(1, 3, s3, rng), ReLULayer()]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_probe_trunks()))
+def test_network_probe_windowed_response_matches_full_forward(name):
+    trunk = _probe_trunks()[name]
+    img = np.random.default_rng(8).normal(size=(1, 12, 12))
+    full = trunk.forward(img[None])
+    h, w = full.shape[2:]
+    nodes = {(y, x) for y in (0, 1, h // 2, h - 1) for x in (0, 1, w // 2, w - 1)}
+    nonzero = 0
+    for y, x in sorted(nodes):
+        got = network_probe(trunk, y, x).response(img)
+        want = trunk.forward(img[None])[0, :, y, x]
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        nonzero += bool(np.any(want != 0.0))
+    assert nonzero >= len(nodes) // 2
+
+
+def test_network_probe_response_records_nothing_gradient_records_full_map():
+    from dcn2.net import DeformConv2dLayer
+
+    trunk = _probe_trunks()["full_trunk"]
+    layer = next(l for l in trunk.layers if isinstance(l, DeformConv2dLayer))
+    rng = np.random.default_rng(9)
+    img = rng.normal(size=(1, 12, 12))
+    trunk.forward(img[None])
+    x_rec, field = layer.recorded_state()
+    probe = network_probe(trunk, 5, 6)
+    probe.response(rng.normal(size=(1, 12, 12)))
+    assert layer.recorded_state()[0] is x_rec and layer.recorded_state()[1] is field
+    probe.gradient(img)
+    x2, field2 = layer.recorded_state()
+    assert x2 is not x_rec and x2.shape == x_rec.shape
+    assert field2.offsets.shape[2:] == (12, 12)
+
+
 # ---------------------------------------------------------------------------
 # effective sampling locations
 # ---------------------------------------------------------------------------

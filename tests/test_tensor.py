@@ -95,6 +95,15 @@ def test_extent_overflow_reports_offset_of_extents():
     assert err.value.offset == 8
 
 
+def test_empty_extents_past_addressable_size_are_format_error():
+    # no elements, but numpy cannot shape an array with these extents
+    with pytest.raises(FormatError) as err:
+        read_tensor(MAGIC + struct.pack("<4I", 0, 181928, 181938, 69663738))
+    assert err.value.offset == 8
+    assert read_tensor(MAGIC + struct.pack("<4I", 0, 2**32 - 1, 2**29, 1)).shape == \
+        (0, 2**32 - 1, 2**29, 1)
+
+
 def _headed(dims, tail):
     return MAGIC + struct.pack("<4I", *dims) + tail
 
@@ -113,3 +122,12 @@ def test_read_arbitrary_bytes_gives_array_or_format_error(buf):
         return
     assert arr.ndim == 4 and arr.dtype == np.float32
     assert write_tensor(arr) == buf
+
+
+def test_write_rejects_extent_past_u32_header():
+    # an empty array may still carry an extent that the u32 header cannot hold
+    with pytest.raises(ShapeError, match="4294967296"):
+        write_tensor(np.zeros((2**32, 0, 1, 1)))
+    with pytest.raises(ShapeError, match="axis 3"):
+        write_tensor(np.zeros((0, 1, 1, 2**33)))
+    assert len(write_tensor(np.zeros((2**32 - 1, 0, 1, 1)))) == len(MAGIC) + 16
