@@ -194,14 +194,11 @@ def _mdpool_instance_parts(rng: np.random.Generator):
 def _mdpool_instance(seed: int) -> list[GradBlock]:
     rng = np.random.default_rng([seed, 4])
     spec, x, rois, offsets, modulation, upstream = _mdpool_instance_parts(rng)
-    fields = [BinField(o, m) for o, m in zip(offsets, modulation)]
-    gx, goff, gmod = mdpool_backward(x, rois, spec, fields, upstream)
+    gx, goff, gmod = mdpool_backward(x, rois, spec, BinField(offsets, modulation), upstream)
 
     def obj(x_=None, off_=None, mod_=None) -> float:
-        offs = offsets if off_ is None else off_
-        mods = modulation if mod_ is None else mod_
-        ff = [BinField(o, m) for o, m in zip(offs, mods)]
-        out = mdpool_forward(x if x_ is None else x_, rois, spec, ff)
+        field = BinField(offsets if off_ is None else off_, modulation if mod_ is None else mod_)
+        out = mdpool_forward(x if x_ is None else x_, rois, spec, field)
         return float((out * upstream).sum())
 
     return [
@@ -294,17 +291,16 @@ def _dconv_layer_instance(seed: int) -> list[GradBlock]:
     return _deform_layer_blocks(seed, 9, modulated=False)
 
 
-def _roi_branch_blocks(seed: int, stream: int, rois, pooled_shape: tuple) -> list[GradBlock]:
-    """Blocks for `roi_branch_forward/backward` on one RoI (pooled
-    (C, bh, bw)) or a list of R RoIs (pooled (R, C, bh, bw)); the objective
-    projects every RoI's offsets and modulation.
+def _roi_branch_blocks(seed: int, stream: int, rois: list[RoI]) -> list[GradBlock]:
+    """Blocks for `roi_branch_forward/backward` on R RoIs (pooled
+    (R, 3, 2, 2)); the objective projects every RoI's offsets and modulation.
     """
     hidden = 12
     k = 4
     in_dim = 12
     for attempt in range(100):
         rng = np.random.default_rng([seed, stream, attempt])
-        pooled = rng.normal(size=pooled_shape)
+        pooled = rng.normal(size=(len(rois), 3, 2, 2))
         fc1 = Affine(rng.normal(size=(hidden, in_dim)) * 0.4, rng.normal(size=hidden) * 0.1)
         fc2 = Affine(rng.normal(size=(hidden, hidden)) * 0.4, rng.normal(size=hidden) * 0.1)
         out_w = Affine(rng.normal(size=(3 * k, hidden)) * 0.4, rng.normal(size=3 * k) * 0.1)
@@ -314,11 +310,10 @@ def _roi_branch_blocks(seed: int, stream: int, rois, pooled_shape: tuple) -> lis
     else:
         raise ConvergenceError(f"no RoI branch instance {KINK_MARGIN} off the ReLU kink "
                                "in 100 draws")
-    lead = pooled_shape[:-3]  # () for one RoI, (R,) for a list
-    u_off = rng.normal(size=lead + (2 * k,))
-    u_mod = rng.normal(size=lead + (k,))
+    u_off = rng.normal(size=(len(rois), 2 * k))
+    u_mod = rng.normal(size=(len(rois), k))
 
-    _, cache = roi_branch_forward(pooled, fc1, fc2, out_w, rois, want_cache=True)
+    _, cache = roi_branch_forward(pooled, fc1, fc2, out_w, rois)
     gp, (gw1, gb1), (gw2, gb2), (gwo, gbo) = roi_branch_backward(
         fc1, fc2, out_w, cache, u_off, u_mod)
 
@@ -326,11 +321,8 @@ def _roi_branch_blocks(seed: int, stream: int, rois, pooled_shape: tuple) -> lis
         f1 = Affine(fc1.weight if w1 is None else w1, fc1.bias if b1 is None else b1)
         f2 = Affine(fc2.weight if w2 is None else w2, fc2.bias if b2 is None else b2)
         fo = Affine(out_w.weight if wo is None else wo, out_w.bias if bo is None else bo)
-        f = roi_branch_forward(pooled if pooled_ is None else pooled_, f1, f2, fo, rois)
-        fields = [f] if isinstance(f, BinField) else f
-        offsets = np.stack([b.offsets for b in fields]).reshape(u_off.shape)
-        modulation = np.stack([b.modulation for b in fields]).reshape(u_mod.shape)
-        return float((offsets * u_off).sum() + (modulation * u_mod).sum())
+        f, _ = roi_branch_forward(pooled if pooled_ is None else pooled_, f1, f2, fo, rois)
+        return float((f.offsets * u_off).sum() + (f.modulation * u_mod).sum())
 
     return [
         GradBlock("pooled", pooled, gp, lambda v: obj(pooled_=v)),
@@ -345,7 +337,7 @@ def _roi_branch_blocks(seed: int, stream: int, rois, pooled_shape: tuple) -> lis
 
 @register_gradcheck("roi_branch")
 def _roi_branch_instance(seed: int) -> list[GradBlock]:
-    return _roi_branch_blocks(seed, 6, RoI(0, 1.25, 2.5, 9.75, 8.0), (3, 2, 2))
+    return _roi_branch_blocks(seed, 6, [RoI(0, 1.25, 2.5, 9.75, 8.0)])
 
 
 @register_gradcheck("roi_branch_batch")
@@ -355,7 +347,7 @@ def _roi_branch_batch_instance(seed: int) -> list[GradBlock]:
     """
     rois = [RoI(0, 1.25, 2.5, 9.75, 8.0), RoI(1, 0.5, 0.0, 3.5, 12.25),
             RoI(0, 4.0, 1.5, 21.0, 6.0)]
-    return _roi_branch_blocks(seed, 7, rois, (len(rois), 3, 2, 2))
+    return _roi_branch_blocks(seed, 7, rois)
 
 
 def matching_ops(pattern: str) -> list[str]:

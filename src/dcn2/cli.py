@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract: 0 success, 2 usage error (bad arguments,
 shapes, configuration or probe capability), 3 numeric divergence or
-non-convergence, 4 I/O error.
+non-convergence (a gradient check that fails included), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def cmd_gradcheck(args) -> int:
     sys.stdout.write(text)
     if args.out:
         _write_out(args.out, "gradcheck.jsonl", text)
-    return EXIT_OK if all(r.passed for r in reports) else 1
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_DIVERGED
 
 
 def cmd_bench(args) -> int:
@@ -272,11 +272,21 @@ def cmd_erf(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _int_tuple(text: str, n: int, flag: str):
+def _int_tuple(text: str, n: int, flag: str, low: int | None = None):
     parts = text.split(",")
     if len(parts) != n:
         raise argparse.ArgumentTypeError(f"{flag} wants {n} comma-separated ints")
-    return tuple(int(v) for v in parts)
+    values = tuple(int(v) for v in parts)
+    if low is not None and min(values) < low:
+        raise argparse.ArgumentTypeError(f"{flag} values must be >= {low}, got {text}")
+    return values
+
+
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,11 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("bench", parents=[common])
-    p.add_argument("--shape", type=lambda s: _int_tuple(s, 4, "--shape"),
+    p.add_argument("--shape", type=lambda s: _int_tuple(s, 4, "--shape", low=0),
                    default=(1, 64, 128, 128))
-    p.add_argument("--cout", type=int, default=64)
+    p.add_argument("--cout", type=lambda s: _int_at_least(s, 0), default=64)
     p.add_argument("--kernel", type=lambda s: _int_tuple(s, 2, "--kernel"), default=(3, 3))
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=lambda s: _int_at_least(s, 1), default=3)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("demo-train", parents=[common])

@@ -20,7 +20,6 @@ Offset channel layout is pinned for file compatibility: channel pair
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,7 +205,7 @@ def mdconv_forward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationF
                     m = float(field.modulation[b, k, i, j])
                     for ci in range(c_in):
                         sampled[ci, k] = bilinear_sample(x[b, ci], (sy, sx)) * m
-                out[b, :, i, j] = wk.reshape(c_out, -1) @ sampled.reshape(-1)
+                out[b, :, i, j] = wk.reshape(c_out, c_in * spec.k) @ sampled.reshape(-1)
     if w.bias is not None:
         out += np.asarray(w.bias, dtype=np.float64)[None, :, None, None]
     return out.astype(x.dtype)
@@ -598,32 +597,3 @@ def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
         raise ShapeError(f"field gradients inconsistent with {branch_w.weight.shape[0]} "
                          "branch channels")
     return dense_conv_backward(x, branch_w, spec, grad_raw)
-
-
-# ---------------------------------------------------------------------------
-# layer-configuration JSON
-# ---------------------------------------------------------------------------
-
-def layer_config_to_json(spec: KernelSpec, modulated: bool) -> str:
-    return json.dumps(
-        {
-            "kernel": [spec.kernel_h, spec.kernel_w],
-            "stride": list(spec.stride),
-            "pad": list(spec.pad),
-            "dilation": list(spec.dilation),
-            "modulated": bool(modulated),
-        },
-        sort_keys=True,
-    )
-
-
-def layer_config_from_json(text: str) -> tuple[KernelSpec, bool]:
-    obj = json.loads(text)
-    spec = KernelSpec(
-        kernel_h=int(obj["kernel"][0]),
-        kernel_w=int(obj["kernel"][1]),
-        stride=tuple(int(v) for v in obj["stride"]),
-        pad=tuple(int(v) for v in obj["pad"]),
-        dilation=tuple(int(v) for v in obj["dilation"]),
-    )
-    return spec, bool(obj["modulated"])

@@ -17,7 +17,7 @@ rounding anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,8 +75,8 @@ class PoolSpec:
 
 @dataclass
 class BinField:
-    """Per-RoI learned state: offsets (2K,) as absolute feature-map pixels in
-    (dy_k, dx_k) pairs, modulation (K,) in [0, 1].
+    """Learned state of R RoIs: offsets (R, 2K) as absolute feature-map pixels
+    in (dy_k, dx_k) pairs per row, modulation (R, K) in [0, 1].
     """
 
     offsets: np.ndarray
@@ -85,10 +85,10 @@ class BinField:
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets, dtype=np.float64)
         self.modulation = np.asarray(self.modulation, dtype=np.float64)
-        if self.offsets.ndim != 1 or self.offsets.size % 2 != 0:
-            raise ShapeError(f"offsets must be a flat (2K,) vector, got {self.offsets.shape}")
-        if self.modulation.shape != (self.offsets.size // 2,):
-            raise ShapeError("modulation must have K entries matching offsets")
+        mod_shape = self.modulation.shape
+        if len(mod_shape) != 2 or self.offsets.shape != (mod_shape[0], 2 * mod_shape[1]):
+            raise ShapeError(f"offsets {self.offsets.shape} and modulation "
+                             f"{self.modulation.shape} must be (R, 2K) and (R, K)")
         # written so that NaN fails the range test
         if not ((self.modulation >= 0) & (self.modulation <= 1)).all():
             raise ArgumentError("modulation values must lie in [0, 1]")
@@ -96,8 +96,9 @@ class BinField:
             raise ArgumentError("offsets must be finite")
 
     @staticmethod
-    def identity(k: int, modulation: float = 1.0) -> "BinField":
-        return BinField(np.zeros(2 * k), np.full(k, modulation))
+    def identity(r: int, k: int, modulation: float = 1.0) -> "BinField":
+        """dp = 0 with constant modulation for R RoIs of K bins."""
+        return BinField(np.zeros((r, 2 * k)), np.full((r, k), modulation))
 
 
 def _grid_positions(rois: list[RoI], spec: PoolSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -120,40 +121,36 @@ def _grid_positions(rois: list[RoI], spec: PoolSpec) -> tuple[np.ndarray, np.nda
     return py.reshape(-1, spec.k, spec.n_k), px.reshape(-1, spec.k, spec.n_k)
 
 
-def _check_pool_args(x, rois, spec: PoolSpec, fields):
+def _check_pool_args(x, rois, spec: PoolSpec, field: BinField):
     x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeError(f"input must be (N,C,H,W), got {x.shape}")
-    if len(fields) != len(rois):
-        raise ShapeError(f"{len(fields)} bin fields for {len(rois)} RoIs")
+    if field.modulation.shape != (len(rois), spec.k):
+        raise ShapeError(f"bin field of shape {field.modulation.shape} for {len(rois)} RoIs "
+                         f"of {spec.k} bins")
     for roi in rois:
         if not 0 <= roi.batch_index < x.shape[0]:
             raise ArgumentError(f"RoI batch index {roi.batch_index} outside batch of {x.shape[0]}")
-    for f in fields:
-        if f.modulation.size != spec.k:
-            raise ShapeError(f"bin field has {f.modulation.size} bins, spec has {spec.k}")
     return x
 
 
-def _pool_geometry(x: np.ndarray, rois: list[RoI], spec: PoolSpec, fields: list[BinField],
+def _pool_geometry(x: np.ndarray, rois: list[RoI], spec: PoolSpec, field: BinField,
                    modulated: bool = False, derivatives: bool = False):
     """Sampling pattern of every (RoI, bin, sample) over the N*H*W pixels,
-    in the compute dtype, and the (R, K) modulation. The pattern's 4*n_k
-    consecutive corners per bin make `sampling_matrix(..., per_row=4 * n_k)`
-    sum a bin's samples in one row; modulated=True scales them by dm_k / n_k,
-    so that row is the pooled bin.
+    in the compute dtype. The pattern's 4*n_k consecutive corners per bin
+    make `sampling_matrix(..., per_row=4 * n_k)` sum a bin's samples in one
+    row; modulated=True scales them by dm_k / n_k, so that row is the pooled
+    bin.
     """
     _, _, h, w = x.shape
     gy, gx = _grid_positions(rois, spec)
-    offsets = np.stack([f.offsets for f in fields])
-    py = gy + offsets[:, 0::2, None]
-    px = gx + offsets[:, 1::2, None]
+    py = gy + field.offsets[:, 0::2, None]
+    px = gx + field.offsets[:, 1::2, None]
     plane_off = np.array([roi.batch_index for roi in rois], dtype=np.int64) * (h * w)
-    mods = np.stack([f.modulation for f in fields])
-    pattern = bilinear_corner_gather(py, px, h, w, flat_offset=plane_off[:, None, None],
-                                     scale=(mods / spec.n_k)[:, :, None] if modulated else None,
-                                     derivatives=derivatives, dtype=_compute_dtype(x))
-    return pattern, mods
+    scale = (field.modulation / spec.n_k)[:, :, None] if modulated else None
+    return bilinear_corner_gather(py, px, h, w, flat_offset=plane_off[:, None, None],
+                                  scale=scale, derivatives=derivatives,
+                                  dtype=_compute_dtype(x))
 
 
 def _pixel_rows(x: np.ndarray) -> np.ndarray:
@@ -182,20 +179,20 @@ def _scatter_to_pixels(cols, weights, gs: np.ndarray, x: np.ndarray, spec: PoolS
     return grad_x.reshape(n, h, w, c).transpose(0, 3, 1, 2).astype(x.dtype)
 
 
-def mdpool_forward(x, rois: list[RoI], spec: PoolSpec, fields: list[BinField]) -> np.ndarray:
-    """Pooled output (R, C, bins_h, bins_w)."""
-    x = _check_pool_args(x, rois, spec, fields)
+def mdpool_forward(x, rois: list[RoI], spec: PoolSpec, field: BinField) -> np.ndarray:
+    """Pooled output (R, C, bins_h, bins_w) for the (R, 2K)/(R, K) field."""
+    x = _check_pool_args(x, rois, spec, field)
     _, c, h, w = x.shape
     if not rois:
         return np.zeros((0, c, spec.bins_h, spec.bins_w), dtype=x.dtype)
-    (cols, data), _ = _pool_geometry(x, rois, spec, fields, modulated=True)
+    cols, data = _pool_geometry(x, rois, spec, field, modulated=True)
     xt = _pixel_rows(x)
     out = sampling_matrix(cols, data, xt.shape[0], per_row=4 * spec.n_k) @ xt  # (R*K, C)
     out = out.reshape(len(rois), spec.k, c).transpose(0, 2, 1)
     return out.reshape(len(rois), c, spec.bins_h, spec.bins_w).astype(x.dtype)
 
 
-def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, fields: list[BinField], upstream):
+def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, field: BinField, upstream):
     """Analytic gradients (grad_x, grad_offsets (R, 2K), grad_modulation (R, K)).
 
     The offset gradient sums the coordinate gradients of all n_k samples in
@@ -203,12 +200,12 @@ def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, fields: list[BinField], 
     bin mean contracted against the upstream gradient over channels;
     grad_x is S^T (upstream * dm / n_k), accumulated in float64.
     """
-    x = _check_pool_args(x, rois, spec, fields)
+    x = _check_pool_args(x, rois, spec, field)
     gk = _upstream_rows(x, rois, spec, upstream)
     if not rois:
         return np.zeros(x.shape, dtype=x.dtype), np.zeros((0, 2 * spec.k)), np.zeros((0, spec.k))
 
-    (cols, weights, dwy, dwx), mods = _pool_geometry(x, rois, spec, fields, derivatives=True)
+    cols, weights, dwy, dwx = _pool_geometry(x, rois, spec, field, derivatives=True)
     xt = _pixel_rows(x)
     per_bin = 4 * spec.n_k
 
@@ -216,7 +213,8 @@ def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, fields: list[BinField], 
         return sampling_matrix(cols, data, xt.shape[0], per_bin) @ xt
 
     grad_mod = np.einsum("ij,ij->i", gk, binned(weights)).reshape(len(rois), spec.k) / spec.n_k
-    gs = gk * (mods.reshape(-1, 1) / spec.n_k)  # dL/d(sample), shared by a bin's samples
+    # dL/d(sample), shared by a bin's samples
+    gs = gk * (field.modulation.reshape(-1, 1) / spec.n_k)
     grad_off = np.empty((len(rois), 2 * spec.k), dtype=np.float64)
     grad_off[:, 0::2] = np.einsum("ij,ij->i", gs, binned(dwy)).reshape(len(rois), spec.k)
     grad_off[:, 1::2] = np.einsum("ij,ij->i", gs, binned(dwx)).reshape(len(rois), spec.k)
@@ -225,20 +223,19 @@ def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, fields: list[BinField], 
 
 def aligned_pool_forward(x, rois: list[RoI], spec: PoolSpec) -> np.ndarray:
     """Plain aligned average pooling: dp = 0, dm = 1 for every bin."""
-    fields = [BinField.identity(spec.k) for _ in rois]
-    return mdpool_forward(x, rois, spec, fields)
+    return mdpool_forward(x, rois, spec, BinField.identity(len(rois), spec.k))
 
 
 def aligned_pool_backward(x, rois: list[RoI], spec: PoolSpec, upstream) -> np.ndarray:
     """grad_x of `aligned_pool_forward`: S^T (upstream / n_k) on the plain
-    pattern, bit for bit the grad_x of `mdpool_backward` with identity fields.
+    pattern, bit for bit the grad_x of `mdpool_backward` with the identity field.
     """
-    fields = [BinField.identity(spec.k) for _ in rois]
-    x = _check_pool_args(x, rois, spec, fields)
+    field = BinField.identity(len(rois), spec.k)
+    x = _check_pool_args(x, rois, spec, field)
     gk = _upstream_rows(x, rois, spec, upstream)
     if not rois:
         return np.zeros(x.shape, dtype=x.dtype)
-    (cols, weights), _ = _pool_geometry(x, rois, spec, fields)
+    cols, weights = _pool_geometry(x, rois, spec, field)
     return _scatter_to_pixels(cols, weights, gk * (1.0 / spec.n_k), x, spec)
 
 
@@ -293,23 +290,18 @@ class RoiBranchCache:
     scale: np.ndarray
 
 
-def roi_branch_forward(pooled, fc1: Affine, fc2: Affine, out_w: Affine, rois,
-                       want_cache: bool = False):
-    """Produce the BinFields of R RoIs from their plainly pooled features.
+def roi_branch_forward(pooled, fc1: Affine, fc2: Affine, out_w: Affine,
+                       rois: list[RoI]) -> tuple[BinField, RoiBranchCache]:
+    """The BinField of R RoIs from their plainly pooled (R, C, bins_h, bins_w)
+    features, and the cache of `roi_branch_backward`.
 
-    `pooled` is (R, C, bins_h, bins_w) for a list of R RoIs; each fc layer is
-    one (R, D) matrix product in float64 and a list of R BinFields comes
-    back. A single RoI with a (C, bins_h, bins_w) input is a batch of one
-    and gives one BinField. The first 2K outputs are offsets normalized by
-    the RoI extent: pair k is multiplied elementwise by (height, width) to
-    give absolute pixels. want_cache=True also returns the RoiBranchCache.
+    Each fc layer is one (R, D) matrix product in float64. The first 2K
+    outputs are offsets normalized by the RoI extent: pair k is multiplied
+    elementwise by (height, width) to give absolute pixels.
     """
-    single = isinstance(rois, RoI)
-    if single:
-        rois = [rois]
     p = np.asarray(pooled).astype(np.float64)
     r, d = len(rois), fc1.weight.shape[1]
-    if p.size != r * d or (not single and p.shape[:1] != (r,)):
+    if p.size != r * d or p.shape[:1] != (r,):
         raise ShapeError(f"fc1 expects {d} inputs per RoI, pooled is {p.shape} for {r} RoIs")
     if fc2.weight.shape[1] != fc1.out_dim:
         raise ShapeError("fc2 input dim != fc1 output dim")
@@ -324,27 +316,25 @@ def roi_branch_forward(pooled, fc1: Affine, fc2: Affine, out_w: Affine, rois,
 
     extents = np.array([(roi.height, roi.width) for roi in rois], dtype=np.float64)
     scale = np.tile(extents.reshape(r, 2), k)  # (R, 2K): (height, width) per bin
-    offsets = raw[:, : 2 * k] * scale
     modulation = sigmoid(raw[:, 2 * k :])
-    fields = [BinField(o, m) for o, m in zip(offsets, modulation)]
-    out = fields[0] if single else fields
-    if not want_cache:
-        return out
-    return out, RoiBranchCache(p.shape, z0, a1, z2, modulation, scale)
+    field = BinField(raw[:, : 2 * k] * scale, modulation)
+    return field, RoiBranchCache(p.shape, z0, a1, z2, modulation, scale)
 
 
 def roi_branch_backward(fc1: Affine, fc2: Affine, out_w: Affine, cache: RoiBranchCache,
                         grad_offsets, grad_modulation):
-    """Gradients of the branch given gradients on the absolute-pixel fields:
-    grad_offsets (R, 2K) and grad_modulation (R, K), or (2K,) and (K,) for
-    the cache of a single RoI.
+    """Gradients of the branch given (R, 2K) and (R, K) gradients on the
+    absolute-pixel field.
 
     Returns (grad_pooled, (gw1, gb1), (gw2, gb2), (gwo, gbo)). grad_pooled
     has the shape of the forward's pooled input; each parameter gradient is
     one matrix product summed over the RoIs.
     """
-    go = np.asarray(grad_offsets, dtype=np.float64).reshape(cache.scale.shape)
-    gm = np.asarray(grad_modulation, dtype=np.float64).reshape(cache.modulation.shape)
+    go = np.asarray(grad_offsets, dtype=np.float64)
+    gm = np.asarray(grad_modulation, dtype=np.float64)
+    if go.shape != cache.scale.shape or gm.shape != cache.modulation.shape:
+        raise ShapeError(f"field gradients {go.shape} / {gm.shape} != "
+                         f"{cache.scale.shape} / {cache.modulation.shape}")
     m = cache.modulation
     grad_raw = np.concatenate([go * cache.scale, gm * m * (1.0 - m)], axis=1)  # (R, 3K)
 
@@ -358,43 +348,3 @@ def roi_branch_backward(fc1: Affine, fc2: Affine, out_w: Affine, cache: RoiBranc
     gb1 = gz1.sum(axis=0)
     grad_pooled = gz1 @ np.asarray(fc1.weight, dtype=np.float64)
     return grad_pooled.reshape(cache.pooled_shape), (gw1, gb1), (gw2, gb2), (gwo, gbo)
-
-
-# ---------------------------------------------------------------------------
-# RoI list files: one `batch x1 y1 x2 y2` line per RoI
-# ---------------------------------------------------------------------------
-
-def parse_roi_lines(text: str) -> list[RoI]:
-    rois = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ArgumentError(f"RoI line {lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            b = int(parts[0])
-            x1, y1, x2, y2 = (float(v) for v in parts[1:])
-        except ValueError as exc:
-            raise ArgumentError(f"RoI line {lineno}: {exc}") from exc
-        rois.append(RoI(b, x1, y1, x2, y2))
-    return rois
-
-
-def format_roi_lines(rois: list[RoI]) -> str:
-    """Coordinates in shortest round-trip form, so that parsing gives them back exactly."""
-    return "".join(
-        f"{r.batch_index} " + " ".join(repr(float(v)) for v in (r.x1, r.y1, r.x2, r.y2)) + "\n"
-        for r in rois
-    )
-
-
-def load_rois(path) -> list[RoI]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_roi_lines(fh.read())
-
-
-def save_rois(rois: list[RoI], path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_roi_lines(rois))

@@ -235,13 +235,12 @@ class TwoBranchModel:
         """(R, D) trunk features; caches stay valid for one backward pass."""
         feat = self.backbone.forward(np.asarray(images).astype(COMPUTE_DTYPE))
         pooled = self.pool.forward(feat, rois)
-        self._pooled_shape = pooled.shape
         flat = pooled.reshape(pooled.shape[0], -1)
         return self.fc.forward(flat)
 
     def roi_features_backward(self, grad_feat: np.ndarray) -> None:
         g = self.fc.backward(grad_feat)
-        g = self.pool.backward(g.reshape(self._pooled_shape))
+        g = self.pool.backward(g)
         self.backbone.backward(g)
 
     def infer(self, images, rois: list[RoI]) -> np.ndarray:

@@ -28,7 +28,6 @@ from .deform_conv import (
 )
 from .deform_roipool import (
     Affine,
-    BinField,
     PoolSpec,
     RoI,
     aligned_pool_backward,
@@ -266,7 +265,9 @@ class RoIPoolLayer:
     In deformable mode the sibling fc branch (Gaussian hidden layers, zero
     output layer) is trained jointly; its fc parameters use the base rate.
     The branch runs once per call over all RoIs, and the recorded state is
-    (x, rois, fields, branch cache).
+    (x, rois) for aligned pooling and (x, rois, field, branch cache) for
+    deformable pooling. `backward` takes the upstream gradient as (R, C,
+    bins_h, bins_w) or as the (R, C*K) rows a head's backward gives.
     """
 
     def __init__(self, c_in: int, spec: PoolSpec, rng: np.random.Generator,
@@ -305,17 +306,20 @@ class RoIPoolLayer:
             return aligned_pool_forward(x, rois, self.spec)
         fc1, fc2, out_w = self._affines()
         plain = aligned_pool_forward(x, rois, self.spec)
-        fields, branch = roi_branch_forward(plain, fc1, fc2, out_w, rois, want_cache=True)
-        self._cache = (x, rois, fields, branch)
-        return mdpool_forward(x, rois, self.spec, fields)
+        field, branch = roi_branch_forward(plain, fc1, fc2, out_w, rois)
+        self._cache = (x, rois, field, branch)
+        return mdpool_forward(x, rois, self.spec, field)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
+        x, rois = self._cache[:2]
+        rows = (len(rois), x.shape[1] * self.spec.k)
+        if np.shape(gy) == rows:  # a head's rows; the kernels check any other shape
+            gy = np.reshape(gy, (len(rois), x.shape[1], self.spec.bins_h, self.spec.bins_w))
         if not self.deformable:
-            x, rois = self._cache
             return aligned_pool_backward(x, rois, self.spec, gy)
-        x, rois, fields, branch = self._cache
+        field, branch = self._cache[2:]
         fc1, fc2, out_w = self._affines()
-        gx, goff, gmod = mdpool_backward(x, rois, self.spec, fields, gy)
+        gx, goff, gmod = mdpool_backward(x, rois, self.spec, field, gy)
         grad_plain, (gw1, gb1), (gw2, gb2), (gwo, gbo) = roi_branch_backward(
             fc1, fc2, out_w, branch, goff, gmod)
         self.fc1_w.grad += gw1

@@ -236,8 +236,8 @@ def effective_sampling_locations(layer, upstream) -> np.ndarray:
         cache = layer.recorded_state()
         if not layer.deformable:
             raise UsageError("aligned pooling has no learned sampling locations")
-        x, rois, fields, _ = cache
-        _, goff, _ = mdpool_backward(x, rois, layer.spec, fields, upstream)
+        x, rois, field, _ = cache
+        _, goff, _ = mdpool_backward(x, rois, layer.spec, field, upstream)
         return np.hypot(goff[:, 0::2], goff[:, 1::2])
     raise UsageError(f"no recorded deformable state on {type(layer).__name__}")
 

@@ -275,13 +275,12 @@ class ToyRegressionNet:
     def forward(self, images: np.ndarray) -> np.ndarray:
         feat = self.trunk.forward(images.astype(COMPUTE_DTYPE))
         pooled = self.pool.forward(feat, self.readout_rois(images.shape[0]))
-        self._pooled_shape = pooled.shape
         out = self.head.forward(pooled.reshape(pooled.shape[0], -1))
         return out[:, 0]
 
     def backward(self, grad_pred: np.ndarray) -> None:
         g = self.head.backward(grad_pred[:, None])
-        g = self.pool.backward(g.reshape(self._pooled_shape))
+        g = self.pool.backward(g)
         self.trunk.backward(g)
 
 

@@ -100,7 +100,8 @@ def test_criterion_3_initialization_contract():
     half_err = float(np.abs(out - 0.5 * rigid).max())
 
     fc1, fc2, out_w = make_roi_branch(in_dim=8, k=4, hidden=32, rng=rng)
-    bf = roi_branch_forward(rng.normal(size=(2, 2, 2)), fc1, fc2, out_w, RoI(0, 0, 0, 7, 7))
+    bf, _ = roi_branch_forward(rng.normal(size=(1, 2, 2, 2)), fc1, fc2, out_w,
+                               [RoI(0, 0, 0, 7, 7)])
     roi_exact = bool(np.all(bf.offsets == 0.0) and np.all(bf.modulation == 0.5))
 
     ok = exact and roi_exact and half_err < 1e-5
@@ -258,11 +259,12 @@ def test_criterion_8_constant_input_law():
                     3.0 + rng.uniform(0.5, 4.0), 3.0 + rng.uniform(0.5, 4.0))
                 for _ in range(3)]
         # offsets stay in-bounds: samples live in [3, 7+1] plus offset in [-2, 2]
-        fields = [BinField(rng.uniform(-2.0, 2.0, 2 * spec.k),
-                           rng.uniform(0.0, 1.0, spec.k)) for _ in rois]
-        out = mdpool_forward(x, rois, spec, fields)
-        for r, f in enumerate(fields):
-            want = c * f.modulation.reshape(spec.bins_h, spec.bins_w)
+        draws = [(rng.uniform(-2.0, 2.0, 2 * spec.k), rng.uniform(0.0, 1.0, spec.k))
+                 for _ in rois]
+        field = BinField(np.stack([o for o, _ in draws]), np.stack([m for _, m in draws]))
+        out = mdpool_forward(x, rois, spec, field)
+        for r in range(len(rois)):
+            want = c * field.modulation[r].reshape(spec.bins_h, spec.bins_w)
             worst = max(worst, float(np.abs(out[r] - want[None]).max()))
     ok = worst < 1e-6
     report(8, "constant-input pooling law", ok, f"max |bin - c*dm| = {worst:.2e} (<1e-6)")

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcn2.cli import (
     EXIT_DIVERGED,
@@ -91,6 +95,36 @@ def test_bench_small_shape(tmp_path, capsys):
 
 def test_bench_bad_kernel_is_usage_error():
     assert main(["bench", "--kernel", "0,3", "--shape", "1,2,8,8", "--cout", "2"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--repeats", "0"), ("--repeats", "-1"), ("--cout", "-1"), ("--shape", "1,-1,4,4"),
+    ("--shape", "-1,1,4,4"),
+])
+def test_bench_bad_extent_is_usage_error(capsys, flag, value):
+    argv = ["bench", "--shape", "1,1,4,4", "--cout", "1", "--repeats", "1", f"{flag}={value}"]
+    assert main(argv) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
+def test_bench_zero_output_channels(capsys):
+    assert main(["bench", "--shape", "1,1,4,4", "--cout", "0", "--repeats", "1"]) == EXIT_OK
+
+
+def test_failing_gradcheck_is_numeric_exit(capsys):
+    code = main(["gradcheck", "--op", "bilinear", "--seeds", "1", "--tolerance", "1e-300"])
+    assert code == EXIT_DIVERGED
+    assert json.loads(capsys.readouterr().out)["pass"] is False
+
+
+@settings(max_examples=200, deadline=2000)
+@given(st.lists(st.integers(-1, 3), min_size=8, max_size=8))
+def test_bench_argument_vectors_exit_with_contract_code(values):
+    n, c, h, w, cout, kh, kw, repeats = values
+    argv = ["bench", f"--shape={n},{c},{h},{w}", f"--cout={cout}", f"--kernel={kh},{kw}",
+            f"--repeats={repeats}"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGED, EXIT_IO)
 
 
 @pytest.mark.parametrize("error, code", [

@@ -11,8 +11,6 @@ from dcn2.deform_conv import (
     OffsetModulationField,
     dense_conv_backward,
     dense_conv_forward,
-    layer_config_from_json,
-    layer_config_to_json,
     mdconv_backward,
     mdconv_backward_optimized,
     mdconv_forward,
@@ -379,14 +377,6 @@ def test_branch_lr_multiplier_descriptor():
     assert layer.weight.lr_mult == 1.0
 
 
-def test_layer_config_json_round_trip():
-    spec = KernelSpec(3, 5, stride=(2, 1), pad=(0, 2), dilation=(2, 2))
-    text = layer_config_to_json(spec, modulated=True)
-    spec2, modulated = layer_config_from_json(text)
-    assert spec2 == spec and modulated
-    assert layer_config_to_json(spec2, modulated) == text
-
-
 def test_empty_batch_gives_empty_output():
     spec = KernelSpec(3, 3)
     x = np.zeros((0, 2, 5, 5))
@@ -394,6 +384,22 @@ def test_empty_batch_gives_empty_output():
     field = OffsetModulationField(np.zeros((0, 18, 3, 3)), np.zeros((0, 9, 3, 3)))
     out = mdconv_forward_optimized(x, weights, spec, field)
     assert out.shape == (0, 2, 3, 3)
+
+
+def test_zero_output_channels_reference_matches_optimized():
+    rng = np.random.default_rng(14)
+    spec = KernelSpec(3, 3, pad=(1, 1))
+    x = rng.normal(size=(2, 2, 5, 4))
+    weights = ConvWeights(np.zeros((0, 2, 3, 3)), np.zeros(0))
+    field = OffsetModulationField(rng.uniform(-1.0, 1.0, (2, 18, 5, 4)),
+                                  rng.uniform(0.2, 0.9, (2, 9, 5, 4)))
+    ref = mdconv_forward(x, weights, spec, field)
+    assert ref.shape == (2, 0, 5, 4)
+    assert np.array_equal(ref, mdconv_forward_optimized(x, weights, spec, field))
+    upstream = np.zeros((2, 0, 5, 4))
+    for a, b in zip(mdconv_backward(x, weights, spec, field, upstream),
+                    mdconv_backward_optimized(x, weights, spec, field, upstream)):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_nonfinite_offsets_rejected():

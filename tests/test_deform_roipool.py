@@ -9,11 +9,9 @@ from dcn2.deform_roipool import (
     RoI,
     aligned_pool_backward,
     aligned_pool_forward,
-    format_roi_lines,
     make_roi_branch,
     mdpool_backward,
     mdpool_forward,
-    parse_roi_lines,
     roi_branch_backward,
     roi_branch_forward,
 )
@@ -27,7 +25,7 @@ def test_constant_plane_identity_field():
     x = np.full((1, 3, 8, 8), 4.25)
     spec = PoolSpec(2, 3, samples=2)
     rois = [RoI(0, 1.0, 1.0, 6.5, 6.0)]
-    out = mdpool_forward(x, rois, spec, [BinField.identity(spec.k)])
+    out = mdpool_forward(x, rois, spec, BinField.identity(1, spec.k))
     assert np.allclose(out, 4.25, atol=1e-12)
 
 
@@ -36,8 +34,8 @@ def test_zero_modulation_zeroes_bin():
     x = rng.normal(size=(1, 2, 8, 8))
     spec = PoolSpec(2, 2)
     mods = np.array([0.0, 1.0, 1.0, 0.3])
-    field = BinField(np.zeros(8), mods)
-    out = mdpool_forward(x, [RoI(0, 1, 1, 6, 6)], spec, [field])
+    field = BinField(np.zeros((1, 8)), mods[None])
+    out = mdpool_forward(x, [RoI(0, 1, 1, 6, 6)], spec, field)
     assert np.all(out[0, :, 0, 0] == 0.0)
     assert np.abs(out[0, :, 0, 1]).max() > 0
 
@@ -46,7 +44,7 @@ def test_whole_map_roi_single_bin_grid_positions():
     plane = np.array([[1.0, 2.0], [3.0, 4.0]])
     x = plane.reshape(1, 1, 2, 2)
     spec = PoolSpec(1, 1, samples=2)
-    out = mdpool_forward(x, [RoI(0, 0.0, 0.0, 1.0, 1.0)], spec, [BinField.identity(1)])
+    out = mdpool_forward(x, [RoI(0, 0.0, 0.0, 1.0, 1.0)], spec, BinField.identity(1, 1))
     # independent enumeration of the stated grid placement
     expected = np.mean([
         bilinear_sample(plane, (0.25, 0.25)),
@@ -80,9 +78,9 @@ def test_translation_invariance_away_from_borders():
     x2 = np.zeros((1, 3, 16, 16))
     x2[0, :, 6:11, 7:12] = content  # shifted by (3, 4)
     spec = PoolSpec(2, 2)
-    field = BinField(rng.uniform(-0.5, 0.5, 8), rng.uniform(0.2, 1.0, 4))
-    a = mdpool_forward(x, [RoI(0, 2.3, 2.6, 8.9, 8.1)], spec, [field])
-    b = mdpool_forward(x2, [RoI(0, 6.3, 5.6, 12.9, 11.1)], spec, [field])
+    field = BinField(rng.uniform(-0.5, 0.5, (1, 8)), rng.uniform(0.2, 1.0, (1, 4)))
+    a = mdpool_forward(x, [RoI(0, 2.3, 2.6, 8.9, 8.1)], spec, field)
+    b = mdpool_forward(x2, [RoI(0, 6.3, 5.6, 12.9, 11.1)], spec, field)
     assert np.abs(a - b).max() < 1e-10
 
 
@@ -97,8 +95,8 @@ def test_modulation_monotonicity_nonnegative_maps():
         m2 = m1.copy()
         bump = int(rng.integers(0, 4))
         m2[bump] = min(1.0, m1[bump] + rng.uniform(0, 1 - m1[bump] + 1e-12))
-        o1 = mdpool_forward(x, [roi], spec, [BinField(offs, m1)])
-        o2 = mdpool_forward(x, [roi], spec, [BinField(offs, m2)])
+        o1 = mdpool_forward(x, [roi], spec, BinField(offs[None], m1[None]))
+        o2 = mdpool_forward(x, [roi], spec, BinField(offs[None], m2[None]))
         by, bx = divmod(bump, 2)
         assert np.all(o2[0, :, by, bx] >= o1[0, :, by, bx] - 1e-12)
 
@@ -106,14 +104,14 @@ def test_modulation_monotonicity_nonnegative_maps():
 def test_batch_index_validated():
     x = np.zeros((1, 1, 4, 4))
     with pytest.raises(ArgumentError):
-        mdpool_forward(x, [RoI(1, 0, 0, 2, 2)], PoolSpec(1, 1), [BinField.identity(1)])
+        mdpool_forward(x, [RoI(1, 0, 0, 2, 2)], PoolSpec(1, 1), BinField.identity(1, 1))
 
 
 def test_degenerate_roi_collapses_to_point():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(1, 1, 6, 6))
     out = mdpool_forward(x, [RoI(0, 2.5, 3.5, 2.5, 3.5)], PoolSpec(2, 2),
-                         [BinField.identity(4)])
+                         BinField.identity(1, 4))
     point = bilinear_sample(x[0, 0], (3.5, 2.5))
     assert np.allclose(out, point)
 
@@ -125,7 +123,7 @@ def test_gradcheck_mdpool_blocks():
         assert rep.passed, rep.to_json()
 
 
-def _mdpool_loop_reference(x, rois, spec, fields, upstream):
+def _mdpool_loop_reference(x, rois, spec, field, upstream):
     """Float64 mdpool output and gradients, one bilinear sample at a time."""
     from dcn2.deform_roipool import _grid_positions
 
@@ -135,12 +133,13 @@ def _mdpool_loop_reference(x, rois, spec, fields, upstream):
     goff = np.zeros((len(rois), 2 * spec.k))
     gmod = np.zeros((len(rois), spec.k))
     g = upstream.reshape(len(rois), c, spec.k)
-    for r, (roi, f) in enumerate(zip(rois, fields)):
+    for r, roi in enumerate(rois):
         py, px = (pos[0] for pos in _grid_positions([roi], spec))
+        offs = field.offsets[r]
         for k in range(spec.k):
-            m = f.modulation[k]
+            m = field.modulation[r, k]
             for j in range(spec.n_k):
-                pt = (py[k, j] + f.offsets[2 * k], px[k, j] + f.offsets[2 * k + 1])
+                pt = (py[k, j] + offs[2 * k], px[k, j] + offs[2 * k + 1])
                 for ch in range(c):
                     plane = x[roi.batch_index, ch]
                     v = bilinear_sample(plane, pt)
@@ -163,14 +162,15 @@ def test_float32_mdpool_matches_float64_loop_reference():
     # RoI 0's samples sit at half-integers; shifted by (0.5, 1.5) every one
     # lands exactly on the lattice, reaching the last row (5) and column (6)
     rois = [RoI(0, 1, 1, 5, 5), RoI(1, 0.3, 0.7, 6.2, 4.9), RoI(0, 2, 0, 2, 5)]
-    fields = [BinField(np.tile([0.5, 1.5], spec.k), rng.uniform(0.1, 1.0, spec.k))]
-    fields += [BinField(rng.uniform(-1.5, 1.5, 2 * spec.k), rng.uniform(0.1, 1.0, spec.k))
-               for _ in rois[1:]]
+    draws = [(np.tile([0.5, 1.5], spec.k), rng.uniform(0.1, 1.0, spec.k))]
+    draws += [(rng.uniform(-1.5, 1.5, 2 * spec.k), rng.uniform(0.1, 1.0, spec.k))
+              for _ in rois[1:]]
+    field = BinField(np.stack([o for o, _ in draws]), np.stack([m for _, m in draws]))
     upstream = rng.normal(size=(len(rois), 3, 2, 2)).astype(np.float32)
-    want = _mdpool_loop_reference(x32.astype(np.float64), rois, spec, fields,
+    want = _mdpool_loop_reference(x32.astype(np.float64), rois, spec, field,
                                   upstream.astype(np.float64))
-    got = (mdpool_forward(x32, rois, spec, fields),) + \
-        mdpool_backward(x32, rois, spec, fields, upstream)
+    got = (mdpool_forward(x32, rois, spec, field),) + \
+        mdpool_backward(x32, rois, spec, field, upstream)
     assert got[0].dtype == np.float32 and got[1].dtype == np.float32
     for a, b in zip(want, got):
         assert np.abs(a - b).max() <= f32_rel_tol * max(1.0, np.abs(a).max())
@@ -180,9 +180,9 @@ def test_backward_zero_modulation_kills_grad_x():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(1, 2, 8, 8))
     spec = PoolSpec(1, 1)
-    field = BinField(np.array([0.3, -0.4]), np.array([0.0]))
+    field = BinField(np.array([[0.3, -0.4]]), np.array([[0.0]]))
     upstream = rng.normal(size=(1, 2, 1, 1))
-    gx, goff, gmod = mdpool_backward(x, [RoI(0, 1, 1, 6, 6)], spec, [field], upstream)
+    gx, goff, gmod = mdpool_backward(x, [RoI(0, 1, 1, 6, 6)], spec, field, upstream)
     assert np.all(gx == 0)
     assert np.all(goff == 0)
     assert np.abs(gmod).max() > 0
@@ -192,17 +192,17 @@ def test_backward_constant_input_zero_offset_grad():
     x = np.full((1, 2, 8, 8), 2.0)
     spec = PoolSpec(2, 2)
     rng = np.random.default_rng(6)
-    field = BinField(rng.uniform(-0.5, 0.5, 8), rng.uniform(0.2, 0.9, 4))
+    field = BinField(rng.uniform(-0.5, 0.5, (1, 8)), rng.uniform(0.2, 0.9, (1, 4)))
     upstream = rng.normal(size=(1, 2, 2, 2))
-    _, goff, _ = mdpool_backward(x, [RoI(0, 2, 2, 5.5, 5.5)], spec, [field], upstream)
+    _, goff, _ = mdpool_backward(x, [RoI(0, 2, 2, 5.5, 5.5)], spec, field, upstream)
     assert np.abs(goff).max() < 1e-9
 
 
 def test_roi_branch_zero_init_gives_identity_field():
     rng = np.random.default_rng(7)
     fc1, fc2, out_w = make_roi_branch(in_dim=12, k=4, hidden=16, rng=rng)
-    pooled = rng.normal(size=(3, 2, 2))
-    field = roi_branch_forward(pooled, fc1, fc2, out_w, RoI(0, 0, 0, 10, 10))
+    pooled = rng.normal(size=(1, 3, 2, 2))
+    field, _ = roi_branch_forward(pooled, fc1, fc2, out_w, [RoI(0, 0, 0, 10, 10)])
     assert np.all(field.offsets == 0.0)
     assert np.all(field.modulation == 0.5)
 
@@ -215,10 +215,10 @@ def test_roi_branch_normalized_offsets_scale_with_roi():
     raw_bias = np.array([0.5, 0.5, 0.0])
     out_w = Affine(np.zeros((3, 4)), raw_bias)
     roi = RoI(0, 5.0, 5.0, 25.0, 15.0)  # height 10, width 20
-    field = roi_branch_forward(np.zeros((2, 2, 2)), fc1, fc2, out_w, roi)
-    assert field.offsets[0] == pytest.approx(5.0)   # dy = 0.5 * height
-    assert field.offsets[1] == pytest.approx(10.0)  # dx = 0.5 * width
-    assert field.modulation[0] == pytest.approx(0.5)
+    field, _ = roi_branch_forward(np.zeros((1, 2, 2, 2)), fc1, fc2, out_w, [roi])
+    assert field.offsets[0, 0] == pytest.approx(5.0)   # dy = 0.5 * height
+    assert field.offsets[0, 1] == pytest.approx(10.0)  # dx = 0.5 * width
+    assert field.modulation[0, 0] == pytest.approx(0.5)
 
 
 def test_roi_branch_default_hidden_width():
@@ -252,8 +252,8 @@ def _rel(got, want) -> float:
 
 
 def test_deformable_pool_layer_matches_per_roi_branch_loop():
-    # the layer runs the branch once over all RoIs; the reference runs the
-    # single-RoI form per RoI and sums the parameter gradients RoI by RoI
+    # the layer runs the branch once over all RoIs; the reference runs it on
+    # one RoI at a time and sums the parameter gradients RoI by RoI
     rng = np.random.default_rng(12)
     spec = PoolSpec(2, 3, samples=2)
     layer = RoIPoolLayer(3, spec, rng, deformable=True, hidden=16)
@@ -265,30 +265,49 @@ def test_deformable_pool_layer_matches_per_roi_branch_loop():
     gy = rng.normal(size=(len(rois), 3, spec.bins_h, spec.bins_w))
     out = layer.forward(x, rois)
     gx = layer.backward(gy)
-    _, _, fields, _ = layer.recorded_state()
+    _, _, field, _ = layer.recorded_state()
 
     fc1, fc2, out_w = layer._affines()
     plain = aligned_pool_forward(x, rois, spec)
-    ref = [roi_branch_forward(plain[r], fc1, fc2, out_w, roi, want_cache=True)
+    ref = [roi_branch_forward(plain[r:r + 1], fc1, fc2, out_w, [roi])
            for r, roi in enumerate(rois)]
-    ref_fields = [f for f, _ in ref]
-    ref_gx, goff, gmod = mdpool_backward(x, rois, spec, ref_fields, gy)
+    ref_field = BinField(np.concatenate([f.offsets for f, _ in ref]),
+                         np.concatenate([f.modulation for f, _ in ref]))
+    ref_gx, goff, gmod = mdpool_backward(x, rois, spec, ref_field, gy)
     grad_plain = np.zeros(plain.shape)
     ref_grads = [np.zeros(p.value.shape) for p in layer.params()]
     for r, (_, cache) in enumerate(ref):
-        gp, *pairs = roi_branch_backward(fc1, fc2, out_w, cache, goff[r], gmod[r])
-        grad_plain[r] = gp
+        gp, *pairs = roi_branch_backward(fc1, fc2, out_w, cache, goff[r:r + 1], gmod[r:r + 1])
+        grad_plain[r] = gp[0]
         for acc, g in zip(ref_grads, [g for pair in pairs for g in pair]):
             acc += g
     ref_gx += aligned_pool_backward(x, rois, spec, grad_plain)
 
-    for f, want in zip(fields, ref_fields):
-        assert _rel(f.offsets, want.offsets) <= 1e-12
-        assert _rel(f.modulation, want.modulation) <= 1e-12
-    assert _rel(out, mdpool_forward(x, rois, spec, ref_fields)) <= 1e-12
+    for r in range(len(rois)):  # offsets scale with the RoI: compare each RoI on its own
+        assert _rel(field.offsets[r], ref_field.offsets[r]) <= 1e-12
+        assert _rel(field.modulation[r], ref_field.modulation[r]) <= 1e-12
+    assert _rel(out, mdpool_forward(x, rois, spec, ref_field)) <= 1e-12
     assert _rel(gx, ref_gx) <= 1e-12
     for p, want in zip(layer.params(), ref_grads):
         assert _rel(p.grad, want) <= 1e-12, p.name
+
+
+def test_pool_layer_backward_takes_head_rows():
+    rng = np.random.default_rng(15)
+    spec = PoolSpec(2, 3)
+    x = rng.normal(size=(1, 4, 8, 9))
+    rois = [RoI(0, 1.0, 1.5, 6.0, 7.0), RoI(0, 0.5, 0.0, 3.0, 4.5)]
+    gy = rng.normal(size=(len(rois), 4, spec.bins_h, spec.bins_w))
+    for deformable in (False, True):
+        layer = RoIPoolLayer(4, spec, np.random.default_rng(16), deformable=deformable,
+                             hidden=8)
+        layer.forward(x, rois)
+        want = layer.backward(gy)
+        assert np.array_equal(layer.backward(gy.reshape(len(rois), -1)), want)
+        with pytest.raises(ShapeError):  # same size, wrong layout
+            layer.backward(gy.transpose(0, 2, 3, 1))
+        with pytest.raises(ShapeError):  # rows of the wrong width
+            layer.backward(gy.reshape(len(rois), -1)[:, 1:])
 
 
 def test_aligned_pool_backward_is_mdpool_grad_x_with_identity_fields():
@@ -299,8 +318,7 @@ def test_aligned_pool_backward_is_mdpool_grad_x_with_identity_fields():
     for dtype in (np.float32, np.float64):
         x = rng.normal(size=(2, 4, 9, 11)).astype(dtype)
         gy = rng.normal(size=(2, 4, 3, 2)).astype(dtype)
-        identity = [BinField.identity(spec.k) for _ in rois]
-        want, _, _ = mdpool_backward(x, rois, spec, identity, gy)
+        want, _, _ = mdpool_backward(x, rois, spec, BinField.identity(len(rois), spec.k), gy)
         got = aligned_pool_backward(x, rois, spec, gy)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -310,30 +328,16 @@ def test_roi_branch_backward_shapes():
     rng = np.random.default_rng(8)
     fc1, fc2, out_w = make_roi_branch(in_dim=12, k=4, hidden=16, rng=rng)
     out_w = Affine(rng.normal(size=out_w.weight.shape) * 0.1, rng.normal(size=12) * 0.1)
-    pooled = rng.normal(size=(3, 2, 2))
-    roi = RoI(0, 1, 1, 9, 7)
-    field, cache = roi_branch_forward(pooled, fc1, fc2, out_w, roi, want_cache=True)
+    pooled = rng.normal(size=(1, 3, 2, 2))
+    field, cache = roi_branch_forward(pooled, fc1, fc2, out_w, [RoI(0, 1, 1, 9, 7)])
     gp, (gw1, gb1), (gw2, gb2), (gwo, gbo) = roi_branch_backward(
-        fc1, fc2, out_w, cache, np.ones(8), np.ones(4))
+        fc1, fc2, out_w, cache, np.ones((1, 8)), np.ones((1, 4)))
     assert gp.shape == pooled.shape
     assert gw1.shape == fc1.weight.shape and gb1.shape == fc1.bias.shape
     assert gw2.shape == fc2.weight.shape and gb2.shape == fc2.bias.shape
     assert gwo.shape == out_w.weight.shape and gbo.shape == out_w.bias.shape
-
-
-def test_roi_file_round_trip():
-    rois = [RoI(0, 1.5, 2.25, 10.0, 12.5), RoI(3, 0.0, 0.0, 4.0, 4.0),
-            RoI(1, 123.456789, 0.1, 200.0 + 1.0 / 3.0, 1e-7 + 150.0)]
-    text = format_roi_lines(rois)
-    back = parse_roi_lines(text)
-    assert back == rois
-
-
-def test_roi_file_rejects_malformed_line():
-    with pytest.raises(ArgumentError):
-        parse_roi_lines("0 1 2 3\n")
-    with pytest.raises(ArgumentError):
-        parse_roi_lines("0 a b c d\n")
+    with pytest.raises(ShapeError):  # a single RoI's gradients are a batch of one
+        roi_branch_backward(fc1, fc2, out_w, cache, np.ones(8), np.ones(4))
 
 
 def test_roi_invariants():
@@ -347,9 +351,20 @@ def test_roi_invariants():
 def test_bin_field_modulation_range_enforced():
     for bad in (1.5, -0.5, np.nan):
         with pytest.raises(ArgumentError):
-            BinField(np.zeros(2), np.array([bad]))
+            BinField(np.zeros((1, 2)), np.array([[bad]]))
+
+
+def test_bin_field_is_one_record_of_r_rows():
+    for offsets, modulation in ((np.zeros(2), np.ones(1)), (np.zeros((2, 4)), np.ones((2, 3))),
+                                (np.zeros((2, 2)), np.ones((1, 1)))):
+        with pytest.raises(ShapeError):
+            BinField(offsets, modulation)
 
 
 def test_field_count_must_match_rois():
-    with pytest.raises(ShapeError):
-        mdpool_forward(np.zeros((1, 1, 4, 4)), [RoI(0, 0, 0, 2, 2)], PoolSpec(1, 1), [])
+    x = np.zeros((1, 1, 4, 4))
+    with pytest.raises(ShapeError):  # no row for the RoI
+        mdpool_forward(x, [RoI(0, 0, 0, 2, 2)], PoolSpec(1, 1), BinField.identity(0, 1))
+    with pytest.raises(ShapeError):  # 4 bins per row against a 1x1 spec
+        mdpool_backward(x, [RoI(0, 0, 0, 2, 2)], PoolSpec(1, 1), BinField.identity(1, 4),
+                        np.zeros((1, 1, 1, 1)))

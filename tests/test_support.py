@@ -182,6 +182,38 @@ def test_sampling_locations_constant_input_zero():
     assert np.abs(mags[:, :, 1:-1, 1:-1]).max() < 1e-7
 
 
+def test_sampling_locations_of_deformable_pooling():
+    from dcn2.deform_roipool import (
+        PoolSpec,
+        RoI,
+        aligned_pool_forward,
+        mdpool_backward,
+        roi_branch_forward,
+    )
+    from dcn2.net import RoIPoolLayer
+
+    rng = np.random.default_rng(5)
+    spec = PoolSpec(2, 3, samples=2)
+    layer = RoIPoolLayer(3, spec, rng, deformable=True, hidden=8)
+    layer.out_w.value[...] = rng.normal(0.0, 0.05, layer.out_w.value.shape)
+    x = rng.normal(size=(2, 3, 10, 12))
+    rois = [RoI(0, 1.0, 2.0, 8.5, 7.0), RoI(1, 0.5, 0.5, 4.0, 11.0), RoI(1, 2.0, 3.0, 2.5, 3.5)]
+    layer.forward(x, rois)
+    upstream = rng.normal(size=(len(rois), 3, spec.bins_h, spec.bins_w))
+    mags = effective_sampling_locations(layer, upstream)
+
+    field, _ = roi_branch_forward(aligned_pool_forward(x, rois, spec), *layer._affines(), rois)
+    _, goff, _ = mdpool_backward(x, rois, spec, field, upstream)
+    assert mags.shape == (len(rois), spec.k)
+    assert np.abs(goff).max() > 0
+    assert np.allclose(mags, np.hypot(goff[:, 0::2], goff[:, 1::2]), rtol=1e-12, atol=0)
+
+    aligned = RoIPoolLayer(3, spec, rng)
+    aligned.forward(x, rois)
+    with pytest.raises(UsageError):
+        effective_sampling_locations(aligned, upstream)
+
+
 def test_sampling_locations_requires_recorded_state():
     from dcn2.net import DeformConv2dLayer
 
