@@ -294,18 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--threads", type=int, default=None)
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--config", default=None, help="JSON config file")
 
-    p = sub.add_parser("gradcheck", parents=[common])
+    def subcommand(name: str) -> argparse.ArgumentParser:
+        # no prefix matching: `gradcheck --seed` must not pass for `--seeds`
+        return sub.add_parser(name, parents=[common], allow_abbrev=False)
+
+    p = subcommand("gradcheck")
     p.add_argument("--op", default="*", help="op name pattern (fnmatch)")
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--tolerance", type=float, default=1e-3)
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("bench", parents=[common])
+    p = subcommand("bench")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shape", type=lambda s: _int_tuple(s, 4, "--shape", low=0),
                    default=(1, 64, 128, 128))
     p.add_argument("--cout", type=lambda s: _int_at_least(s, 0), default=64)
@@ -313,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=lambda s: _int_at_least(s, 1), default=3)
     p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("demo-train", parents=[common])
+    p = subcommand("demo-train")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--task", choices=("translate", "dilate", "scale-jitter"),
                    default="dilate")
     p.add_argument("--dilation", type=float, default=2.0)
@@ -325,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mimic-weight", type=float, default=None)
     p.set_defaults(fn=cmd_demo_train)
 
-    p = sub.add_parser("saliency", parents=[common])
+    p = subcommand("saliency")
     p.add_argument("--image", required=True)
     p.add_argument("--probe", default="window:0,0,8,8")
     p.add_argument("--model", default=None)
@@ -334,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, default=100)
     p.set_defaults(fn=cmd_saliency)
 
-    p = sub.add_parser("erf", parents=[common])
+    p = subcommand("erf")
     p.add_argument("--image", required=True)
     p.add_argument("--probe", default="window-mean:0,0,8,8")
     p.add_argument("--model", default=None)

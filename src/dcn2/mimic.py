@@ -3,7 +3,7 @@
 The per-pair loss is 1 - cos(a, b) summed over the sampled positive RoIs.
 A detection-flavored trunk (backbone convs, RoI pooling, fc stack) is shared
 between the main branch, which pools RoIs from full-image features, and an
-auxiliary branch that re-runs the backbone on cropped, resized RoI patches.
+auxiliary branch that runs the backbone on cropped, resized RoI patches.
 Classification heads stay distinct. The two auxiliary losses (mimic and
 patch-branch cross-entropy) enter the total at 0.1 weight each; in inference
 only the main branch runs.
@@ -11,6 +11,7 @@ only the main branch runs.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,9 +155,6 @@ class MimicConfig:
     positive_iou: float = 0.5
     omega_size: int = 32
     patch_size: tuple[int, int] = (32, 32)
-    # gradients flow into the patch branch by default; the paper-style
-    # pure-teacher alternative stops them there
-    stop_teacher: bool = False
 
 
 @dataclass
@@ -247,6 +245,17 @@ class TwoBranchModel:
         """Inference runs the main branch only: trunk features -> class logits."""
         return self.frcnn_head.forward(self.roi_features(images, rois))
 
+    def patch_branch(self) -> "TwoBranchModel":
+        """This model on shallow copies of the trunk layers: they hold the
+        same Params, so gradients and updates land on the shared trunk, but
+        keep their own forward state. Safe because every layer rebinds its
+        state attributes (`_x`, `_field`, `_cache`, `_mask`) in `forward` and
+        never mutates them in place.
+        """
+        return TwoBranchModel(Sequential(map(copy.copy, self.backbone.layers)),
+                              copy.copy(self.pool), Sequential(map(copy.copy, self.fc.layers)),
+                              self.frcnn_head, self.rcnn_head)
+
 
 def _whole_patch_rois(count: int, patch_hw: tuple[int, int]) -> list[RoI]:
     h, w = patch_hw
@@ -258,8 +267,9 @@ def mimic_step(model: TwoBranchModel, images, batch: MimicBatch, cfg: MimicConfi
 
     Returns (total_loss, parts) where parts holds the unweighted pieces:
     {"task": .., "mimic": .., "rcnn_cls": ..}. Parameter gradients accumulate
-    into the shared trunk from both branches (unless stop_teacher or the
-    auxiliary weights are 0, which skips the patch branch work entirely).
+    into the shared trunk from both branches, the main branch's first; each
+    branch runs the trunk forward and backward once, the patch branch on
+    `model.patch_branch()`. Auxiliary weights of 0 skip the patch branch.
     """
     if model.frcnn_head is model.rcnn_head:
         raise ConfigurationError("classification heads must be distinct objects")
@@ -272,21 +282,17 @@ def mimic_step(model: TwoBranchModel, images, batch: MimicBatch, cfg: MimicConfi
 
     aux_active = cfg.mimic_weight != 0.0 or cfg.rcnn_cls_weight != 0.0
 
-    # patch branch first: its caches are overwritten by the main branch pass
-    f_rcnn = None
-    if aux_active:
-        patch_rois = _whole_patch_rois(len(batch), cfg.patch_size)
-        f_rcnn = model.roi_features(batch.patches, patch_rois)
-        rcnn_logits = model.rcnn_head.forward(f_rcnn)
-
     f_frcnn = model.roi_features(images, batch.rois)
     task_logits = model.frcnn_head.forward(f_frcnn)
     task_loss, g_task_logits = softmax_cross_entropy(task_logits, batch.labels)
+    g_f_frcnn = model.frcnn_head.backward(g_task_logits)
 
     mimic_loss = 0.0
     rcnn_loss = 0.0
-    g_f_frcnn = model.frcnn_head.backward(g_task_logits)
     if aux_active:
+        patch = model.patch_branch()
+        f_rcnn = patch.roi_features(batch.patches, _whole_patch_rois(len(batch), cfg.patch_size))
+        rcnn_logits = patch.rcnn_head.forward(f_rcnn)
         mimic_loss = cosine_mimic_loss_batch(f_rcnn, f_frcnn)
         rcnn_loss, g_rcnn_logits = softmax_cross_entropy(rcnn_logits, batch.labels)
         g_f_rcnn = np.zeros_like(f_rcnn)
@@ -294,20 +300,10 @@ def mimic_step(model: TwoBranchModel, images, batch: MimicBatch, cfg: MimicConfi
             ga, gb = cosine_mimic_backward(f_rcnn[i], f_frcnn[i], cfg.mimic_weight)
             g_f_rcnn[i] += ga
             g_f_frcnn[i] += gb
-    # main branch backward while its caches are current
     model.roi_features_backward(g_f_frcnn)
-
     if aux_active:
-        # re-run the patch branch to restore its caches, then push its grads
-        patch_rois = _whole_patch_rois(len(batch), cfg.patch_size)
-        model.roi_features(batch.patches, patch_rois)
-        model.rcnn_head.forward(f_rcnn)
-        g_f = model.rcnn_head.backward(cfg.rcnn_cls_weight * g_rcnn_logits)
-        if not cfg.stop_teacher:
-            g_f = g_f + g_f_rcnn
-            model.roi_features_backward(g_f)
-        elif cfg.rcnn_cls_weight != 0.0:
-            model.roi_features_backward(g_f)
+        g_f_rcnn += patch.rcnn_head.backward(cfg.rcnn_cls_weight * g_rcnn_logits)
+        patch.roi_features_backward(g_f_rcnn)
 
     total = task_loss + cfg.mimic_weight * mimic_loss + cfg.rcnn_cls_weight * rcnn_loss
     return total, {"task": task_loss, "mimic": mimic_loss, "rcnn_cls": rcnn_loss}

@@ -32,6 +32,7 @@ from .deform_roipool import (
     RoI,
     aligned_pool_backward,
     aligned_pool_forward,
+    make_roi_branch,
     mdpool_backward,
     mdpool_forward,
     roi_branch_backward,
@@ -87,6 +88,13 @@ class SGD:
 # layers
 # ---------------------------------------------------------------------------
 
+def _recorded(state):
+    """A layer's state from its last forward; UsageError before any forward."""
+    if state is None:
+        raise UsageError("layer has no recorded forward state")
+    return state
+
+
 class Conv2dLayer:
     """Regular convolution layer."""
 
@@ -110,7 +118,7 @@ class Conv2dLayer:
         return dense_conv_forward(x, self._weights(), self.spec)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        gx, gw, gb = dense_conv_backward(self._x, self._weights(), self.spec, gy)
+        gx, gw, gb = dense_conv_backward(_recorded(self._x), self._weights(), self.spec, gy)
         self.weight.grad += gw
         self.bias.grad += gb
         return gx
@@ -178,26 +186,23 @@ class DeformConv2dLayer:
         return mdconv_forward_optimized(x, self._weights(), spec, field, origin=(r0, c0))
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
+        x, field = self.recorded_state()
         gx, gw, gb, goff, gmod = mdconv_backward_optimized(
-            self._x, self._weights(), self.spec, self._field, gy)
+            x, self._weights(), self.spec, field, gy)
         self.weight.grad += gw
         self.bias.grad += gb
         gx_branch, gbw, gbb = offset_branch_backward(
-            self._x, self._branch_weights(), self.spec, self._field, goff, gmod)
+            x, self._branch_weights(), self.spec, field, goff, gmod)
         self.branch_weight.grad += gbw
         self.branch_bias.grad += gbb
         return gx + gx_branch
 
     def recorded_state(self):
         """(input, field) of the last forward, for effective sampling analysis."""
-        if self._x is None:
-            raise UsageError("layer has no recorded forward state")
-        return self._x, self._field
+        return _recorded(self._x), self._field
 
     def mean_abs_offset(self) -> float:
-        if self._field is None:
-            raise UsageError("layer has no recorded forward state")
-        return float(np.abs(self._field.offsets).mean())
+        return float(np.abs(_recorded(self._field).offsets).mean())
 
 
 class ReLULayer:
@@ -212,7 +217,7 @@ class ReLULayer:
         return x * self._mask
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        return gy * self._mask
+        return gy * _recorded(self._mask)
 
 
 class AffineLayer:
@@ -233,7 +238,7 @@ class AffineLayer:
         return x @ self.weight.value.T + self.bias.value
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        self.weight.grad += gy.T @ self._x
+        self.weight.grad += gy.T @ _recorded(self._x)
         self.bias.grad += gy.sum(axis=0)
         return gy @ self.weight.value
 
@@ -276,13 +281,13 @@ class RoIPoolLayer:
         self.deformable = deformable
         self._cache = None
         if deformable:
-            in_dim = c_in * spec.k
-            self.fc1_w = Param(rng.normal(0.0, 0.01, (hidden, in_dim)), name=f"{name}.fc1.weight")
-            self.fc1_b = Param(np.zeros(hidden), name=f"{name}.fc1.bias")
-            self.fc2_w = Param(rng.normal(0.0, 0.01, (hidden, hidden)), name=f"{name}.fc2.weight")
-            self.fc2_b = Param(np.zeros(hidden), name=f"{name}.fc2.bias")
-            self.out_w = Param(np.zeros((3 * spec.k, hidden)), name=f"{name}.out.weight")
-            self.out_b = Param(np.zeros(3 * spec.k), name=f"{name}.out.bias")
+            fc1, fc2, out = make_roi_branch(c_in * spec.k, spec.k, hidden, rng)
+            self.fc1_w = Param(fc1.weight, name=f"{name}.fc1.weight")
+            self.fc1_b = Param(fc1.bias, name=f"{name}.fc1.bias")
+            self.fc2_w = Param(fc2.weight, name=f"{name}.fc2.weight")
+            self.fc2_b = Param(fc2.bias, name=f"{name}.fc2.bias")
+            self.out_w = Param(out.weight, name=f"{name}.out.weight")
+            self.out_b = Param(out.bias, name=f"{name}.out.bias")
 
     def params(self):
         if not self.deformable:
@@ -311,7 +316,7 @@ class RoIPoolLayer:
         return mdpool_forward(x, rois, self.spec, field)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        x, rois = self._cache[:2]
+        x, rois = self.recorded_state()[:2]
         rows = (len(rois), x.shape[1] * self.spec.k)
         if np.shape(gy) == rows:  # a head's rows; the kernels check any other shape
             gy = np.reshape(gy, (len(rois), x.shape[1], self.spec.bins_h, self.spec.bins_w))
@@ -332,9 +337,7 @@ class RoIPoolLayer:
         return gx
 
     def recorded_state(self):
-        if self._cache is None:
-            raise UsageError("layer has no recorded forward state")
-        return self._cache
+        return _recorded(self._cache)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,20 @@ def test_bench_bad_extent_is_usage_error(capsys, flag, value):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("gradcheck", "--seed", "3"), ("saliency", "--seed", "3"), ("erf", "--seed", "3"),
+    ("gradcheck", "--config", "x.json"), ("bench", "--config", "x.json"),
+    ("saliency", "--config", "x.json"), ("erf", "--config", "x.json"),
+])
+def test_flag_on_subcommand_that_ignores_it_is_usage_error(capsys, pgm_image, command, flag,
+                                                           value):
+    argv = [command, flag, value]
+    if command in ("saliency", "erf"):
+        argv += ["--image", pgm_image]
+    assert main(argv) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
 def test_bench_zero_output_channels(capsys):
     assert main(["bench", "--shape", "1,1,4,4", "--cout", "0", "--repeats", "1"]) == EXIT_OK
 

@@ -526,3 +526,27 @@ def test_float32_forward_matches_float64_property(case):
                                         origin=origin)
         assert got.dtype == np.float32
         assert _rel_err(got, want) <= 1e-5
+
+
+@settings(max_examples=40, deadline=None)
+@given(windowed_layers())
+def test_float32_backward_matches_float64_property(case):
+    layer, x, _ = case
+    layer.forward(x)
+    _, field = layer.recorded_state()
+    # one set of float32 values, computed in both precisions
+    x32 = x.astype(np.float32)
+    off32 = np.clip(field.offsets, -4.0, 4.0).astype(np.float32)
+    mod32 = field.modulation.astype(np.float32)
+    w32 = layer._weights()
+    w64 = ConvWeights(w32.weight.astype(np.float64), w32.bias.astype(np.float64))
+    f32 = OffsetModulationField(off32, mod32)
+    f64 = OffsetModulationField(off32.astype(np.float64), mod32.astype(np.float64))
+    up32 = np.random.default_rng(x.size).normal(
+        size=(x.shape[0], w32.weight.shape[0]) + off32.shape[-2:]).astype(np.float32)
+    got = mdconv_backward_optimized(x32, w32, layer.spec, f32, up32)
+    want = mdconv_backward_optimized(x32.astype(np.float64), w64, layer.spec, f64,
+                                     up32.astype(np.float64))
+    for g, wnt in zip(got, want):
+        assert g.dtype == np.float32
+        assert _rel_err(g, wnt) <= F32_REL_TOL

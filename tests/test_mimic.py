@@ -1,10 +1,11 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from dcn2.checks import run_gradcheck
-from dcn2.deform_roipool import RoI
+from dcn2.deform_roipool import PoolSpec, RoI
 from dcn2.errors import ArgumentError, ConfigurationError
 from dcn2.mimic import (
     MimicBatch,
@@ -19,6 +20,7 @@ from dcn2.mimic import (
     reset_zero_norm_guard_count,
     zero_norm_guard_count,
 )
+from dcn2.net import AffineLayer, Conv2dLayer, DeformConv2dLayer, ReLULayer, RoIPoolLayer
 from dcn2.synthetic import SyntheticTask, ToyNetConfig, build_two_branch_model, run_mimic_training
 
 
@@ -219,3 +221,33 @@ def test_inference_runs_main_branch_only(monkeypatch):
     logits = model.infer(images, rois)
     assert logits.shape == (2, 3)
     assert calls == []
+
+
+@pytest.mark.parametrize("weight, runs", [(0.1, 2), (0.0, 1)])
+def test_mimic_step_runs_each_trunk_layer_once_per_branch(monkeypatch, weight, runs):
+    calls = Counter()
+    for cls in (Conv2dLayer, DeformConv2dLayer, ReLULayer, AffineLayer, RoIPoolLayer):
+        for name in ("forward", "backward"):
+            def counted(self, *args, _orig=getattr(cls, name), _name=name):
+                calls[self.tag, _name] += 1  # a shallow copy keeps its original's tag
+                return _orig(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+    cfg = ToyNetConfig(layers=("regular", "mdconv"), channels=(4, 4), image_size=12,
+                       batch_size=3, head_widths=(8,))
+    rng = np.random.default_rng(9)
+    model = build_two_branch_model(cfg, 2, rng)
+    model.pool = RoIPoolLayer(4, PoolSpec(2, 2, 2), rng, deformable=True, hidden=8)
+    trunk = model.backbone.layers + [model.pool] + model.fc.layers
+    for tag, layer in enumerate(trunk + [model.frcnn_head, model.rcnn_head]):
+        layer.tag = tag
+    images = rng.normal(size=(3, 1, 12, 12))
+    rois = [RoI(i, 1.0, 2.0, 10.0, 9.0) for i in range(3)]
+    batch = MimicBatch(rois, images.copy(), np.array([0, 1, 2]), np.ones(3), 0.5)
+    mimic_step(model, images, batch, MimicConfig(mimic_weight=weight, rcnn_cls_weight=weight,
+                                                 patch_size=(12, 12)))
+    want = Counter()
+    for tag in range(len(trunk)):
+        want[tag, "forward"] = want[tag, "backward"] = runs
+    for tag in (len(trunk), len(trunk) + 1)[:runs]:  # frcnn_head, then rcnn_head if active
+        want[tag, "forward"] = want[tag, "backward"] = 1
+    assert calls == want
