@@ -289,12 +289,19 @@ def _int_at_least(text: str, low: int) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dcn2", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None)
+    common.add_argument("--threads", type=lambda s: _int_at_least(s, 1), default=None)
     common.add_argument("--out", default=None, help="output directory")
 
     def subcommand(name: str) -> argparse.ArgumentParser:
@@ -303,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subcommand("gradcheck")
     p.add_argument("--op", default="*", help="op name pattern (fnmatch)")
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--tolerance", type=float, default=1e-3)
+    p.add_argument("--seeds", type=lambda s: _int_at_least(s, 1), default=20)
+    p.add_argument("--tolerance", type=_finite_float, default=1e-3)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = subcommand("bench")
@@ -321,13 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--task", choices=("translate", "dilate", "scale-jitter"),
                    default="dilate")
-    p.add_argument("--dilation", type=float, default=2.0)
+    p.add_argument("--dilation", type=_finite_float, default=2.0)
     p.add_argument("--task-seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=lambda s: _int_at_least(s, 0), default=100)
     p.add_argument("--layers", default=None,
                    help="comma-separated layer kinds overriding the config")
     p.add_argument("--mimic", action="store_true")
-    p.add_argument("--mimic-weight", type=float, default=None)
+    p.add_argument("--mimic-weight", type=_finite_float, default=None)
     p.set_defaults(fn=cmd_demo_train)
 
     p = subcommand("saliency")

@@ -6,8 +6,13 @@ kernel (`mdconv_forward` / `mdconv_backward`) and a vectorized one
 the sparse sampling matrix S (`sampling.sampling_matrix`, one row per
 (position, tap), modulation folded into its data); S @ X^T reshapes for free
 to (positions, K*C_in), and one GEMM with the weights gives the output. The
-backward pass rebuilds the pattern together with the weights' coordinate
-derivatives and scatters grad_x through S^T in float64.
+backward pass works on the live output positions only, those where any
+channel of the upstream gradient is non-zero (NaN and inf count as live):
+it rebuilds their pattern together with the weights' coordinate
+derivatives and scatters grad_x through S^T in float64. A dead position
+gets exact-zero offset and modulation gradients and adds nothing to grad_x
+or grad_w, so RoI heads and single-unit probes, whose upstream is zero
+almost everywhere, pay only for the positions they read.
 
 Offsets and modulation come from a sibling regular convolution
 (`offset_branch_forward`) with 3K output channels, zero-initialized so
@@ -288,6 +293,23 @@ def _conv_chunks(n: int, c_in: int, k: int, h_out: int, w_out: int):
             for b in range(n) for r in range(0, h_out, rows)]
 
 
+def _live_chunks(live: np.ndarray, c_in: int, k: int, h_out: int, w_out: int):
+    """Tasks (n0, n1, positions) covering the sorted flat output positions
+    `live`, each task's positions within items n0 .. n1-1. They follow
+    `_conv_chunks` over the live list: one task when all of it fits the
+    budget, else per-item blocks of as many positions as its row blocks
+    hold, so that a full list gets exactly `_conv_chunks`' tiles.
+    """
+    hw = h_out * w_out
+    if live.size * c_in * k <= _CHUNK_BUDGET:
+        blocks = [live] if live.size else []
+    else:
+        block = max(1, _CHUNK_BUDGET // (c_in * k * w_out)) * w_out
+        per_item = np.split(live, np.flatnonzero(np.diff(live // hw)) + 1)
+        blocks = [p[i:i + block] for p in per_item for i in range(0, p.size, block)]
+    return [(int(p[0] // hw), int(p[-1] // hw) + 1, p) for p in blocks]
+
+
 def _compute_dtype(x: np.ndarray) -> np.dtype:
     """float32 inputs run in single precision, everything else in double."""
     return np.dtype(np.float32) if x.dtype == np.float32 else np.dtype(np.float64)
@@ -333,17 +355,26 @@ class _ConvGeometry:
         return np.ascontiguousarray(self.x[n0:n1].transpose(0, 2, 3, 1),
                                     dtype=self.dtype).reshape(-1, self.c_in)
 
-    def pattern(self, n0: int, n1: int, r0: int, r1: int, modulated: bool = False,
-                derivatives: bool = False):
-        """Sampling pattern of the chunk in compute dtype, positions
-        (nb, nr, W_out, K); modulated=True folds the modulation into it.
+    def pattern(self, n0: int, n1: int, r0: int, r1: int):
+        """Modulated sampling pattern of the chunk in compute dtype,
+        positions (nb, nr, W_out, K).
         """
         py = (self.tap_y + self.base_y[r0:r1, None, None]) + self.off_y[n0:n1, r0:r1]
         px = (self.tap_x + self.base_x[:, None]) + self.off_x[n0:n1, r0:r1]
         item = (np.arange(n1 - n0) * (self.h * self.w_in))[:, None, None, None]
-        scale = self.mods[n0:n1, r0:r1] if modulated else None
-        return bilinear_corner_gather(py, px, self.h, self.w_in, flat_offset=item, scale=scale,
-                                      derivatives=derivatives, dtype=self.dtype)
+        return bilinear_corner_gather(py, px, self.h, self.w_in, flat_offset=item,
+                                      scale=self.mods[n0:n1, r0:r1], dtype=self.dtype)
+
+    def derivative_pattern(self, n0: int, item: np.ndarray, row: np.ndarray, col: np.ndarray):
+        """Unmodulated sampling pattern with the weights' y/x derivatives at
+        the positions (item, row, col), (P, K) in compute dtype; items count
+        from n0, the first item of the chunk's planes.
+        """
+        py = (self.tap_y + self.base_y[row, None]) + self.off_y[item, row, col]
+        px = (self.tap_x + self.base_x[col, None]) + self.off_x[item, row, col]
+        offset = ((item - n0) * (self.h * self.w_in))[:, None]
+        return bilinear_corner_gather(py, px, self.h, self.w_in, flat_offset=offset,
+                                      derivatives=True, dtype=self.dtype)
 
 
 def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
@@ -372,7 +403,7 @@ def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
         n0, n1, r0, r1 = task
         nb = n1 - n0
         nr = r1 - r0
-        cols, data = geo.pattern(n0, n1, r0, r1, modulated=True)
+        cols, data = geo.pattern(n0, n1, r0, r1)
         sampled = sampling_matrix(cols, data, nb * h * win) @ geo.planes(n0, n1)
         res = sampled.reshape(nb * nr * w_out, k * c_in) @ geo.wmat
         if geo.bias is not None:
@@ -390,8 +421,14 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
                               threads: int | None = None):
     """Vectorized analytic gradients; same return signature as mdconv_backward.
 
-    With S the modulated sampling matrix of a chunk, S0 the unmodulated one
-    and Sy/Sx its coordinate derivatives, and G the upstream gradient:
+    Only live output positions are computed: those where any channel of the
+    upstream G is non-zero, NaN and inf included, so that non-finite values
+    still propagate. Every other position contributes exactly nothing, and
+    gets zero offset and modulation gradients; an all-zero upstream builds
+    no pattern at all.
+
+    With S the modulated sampling matrix of a chunk of live positions, S0
+    the unmodulated one and Sy/Sx its coordinate derivatives:
     dL/d(modulated sample) = G W; grad_x = S^T (G W), taken as
     S0^T (G W * m) in float64; offset gradients contract G W * m with Sy X^T
     and Sx X^T; modulation gradients contract G W with S0 X^T; grad_w =
@@ -406,48 +443,60 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
         raise ShapeError(f"upstream shape {g.shape} != {(n, c_out, h_out, w_out)}")
 
     k = spec.k
+    hw = h_out * w_out
     grad_x = np.zeros((n, c_in, h, win), dtype=np.float64)
     grad_w = np.zeros((k * c_in, c_out), dtype=np.float64)
     grad_b = np.zeros(c_out, dtype=np.float64) if w.bias is not None else None
-    grad_off = np.zeros((n, 2 * k, h_out, w_out), dtype=np.float64)
-    grad_mod = np.zeros((n, k, h_out, w_out), dtype=np.float64)
+    # position-major: row p holds (dy, dx) per tap, and the modulation
+    # gradient per tap, of flat output position p
+    grad_off = np.zeros((n * hw, k, 2), dtype=np.float64)
+    grad_mod = np.zeros((n * hw, k), dtype=np.float64)
 
     def finish():
         gw = grad_w.reshape(k, c_in, c_out).transpose(2, 1, 0).reshape(w.weight.shape)
+        per_channel = (n, h_out, w_out, -1)
         return (grad_x.astype(x.dtype), gw.astype(x.dtype),
                 None if grad_b is None else grad_b.astype(x.dtype),
-                grad_off.astype(x.dtype), grad_mod.astype(x.dtype))
+                np.ascontiguousarray(grad_off.reshape(per_channel).transpose(0, 3, 1, 2),
+                                     dtype=x.dtype),
+                np.ascontiguousarray(grad_mod.reshape(per_channel).transpose(0, 3, 1, 2),
+                                     dtype=x.dtype))
 
     if x.size == 0 or g.size == 0:
         if grad_b is not None and g.size:
             grad_b += g.sum(axis=(0, 2, 3), dtype=np.float64)
         return finish()
 
+    g = g.reshape(n, c_out, hw)
+    # `!= 0` holds for NaN, so non-finite upstream values stay live
+    tasks = _live_chunks(np.flatnonzero((g != 0).any(axis=1)), c_in, k, h_out, w_out)
+    if not tasks:
+        return finish()
     geo = _ConvGeometry(x, w, spec, field)
 
     def do_chunk(task):
-        n0, n1, r0, r1 = task
+        n0, n1, pos = task
         nb = n1 - n0
-        nr = r1 - r0
-        cols, weights, dwy, dwx = geo.pattern(n0, n1, r0, r1, derivatives=True)
+        item, rc = np.divmod(pos, hw)
+        row, col = np.divmod(rc, w_out)
+        cols, weights, dwy, dwx = geo.derivative_pattern(n0, item, row, col)
         n_cols = nb * h * win
         xt = geo.planes(n0, n1)
         s0 = sampling_matrix(cols, weights, n_cols)
         samples = s0 @ xt
         dsdy = sampling_matrix(cols, dwy, n_cols) @ xt
         dsdx = sampling_matrix(cols, dwx, n_cols) @ xt
-        m = geo.mods[n0:n1, r0:r1].reshape(-1, 1).astype(geo.dtype)
-        gmat = np.ascontiguousarray(g[n0:n1, :, r0:r1].transpose(0, 2, 3, 1),
-                                    dtype=geo.dtype).reshape(-1, c_out)
+        m = geo.mods[item, row, col].reshape(-1, 1).astype(geo.dtype)
+        gmat = g[item, :, rc].astype(geo.dtype)
 
-        def per_tap(v):  # (rows,) -> (nb, K, nr, W_out)
-            return v.reshape(nb, nr, w_out, k).transpose(0, 3, 1, 2)
-
-        gsm = (gmat @ geo.wmat.T).reshape(-1, c_in)  # dL/d(sample * m)
-        grad_mod[n0:n1, :, r0:r1] = per_tap(np.einsum("ij,ij->i", gsm, samples))
+        # numpy sends a one-row product to gemv, which rounds unlike the gemm
+        # of a many-row chunk; a zero second row keeps it a gemm
+        rows = gmat if pos.size > 1 else np.vstack([gmat, np.zeros_like(gmat)])
+        gsm = (rows @ geo.wmat.T)[:pos.size].reshape(-1, c_in)  # dL/d(sample * m)
+        grad_mod[pos] = np.einsum("ij,ij->i", gsm, samples).reshape(-1, k)
         gs = gsm * m  # dL/d(sample)
-        grad_off[n0:n1, 0::2, r0:r1] = per_tap(np.einsum("ij,ij->i", gs, dsdy))
-        grad_off[n0:n1, 1::2, r0:r1] = per_tap(np.einsum("ij,ij->i", gs, dsdx))
+        grad_off[pos, :, 0] = np.einsum("ij,ij->i", gs, dsdy).reshape(-1, k)
+        grad_off[pos, :, 1] = np.einsum("ij,ij->i", gs, dsdx).reshape(-1, k)
 
         # partial sums that may overlap across chunks
         gw = (samples * m).reshape(-1, k * c_in).T @ gmat
@@ -455,7 +504,6 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
         gx = s0.T @ gs.astype(np.float64)
         return n0, n1, gx.reshape(nb, h, win, c_in).transpose(0, 3, 1, 2), gw, gb
 
-    tasks = _conv_chunks(n, c_in, k, h_out, w_out)
     for n0, n1, gx, gw, gb in runtime.run_chunks(do_chunk, tasks, threads=threads):
         grad_x[n0:n1] += gx
         grad_w += gw

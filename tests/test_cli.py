@@ -48,9 +48,32 @@ def test_gradcheck_unknown_op_is_usage_error():
     assert main(["gradcheck", "--op", "nosuch"]) == EXIT_USAGE
 
 
-def test_gradcheck_zero_seeds_empty_report(capsys):
-    assert main(["gradcheck", "--op", "mdconv", "--seeds", "0"]) == EXIT_OK
-    assert capsys.readouterr().out.strip() == ""
+@pytest.mark.parametrize("command, flag, value", [
+    ("gradcheck", "--seeds", "0"), ("gradcheck", "--seeds", "-2"),
+    ("gradcheck", "--threads", "0"), ("gradcheck", "--threads", "-3"),
+    ("demo-train", "--threads", "0"), ("demo-train", "--steps", "-1"),
+])
+def test_bad_count_flag_is_usage_error(capsys, command, flag, value):
+    # a check of zero seeds would pass vacuously, and a negative step count
+    # would reach metrics.json
+    extra = ["--op", "bilinear"] if command == "gradcheck" else ["--steps", "0"]
+    assert main([command, *extra, f"{flag}={value}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("gradcheck", "--tolerance", "nan"), ("gradcheck", "--tolerance", "inf"),
+    ("demo-train", "--mimic-weight", "nan"), ("demo-train", "--mimic-weight", "-inf"),
+    ("demo-train", "--dilation", "nan"), ("demo-train", "--dilation", "inf"),
+])
+def test_non_finite_float_flag_is_usage_error(capsys, command, flag, value):
+    extra = ["--op", "bilinear"] if command == "gradcheck" else ["--mimic", "--steps", "1"]
+    assert main([command, *extra, f"{flag}={value}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_subcommand_usage_exit():

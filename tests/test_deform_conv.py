@@ -15,11 +15,15 @@ from dcn2.deform_conv import (
     mdconv_backward_optimized,
     mdconv_forward,
     mdconv_forward_optimized,
+    offset_branch_backward,
     offset_branch_forward,
 )
 from dcn2.errors import ArgumentError, ShapeError
-from dcn2.net import DeformConv2dLayer
+from dcn2.mimic import MimicBatch, MimicConfig, mimic_step
+from dcn2.net import SGD, DeformConv2dLayer
 from dcn2.oracle import dcnv1_conv_oracle, dense_conv_oracle
+from dcn2.support import effective_sampling_locations
+from dcn2.synthetic import SyntheticTask, ToyNetConfig, build_two_branch_model
 
 
 def random_spec(rng):
@@ -548,5 +552,216 @@ def test_float32_backward_matches_float64_property(case):
     want = mdconv_backward_optimized(x32.astype(np.float64), w64, layer.spec, f64,
                                      up32.astype(np.float64))
     for g, wnt in zip(got, want):
+        assert g.dtype == np.float32
+        assert _rel_err(g, wnt) <= F32_REL_TOL
+
+
+# ---------------------------------------------------------------------------
+# live positions: the backward computes only where the upstream is non-zero
+# ---------------------------------------------------------------------------
+
+def _dead_positions(upstream: np.ndarray) -> np.ndarray:
+    """(N, H_out, W_out) mask of the positions whose every channel is zero."""
+    return (upstream == 0).all(axis=1)
+
+
+@st.composite
+def sparse_upstreams(draw):
+    """A layer, input and field of random geometry (as `windowed_layers`)
+    and an upstream that is live on none, some or all output positions,
+    some live ones with a zero first channel.
+    """
+    layer, x, _ = draw(windowed_layers())
+    layer.forward(x)
+    _, field = layer.recorded_state()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, c_out = x.shape[0], layer.weight.value.shape[0]
+    h_out, w_out = field.offsets.shape[2:]
+    density = draw(st.sampled_from((0.0, 0.3, 1.0)))
+    live = rng.random((n, 1, h_out, w_out)) < density
+    upstream = rng.normal(size=(n, c_out, h_out, w_out)) * live
+    upstream[:, 0] *= rng.random((n, h_out, w_out)) < 0.7
+    return layer, x, field, upstream
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_upstreams())
+def test_sparse_upstream_backward_matches_reference_property(case):
+    layer, x, field, upstream = case
+    weights = layer._weights()
+    got = mdconv_backward_optimized(x, weights, layer.spec, field, upstream)
+    want = mdconv_backward(x, weights, layer.spec, field, upstream)
+    for g, wnt in zip(got, want):
+        assert g.dtype == np.float64
+        assert _rel_err(g, wnt) <= 1e-10
+    dead = _dead_positions(upstream)
+    _, _, _, goff, gmod = got
+    # exact zeros, not merely small ones
+    assert not goff.transpose(0, 2, 3, 1)[dead].any()
+    assert not gmod.transpose(0, 2, 3, 1)[dead].any()
+
+
+def test_all_zero_upstream_builds_no_pattern(monkeypatch):
+    import dcn2.deform_conv as dc
+
+    calls = []
+    gather = dc.bilinear_corner_gather
+
+    def counting_gather(*args, **kwargs):
+        calls.append(1)
+        return gather(*args, **kwargs)
+
+    monkeypatch.setattr(dc, "bilinear_corner_gather", counting_gather)
+    rng = np.random.default_rng(15)
+    spec = KernelSpec(3, 3, pad=(1, 1))
+    x = rng.normal(size=(2, 3, 7, 6))
+    weights = ConvWeights(rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4))
+    field = OffsetModulationField(rng.uniform(-2, 2, size=(2, 18, 7, 6)),
+                                  rng.uniform(0, 1, size=(2, 9, 7, 6)))
+    upstream = np.zeros((2, 4, 7, 6))
+    got = mdconv_backward_optimized(x, weights, spec, field, upstream)
+    assert calls == []
+    for g, shape in zip(got, (x.shape, weights.weight.shape, (4,), (2, 18, 7, 6),
+                              (2, 9, 7, 6))):
+        assert g.shape == shape
+        assert not g.any()
+    # one live entry is enough to build the pattern, once
+    upstream[1, 2, 3, 4] = 1.0
+    mdconv_backward_optimized(x, weights, spec, field, upstream)
+    assert len(calls) == 1
+
+
+def test_nan_upstream_propagates_at_its_position():
+    rng = np.random.default_rng(16)
+    spec = KernelSpec(3, 3, pad=(1, 1))
+    x = rng.normal(size=(2, 3, 7, 6))
+    weights = ConvWeights(rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4))
+    field = OffsetModulationField(rng.uniform(-2, 2, size=(2, 18, 7, 6)),
+                                  rng.uniform(0, 1, size=(2, 9, 7, 6)))
+    upstream = np.zeros((2, 4, 7, 6))
+    upstream[0, 1, 2, 3] = np.nan
+    upstream[1, 0, 5, 1] = 0.5
+    gx, gw, gb, goff, gmod = mdconv_backward_optimized(x, weights, spec, field, upstream)
+    assert np.isnan(goff[0, :, 2, 3]).all() and np.isnan(gmod[0, :, 2, 3]).all()
+    finite = np.ones((2, 7, 6), dtype=bool)
+    finite[0, 2, 3] = False
+    assert np.isfinite(goff.transpose(0, 2, 3, 1)[finite]).all()
+    assert np.isfinite(gmod.transpose(0, 2, 3, 1)[finite]).all()
+    assert np.isfinite(goff[1, :, 5, 1]).all() and goff[1, :, 5, 1].any()
+    assert np.isnan(gx[0]).any() and np.isfinite(gx[1]).all()
+    assert np.isnan(gw).any() and np.isnan(gb[1])
+
+
+def test_sparse_backward_threaded_matches_serial(monkeypatch):
+    import dcn2.deform_conv as dc
+    from dcn2 import runtime
+
+    rng = np.random.default_rng(17)
+    spec = KernelSpec(3, 3, pad=(1, 1))
+    x = rng.normal(size=(3, 4, 20, 9))
+    weights = ConvWeights(rng.normal(size=(3, 4, 3, 3)), rng.normal(size=3))
+    field = OffsetModulationField(rng.uniform(-2, 2, size=(3, 18, 20, 9)),
+                                  rng.uniform(0, 1, size=(3, 9, 20, 9)))
+    upstream = rng.normal(size=(3, 3, 20, 9)) * (rng.random((3, 1, 20, 9)) < 0.2)
+    whole = mdconv_backward_optimized(x, weights, spec, field, upstream, threads=1)
+
+    chunk_counts = []
+    run_chunks = runtime.run_chunks
+
+    def counting_run_chunks(fn, chunks, threads=None):
+        chunk_counts.append(len(chunks))
+        return run_chunks(fn, chunks, threads=threads)
+
+    monkeypatch.setattr(runtime, "run_chunks", counting_run_chunks)
+    # a budget of a few positions spreads the live ones over many chunks
+    monkeypatch.setattr(dc, "_CHUNK_BUDGET", 500)
+    serial = mdconv_backward_optimized(x, weights, spec, field, upstream, threads=1)
+    threaded = mdconv_backward_optimized(x, weights, spec, field, upstream, threads=4)
+    assert chunk_counts[0] == chunk_counts[1] > 3
+    for w_, a, b in zip(whole, serial, threaded):
+        assert _rel_err(a, w_) <= 1e-10  # tiling changes only summation order
+        assert np.array_equal(a, b)  # ordered reduction: bit identical
+
+
+@pytest.fixture(scope="module")
+def mimic_train_layer():
+    """The deformable trunk layer of `demo-train --mimic` at its defaults
+    (8 channels, 32x32, batch 8, float32) after two training steps, its state
+    recorded by a main-branch forward on the last batch, and the upstream
+    that layer gets from the RoI pooling of that batch.
+    """
+    cfg = ToyNetConfig()
+    task = SyntheticTask(mode="dilate", image_size=cfg.image_size)
+    mimic_cfg = MimicConfig(patch_size=(cfg.image_size, cfg.image_size))
+    rng = np.random.default_rng(1)
+    model = build_two_branch_model(cfg, n_classes=2, rng=rng)
+    opt = SGD(model.params(), lr=cfg.learning_rate, momentum=cfg.momentum,
+              weight_decay=cfg.weight_decay)
+    for _ in range(2):
+        images, proposals, gt_boxes, labels = task.sample_detection_batch(rng, cfg.batch_size)
+        batch = MimicBatch.build(images, proposals, gt_boxes, labels, mimic_cfg, rng)
+        opt.zero_grad()
+        mimic_step(model, images, batch, mimic_cfg)
+        opt.step()
+    feat = model.roi_features(images, batch.rois)
+    upstream = model.pool.backward(model.fc.backward(rng.normal(size=feat.shape)))
+    *_, layer, relu = model.backbone.layers
+    upstream = relu.backward(upstream)
+    assert isinstance(layer, DeformConv2dLayer) and layer.mean_abs_offset() > 0
+    assert upstream.shape == (8, 8, 32, 32) and upstream.dtype == np.float32
+    return layer, upstream
+
+
+def _reference_on_item(layer, b: int, upstream):
+    """Reference gradients of item b alone, in float64 on the layer's
+    float32 values, and the offset branch's share of them."""
+    x, field = layer.recorded_state()
+    x64 = x[b:b + 1].astype(np.float64)
+    field64 = OffsetModulationField(field.offsets[b:b + 1].astype(np.float64),
+                                    field.modulation[b:b + 1].astype(np.float64))
+    w = layer._weights()
+    w64 = ConvWeights(w.weight.astype(np.float64), w.bias.astype(np.float64))
+    ref = mdconv_backward(x64, w64, layer.spec, field64, upstream[b:b + 1].astype(np.float64))
+    bw = layer._branch_weights()
+    bw64 = ConvWeights(bw.weight.astype(np.float64), bw.bias.astype(np.float64))
+    branch = offset_branch_backward(x64, bw64, layer.spec, field64, ref[3], ref[4])
+    return ref, branch
+
+
+def test_one_hot_layer_backward_matches_reference_on_mimic_inputs(mimic_train_layer):
+    layer, upstream = mimic_train_layer
+    live = ~_dead_positions(upstream)
+    assert 0 < live.mean() < 0.2  # what RoI pooling of 2x2 bins leaves live
+    b, i, j = np.argwhere(live)[len(np.argwhere(live)) // 2]
+    one_hot = np.zeros_like(upstream)
+    one_hot[b, 3, i, j] = 1.0
+    (ref_gx, ref_gw, ref_gb, ref_goff, _), (br_gx, br_gw, br_gb) = \
+        _reference_on_item(layer, b, one_hot)
+
+    for p in layer.params():
+        p.zero_grad()
+    gx = layer.backward(one_hot)
+    others = np.arange(len(gx)) != b
+    assert _rel_err(gx[b:b + 1], ref_gx + br_gx) <= F32_REL_TOL
+    assert not gx[others].any()
+    for p, want in zip(layer.params(), (ref_gw, ref_gb, br_gw, br_gb)):
+        assert _rel_err(p.grad, want) <= F32_REL_TOL
+
+    got = effective_sampling_locations(layer, one_hot)
+    want = np.hypot(ref_goff[:, 0::2], ref_goff[:, 1::2])
+    assert _rel_err(got[b:b + 1], want) <= F32_REL_TOL
+    assert not got[others].any()
+    assert np.count_nonzero(got) == np.count_nonzero(want) > 0
+
+
+def test_roi_upstream_backward_matches_reference_on_mimic_inputs(mimic_train_layer):
+    layer, upstream = mimic_train_layer
+    x, field = layer.recorded_state()
+    b = int(np.argmax((upstream != 0).sum(axis=(1, 2, 3))))
+    item_field = OffsetModulationField(field.offsets[b:b + 1], field.modulation[b:b + 1])
+    got = mdconv_backward_optimized(x[b:b + 1], layer._weights(), layer.spec, item_field,
+                                    upstream[b:b + 1])
+    ref, _ = _reference_on_item(layer, b, upstream)
+    for g, wnt in zip(got, ref):
         assert g.dtype == np.float32
         assert _rel_err(g, wnt) <= F32_REL_TOL
