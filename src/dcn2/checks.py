@@ -234,8 +234,11 @@ def _offset_branch_instance(seed: int) -> list[GradBlock]:
     ]
 
 
-def _deform_layer_blocks(seed: int, stream: int, modulated: bool) -> list[GradBlock]:
-    """Blocks for a whole float64 `DeformConv2dLayer`, offset branch included.
+def _deform_layer_blocks(seed: int, stream: int, modulated: bool,
+                         demanded: bool = False) -> list[GradBlock]:
+    """Blocks for a whole float64 `DeformConv2dLayer`, offset branch included;
+    `demanded` runs it on a random non-empty list of its output positions,
+    with an upstream that is non-zero everywhere.
 
     The kernel lattice is integer, so a sampling position is off the lattice
     exactly when its offset is. Offset biases near the middle of a cell and
@@ -266,13 +269,17 @@ def _deform_layer_blocks(seed: int, stream: int, modulated: bool) -> list[GradBl
     else:
         raise ConvergenceError(f"no deformable layer offsets {LATTICE_MARGIN} off the lattice "
                                "in 100 draws")
+    demand = None
+    if demanded:
+        demand = np.sort(rng.choice(9, size=int(rng.integers(1, 9)), replace=False))
+        layer.forward(x, demand)
     upstream = rng.normal(size=(1, 2, 3, 3))
     gx = layer.backward(upstream)
 
     def obj(**override) -> float:
         for name, p in params.items():
             p.value = override.get(name, values[name])
-        return float((layer.forward(override.get("x", x)) * upstream).sum())
+        return float((layer.forward(override.get("x", x), demand) * upstream).sum())
 
     return [GradBlock("x", x, gx, lambda v: obj(x=v))] + [
         GradBlock(name, values[name], params[name].grad, lambda v, name=name: obj(**{name: v}))
@@ -289,6 +296,14 @@ def _mdconv_layer_instance(seed: int) -> list[GradBlock]:
 def _dconv_layer_instance(seed: int) -> list[GradBlock]:
     """The unmodulated layer: a 2K branch, modulation fixed at 1."""
     return _deform_layer_blocks(seed, 9, modulated=False)
+
+
+@register_gradcheck("mdconv_layer_positions")
+def _mdconv_layer_positions_instance(seed: int) -> list[GradBlock]:
+    """The layer's position-list path: a demanded forward, whose output is
+    the constant zero off the demand, and the backward that masks it.
+    """
+    return _deform_layer_blocks(seed, 11, modulated=True, demanded=True)
 
 
 def _roi_branch_blocks(seed: int, stream: int, rois: list[RoI]) -> list[GradBlock]:

@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True)
     p.add_argument("--probe", default="window:0,0,8,8")
     p.add_argument("--model", default=None)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=_finite_float, default=0.1)
     p.add_argument("--center", default=None, help="cy,cx rectangle center")
     p.add_argument("--segments", type=int, default=100)
     p.set_defaults(fn=cmd_saliency)

@@ -2,17 +2,29 @@
 
 Two implementations share one contract: a readable per-position reference
 kernel (`mdconv_forward` / `mdconv_backward`) and a vectorized one
-(`*_optimized`). Per (batch, row-block) chunk the vectorized kernel builds
-the sparse sampling matrix S (`sampling.sampling_matrix`, one row per
-(position, tap), modulation folded into its data); S @ X^T reshapes for free
-to (positions, K*C_in), and one GEMM with the weights gives the output. The
-backward pass works on the live output positions only, those where any
-channel of the upstream gradient is non-zero (NaN and inf count as live):
-it rebuilds their pattern together with the weights' coordinate
-derivatives and scatters grad_x through S^T in float64. A dead position
-gets exact-zero offset and modulation gradients and adds nothing to grad_x
-or grad_w, so RoI heads and single-unit probes, whose upstream is zero
-almost everywhere, pay only for the positions they read.
+(`*_optimized`). The vectorized kernels, and the dense convolution of the
+offset branch, work on one geometry unit: a sorted list of flat output
+positions, index b*H_out*W_out + i*W_out + j of output (b, i, j). Per chunk
+of the list the mdconv kernels build the sparse sampling matrix S
+(`sampling.sampling_matrix`, one row per (position, tap), modulation folded
+into its data); S @ X^T reshapes for free to (positions, K*C_in), and one
+GEMM with the weights gives the output.
+
+- A forward given `positions` computes only those positions and returns the
+  full map, zero elsewhere; without them it computes every position, which
+  is the all-positions list (the dense convolution then keeps its strided
+  im2col view).
+- The mdconv backward computes only the live output positions, those where
+  any channel of the upstream gradient is non-zero (NaN and inf count as
+  live). A dead position gets exact-zero offset and modulation gradients
+  and adds nothing to grad_x or grad_w. It rebuilds the live positions'
+  pattern together with the weights' coordinate derivatives and scatters
+  grad_x through S^T in float64. The offset branch's backward runs its dense
+  convolution on the live positions of the field gradients alike.
+
+So RoI heads and single-unit probes, which read a few positions, pay only
+for those: `net.Sequential.forward` works out what a head demands and runs
+the last deformable layer on that list.
 
 Offsets and modulation come from a sibling regular convolution
 (`offset_branch_forward`) with 3K output channels, zero-initialized so
@@ -158,30 +170,70 @@ class OffsetModulationField:
         )
 
 
-def _check_mdconv_args(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField,
-                       origin: tuple[int, int] | None = None):
-    """Validated (x, N, C_in, H, W, H_out, W_out). With an `origin` (r0, c0)
-    the field covers the output window starting there, and (H_out, W_out) is
-    the window's size; the window must lie inside the output grid.
-    """
+def _check_mdconv_args(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField):
+    """Validated (x, N, C_in, H, W, H_out, W_out)."""
     x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeError(f"input must be (N,C,H,W), got shape {x.shape}")
     n, c_in, h, win = x.shape
     w.check_spec(spec, c_in)
     h_out, w_out = spec.out_size(h, win)
-    if origin is not None:
-        r0, c0 = origin
-        fh, fw = field.offsets.shape[2:]
-        if min(r0, c0) < 0 or r0 + fh > h_out or c0 + fw > w_out:
-            raise ShapeError(f"output window {fh}x{fw} at {(r0, c0)} leaves the "
-                             f"{h_out}x{w_out} output grid")
-        h_out, w_out = fh, fw
     if field.offsets.shape != (n, 2 * spec.k, h_out, w_out):
         raise ShapeError(
             f"field offsets {field.offsets.shape} != {(n, 2 * spec.k, h_out, w_out)}"
         )
     return x, n, c_in, h, win, h_out, w_out
+
+
+def _check_positions(positions, size: int) -> np.ndarray | None:
+    """`positions` as int64 flat positions into a map of `size` positions;
+    None when it is None or lists every position. It must be a strictly
+    increasing 1-D integer list inside the map.
+    """
+    if positions is None:
+        return None
+    p = np.asarray(positions)
+    if p.ndim != 1 or (p.size and p.dtype.kind not in "iu"):
+        raise ArgumentError(f"positions must be a 1-D integer list, got {p.dtype} {p.shape}")
+    p = p.astype(np.int64, copy=False)
+    if p.size and (p[0] < 0 or p[-1] >= size or (p[1:] <= p[:-1]).any()):
+        raise ArgumentError(f"positions must increase strictly within [0, {size})")
+    return None if p.size == size else p
+
+
+def _rows(a: np.ndarray, positions: np.ndarray | None) -> np.ndarray:
+    """(P, C) values of an (N, C, H, W) map at flat positions (every position
+    when None; a sorted list as long as the map is every position too).
+    """
+    n, c, h, w = a.shape
+    a = a.reshape(n, c, h * w)
+    if positions is None or positions.size == a.shape[0] * a.shape[2]:
+        return a.transpose(0, 2, 1).reshape(n * h * w, c)
+    item, rc = np.divmod(positions, a.shape[2])
+    return a[item, :, rc]
+
+
+def _to_map(rows: np.ndarray, positions: np.ndarray | None, shape) -> np.ndarray:
+    """(N, C, H, W) map holding (P, C) `rows` at flat positions (every
+    position when None) and zero elsewhere.
+    """
+    n, c, h, w = shape
+    if positions is None:
+        return np.ascontiguousarray(rows.reshape(n, h, w, c).transpose(0, 3, 1, 2))
+    out = np.zeros((n, c, h * w), dtype=rows.dtype)
+    item, rc = np.divmod(positions, h * w)
+    out[item, :, rc] = rows
+    return out.reshape(shape)
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, kept a gemm for a one-row a: numpy sends a one-row product to
+    gemv, which rounds unlike the gemm of a many-row one. A zero second row
+    keeps it a gemm.
+    """
+    if a.shape[0] != 1:
+        return a @ b
+    return (np.vstack([a, np.zeros_like(a)]) @ b)[:1]
 
 
 # ---------------------------------------------------------------------------
@@ -278,36 +330,27 @@ def mdconv_backward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulation
 # ---------------------------------------------------------------------------
 
 # element budget (C_in * K * positions) per work chunk; small problems run as
-# one whole-batch chunk, large ones split into per-item row blocks
+# one whole-batch chunk, large ones split into per-item blocks of rows
 _CHUNK_BUDGET = 2_000_000
 
 
-def _conv_chunks(n: int, c_in: int, k: int, h_out: int, w_out: int):
-    """Tasks (n0, n1, r0, r1) covering batch x output rows."""
-    if n == 0 or h_out == 0 or w_out == 0:
-        return []
-    if n * c_in * k * h_out * w_out <= _CHUNK_BUDGET:
-        return [(0, n, 0, h_out)]
-    rows = max(1, _CHUNK_BUDGET // (c_in * k * w_out))
-    return [(b, b + 1, r, min(r + rows, h_out))
-            for b in range(n) for r in range(0, h_out, rows)]
-
-
-def _live_chunks(live: np.ndarray, c_in: int, k: int, h_out: int, w_out: int):
-    """Tasks (n0, n1, positions) covering the sorted flat output positions
-    `live`, each task's positions within items n0 .. n1-1. They follow
-    `_conv_chunks` over the live list: one task when all of it fits the
-    budget, else per-item blocks of as many positions as its row blocks
-    hold, so that a full list gets exactly `_conv_chunks`' tiles.
+def _chunks(positions: np.ndarray, c_in: int, k: int, h_out: int, w_out: int):
+    """Tasks (n0, n1, s0, s1) covering the sorted flat output positions:
+    positions[s0:s1], within items n0 .. n1-1. One task when the whole list
+    fits the budget, else per-item blocks of as many positions as the
+    budget's whole output rows hold, so that the all-positions list splits
+    into row blocks.
     """
     hw = h_out * w_out
-    if live.size * c_in * k <= _CHUNK_BUDGET:
-        blocks = [live] if live.size else []
+    if positions.size * c_in * k <= _CHUNK_BUDGET:
+        bounds = [(0, positions.size)] if positions.size else []
     else:
         block = max(1, _CHUNK_BUDGET // (c_in * k * w_out)) * w_out
-        per_item = np.split(live, np.flatnonzero(np.diff(live // hw)) + 1)
-        blocks = [p[i:i + block] for p in per_item for i in range(0, p.size, block)]
-    return [(int(p[0] // hw), int(p[-1] // hw) + 1, p) for p in blocks]
+        starts = np.flatnonzero(np.diff(positions // hw)) + 1
+        items = zip([0, *starts.tolist()], [*starts.tolist(), positions.size])
+        bounds = [(i, min(i + block, i1)) for i0, i1 in items for i in range(i0, i1, block)]
+    return [(int(positions[s0] // hw), int(positions[s1 - 1] // hw) + 1, s0, s1)
+            for s0, s1 in bounds]
 
 
 def _compute_dtype(x: np.ndarray) -> np.dtype:
@@ -316,104 +359,93 @@ def _compute_dtype(x: np.ndarray) -> np.dtype:
 
 
 class _ConvGeometry:
-    """Shared sampling-matrix machinery for the optimized kernels.
+    """Shared sampling-matrix machinery for the optimized kernels, over one
+    sorted list of flat output positions.
 
-    Everything per position is kept position-major, (N, H_out, W_out, K), so
-    a chunk's sampling matrix has one row per (item, out row, out col, tap)
-    and its product with the (pixels, C_in) input reshapes for free to the
-    (positions, K*C_in) operand of the GEMM.
+    Everything per position is kept position-major, (P, K), so a chunk's
+    sampling matrix has one row per (position, tap) and its product with the
+    (pixels, C_in) input reshapes for free to the (positions, K*C_in)
+    operand of the GEMM.
     """
 
     def __init__(self, x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField,
-                 origin: tuple[int, int] = (0, 0)):
+                 positions: np.ndarray):
         self.x = x
         self.dtype = _compute_dtype(x)
         _, self.c_in, self.h, self.w_in = x.shape
         c_out = w.weight.shape[0]
         h_out, w_out = field.offsets.shape[2:]
-        r0, c0 = origin
         # (K*C_in, C_out), rows in the (tap, channel) order of a sampled row
         self.wmat = np.ascontiguousarray(
             w.weight.reshape(c_out, self.c_in, spec.k).transpose(2, 1, 0),
             dtype=self.dtype).reshape(spec.k * self.c_in, c_out)
         self.bias = None if w.bias is None else np.asarray(w.bias, dtype=self.dtype)
-        offs = field.offsets.astype(np.float64)
-        self.off_y = offs[:, 0::2].transpose(0, 2, 3, 1)
-        self.off_x = offs[:, 1::2].transpose(0, 2, 3, 1)
-        self.mods = field.modulation.astype(np.float64).transpose(0, 2, 3, 1)
+        self.item, rc = np.divmod(positions, h_out * w_out)
+        row, col = np.divmod(rc, w_out)
         taps = spec.taps()
         cy, cx = spec.center()
-        self.base_y = (np.arange(r0, r0 + h_out, dtype=np.float64) * spec.stride[0]
-                       - spec.pad[0] + cy)
-        self.base_x = (np.arange(c0, c0 + w_out, dtype=np.float64) * spec.stride[1]
-                       - spec.pad[1] + cx)
-        self.tap_y = taps[:, 0]
-        self.tap_x = taps[:, 1]
+        base_y = row.astype(np.float64) * spec.stride[0] - spec.pad[0] + cy
+        base_x = col.astype(np.float64) * spec.stride[1] - spec.pad[1] + cx
+        offs = _rows(field.offsets, positions).astype(np.float64)
+        self.py = (taps[:, 0] + base_y[:, None]) + offs[:, 0::2]
+        self.px = (taps[:, 1] + base_x[:, None]) + offs[:, 1::2]
+        self.mods = _rows(field.modulation, positions).astype(np.float64)
 
     def planes(self, n0: int, n1: int) -> np.ndarray:
         """((n1-n0)*H*W, C_in) pixel-major copy of the input in compute dtype."""
         return np.ascontiguousarray(self.x[n0:n1].transpose(0, 2, 3, 1),
                                     dtype=self.dtype).reshape(-1, self.c_in)
 
-    def pattern(self, n0: int, n1: int, r0: int, r1: int):
-        """Modulated sampling pattern of the chunk in compute dtype,
-        positions (nb, nr, W_out, K).
+    def pattern(self, n0: int, s0: int, s1: int, derivatives: bool = False):
+        """Sampling pattern of positions s0 .. s1-1 of the list, (P, K) in
+        compute dtype; items count from n0, the first item of the chunk's
+        planes. Modulated, or unmodulated with the weights' y/x derivatives.
         """
-        py = (self.tap_y + self.base_y[r0:r1, None, None]) + self.off_y[n0:n1, r0:r1]
-        px = (self.tap_x + self.base_x[:, None]) + self.off_x[n0:n1, r0:r1]
-        item = (np.arange(n1 - n0) * (self.h * self.w_in))[:, None, None, None]
-        return bilinear_corner_gather(py, px, self.h, self.w_in, flat_offset=item,
-                                      scale=self.mods[n0:n1, r0:r1], dtype=self.dtype)
-
-    def derivative_pattern(self, n0: int, item: np.ndarray, row: np.ndarray, col: np.ndarray):
-        """Unmodulated sampling pattern with the weights' y/x derivatives at
-        the positions (item, row, col), (P, K) in compute dtype; items count
-        from n0, the first item of the chunk's planes.
-        """
-        py = (self.tap_y + self.base_y[row, None]) + self.off_y[item, row, col]
-        px = (self.tap_x + self.base_x[col, None]) + self.off_x[item, row, col]
-        offset = ((item - n0) * (self.h * self.w_in))[:, None]
-        return bilinear_corner_gather(py, px, self.h, self.w_in, flat_offset=offset,
-                                      derivatives=True, dtype=self.dtype)
+        offset = ((self.item[s0:s1] - n0) * (self.h * self.w_in))[:, None]
+        return bilinear_corner_gather(
+            self.py[s0:s1], self.px[s0:s1], self.h, self.w_in, flat_offset=offset,
+            scale=None if derivatives else self.mods[s0:s1], derivatives=derivatives,
+            dtype=self.dtype)
 
 
 def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
                              field: OffsetModulationField, threads: int | None = None,
-                             origin: tuple[int, int] | None = None) -> np.ndarray:
+                             positions=None) -> np.ndarray:
     """Same contract as mdconv_forward. Per chunk, one sparse product with the
     modulated sampling matrix gathers every tap, and one GEMM applies the
     weights. Output writes are disjoint across chunks, so the result is
     independent of thread count.
 
-    With `origin=(r0, c0)` the field may cover only the output window of rows
-    r0 .. r0+H_f and columns c0 .. c0+W_f; the output is that window, equal
-    to the same slice of the full output. Sampling still reads the whole
-    input, since offsets can land anywhere.
+    With `positions`, a sorted list of flat output positions, only those are
+    computed: the output is zero elsewhere, and the field is read only
+    there. Sampling still reads the whole input, since offsets can land
+    anywhere.
     """
-    x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field, origin)
+    x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field)
+    positions = _check_positions(positions, n * h_out * w_out)
     c_out = w.weight.shape[0]
-    out = np.empty((n, c_out, h_out, w_out), dtype=x.dtype)
-    if out.size == 0 or x.size == 0:
+    if x.size == 0 or n * c_out * h_out * w_out == 0:
+        out = np.empty((n, c_out, h_out, w_out), dtype=x.dtype)
         out[...] = 0.0 if w.bias is None else np.asarray(w.bias)[None, :, None, None]
         return out
-    geo = _ConvGeometry(x, w, spec, field, origin or (0, 0))
+    listed = np.arange(n * h_out * w_out) if positions is None else positions
+    geo = _ConvGeometry(x, w, spec, field, listed)
     k = spec.k
+    rows = np.zeros((listed.size, c_out), dtype=x.dtype)
 
     def do_chunk(task):
-        n0, n1, r0, r1 = task
-        nb = n1 - n0
-        nr = r1 - r0
-        cols, data = geo.pattern(n0, n1, r0, r1)
-        sampled = sampling_matrix(cols, data, nb * h * win) @ geo.planes(n0, n1)
-        res = sampled.reshape(nb * nr * w_out, k * c_in) @ geo.wmat
+        n0, n1, s0, s1 = task
+        cols, data = geo.pattern(n0, s0, s1)
+        sampled = sampling_matrix(cols, data, (n1 - n0) * h * win) @ geo.planes(n0, n1)
+        res = sampled.reshape(s1 - s0, k * c_in) @ geo.wmat
         if geo.bias is not None:
             res += geo.bias
-        out[n0:n1, :, r0:r1] = res.reshape(nb, nr, w_out, c_out).transpose(0, 3, 1, 2)
+        rows[s0:s1] = res
 
-    tasks = _conv_chunks(n, c_in, k, h_out, w_out)
-    for _ in runtime.run_chunks(do_chunk, tasks, threads=threads):
+    for _ in runtime.run_chunks(do_chunk, _chunks(listed, c_in, k, h_out, w_out),
+                                threads=threads):
         pass
-    return out
+    return _to_map(rows, positions, (n, c_out, h_out, w_out))
 
 
 def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
@@ -468,31 +500,27 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
         return finish()
 
     g = g.reshape(n, c_out, hw)
-    # `!= 0` holds for NaN, so non-finite upstream values stay live
-    tasks = _live_chunks(np.flatnonzero((g != 0).any(axis=1)), c_in, k, h_out, w_out)
+    live = _live(g)
+    tasks = _chunks(live, c_in, k, h_out, w_out)
     if not tasks:
         return finish()
-    geo = _ConvGeometry(x, w, spec, field)
+    geo = _ConvGeometry(x, w, spec, field, live)
+    g_live = g[live // hw, :, live % hw]
 
     def do_chunk(task):
-        n0, n1, pos = task
-        nb = n1 - n0
-        item, rc = np.divmod(pos, hw)
-        row, col = np.divmod(rc, w_out)
-        cols, weights, dwy, dwx = geo.derivative_pattern(n0, item, row, col)
-        n_cols = nb * h * win
+        n0, n1, s0, s1 = task
+        pos = live[s0:s1]
+        cols, weights, dwy, dwx = geo.pattern(n0, s0, s1, derivatives=True)
+        n_cols = (n1 - n0) * h * win
         xt = geo.planes(n0, n1)
-        s0 = sampling_matrix(cols, weights, n_cols)
-        samples = s0 @ xt
+        s0_mat = sampling_matrix(cols, weights, n_cols)
+        samples = s0_mat @ xt
         dsdy = sampling_matrix(cols, dwy, n_cols) @ xt
         dsdx = sampling_matrix(cols, dwx, n_cols) @ xt
-        m = geo.mods[item, row, col].reshape(-1, 1).astype(geo.dtype)
-        gmat = g[item, :, rc].astype(geo.dtype)
+        m = geo.mods[s0:s1].reshape(-1, 1).astype(geo.dtype)
+        gmat = g_live[s0:s1].astype(geo.dtype)
 
-        # numpy sends a one-row product to gemv, which rounds unlike the gemm
-        # of a many-row chunk; a zero second row keeps it a gemm
-        rows = gmat if pos.size > 1 else np.vstack([gmat, np.zeros_like(gmat)])
-        gsm = (rows @ geo.wmat.T)[:pos.size].reshape(-1, c_in)  # dL/d(sample * m)
+        gsm = _gemm(gmat, geo.wmat.T).reshape(-1, c_in)  # dL/d(sample * m)
         grad_mod[pos] = np.einsum("ij,ij->i", gsm, samples).reshape(-1, k)
         gs = gsm * m  # dL/d(sample)
         grad_off[pos, :, 0] = np.einsum("ij,ij->i", gs, dsdy).reshape(-1, k)
@@ -501,8 +529,8 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
         # partial sums that may overlap across chunks
         gw = (samples * m).reshape(-1, k * c_in).T @ gmat
         gb = gmat.sum(axis=0) if grad_b is not None else None
-        gx = s0.T @ gs.astype(np.float64)
-        return n0, n1, gx.reshape(nb, h, win, c_in).transpose(0, 3, 1, 2), gw, gb
+        gx = s0_mat.T @ gs.astype(np.float64)
+        return n0, n1, gx.reshape(n1 - n0, h, win, c_in).transpose(0, 3, 1, 2), gw, gb
 
     for n0, n1, gx, gw, gb in runtime.run_chunks(do_chunk, tasks, threads=threads):
         grad_x[n0:n1] += gx
@@ -512,46 +540,96 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
     return finish()
 
 
+def _live(g: np.ndarray) -> np.ndarray:
+    """Sorted flat positions of an (N, C, H*W) upstream where any channel is
+    non-zero; `!= 0` holds for NaN, so non-finite values stay live.
+    """
+    return np.flatnonzero((g != 0).any(axis=1))
+
+
 # ---------------------------------------------------------------------------
 # regular (rigid) convolution, im2col style: used by the offset branch and
 # by rigid layers in toy networks
 # ---------------------------------------------------------------------------
 
-def _im2col(x: np.ndarray, spec: KernelSpec):
+def _padded(x: np.ndarray, spec: KernelSpec, dtype) -> np.ndarray:
+    """x zero-padded by spec.pad, in `dtype`."""
     n, c, h, w = x.shape
-    kh, kw = spec.kernel_h, spec.kernel_w
-    sh, sw = spec.stride
     ph, pw = spec.pad
-    dh, dw = spec.dilation
-    h_out, w_out = spec.out_size(h, w)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
+    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=dtype)
+    xp[:, :, ph : ph + h, pw : pw + w] = x
+    return xp
+
+
+def _patches(xp: np.ndarray, spec: KernelSpec, out_hw: tuple[int, int]) -> np.ndarray:
+    """Strided (N, C, kh, kw, H_out, W_out) view of the padded input `xp`:
+    the im2col matrix without a copy.
+    """
+    n, c = xp.shape[:2]
     sb, sc, srow, scol = xp.strides
-    patches = np.lib.stride_tricks.as_strided(
+    (sh, sw), (dh, dw) = spec.stride, spec.dilation
+    return np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, c, kh, kw, h_out, w_out),
+        shape=(n, c, spec.kernel_h, spec.kernel_w, *out_hw),
         strides=(sb, sc, dh * srow, dw * scol, sh * srow, sw * scol),
         writeable=False,
     )
-    return patches.reshape(n, c * kh * kw, h_out * w_out), (h_out, w_out), xp.shape
 
 
-def dense_conv_forward(x, w: ConvWeights, spec: KernelSpec) -> np.ndarray:
-    """Regular zero-padded strided dilated convolution (vectorized)."""
+def _patch_index(shape, spec: KernelSpec, positions: np.ndarray,
+                 out_hw: tuple[int, int]) -> np.ndarray:
+    """(P, C*kh*kw) flat indices into a padded (N, C, H_p, W_p) input of the
+    im2col rows of the flat output positions: each position's top-left
+    corner plus a fixed offset per (channel, tap).
+    """
+    n, c, hp, wp = shape
+    h_out, w_out = out_hw
+    item, rc = np.divmod(positions, h_out * w_out)
+    row, col = np.divmod(rc, w_out)
+    corner = (item * (c * hp) + row * spec.stride[0]) * wp + col * spec.stride[1]
+    tap = ((np.arange(c)[:, None, None] * hp
+            + np.arange(spec.kernel_h)[:, None] * spec.dilation[0]) * wp
+           + np.arange(spec.kernel_w) * spec.dilation[1])
+    return corner[:, None] + tap.reshape(-1)
+
+
+def dense_conv_forward(x, w: ConvWeights, spec: KernelSpec, positions=None) -> np.ndarray:
+    """Regular zero-padded strided dilated convolution (vectorized). With
+    `positions`, a sorted list of flat output positions, only those are
+    computed, as a GEMM over their im2col rows, and the output is zero
+    elsewhere.
+    """
     x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeError(f"input must be (N,C,H,W), got {x.shape}")
     w.check_spec(spec, x.shape[1])
     dtype = _compute_dtype(x)
-    cols, (h_out, w_out), _ = _im2col(x.astype(dtype), spec)
+    n = x.shape[0]
+    h_out, w_out = spec.out_size(*x.shape[2:])
+    positions = _check_positions(positions, n * h_out * w_out)
+    xp = _padded(x, spec, dtype)
     wmat = w.weight.reshape(w.weight.shape[0], -1).astype(dtype)
+    bias = None if w.bias is None else np.asarray(w.bias, dtype=dtype)
+    if positions is not None:
+        res = xp.reshape(-1)[_patch_index(xp.shape, spec, positions, (h_out, w_out))] @ wmat.T
+        if bias is not None:
+            res += bias
+        return _to_map(res, positions, (n, wmat.shape[0], h_out, w_out)).astype(x.dtype,
+                                                                                 copy=False)
+    cols = _patches(xp, spec, (h_out, w_out)).reshape(n, wmat.shape[1], h_out * w_out)
     out = np.matmul(wmat, cols)
-    if w.bias is not None:
-        out += np.asarray(w.bias, dtype=dtype)[None, :, None]
-    return out.reshape(x.shape[0], -1, h_out, w_out).astype(x.dtype)
+    if bias is not None:
+        out += bias[None, :, None]
+    return out.reshape(n, -1, h_out, w_out).astype(x.dtype)
 
 
-def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream):
-    """Gradients (grad_x, grad_w, grad_bias) of dense_conv_forward."""
+def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions=None):
+    """Gradients (grad_x, grad_w, grad_bias) of
+    `dense_conv_forward(x, w, spec, positions)`. With `positions` only those
+    output positions are computed, from their im2col rows, and the upstream
+    elsewhere is not read (the forward's output there is a constant zero);
+    grad_x is then scattered from the rows in float64.
+    """
     x = np.asarray(x)
     dtype = _compute_dtype(x)
     g = np.asarray(upstream).astype(dtype)
@@ -560,24 +638,35 @@ def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream):
     sh, sw = spec.stride
     ph, pw = spec.pad
     dh, dw = spec.dilation
-    cols, (h_out, w_out), padded_shape = _im2col(x.astype(dtype), spec)
+    h_out, w_out = spec.out_size(h, win)
+    xp = _padded(x, spec, dtype)
     c_out = w.weight.shape[0]
     gmat = g.reshape(n, c_out, h_out * w_out)
     wmat = w.weight.reshape(c_out, -1).astype(dtype)
 
-    grad_w = np.tensordot(gmat, cols, axes=([0, 2], [0, 2])).reshape(w.weight.shape)
-    grad_b = g.sum(axis=(0, 2, 3), dtype=np.float64) if w.bias is not None else None
-    grad_cols = np.matmul(wmat.T, gmat).reshape(n, c, kh, kw, h_out, w_out)
-    gxp = np.zeros(padded_shape, dtype=dtype)
-    for u in range(kh):
-        for v in range(kw):
-            gxp[:, :, u * dh : u * dh + sh * h_out : sh,
-                v * dw : v * dw + sw * w_out : sw] += grad_cols[:, :, u, v]
+    positions = _check_positions(positions, n * h_out * w_out)
+    if positions is None:
+        cols = _patches(xp, spec, (h_out, w_out)).reshape(n, c * kh * kw, h_out * w_out)
+        grad_w = np.tensordot(gmat, cols, axes=([0, 2], [0, 2])).reshape(w.weight.shape)
+        grad_b = g.sum(axis=(0, 2, 3), dtype=np.float64)
+        grad_cols = np.matmul(wmat.T, gmat).reshape(n, c, kh, kw, h_out, w_out)
+        gxp = np.zeros(xp.shape, dtype=dtype)
+        for u in range(kh):
+            for v in range(kw):
+                gxp[:, :, u * dh : u * dh + sh * h_out : sh,
+                    v * dw : v * dw + sw * w_out : sw] += grad_cols[:, :, u, v]
+    else:
+        g_rows = _rows(g, positions)
+        index = _patch_index(xp.shape, spec, positions, (h_out, w_out))
+        grad_w = (g_rows.T @ xp.reshape(-1)[index]).reshape(w.weight.shape)
+        grad_b = g_rows.sum(axis=0, dtype=np.float64)
+        gxp = np.bincount(index.reshape(-1), weights=_gemm(g_rows, wmat).reshape(-1),
+                          minlength=xp.size).reshape(xp.shape)
     grad_x = gxp[:, :, ph : ph + h, pw : pw + win] if (ph or pw) else gxp
     return (
         grad_x.astype(x.dtype),
         grad_w.astype(x.dtype),
-        None if grad_b is None else grad_b.astype(x.dtype),
+        None if w.bias is None else grad_b.astype(x.dtype),
     )
 
 
@@ -608,23 +697,25 @@ def _branch_k(branch_w: ConvWeights, spec: KernelSpec) -> tuple[int, bool]:
     return k, channels == 3 * k
 
 
-def offset_branch_forward(x, branch_w: ConvWeights, spec: KernelSpec) -> OffsetModulationField:
+def offset_branch_forward(x, branch_w: ConvWeights, spec: KernelSpec,
+                          positions=None) -> OffsetModulationField:
     """Regular convolution producing 3K channels: the first 2K are offsets
     verbatim, the last K pass through a logistic sigmoid to give modulation.
     Zero weights (the standard init) therefore yield dp=0, dm=0.5 exactly.
     A 2K-channel branch is the unmodulated (DCNv1) case: offsets only, with
-    the modulation fixed at 1.
+    the modulation fixed at 1. With `positions` (see `dense_conv_forward`)
+    the field is computed only there and is zero elsewhere, modulation
+    included.
     """
     x = np.asarray(x)
     k, modulated = _branch_k(branch_w, spec)
-    raw = dense_conv_forward(x, branch_w, spec)
-    offsets = raw[:, : 2 * k]
-    if modulated:
-        modulation = sigmoid(raw[:, 2 * k :]).astype(raw.dtype, copy=False)
-    else:
-        n, _, h_out, w_out = raw.shape
-        modulation = np.ones((n, k, h_out, w_out), dtype=raw.dtype)
-    return OffsetModulationField(offsets, modulation)
+    raw = dense_conv_forward(x, branch_w, spec, positions)
+    n, _, h_out, w_out = raw.shape
+    positions = _check_positions(positions, n * h_out * w_out)
+    rows = _rows(raw[:, 2 * k :], positions)
+    rows = sigmoid(rows) if modulated else np.ones((rows.shape[0], k))
+    modulation = _to_map(rows.astype(raw.dtype, copy=False), positions, (n, k, h_out, w_out))
+    return OffsetModulationField(raw[:, : 2 * k], modulation)
 
 
 def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
@@ -632,7 +723,9 @@ def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
     """Gradients (grad_x, grad_branch_w, grad_branch_bias) given gradients on
     the produced field. Modulation grads are pulled back through the sigmoid
     of a 3K branch; a 2K branch has no modulation channels to reach. The
-    branch-output gradient is formed in x's compute dtype.
+    branch-output gradient is formed in x's compute dtype, and the branch
+    convolution's backward runs on its live positions only, those where any
+    channel of it is non-zero (NaN included).
     """
     k, modulated = _branch_k(branch_w, spec)
     dtype = _compute_dtype(np.asarray(x))
@@ -644,4 +737,5 @@ def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
     if grad_raw.shape[1] != branch_w.weight.shape[0]:
         raise ShapeError(f"field gradients inconsistent with {branch_w.weight.shape[0]} "
                          "branch channels")
-    return dense_conv_backward(x, branch_w, spec, grad_raw)
+    n, c = grad_raw.shape[:2]
+    return dense_conv_backward(x, branch_w, spec, grad_raw, _live(grad_raw.reshape(n, c, -1)))

@@ -226,6 +226,22 @@ def aligned_pool_forward(x, rois: list[RoI], spec: PoolSpec) -> np.ndarray:
     return mdpool_forward(x, rois, spec, BinField.identity(len(rois), spec.k))
 
 
+def aligned_pool_reads(shape: tuple[int, int, int], rois: list[RoI], spec: PoolSpec) -> np.ndarray:
+    """Sorted flat positions of an (N, H, W) map that `aligned_pool_forward`
+    reads for `rois`: the pixels with a non-zero bilinear weight.
+    """
+    n, h, w = shape
+    for roi in rois:
+        if not 0 <= roi.batch_index < n:
+            raise ArgumentError(f"RoI batch index {roi.batch_index} outside batch of {n}")
+    if not rois:
+        return np.zeros(0, dtype=np.int64)
+    py, px = _grid_positions(rois, spec)
+    plane_off = np.array([roi.batch_index for roi in rois], dtype=np.int64) * (h * w)
+    cols, weights = bilinear_corner_gather(py, px, h, w, flat_offset=plane_off[:, None, None])
+    return np.unique(cols[weights != 0]).astype(np.int64)
+
+
 def aligned_pool_backward(x, rois: list[RoI], spec: PoolSpec, upstream) -> np.ndarray:
     """grad_x of `aligned_pool_forward`: S^T (upstream / n_k) on the plain
     pattern, bit for bit the grad_x of `mdpool_backward` with the identity field.

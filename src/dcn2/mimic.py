@@ -230,8 +230,14 @@ class TwoBranchModel:
         return self.shared_params() + self.frcnn_head.params() + self.rcnn_head.params()
 
     def roi_features(self, images, rois: list[RoI]) -> np.ndarray:
-        """(R, D) trunk features; caches stay valid for one backward pass."""
-        feat = self.backbone.forward(np.asarray(images).astype(COMPUTE_DTYPE))
+        """(R, D) trunk features; caches stay valid for one backward pass.
+        The backbone computes only what the pooling reads of its output (see
+        `Sequential.forward`), so its last deformable layer's recorded field
+        is a demanded one for aligned pooling.
+        """
+        x = np.asarray(images).astype(COMPUTE_DTYPE)
+        shape = (x.shape[0], *self.backbone.out_hw(x.shape[2:]))
+        feat = self.backbone.forward(x, self.pool.demand(shape, rois))
         pooled = self.pool.forward(feat, rois)
         flat = pooled.reshape(pooled.shape[0], -1)
         return self.fc.forward(flat)

@@ -11,8 +11,6 @@ carry a learning-rate multiplier so offset/modulation branches can train at
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .deform_conv import (
@@ -32,6 +30,7 @@ from .deform_roipool import (
     RoI,
     aligned_pool_backward,
     aligned_pool_forward,
+    aligned_pool_reads,
     make_roi_branch,
     mdpool_backward,
     mdpool_forward,
@@ -130,8 +129,11 @@ class DeformConv2dLayer:
     The sibling branch convolution (`offset_branch_forward`: 3K channels,
     or 2K with dm = 1 when unmodulated) is zero-initialized and its
     parameters carry the 0.1 learning-rate multiplier. The last forward's
-    input and field stay recorded for spatial-support analysis;
-    `forward_window` computes part of the output map and records nothing.
+    input and field stay recorded for `backward` and for spatial-support
+    analysis. A demanded forward (see `forward`) records a field that is zero
+    outside its demand, so the readers of whole fields (`mean_abs_offset`,
+    `support.effective_sampling_locations`) take `full_map_state()`, which
+    refuses it.
     """
 
     def __init__(self, c_in: int, c_out: int, spec: KernelSpec,
@@ -150,6 +152,7 @@ class DeformConv2dLayer:
                                  lr_mult=BRANCH_LR_MULTIPLIER, name=f"{name}.branch_bias")
         self._x = None
         self._field = None
+        self._demand = None
 
     def params(self):
         return [self.weight, self.bias, self.branch_weight, self.branch_bias]
@@ -160,33 +163,23 @@ class DeformConv2dLayer:
     def _weights(self) -> ConvWeights:
         return ConvWeights(self.weight.value, self.bias.value)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        field = offset_branch_forward(x, self._branch_weights(), self.spec)
-        self._x, self._field = x, field
-        return mdconv_forward_optimized(x, self._weights(), self.spec, field)
-
-    def forward_window(self, x: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        """Output rows r0..r1 and columns c0..c1 (ends exclusive) of
-        `forward(x)`. The offset branch runs on the zero-padded input crop
-        that the window reads; the kernel samples all of x. Records nothing:
-        `recorded_state()` stays that of the last `forward`.
+    def forward(self, x: np.ndarray, demand=None) -> np.ndarray:
+        """The output map. With `demand`, a sorted list of flat output
+        positions, the offset branch and the kernel compute only those
+        positions; the output and the recorded field are zero elsewhere, and
+        `backward` treats the output there as a constant.
         """
-        spec = self.spec
-        h_out, w_out = spec.out_size(*x.shape[-2:])
-        if not (0 <= r0 < r1 <= h_out and 0 <= c0 < c1 <= w_out):
-            raise ShapeError(f"window rows {r0}:{r1}, columns {c0}:{c1} is empty or "
-                             f"leaves the {h_out}x{w_out} output grid")
-        (sh, sw), (ph, pw), (dh, dw) = spec.stride, spec.pad, spec.dilation
-        n, c, h, w = x.shape
-        xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-        xp[:, :, ph : ph + h, pw : pw + w] = x
-        crop = xp[:, :, r0 * sh : (r1 - 1) * sh + (spec.kernel_h - 1) * dh + 1,
-                  c0 * sw : (c1 - 1) * sw + (spec.kernel_w - 1) * dw + 1]
-        field = offset_branch_forward(crop, self._branch_weights(), replace(spec, pad=(0, 0)))
-        return mdconv_forward_optimized(x, self._weights(), spec, field, origin=(r0, c0))
+        field = offset_branch_forward(x, self._branch_weights(), self.spec, demand)
+        self._x, self._field, self._demand = x, field, demand
+        return mdconv_forward_optimized(x, self._weights(), self.spec, field, positions=demand)
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         x, field = self.recorded_state()
+        if self._demand is not None:
+            n, _, h, w = gy.shape
+            kept = np.zeros(n * h * w, dtype=bool)
+            kept[self._demand] = True
+            gy = np.where(kept.reshape(n, 1, h, w), gy, 0)
         gx, gw, gb, goff, gmod = mdconv_backward_optimized(
             x, self._weights(), self.spec, field, gy)
         self.weight.grad += gw
@@ -198,11 +191,21 @@ class DeformConv2dLayer:
         return gx + gx_branch
 
     def recorded_state(self):
-        """(input, field) of the last forward, for effective sampling analysis."""
+        """(input, field) of the last forward, demanded or not."""
         return _recorded(self._x), self._field
 
+    def full_map_state(self):
+        """(input, field) of the last forward, which must have computed the
+        whole map: a demanded field's zeros are not offsets.
+        """
+        state = self.recorded_state()
+        if self._demand is not None:
+            raise UsageError("the last forward computed only its demanded positions; "
+                             "run a forward without a demand to record the whole field")
+        return state
+
     def mean_abs_offset(self) -> float:
-        return float(np.abs(_recorded(self._field).offsets).mean())
+        return float(np.abs(self.full_map_state()[1].offsets).mean())
 
 
 class ReLULayer:
@@ -253,15 +256,73 @@ class Sequential:
             out.extend(layer.params())
         return out
 
-    def forward(self, x):
+    def out_hw(self, hw: tuple[int, int]) -> tuple[int, int]:
+        """(H, W) of the output map for an (H, W) input map; every layer must
+        be a convolution or a ReLU.
+        """
         for layer in self.layers:
-            x = layer.forward(x)
+            if isinstance(layer, (Conv2dLayer, DeformConv2dLayer)):
+                hw = layer.spec.out_size(*hw)
+            elif not isinstance(layer, ReLULayer):
+                raise UsageError(f"{type(layer).__name__} has no output map")
+        return hw
+
+    def forward(self, x, demand=None):
+        """Each layer in turn.
+
+        `demand`, a sorted list of flat positions of the (N, H_out, W_out)
+        output map, asks for those positions only. It is carried back
+        through the layers after the last deformable layer (a ReLU passes it
+        through, a regular conv dilates it by its kernel extent), and that
+        layer computes only the positions it then demands; every other layer
+        runs in full, since the earlier ones feed sampling positions that can
+        land anywhere. The output is exact at the demanded positions only.
+        Without a deformable layer, or with another kind of layer after it,
+        every layer runs in full.
+        """
+        last = max((i for i, l in enumerate(self.layers) if isinstance(l, DeformConv2dLayer)),
+                   default=None)
+        for i, layer in enumerate(self.layers):
+            if i == last and demand is not None:
+                x = layer.forward(x, _demand_before(self.layers[i + 1:], x.shape[0],
+                                                    layer.spec.out_size(*x.shape[2:]), demand))
+            else:
+                x = layer.forward(x)
         return x
 
     def backward(self, gy):
         for layer in reversed(self.layers):
             gy = layer.backward(gy)
         return gy
+
+
+def _demand_before(layers, n: int, hw: tuple[int, int], demand):
+    """The positions of the (n, *hw) map entering `layers` that their output
+    positions `demand` read; None when a layer is neither a regular conv nor
+    a ReLU.
+    """
+    sizes = [hw]
+    for layer in layers:
+        if not isinstance(layer, (Conv2dLayer, ReLULayer)):
+            return None
+        sizes.append(layer.spec.out_size(*hw) if isinstance(layer, Conv2dLayer) else hw)
+        hw = sizes[-1]
+    demand = np.asarray(demand)
+    for layer, (h, w), (h_out, w_out) in reversed(list(zip(layers, sizes, sizes[1:]))):
+        if isinstance(layer, Conv2dLayer):
+            spec = layer.spec
+            item, rc = np.divmod(demand, h_out * w_out)
+            row, col = np.divmod(rc, w_out)
+            rows = (row[:, None] * spec.stride[0] - spec.pad[0]
+                    + np.arange(spec.kernel_h) * spec.dilation[0])
+            cols = (col[:, None] * spec.stride[1] - spec.pad[1]
+                    + np.arange(spec.kernel_w) * spec.dilation[1])
+            # taps that land in the zero padding read nothing
+            inside = (((rows >= 0) & (rows < h))[:, :, None]
+                      & ((cols >= 0) & (cols < w))[:, None, :])
+            flat = (item[:, None, None] * h + rows[:, :, None]) * w + cols[:, None, :]
+            demand = np.unique(flat[inside])
+    return demand
 
 
 class RoIPoolLayer:
@@ -304,6 +365,14 @@ class RoIPoolLayer:
             Affine(f64(self.fc2_w), f64(self.fc2_b)),
             Affine(f64(self.out_w), f64(self.out_b)),
         )
+
+    def demand(self, shape: tuple[int, int, int], rois: list[RoI]):
+        """What `forward` reads of an (N, H, W) map for `rois`, as a sorted
+        list of flat positions (see `Sequential.forward`): the pixels with a
+        non-zero aligned-pooling weight; None, every position, for
+        deformable pooling, whose bins can move anywhere.
+        """
+        return None if self.deformable else aligned_pool_reads(shape, rois, self.spec)
 
     def forward(self, x: np.ndarray, rois: list[RoI]) -> np.ndarray:
         if not self.deformable:

@@ -14,6 +14,7 @@ being defined for feature vectors).
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from .deform_conv import mdconv_backward_optimized
 from .deform_roipool import mdpool_backward
 from .errors import ArgumentError, CapabilityError, ConvergenceError, ShapeError, UsageError
 from .mimic import cosine_mimic_loss
-from .net import Conv2dLayer, DeformConv2dLayer, ReLULayer, RoIPoolLayer, Sequential
+from .net import DeformConv2dLayer, RoIPoolLayer, Sequential
 
 
 def _chw(image) -> np.ndarray:
@@ -135,64 +136,24 @@ def conv_tap_probe(kernel: np.ndarray, center: tuple[int, int], channel: int = 0
     return NodeProbe(fn, grad_fn, name="conv-tap")
 
 
-def _node_window(layers, size: tuple[int, int], y: int, x: int):
-    """Rows and columns (r0, r1, c0, c1), ends exclusive, of the (H, W) = `size`
-    map entering `layers` that node (y, x) of their output reads; None when a
-    layer is neither a regular convolution nor a ReLU, or the node lies
-    outside the output map.
-    """
-    convs = []  # (spec, input size) of each regular convolution, in order
-    h, w = size
-    for layer in layers:
-        if isinstance(layer, Conv2dLayer):
-            convs.append((layer.spec, (h, w)))
-            h, w = layer.spec.out_size(h, w)
-        elif not isinstance(layer, ReLULayer):
-            return None
-    if not (0 <= y < h and 0 <= x < w):
-        return None
-    r0, r1, c0, c1 = y, y + 1, x, x + 1
-    for spec, (h, w) in reversed(convs):
-        (sh, sw), (ph, pw), (dh, dw) = spec.stride, spec.pad, spec.dilation
-        r0, r1 = max(0, r0 * sh - ph), min(h, (r1 - 1) * sh - ph + (spec.kernel_h - 1) * dh + 1)
-        c0, c1 = max(0, c0 * sw - pw), min(w, (c1 - 1) * sw - pw + (spec.kernel_w - 1) * dw + 1)
-    return r0, r1, c0, c1
-
-
 def network_probe(trunk: Sequential, y: int, x: int) -> NodeProbe:
     """Vector node: the channel vector of a trunk's output at one location.
 
-    `response` runs the layers before the trunk's last deformable layer in
-    full, since their outputs feed sampling positions that can land anywhere.
-    That layer fills only the node's footprint in its output map
-    (`forward_window`; zeros elsewhere and no recorded state), and the layers
-    after it run in full. `gradient` runs the whole trunk forward and
-    backward, so it leaves every layer's recorded state a full-map one.
+    `response` demands the node's one position of the trunk's output map
+    (see `Sequential.forward`): the layers before the trunk's last
+    deformable layer run in full, that layer computes only the positions the
+    node reads through the later layers, and those run in full. It runs on
+    shallow copies of the trunk's layers, made here, which share their
+    Params, so it records no state on the trunk. `gradient` runs the whole
+    trunk forward and backward, so it leaves every layer's recorded state a
+    full-map one.
     """
-    layers = trunk.layers
-    last = max((i for i, l in enumerate(layers) if isinstance(l, DeformConv2dLayer)),
-               default=None)
+    copies = Sequential(map(copy.copy, trunk.layers))
 
     def fn(img):
-        if last is None:
-            return trunk.forward(img[None])[0, :, y, x]
-        h = img[None]
-        for layer in layers[:last]:
-            h = layer.forward(h)
-        deform = layers[last]
-        size = deform.spec.out_size(*h.shape[-2:])
-        win = _node_window(layers[last + 1:], size, y, x)
-        if win is None:
-            h = deform.forward(h)
-        else:
-            r0, r1, c0, c1 = win
-            out = np.zeros((1, deform.weight.value.shape[0], *size), dtype=h.dtype)
-            if r0 < r1 and c0 < c1:  # else the node reads only zero padding
-                out[:, :, r0:r1, c0:c1] = deform.forward_window(h, r0, r1, c0, c1)
-            h = out
-        for layer in layers[last + 1:]:
-            h = layer.forward(h)
-        return h[0, :, y, x]
+        h, w = trunk.out_hw(img.shape[1:])
+        demand = [y * w + x] if 0 <= y < h and 0 <= x < w else None
+        return copies.forward(img[None], demand)[0, :, y, x]
 
     def grad_fn(img):
         out = trunk.forward(img[None])
@@ -224,11 +185,12 @@ def effective_sampling_locations(layer, upstream) -> np.ndarray:
     """Gradient magnitude of a node with respect to each 2-D sampling (or
     bin) coordinate of a deformable layer, from its recorded forward state.
 
-    For a deformable conv layer the result is (N, K, H_out, W_out); for a
-    deformable pooling layer it is (R, K).
+    For a deformable conv layer the result is (N, K, H_out, W_out), and its
+    last forward must have computed the whole map (a UsageError after a
+    demanded one); for a deformable pooling layer it is (R, K).
     """
     if isinstance(layer, DeformConv2dLayer):
-        x, fld = layer.recorded_state()
+        x, fld = layer.full_map_state()
         _, _, _, goff, _ = mdconv_backward_optimized(
             x, layer._weights(), layer.spec, fld, upstream)
         return np.hypot(goff[:, 0::2], goff[:, 1::2])
@@ -502,8 +464,8 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
     image center). `area_increment` is the growth step as a fraction of the
     image area.
     """
-    if epsilon <= 0:
-        raise ArgumentError("epsilon must be positive")
+    if not epsilon > 0:  # NaN fails too
+        raise ArgumentError(f"epsilon must be positive, got {epsilon}")
     img = _chw(image)
     _, h, w = img.shape
     orig = probe.response(img)

@@ -272,9 +272,19 @@ class ToyRegressionNet:
         c = (self.cfg.image_size - 1) / 2.0
         return [RoI(b, c - 1.0, c - 1.0, c + 1.0, c + 1.0) for b in range(batch)]
 
-    def forward(self, images: np.ndarray) -> np.ndarray:
-        feat = self.trunk.forward(images.astype(COMPUTE_DTYPE))
-        pooled = self.pool.forward(feat, self.readout_rois(images.shape[0]))
+    def forward(self, images: np.ndarray, full_map: bool = True) -> np.ndarray:
+        """Predictions. full_map=False, a training step's forward, computes
+        the trunk only where the readout reads (see `Sequential.forward`);
+        the default leaves every layer a whole map, as `mean_abs_offset` and
+        the analysis tools need.
+        """
+        x = images.astype(COMPUTE_DTYPE)
+        rois = self.readout_rois(x.shape[0])
+        demand = None
+        if not full_map:
+            demand = self.pool.demand((x.shape[0], *self.trunk.out_hw(x.shape[2:])), rois)
+        feat = self.trunk.forward(x, demand)
+        pooled = self.pool.forward(feat, rois)
         out = self.head.forward(pooled.reshape(pooled.shape[0], -1))
         return out[:, 0]
 
@@ -288,6 +298,8 @@ def run_toy_training(cfg: ToyNetConfig, task: SyntheticTask, steps: int, seed: i
                      eval_batch: int = 64) -> tuple[dict, ToyRegressionNet]:
     """Train the regression net with SGD and report metrics: per-step loss,
     final eval loss, and mean |dp| per deformable layer on the eval batch.
+    A training step's trunk computes only what the readout reads; the eval
+    forward computes whole maps, whose fields give mean |dp|.
     """
     rng = np.random.default_rng([seed, task.seed])
     net = ToyRegressionNet(cfg, rng)
@@ -296,7 +308,7 @@ def run_toy_training(cfg: ToyNetConfig, task: SyntheticTask, steps: int, seed: i
     losses = []
     for step in range(steps):
         images, targets = task.sample_batch(rng, cfg.batch_size)
-        pred = net.forward(images)
+        pred = net.forward(images, full_map=False)
         loss, grad = mse_loss(pred, targets)
         if not np.isfinite(loss):
             raise TrainingDiverged(step, loss)

@@ -76,6 +76,16 @@ def test_non_finite_float_flag_is_usage_error(capsys, command, flag, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_saliency_non_finite_epsilon_is_usage_error(capsys, pgm_image, value):
+    # NaN once passed the library's `epsilon <= 0` test and ended as a
+    # convergence failure (exit 3)
+    assert main(["saliency", "--image", pgm_image, f"--epsilon={value}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--epsilon" in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_subcommand_usage_exit():
     assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -192,6 +202,22 @@ def test_demo_train_deterministic_metrics(tmp_path):
                      "--seed", "7", "--task", "dilate", "--out", str(out)])
         assert code == EXIT_OK
         outs.append((out / "metrics.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_demo_train_mimic_deterministic_metrics(tmp_path):
+    cfg = ToyNetConfig(layers=("regular", "mdconv"), channels=(4, 4), image_size=16,
+                       batch_size=2, mimic=True)
+    cfg_path = tmp_path / "net.json"
+    cfg_path.write_text(cfg.to_json())
+    outs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        code = main(["demo-train", "--config", str(cfg_path), "--steps", "4",
+                     "--seed", "7", "--task", "dilate", "--out", str(out)])
+        assert code == EXIT_OK
+        outs.append((out / "metrics.json").read_bytes())
+    assert b'"history"' in outs[0]
     assert outs[0] == outs[1]
 
 

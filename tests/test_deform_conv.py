@@ -439,37 +439,49 @@ def test_dense_conv_backward_matches_finite_diff():
 
 
 # ---------------------------------------------------------------------------
-# output windows (origin=...) and forward_window
+# position lists: a forward computes only the positions it is given
 # ---------------------------------------------------------------------------
 
 def _rel_err(got, want) -> float:
     return float(np.abs(got - want).max(initial=0.0) / max(1.0, np.abs(want).max(initial=0.0)))
 
 
-def _window_field(field, r0, r1, c0, c1):
-    return OffsetModulationField(field.offsets[:, :, r0:r1, c0:c1],
-                                 field.modulation[:, :, r0:r1, c0:c1])
+def _at(a, positions):
+    """(P, C) values of an (N, C, H, W) map at flat positions."""
+    n, c = a.shape[:2]
+    return a.reshape(n, c, -1).transpose(0, 2, 1).reshape(-1, c)[positions]
 
 
-def test_origin_window_past_grid_is_shape_error():
+def _outside(a, positions):
+    """Values of an (N, C, H, W) map at every position not listed."""
+    n, c = a.shape[:2]
+    keep = np.ones(a.size // c, dtype=bool)
+    keep[positions] = False
+    return a.reshape(n, c, -1).transpose(0, 2, 1).reshape(-1, c)[keep]
+
+
+def test_bad_positions_are_argument_error():
     spec = KernelSpec(3, 3, pad=(1, 1))
-    x = np.zeros((1, 2, 5, 6))
+    x = np.zeros((1, 2, 2, 3))
     weights = ConvWeights(np.zeros((2, 2, 3, 3)))
     field = OffsetModulationField.identity(1, 9, 2, 3)
-    for origin in ((4, 0), (0, 4), (-1, 0), (0, -1)):
-        with pytest.raises(ShapeError):
-            mdconv_forward_optimized(x, weights, spec, field, origin=origin)
-    assert mdconv_forward_optimized(x, weights, spec, field, origin=(3, 3)).shape == (1, 2, 2, 3)
     layer = DeformConv2dLayer(2, 2, spec, np.random.default_rng(0))
-    for window in ((0, 6, 0, 3), (0, 2, 4, 7), (2, 2, 0, 3), (-1, 2, 0, 3)):
-        with pytest.raises(ShapeError):
-            layer.forward_window(x, *window)
+    for bad in ([6], [-1], [2, 1], [1, 1], [[0, 1]], [0.0, 1.0]):
+        with pytest.raises(ArgumentError):
+            mdconv_forward_optimized(x, weights, spec, field, positions=bad)
+        with pytest.raises(ArgumentError):
+            dense_conv_forward(x, weights, spec, positions=bad)
+        with pytest.raises(ArgumentError):
+            layer.forward(x, bad)
+    assert mdconv_forward_optimized(x, weights, spec, field, positions=[5]).shape == (1, 2, 2, 3)
+    assert not mdconv_forward_optimized(x, weights, spec, field, positions=[]).any()
 
 
 @st.composite
-def windowed_layers(draw):
+def demanded_layers(draw):
     """A deformable layer of random geometry with a non-zero offset branch,
-    an input it fits and an in-grid output window.
+    an input it fits and a demand: a sorted list of none, some or all of its
+    flat output positions.
     """
     kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
@@ -479,37 +491,45 @@ def windowed_layers(draw):
     h = draw(st.integers(max(1, (kh - 1) * dilation[0] + 1 - 2 * pad[0]), 9))
     w = draw(st.integers(max(1, (kw - 1) * dilation[1] + 1 - 2 * pad[1]), 9))
     h_out, w_out = spec.out_size(h, w)
-    r0, c0 = draw(st.integers(0, h_out - 1)), draw(st.integers(0, w_out - 1))
-    r1, c1 = draw(st.integers(r0 + 1, h_out)), draw(st.integers(c0 + 1, w_out))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layer = DeformConv2dLayer(draw(st.integers(1, 3)), draw(st.integers(1, 3)), spec, rng,
                               modulated=draw(st.booleans()))
     for p in (layer.bias, layer.branch_weight, layer.branch_bias):
         p.value[...] = rng.normal(0.0, 1.0, p.value.shape)
-    x = rng.normal(size=(draw(st.integers(1, 2)), layer.weight.value.shape[1], h, w))
-    return layer, x, (r0, r1, c0, c1)
+    n = draw(st.integers(1, 2))
+    x = rng.normal(size=(n, layer.weight.value.shape[1], h, w))
+    density = draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+    demand = np.flatnonzero(rng.random(n * h_out * w_out) < density)
+    return layer, x, demand
 
 
 @settings(max_examples=40, deadline=None)
-@given(windowed_layers())
-def test_forward_window_matches_full_slice_property(case):
-    layer, x, (r0, r1, c0, c1) = case
+@given(demanded_layers())
+def test_demanded_forward_matches_full_map_property(case):
+    layer, x, demand = case
     full = layer.forward(x)
-    x_rec, field = layer.recorded_state()
-    win = layer.forward_window(x, r0, r1, c0, c1)
-    assert win.shape == full[:, :, r0:r1, c0:c1].shape
-    assert _rel_err(win, full[:, :, r0:r1, c0:c1]) <= 1e-10
-    assert layer.recorded_state()[0] is x_rec and layer.recorded_state()[1] is field
-    # the kernel alone, on the same window of the full field
-    got = mdconv_forward_optimized(x, layer._weights(), layer.spec,
-                                   _window_field(field, r0, r1, c0, c1), origin=(r0, c0))
-    assert _rel_err(got, full[:, :, r0:r1, c0:c1]) <= 1e-10
+    _, field = layer.recorded_state()
+    got = layer.forward(x, demand)
+    assert got.shape == full.shape
+    assert _rel_err(_at(got, demand), _at(full, demand)) <= 1e-10
+    assert not _outside(got, demand).any()
+    x_rec, got_field = layer.recorded_state()
+    assert x_rec is x
+    for part in ("offsets", "modulation"):
+        want, have = getattr(field, part), getattr(got_field, part)
+        assert have.shape == want.shape
+        assert _rel_err(_at(have, demand), _at(want, demand)) <= 1e-10
+        assert not _outside(have, demand).any()
+    # the kernel alone, on the full field
+    kernel = mdconv_forward_optimized(x, layer._weights(), layer.spec, field, positions=demand)
+    assert _rel_err(_at(kernel, demand), _at(full, demand)) <= 1e-10
+    assert not _outside(kernel, demand).any()
 
 
 @settings(max_examples=40, deadline=None)
-@given(windowed_layers())
+@given(demanded_layers())
 def test_float32_forward_matches_float64_property(case):
-    layer, x, (r0, r1, c0, c1) = case
+    layer, x, demand = case
     layer.forward(x)
     _, field = layer.recorded_state()
     # one set of float32 values, computed in both precisions
@@ -519,21 +539,18 @@ def test_float32_forward_matches_float64_property(case):
     mod32 = field.modulation.astype(np.float32)
     w32 = layer._weights()
     w64 = ConvWeights(w32.weight.astype(np.float64), w32.bias.astype(np.float64))
-    for window in (None, (r0, r1, c0, c1)):
-        origin = None if window is None else (r0, c0)
-        f32 = OffsetModulationField(off32, mod32)
-        f64 = OffsetModulationField(off32.astype(np.float64), mod32.astype(np.float64))
-        if window is not None:
-            f32, f64 = _window_field(f32, *window), _window_field(f64, *window)
-        got = mdconv_forward_optimized(x32, w32, layer.spec, f32, origin=origin)
+    f32 = OffsetModulationField(off32, mod32)
+    f64 = OffsetModulationField(off32.astype(np.float64), mod32.astype(np.float64))
+    for positions in (None, demand):
+        got = mdconv_forward_optimized(x32, w32, layer.spec, f32, positions=positions)
         want = mdconv_forward_optimized(x32.astype(np.float64), w64, layer.spec, f64,
-                                        origin=origin)
+                                        positions=positions)
         assert got.dtype == np.float32
         assert _rel_err(got, want) <= 1e-5
 
 
 @settings(max_examples=40, deadline=None)
-@given(windowed_layers())
+@given(demanded_layers())
 def test_float32_backward_matches_float64_property(case):
     layer, x, _ = case
     layer.forward(x)
@@ -567,11 +584,11 @@ def _dead_positions(upstream: np.ndarray) -> np.ndarray:
 
 @st.composite
 def sparse_upstreams(draw):
-    """A layer, input and field of random geometry (as `windowed_layers`)
+    """A layer, input and field of random geometry (as `demanded_layers`)
     and an upstream that is live on none, some or all output positions,
     some live ones with a zero first channel.
     """
-    layer, x, _ = draw(windowed_layers())
+    layer, x, _ = draw(demanded_layers())
     layer.forward(x)
     _, field = layer.recorded_state()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -631,6 +648,31 @@ def test_all_zero_upstream_builds_no_pattern(monkeypatch):
     assert len(calls) == 1
 
 
+def test_offset_branch_backward_runs_on_live_positions():
+    rng = np.random.default_rng(18)
+    spec = KernelSpec(3, 2, stride=(2, 1), pad=(1, 2), dilation=(1, 2))
+    x = rng.normal(size=(2, 3, 9, 7))
+    bw = ConvWeights(rng.normal(size=(3 * spec.k, 3, 3, 2)), rng.normal(size=3 * spec.k))
+    field = offset_branch_forward(x, bw, spec)
+    n, _, h_out, w_out = field.offsets.shape
+    live = rng.random((n, 1, h_out, w_out)) < 0.2
+    g_off = rng.normal(size=field.offsets.shape) * live
+    g_mod = rng.normal(size=field.modulation.shape) * live
+    got = offset_branch_backward(x, bw, spec, field, g_off, g_mod)
+    m = field.modulation
+    # the same branch-output gradient through the whole-map im2col
+    want = dense_conv_backward(x, bw, spec, np.concatenate([g_off, g_mod * m * (1 - m)], axis=1))
+    for g, wnt in zip(got, want):
+        assert _rel_err(g, wnt) <= 1e-10
+    # a NaN field gradient is live and reaches every gradient
+    g_off[...] = 0.0
+    g_mod[...] = 0.0
+    g_off[1, 4, 2, 3] = np.nan
+    gx, gw, gb = offset_branch_backward(x, bw, spec, field, g_off, g_mod)
+    assert np.isnan(gx[1]).any() and not np.isnan(gx[0]).any()
+    assert np.isnan(gw[4]).all() and np.isnan(gb[4]) and not np.isnan(np.delete(gb, 4)).any()
+
+
 def test_nan_upstream_propagates_at_its_position():
     rng = np.random.default_rng(16)
     spec = KernelSpec(3, 3, pad=(1, 1))
@@ -687,7 +729,7 @@ def test_sparse_backward_threaded_matches_serial(monkeypatch):
 def mimic_train_layer():
     """The deformable trunk layer of `demo-train --mimic` at its defaults
     (8 channels, 32x32, batch 8, float32) after two training steps, its state
-    recorded by a main-branch forward on the last batch, and the upstream
+    recorded by a full-map main-branch forward on the last batch, and the upstream
     that layer gets from the RoI pooling of that batch.
     """
     cfg = ToyNetConfig()
@@ -703,7 +745,9 @@ def mimic_train_layer():
         opt.zero_grad()
         mimic_step(model, images, batch, mimic_cfg)
         opt.step()
-    feat = model.roi_features(images, batch.rois)
+    # the main branch's forward without a demand, so that the field is whole
+    pooled = model.pool.forward(model.backbone.forward(images.astype(np.float32)), batch.rois)
+    feat = model.fc.forward(pooled.reshape(len(batch.rois), -1))
     upstream = model.pool.backward(model.fc.backward(rng.normal(size=feat.shape)))
     *_, layer, relu = model.backbone.layers
     upstream = relu.backward(upstream)

@@ -1,8 +1,11 @@
+import copy
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcn2.checks import run_gradcheck
 from dcn2.deform_roipool import PoolSpec, RoI
@@ -251,3 +254,113 @@ def test_mimic_step_runs_each_trunk_layer_once_per_branch(monkeypatch, weight, r
     for tag in (len(trunk), len(trunk) + 1)[:runs]:  # frcnn_head, then rcnn_head if active
         want[tag, "forward"] = want[tag, "backward"] = 1
     assert calls == want
+
+
+# ---------------------------------------------------------------------------
+# demand: the backbone computes only what the RoI pooling reads
+# ---------------------------------------------------------------------------
+
+TRUNKS = (("regular", "mdconv"), ("mdconv", "regular"), ("mdconv", "mdconv"), ("dconv",))
+
+
+def _scaled_err(got, want) -> float:
+    """max |got - want| relative to the scale of `want`."""
+    want = np.asarray(want, dtype=np.float64)
+    diff = np.abs(np.asarray(got, dtype=np.float64) - want).max(initial=0.0)
+    return float(diff / max(np.abs(want).max(initial=0.0), 1e-30))
+
+
+@st.composite
+def demand_cases(draw):
+    """A two-branch model over a random trunk with moving offsets, aligned
+    pooling of a random PoolSpec, images and random RoIs that meet them.
+    """
+    layers = draw(st.sampled_from(TRUNKS))
+    spec = PoolSpec(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    size, n = draw(st.integers(8, 13)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = ToyNetConfig(layers=layers, channels=(3,) * len(layers), image_size=size,
+                       batch_size=n)
+    model = build_two_branch_model(cfg, 2, rng)
+    for layer in model.backbone.layers:
+        if isinstance(layer, DeformConv2dLayer):
+            for p in (layer.branch_weight, layer.branch_bias):
+                p.value[...] = rng.normal(0.0, 0.5, p.value.shape)
+    model.pool = RoIPoolLayer(3, spec, rng)
+    model.fc.layers[0] = AffineLayer(3 * spec.k, model.fc.layers[0].weight.value.shape[0], rng)
+    rois = []
+    for _ in range(draw(st.integers(1, 4))):
+        y1, x1 = (draw(st.floats(-1.5, size - 1.0)) for _ in range(2))
+        # the patch crop needs a RoI that meets the image
+        h, w = (max(0.0, -v) + draw(st.floats(0.0, size / 2)) for v in (y1, x1))
+        rois.append(RoI(draw(st.integers(0, n - 1)), x1, y1, x1 + w, y1 + h))
+    images = rng.normal(size=(n, 1, size, size)).astype(np.float32)
+    patches = np.stack([crop_resize_patch(images, r, (size, size)) for r in rois])
+    labels = rng.integers(0, 3, size=len(rois))
+    return model, images, MimicBatch(rois, patches, labels), MimicConfig(patch_size=(size, size))
+
+
+def _full_map_model(model):
+    """A copy of `model` whose pooling demands every position, so that its
+    backbone runs in full."""
+    full = copy.deepcopy(model)
+    full.pool.demand = lambda shape, rois: None
+    return full
+
+
+@settings(max_examples=30, deadline=None)
+@given(demand_cases())
+def test_demanded_backbone_matches_full_map_property(case):
+    model, images, batch, cfg = case
+    n, _, h, w = images.shape
+    demand = model.pool.demand((n, *model.backbone.out_hw((h, w))), batch.rois)
+    full = model.backbone.forward(images)
+    got = model.backbone.forward(images, demand)
+    rows = full.transpose(0, 2, 3, 1).reshape(-1, full.shape[1])
+    got_rows = got.transpose(0, 2, 3, 1).reshape(-1, got.shape[1])
+    assert _scaled_err(got_rows[demand], rows[demand]) <= 1e-6
+
+    reference = _full_map_model(model)
+    upstream = np.random.default_rng(0).normal(size=(len(batch), model.fc.layers[-2].weight
+                                                      .value.shape[0]))
+    grads_x = []
+    for m in (model, reference):
+        feat = m.roi_features(images, batch.rois)
+        grads_x.append((feat, m.backbone.backward(m.pool.backward(m.fc.backward(upstream)))))
+    (feat, gx), (want_feat, want_gx) = grads_x
+    assert _scaled_err(feat, want_feat) <= 1e-5
+    assert _scaled_err(gx, want_gx) <= 1e-5
+
+    for m in (model, reference):
+        for p in m.params():
+            p.zero_grad()
+    total = mimic_step(model, images, batch, cfg)[0]
+    want_total = mimic_step(reference, images, batch, cfg)[0]
+    assert abs(total - want_total) <= 1e-5 * max(abs(want_total), 1e-30)
+    for p, q in zip(model.params(), reference.params()):
+        assert p.name == q.name
+        assert _scaled_err(p.grad, q.grad) <= 1e-5, p.name
+
+
+def test_deformable_pooling_demands_every_position():
+    cfg = ToyNetConfig(layers=("regular", "mdconv"), channels=(4, 4), image_size=12,
+                       batch_size=2)
+    rng = np.random.default_rng(12)
+    model = build_two_branch_model(cfg, 2, rng)
+    model.pool = RoIPoolLayer(cfg.channels[-1], PoolSpec(2, 2, 2), rng, deformable=True,
+                              hidden=8)
+    rois = [RoI(0, 1.0, 2.0, 5.0, 6.0)]
+    assert model.pool.demand((2, 12, 12), rois) is None
+    model.roi_features(rng.normal(size=(2, 1, 12, 12)), rois)
+    layer = next(l for l in model.backbone.layers if isinstance(l, DeformConv2dLayer))
+    assert layer.mean_abs_offset() == 0.0  # a full-map state: no UsageError
+
+
+def test_aligned_pooling_demand_is_its_non_zero_weights():
+    spec = PoolSpec(1, 1, 1)
+    layer = RoIPoolLayer(2, spec, np.random.default_rng(0))
+    # one sample at (1.5, 2.0) of item 1: rows 1 and 2, column 2 only
+    assert layer.demand((2, 4, 5), [RoI(1, 2.0, 1.0, 2.0, 2.0)]).tolist() == [
+        20 + 1 * 5 + 2, 20 + 2 * 5 + 2]
+    # samples past the border read nothing there
+    assert layer.demand((1, 4, 5), [RoI(0, -3.0, -3.0, -1.0, -1.0)]).size == 0

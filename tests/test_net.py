@@ -37,3 +37,17 @@ def test_pool_layer_branch_is_make_roi_branch():
     for p, w in zip(layer.params(), want):
         assert p.value.dtype == np.float32
         assert np.array_equal(p.value, w.astype(np.float32))
+
+
+def test_mean_abs_offset_refuses_demanded_forward():
+    rng = np.random.default_rng(5)
+    layer = DeformConv2dLayer(2, 2, KernelSpec(3, 3, pad=(1, 1)), rng)
+    layer.branch_bias.value[...] = 0.75  # every offset 0.75 over the whole map
+    x = rng.normal(size=(1, 2, 4, 4))
+    layer.forward(x, [0, 5])
+    # the demanded field is zero at 14 of 16 positions: its mean would read 0.09
+    with pytest.raises(UsageError):
+        layer.mean_abs_offset()
+    assert layer.recorded_state()[0] is x
+    layer.forward(x)
+    assert layer.mean_abs_offset() == pytest.approx(0.75)

@@ -136,6 +136,7 @@ def test_registry_covers_every_differentiable_op():
     assert set(GRADCHECK_TARGETS) == {
         "bilinear", "cosine_mimic", "mdconv", "mdpool", "offset_branch", "roi_branch",
         "roi_branch_batch", "mdconv_layer", "dconv_layer", "mdconv_geometry",
+        "mdconv_layer_positions",
     }
 
 

@@ -222,6 +222,22 @@ def test_sampling_locations_requires_recorded_state():
         effective_sampling_locations(layer, np.zeros((1, 1, 1, 1)))
 
 
+def test_sampling_locations_refuse_demanded_forward():
+    from dcn2.net import DeformConv2dLayer
+
+    rng = np.random.default_rng(6)
+    layer = DeformConv2dLayer(1, 2, KernelSpec(3, 3, pad=(1, 1)), rng)
+    layer.branch_weight.value[...] = rng.normal(0.0, 0.3, layer.branch_weight.value.shape)
+    x = rng.normal(size=(1, 1, 5, 5))
+    upstream = np.zeros((1, 2, 5, 5))
+    upstream[0, :, 2, 2] = 1.0
+    layer.forward(x, [12])
+    with pytest.raises(UsageError):
+        effective_sampling_locations(layer, upstream)
+    layer.forward(x)
+    assert effective_sampling_locations(layer, upstream)[0, :, 2, 2].any()
+
+
 # ---------------------------------------------------------------------------
 # SLIC
 # ---------------------------------------------------------------------------
@@ -471,6 +487,13 @@ def test_saliency_vacuous_bound_empties_mask():
     mask = saliency_region(probe, img, epsilon=1.5, center=(5.5, 5.5), target_segments=16)
     assert mask.achieved_error < 1.5
     assert mask.mask.sum() == 0
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -0.5])
+def test_saliency_non_positive_epsilon_is_argument_error(epsilon):
+    img = np.random.default_rng(10).uniform(0.1, 1.0, size=(1, 8, 8))
+    with pytest.raises(ArgumentError):
+        saliency_region(window_probe(2, 2, 3, 3), img, epsilon=epsilon, target_segments=4)
 
 
 def test_saliency_nondeterministic_probe_raises():
