@@ -228,7 +228,7 @@ def _build_probe(args, image_shape) -> NodeProbe:
         except ValueError:
             raise UsageError(f"selector {sel!r}: want net:y,x") from None
         net = load_model(args.model)
-        out_h, out_w = net.trunk.forward(np.zeros((1, *image_shape))).shape[-2:]
+        out_h, out_w = net.trunk.out_hw(image_shape[-2:])
         if not (0 <= y < out_h and 0 <= x < out_w):
             raise UsageError(f"selector {sel!r}: node must lie inside the trunk's "
                              f"{out_h}x{out_w} output map")
@@ -296,6 +296,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dcn2", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -311,11 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subcommand("gradcheck")
     p.add_argument("--op", default="*", help="op name pattern (fnmatch)")
     p.add_argument("--seeds", type=lambda s: _int_at_least(s, 1), default=20)
-    p.add_argument("--tolerance", type=_finite_float, default=1e-3)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-3)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = subcommand("bench")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=lambda s: _int_at_least(s, 0), default=0)
     p.add_argument("--shape", type=lambda s: _int_tuple(s, 4, "--shape", low=0),
                    default=(1, 64, 128, 128))
     p.add_argument("--cout", type=lambda s: _int_at_least(s, 0), default=64)
@@ -324,12 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     p = subcommand("demo-train")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=lambda s: _int_at_least(s, 0), default=0)
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--task", choices=("translate", "dilate", "scale-jitter"),
                    default="dilate")
     p.add_argument("--dilation", type=_finite_float, default=2.0)
-    p.add_argument("--task-seed", type=int, default=0)
+    p.add_argument("--task-seed", type=lambda s: _int_at_least(s, 0), default=0)
     p.add_argument("--steps", type=lambda s: _int_at_least(s, 0), default=100)
     p.add_argument("--layers", default=None,
                    help="comma-separated layer kinds overriding the config")

@@ -409,8 +409,7 @@ class _ConvGeometry:
 
 
 def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
-                             field: OffsetModulationField, threads: int | None = None,
-                             positions=None) -> np.ndarray:
+                             field: OffsetModulationField, positions=None) -> np.ndarray:
     """Same contract as mdconv_forward. Per chunk, one sparse product with the
     modulated sampling matrix gathers every tap, and one GEMM applies the
     weights. Output writes are disjoint across chunks, so the result is
@@ -442,15 +441,13 @@ def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
             res += geo.bias
         rows[s0:s1] = res
 
-    for _ in runtime.run_chunks(do_chunk, _chunks(listed, c_in, k, h_out, w_out),
-                                threads=threads):
+    for _ in runtime.run_chunks(do_chunk, _chunks(listed, c_in, k, h_out, w_out)):
         pass
     return _to_map(rows, positions, (n, c_out, h_out, w_out))
 
 
 def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
-                              field: OffsetModulationField, upstream,
-                              threads: int | None = None):
+                              field: OffsetModulationField, upstream):
     """Vectorized analytic gradients; same return signature as mdconv_backward.
 
     Only live output positions are computed: those where any channel of the
@@ -532,7 +529,7 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
         gx = s0_mat.T @ gs.astype(np.float64)
         return n0, n1, gx.reshape(n1 - n0, h, win, c_in).transpose(0, 3, 1, 2), gw, gb
 
-    for n0, n1, gx, gw, gb in runtime.run_chunks(do_chunk, tasks, threads=threads):
+    for n0, n1, gx, gw, gb in runtime.run_chunks(do_chunk, tasks):
         grad_x[n0:n1] += gx
         grad_w += gw
         if grad_b is not None:

@@ -48,9 +48,6 @@ class RoI:
     def width(self) -> float:
         return self.x2 - self.x1
 
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.y1 + self.y2), 0.5 * (self.x1 + self.x2))
-
 
 @dataclass(frozen=True)
 class PoolSpec:

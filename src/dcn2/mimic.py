@@ -12,7 +12,7 @@ only the main branch runs.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,19 +98,18 @@ def cosine_mimic_loss_batch(feats_a: np.ndarray, feats_b: np.ndarray) -> float:
 # patch cropping
 # ---------------------------------------------------------------------------
 
-def crop_resize_patch(image, roi: RoI, out_hw: tuple[int, int]) -> np.ndarray:
+def crop_resize_patch(images, roi: RoI, out_hw: tuple[int, int]) -> np.ndarray:
     """Crop the RoI rectangle (clipped to the image) and bilinearly resize it.
 
-    `image` is one (C, H, W) image or an (N, C, H, W) stack from which the
-    RoI's batch element is taken. An RoI that misses the image entirely is a
-    zero-area crop and raises ArgumentError. The separable grid samples
-    through the kernels' sparse bilinear matrix, in float64.
+    `images` is an (N, C, H, W) stack from which the RoI's batch element is
+    taken. An RoI that misses the image entirely is a zero-area crop and
+    raises ArgumentError. The separable grid samples through the kernels'
+    sparse bilinear matrix, in float64.
     """
-    arr = np.asarray(image)
-    if arr.ndim == 4:
-        arr = arr[roi.batch_index]
-    if arr.ndim != 3:
-        raise ShapeError(f"expected (C,H,W) image, got shape {arr.shape}")
+    stack = np.asarray(images)
+    if stack.ndim != 4:
+        raise ShapeError(f"expected (N,C,H,W) images, got shape {stack.shape}")
+    arr = stack[roi.batch_index]
     c, h, w = arr.shape
     y1 = max(roi.y1, 0.0)
     y2 = min(roi.y2, h - 1.0)
@@ -159,15 +158,11 @@ class MimicConfig:
 
 @dataclass
 class MimicBatch:
-    """The sampled positive set: RoIs, their cropped patches, class labels,
-    and the overlap each RoI achieved against its ground-truth box.
-    """
+    """The sampled positive set: RoIs, their cropped patches and class labels."""
 
     rois: list[RoI]
     patches: np.ndarray
     labels: np.ndarray
-    overlaps: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    positive_iou: float = 0.5
 
     @staticmethod
     def build(images, proposals: list[RoI], gt_boxes: list[RoI], gt_labels,
@@ -187,19 +182,18 @@ class MimicBatch:
                 if v > best:
                     best, best_g = v, gi
             if best >= cfg.positive_iou:
-                positives.append((p, int(gt_labels[best_g]), best))
+                positives.append((p, int(gt_labels[best_g])))
         if len(positives) > cfg.omega_size:
             keep = rng.choice(len(positives), size=cfg.omega_size, replace=False)
             positives = [positives[i] for i in sorted(keep)]
-        rois = [p for p, _, _ in positives]
-        labels = np.array([l for _, l, _ in positives], dtype=np.int64)
-        overlaps = np.array([o for _, _, o in positives], dtype=np.float64)
+        rois = [p for p, _ in positives]
+        labels = np.array([l for _, l in positives], dtype=np.int64)
         if rois:
             patches = np.stack([crop_resize_patch(images, r, cfg.patch_size) for r in rois])
         else:
             arr = np.asarray(images)
             patches = np.zeros((0, arr.shape[1]) + tuple(cfg.patch_size), dtype=arr.dtype)
-        return MimicBatch(rois, patches, labels, overlaps, cfg.positive_iou)
+        return MimicBatch(rois, patches, labels)
 
     def __len__(self) -> int:
         return len(self.rois)

@@ -21,14 +21,14 @@ def set_num_threads(n: int) -> None:
     _num_threads = max(1, int(n))
 
 
-def run_chunks(fn, chunks, threads: int | None = None):
-    """Apply fn over chunks, serially or on a thread pool.
+def run_chunks(fn, chunks):
+    """Apply fn over chunks, serially or on a pool of `num_threads()` threads.
 
     Results come back in chunk order regardless of thread scheduling, so a
     caller that reduces them in that order gets the same bits for any thread
     count.
     """
-    threads = num_threads() if threads is None else max(1, threads)
+    threads = num_threads()
     if threads == 1 or len(chunks) <= 1:
         for ch in chunks:
             yield fn(ch)

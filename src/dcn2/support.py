@@ -105,35 +105,8 @@ def window_mean_probe(y0: int, x0: int, h: int, w: int) -> NodeProbe:
     return NodeProbe(fn, grad_fn, name=f"window-mean[{y0}:{y0+h},{x0}:{x0+w}]")
 
 
-def constant_probe(value: float = 1.0) -> NodeProbe:
-    return NodeProbe(lambda img: value, lambda img: np.zeros_like(img), name="const")
-
-
-def conv_tap_probe(kernel: np.ndarray, center: tuple[int, int], channel: int = 0) -> NodeProbe:
-    """Scalar node: one kernel applied to one channel at a fixed location."""
-    k = np.asarray(kernel, dtype=np.float64)
-    kh, kw = k.shape
-    cy, cx = center
-
-    def taps(img):
-        h, w = img.shape[1:]
-        for u in range(kh):
-            for v in range(kw):
-                iy = cy + u - kh // 2
-                ix = cx + v - kw // 2
-                if 0 <= iy < h and 0 <= ix < w:
-                    yield u, v, iy, ix
-
-    def fn(img):
-        return sum(k[u, v] * img[channel, iy, ix] for u, v, iy, ix in taps(img))
-
-    def grad_fn(img):
-        g = np.zeros_like(img)
-        for u, v, iy, ix in taps(img):
-            g[channel, iy, ix] = k[u, v]
-        return g
-
-    return NodeProbe(fn, grad_fn, name="conv-tap")
+def constant_probe() -> NodeProbe:
+    return NodeProbe(lambda img: 1.0, lambda img: np.zeros_like(img), name="const")
 
 
 def network_probe(trunk: Sequential, y: int, x: int) -> NodeProbe:
@@ -219,14 +192,14 @@ class SuperpixelLabeling:
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 # window candidates scored at once by SLIC: bounds its memory on large images
 _SLIC_CANDIDATES = 1 << 16
+_SLIC_ITERS = 10
 
 
-def slic_segment(image, target_segments: int, compactness: float = 10.0,
-                 iters: int = 10) -> SuperpixelLabeling:
+def slic_segment(image, target_segments: int, compactness: float = 10.0) -> SuperpixelLabeling:
     """Grid-seeded k-means in (color, position) space with distance
-    d = d_color + (compactness / S) * d_spatial, S = sqrt(H*W/target), then
-    connectivity enforcement merging orphan fragments into the largest
-    adjacent segment.
+    d = d_color + (compactness / S) * d_spatial, S = sqrt(H*W/target), run
+    for `_SLIC_ITERS` assignment passes, then connectivity enforcement
+    merging orphan fragments into the largest adjacent segment.
 
     The image must be finite. Each center competes for the pixels of its
     window, rows and columns int(c - 2S) .. int(c + 2S) clipped to the image.
@@ -261,7 +234,7 @@ def slic_segment(image, target_segments: int, compactness: float = 10.0,
     colors = img.reshape(c, -1)  # (C, H*W): distances add the channels one by one
     pixels = np.ascontiguousarray(colors.T)  # (H*W, C): the layout of img[:, mask]
     ratio = compactness / s
-    for _ in range(max(1, iters)):
+    for _ in range(_SLIC_ITERS):
         cy, cx = centers_pos.T
         r0 = np.maximum(0, (cy - 2 * s).astype(np.int64))
         r1 = np.minimum(h, (cy + 2 * s).astype(np.int64) + 1)
@@ -452,17 +425,20 @@ def _reconstruction_loss(orig: np.ndarray, masked: np.ndarray) -> float:
     return abs(a - b) / max(abs(a), 1e-9)
 
 
+# step 1's rectangle grows by this fraction of the image area per step
+_AREA_STEP = 0.01
+
+
 def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
-                    aspect=None, center: tuple[float, float] | None = None,
-                    area_increment: float = 0.01, target_segments: int = 100,
-                    compactness: float = 10.0, slic_iters: int = 10) -> SaliencyMask:
+                    center: tuple[float, float] | None = None,
+                    target_segments: int = 100) -> SaliencyMask:
     """Find a small mask whose masked image keeps the probe response within
     `epsilon` reconstruction error.
 
-    The rectangle is square unless `aspect` (an RoI) fixes its aspect ratio;
-    it is centered on `center` (default: the RoI center when given, else the
-    image center). `area_increment` is the growth step as a fraction of the
-    image area.
+    The rectangle is square, centered on `center` (default: the image
+    center), and grows by `_AREA_STEP` of the image area per step; step 2
+    segments the image into at most `target_segments` SLIC superpixels at
+    `slic_segment`'s default compactness.
     """
     if not epsilon > 0:  # NaN fails too
         raise ArgumentError(f"epsilon must be positive, got {epsilon}")
@@ -477,17 +453,10 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
         calls += 1
         return _reconstruction_loss(orig, resp)
 
-    if aspect is not None:
-        ratio = (aspect.height / aspect.width) if aspect.width > 0 else 1.0
-        if ratio <= 0:
-            ratio = 1.0
-        cy, cx = aspect.center() if center is None else center
-    else:
-        ratio = 1.0
-        cy, cx = ((h - 1) / 2.0, (w - 1) / 2.0) if center is None else center
+    cy, cx = ((h - 1) / 2.0, (w - 1) / 2.0) if center is None else center
 
-    # step 1: centered rectangle grown at even area increments
-    step = max(1.0, area_increment * h * w)
+    # step 1: centered square grown at even area increments
+    step = max(1.0, _AREA_STEP * h * w)
     prev_rect = None
     rect = None
     rect_error = None
@@ -495,7 +464,7 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
     while True:
         t += 1
         area = t * step
-        rh = math.sqrt(area * ratio)
+        rh = math.sqrt(area)
         rw = area / rh
         y0 = max(0, int(round(cy - rh / 2 + 0.5)))
         y1 = min(h, int(round(cy + rh / 2 + 0.5)))
@@ -530,7 +499,7 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
     rect_mask[y0:y1, x0:x1] = True
 
     # step 2: greedy superpixel removal inside the rectangle
-    seg = slic_segment(img, min(target_segments, h * w), compactness, slic_iters)
+    seg = slic_segment(img, min(target_segments, h * w))
     units = []
     for s_id in range(seg.count):
         cells = (seg.labels == s_id) & rect_mask

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,23 +74,7 @@ class ToyNetConfig:
             raise ConfigurationError("image_size and batch_size must be >= 1")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "layers": list(self.layers),
-                "channels": list(self.channels),
-                "bins": list(self.bins),
-                "pool_samples": self.pool_samples,
-                "head_widths": list(self.head_widths),
-                "mimic": self.mimic,
-                "learning_rate": self.learning_rate,
-                "momentum": self.momentum,
-                "weight_decay": self.weight_decay,
-                "branch_lr_mult": self.branch_lr_mult,
-                "image_size": self.image_size,
-                "batch_size": self.batch_size,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ToyNetConfig":
@@ -294,10 +278,14 @@ class ToyRegressionNet:
         self.trunk.backward(g)
 
 
-def run_toy_training(cfg: ToyNetConfig, task: SyntheticTask, steps: int, seed: int,
-                     eval_batch: int = 64) -> tuple[dict, ToyRegressionNet]:
+_EVAL_BATCH = 64
+
+
+def run_toy_training(cfg: ToyNetConfig, task: SyntheticTask, steps: int,
+                     seed: int) -> tuple[dict, ToyRegressionNet]:
     """Train the regression net with SGD and report metrics: per-step loss,
-    final eval loss, and mean |dp| per deformable layer on the eval batch.
+    final eval loss, and mean |dp| per deformable layer on the eval batch of
+    `_EVAL_BATCH` images.
     A training step's trunk computes only what the readout reads; the eval
     forward computes whole maps, whose fields give mean |dp|.
     """
@@ -318,7 +306,7 @@ def run_toy_training(cfg: ToyNetConfig, task: SyntheticTask, steps: int, seed: i
         losses.append(loss)
 
     eval_rng = np.random.default_rng([seed, task.seed, 777])
-    images, targets = task.sample_batch(eval_rng, eval_batch)
+    images, targets = task.sample_batch(eval_rng, _EVAL_BATCH)
     pred = net.forward(images)
     eval_loss, _ = mse_loss(pred, targets)
     offsets = {

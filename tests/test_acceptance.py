@@ -237,7 +237,7 @@ def test_criterion_7_mimic_wiring():
     model = build_two_branch_model(cfg, 2, rng)
     images = rng.normal(size=(3, 1, 12, 12))
     rois = [RoI(i, 0.0, 0.0, 11.0, 11.0) for i in range(3)]
-    batch = MimicBatch(rois, images.copy(), np.array([0, 1, 2]), np.ones(3), 0.5)
+    batch = MimicBatch(rois, images.copy(), np.array([0, 1, 2]))
     _, parts = mimic_step(model, images, batch, MimicConfig(patch_size=(12, 12)))
     exact_zero = parts["mimic"] == 0.0
 

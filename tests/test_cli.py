@@ -164,14 +164,96 @@ def test_failing_gradcheck_is_numeric_exit(capsys):
     assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
-@settings(max_examples=200, deadline=2000)
-@given(st.lists(st.integers(-1, 3), min_size=8, max_size=8))
-def test_bench_argument_vectors_exit_with_contract_code(values):
-    n, c, h, w, cout, kh, kw, repeats = values
-    argv = ["bench", f"--shape={n},{c},{h},{w}", f"--cout={cout}", f"--kernel={kh},{kw}",
-            f"--repeats={repeats}"]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "--shape", "1,1,4,4", "--cout", "1", "--repeats", "1", "--seed=-1"], "--seed"),
+    (["demo-train", "--steps", "0", "--seed=-1"], "--seed"),
+    (["demo-train", "--steps", "0", "--task-seed=-1"], "--task-seed"),
+    (["gradcheck", "--op", "bilinear", "--tolerance=-1"], "--tolerance"),
+    (["gradcheck", "--op", "bilinear", "--tolerance=0"], "--tolerance"),
+], ids=["bench-seed", "demo-train-seed", "demo-train-task-seed", "tolerance-negative",
+        "tolerance-zero"])
+def test_out_of_range_seed_or_tolerance_is_usage_error(capsys, argv, flag):
+    # a negative seed once ended in numpy's ValueError traceback, and a
+    # tolerance of zero or less failed every check with the divergence code
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+# seeds: negative, zero, small and beyond 64 bits
+_SEEDS = st.one_of(st.integers(-3, 3), st.integers(2**62, 2**80), st.integers(-(2**80), -(2**62)))
+
+
+def _assert_contract_exit(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGED, EXIT_IO)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=200, deadline=2000)
+@given(st.lists(st.integers(-1, 3), min_size=8, max_size=8), _SEEDS)
+def test_bench_argument_vectors_exit_with_contract_code(values, seed):
+    n, c, h, w, cout, kh, kw, repeats = values
+    _assert_contract_exit(["bench", f"--shape={n},{c},{h},{w}", f"--cout={cout}",
+                           f"--kernel={kh},{kw}", f"--repeats={repeats}", f"--seed={seed}"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1), _SEEDS, _SEEDS, st.sampled_from(["translate", "dilate", "scale-jitter"]),
+       st.sampled_from(["2", "0", "-2", "1e300", "nan"]), st.booleans(),
+       st.sampled_from([None, "regular", "mdconv,dconv", "regular,,mdconv", "bogus"]))
+def test_demo_train_argument_vectors_exit_with_contract_code(steps, seed, task_seed, task,
+                                                             dilation, mimic, layers):
+    argv = ["demo-train", f"--steps={steps}", f"--seed={seed}", f"--task-seed={task_seed}",
+            f"--task={task}", f"--dilation={dilation}"]
+    argv += ["--mimic"] * mimic + ([f"--layers={layers}"] if layers is not None else [])
+    _assert_contract_exit(argv)
+
+
+@pytest.fixture(scope="module")
+def probe_files(tmp_path_factory):
+    """A 24x24 PGM image and a saved regular + mdconv model for `net:` probes."""
+    root = tmp_path_factory.mktemp("probe_files")
+    plane = np.random.default_rng(0).uniform(0.2, 1.0, size=(24, 24))
+    (root / "input.pgm").write_bytes(encode_pgm(plane))
+    cfg = ToyNetConfig(layers=("regular", "mdconv"), channels=(4, 4), image_size=24)
+    save_model(ToyRegressionNet(cfg, np.random.default_rng(0)), root / "model")
+    return str(root / "input.pgm"), str(root / "model")
+
+
+_PROBES = st.sampled_from(["window:8,8,8,8", "window-mean:0,0,24,24", "window:20,20,8,8",
+                           "const", "net:12,12", "net:30,1", "net:a", "bogus:1"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PROBES, st.booleans(), st.sampled_from(["0.1", "0.5", "1e-12", "0", "-1", "nan"]),
+       st.sampled_from([None, "11.5,11.5", "0,23", "-5,40", "nan,1", "1"]),
+       st.integers(-1, 30))
+def test_saliency_argument_vectors_exit_with_contract_code(probe_files, probe, with_model,
+                                                           epsilon, center, segments):
+    image, model = probe_files
+    argv = ["saliency", "--image", image, f"--probe={probe}", f"--epsilon={epsilon}",
+            f"--segments={segments}"]
+    argv += ["--model", model] * with_model + ([f"--center={center}"] if center else [])
+    _assert_contract_exit(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PROBES, st.booleans())
+def test_erf_argument_vectors_exit_with_contract_code(probe_files, probe, with_model):
+    image, model = probe_files
+    _assert_contract_exit(["erf", "--image", image, f"--probe={probe}"]
+                          + ["--model", model] * with_model)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["bilinear", "cosine_mimic", "roi_branch", "bil*", "nosuch"]),
+       st.integers(-1, 2), st.sampled_from(["1e-3", "1e300", "1e-300", "0", "-1", "nan", "x"]))
+def test_gradcheck_argument_vectors_exit_with_contract_code(op, seeds, tolerance):
+    _assert_contract_exit(["gradcheck", f"--op={op}", f"--seeds={seeds}",
+                           f"--tolerance={tolerance}"])
 
 
 @pytest.mark.parametrize("error, code", [
@@ -445,14 +527,12 @@ def test_net_probe_outside_output_map_is_usage_error(tmp_path, pgm_image, node):
                  "--model", str(tmp_path / "model")]) == EXIT_USAGE
 
 
-def test_threads_env_fallback(monkeypatch):
-    import importlib
-
+def test_threads_env_fallback(monkeypatch, kernel_threads):
     from dcn2 import runtime
 
     monkeypatch.setenv("DCN2_THREADS", "3")
-    runtime._num_threads = None
+    kernel_threads(None)
     assert runtime.num_threads() == 3
     monkeypatch.delenv("DCN2_THREADS")
-    runtime._num_threads = None
+    kernel_threads(None)
     assert runtime.num_threads() == 1

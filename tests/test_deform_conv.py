@@ -221,7 +221,7 @@ def test_lattice_samples_use_floor_cell_derivative():
         assert np.allclose(goff[0, 1], want_dx, atol=1e-12)
 
 
-def test_backward_threaded_matches_serial(monkeypatch):
+def test_backward_threaded_matches_serial(monkeypatch, kernel_threads):
     import dcn2.deform_conv as dc
 
     rng = np.random.default_rng(6)
@@ -234,13 +234,15 @@ def test_backward_threaded_matches_serial(monkeypatch):
         rng.uniform(0, 1, size=(2, 9, h_out, w_out)),
     )
     upstream = rng.normal(size=(2, 3, h_out, w_out))
-    whole = mdconv_backward_optimized(x, weights, spec, field, upstream, threads=1)
+    kernel_threads(1)
+    whole = mdconv_backward_optimized(x, weights, spec, field, upstream)
     # shrink the chunk budget so the tiled path (and threading) really runs
     monkeypatch.setattr(dc, "_CHUNK_BUDGET", 2000)
-    serial = mdconv_backward_optimized(x, weights, spec, field, upstream, threads=1)
-    threaded = mdconv_backward_optimized(x, weights, spec, field, upstream, threads=4)
-    fwd_whole = mdconv_forward_optimized(x, weights, spec, field, threads=1)
-    fwd_tiled = mdconv_forward_optimized(x, weights, spec, field, threads=4)
+    serial = mdconv_backward_optimized(x, weights, spec, field, upstream)
+    fwd_whole = mdconv_forward_optimized(x, weights, spec, field)
+    kernel_threads(4)
+    threaded = mdconv_backward_optimized(x, weights, spec, field, upstream)
+    fwd_tiled = mdconv_forward_optimized(x, weights, spec, field)
     assert np.abs(fwd_whole - fwd_tiled).max() < 1e-10
     for w_, a, b in zip(whole, serial, threaded):
         assert np.abs(w_ - a).max() < 1e-10  # tiling changes only summation order
@@ -694,7 +696,7 @@ def test_nan_upstream_propagates_at_its_position():
     assert np.isnan(gw).any() and np.isnan(gb[1])
 
 
-def test_sparse_backward_threaded_matches_serial(monkeypatch):
+def test_sparse_backward_threaded_matches_serial(monkeypatch, kernel_threads):
     import dcn2.deform_conv as dc
     from dcn2 import runtime
 
@@ -705,20 +707,22 @@ def test_sparse_backward_threaded_matches_serial(monkeypatch):
     field = OffsetModulationField(rng.uniform(-2, 2, size=(3, 18, 20, 9)),
                                   rng.uniform(0, 1, size=(3, 9, 20, 9)))
     upstream = rng.normal(size=(3, 3, 20, 9)) * (rng.random((3, 1, 20, 9)) < 0.2)
-    whole = mdconv_backward_optimized(x, weights, spec, field, upstream, threads=1)
+    kernel_threads(1)
+    whole = mdconv_backward_optimized(x, weights, spec, field, upstream)
 
     chunk_counts = []
     run_chunks = runtime.run_chunks
 
-    def counting_run_chunks(fn, chunks, threads=None):
+    def counting_run_chunks(fn, chunks):
         chunk_counts.append(len(chunks))
-        return run_chunks(fn, chunks, threads=threads)
+        return run_chunks(fn, chunks)
 
     monkeypatch.setattr(runtime, "run_chunks", counting_run_chunks)
     # a budget of a few positions spreads the live ones over many chunks
     monkeypatch.setattr(dc, "_CHUNK_BUDGET", 500)
-    serial = mdconv_backward_optimized(x, weights, spec, field, upstream, threads=1)
-    threaded = mdconv_backward_optimized(x, weights, spec, field, upstream, threads=4)
+    serial = mdconv_backward_optimized(x, weights, spec, field, upstream)
+    kernel_threads(4)
+    threaded = mdconv_backward_optimized(x, weights, spec, field, upstream)
     assert chunk_counts[0] == chunk_counts[1] > 3
     for w_, a, b in zip(whole, serial, threaded):
         assert _rel_err(a, w_) <= 1e-10  # tiling changes only summation order

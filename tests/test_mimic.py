@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dcn2.checks import run_gradcheck
 from dcn2.deform_roipool import PoolSpec, RoI
-from dcn2.errors import ArgumentError, ConfigurationError
+from dcn2.errors import ArgumentError, ConfigurationError, ShapeError
 from dcn2.mimic import (
     MimicBatch,
     MimicConfig,
@@ -92,13 +92,13 @@ def test_batch_loss_is_sum_of_pairs():
 def test_crop_whole_image_identity():
     rng = np.random.default_rng(3)
     img = rng.normal(size=(2, 6, 7))
-    out = crop_resize_patch(img, RoI(0, 0.0, 0.0, 6.0, 5.0), (6, 7))
+    out = crop_resize_patch(img[None], RoI(0, 0.0, 0.0, 6.0, 5.0), (6, 7))
     assert np.abs(out - img).max() < 1e-5
 
 
 def test_crop_constant_image():
     img = np.full((1, 8, 8), 3.0)
-    out = crop_resize_patch(img, RoI(0, 1.3, 2.1, 6.7, 5.9), (5, 4))
+    out = crop_resize_patch(img[None], RoI(0, 1.3, 2.1, 6.7, 5.9), (5, 4))
     assert out.shape == (1, 5, 4)
     assert np.allclose(out, 3.0)
 
@@ -108,7 +108,7 @@ def test_crop_ramp_right_half_hand_check():
     # mapping, evaluated with an independent interpolation
     img = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
     roi = RoI(0, 2.0, 0.0, 3.0, 3.0)
-    out = crop_resize_patch(img, roi, (2, 2))
+    out = crop_resize_patch(img[None], roi, (2, 2))
     eh, ew = 4.0, 2.0
     ys = [0 + (i + 0.5) * (eh / 2) - 0.5 for i in range(2)]
     xs = [2 + (j + 0.5) * (ew / 2) - 0.5 for j in range(2)]
@@ -122,7 +122,12 @@ def test_crop_ramp_right_half_hand_check():
 def test_crop_outside_image_rejected():
     img = np.zeros((1, 4, 4))
     with pytest.raises(ArgumentError):
-        crop_resize_patch(img, RoI(0, 10.0, 10.0, 12.0, 12.0), (2, 2))
+        crop_resize_patch(img[None], RoI(0, 10.0, 10.0, 12.0, 12.0), (2, 2))
+
+
+def test_crop_wants_image_stack():
+    with pytest.raises(ShapeError):
+        crop_resize_patch(np.zeros((1, 4, 4)), RoI(0, 0.0, 0.0, 3.0, 3.0), (2, 2))
 
 
 def test_box_iou_basic():
@@ -145,7 +150,8 @@ def test_batch_filters_below_threshold():
     cfg = MimicConfig(positive_iou=0.5, omega_size=32, patch_size=(8, 8))
     batch = MimicBatch.build(images, proposals, gt, [1, 2], cfg, rng)
     assert len(batch) == 2
-    assert np.all(batch.overlaps >= 0.5)
+    for roi in batch.rois:
+        assert max(box_iou(roi, g) for g in gt if g.batch_index == roi.batch_index) >= 0.5
     assert batch.patches.shape == (2, 1, 8, 8)
     assert list(batch.labels) == [1, 2]
 
@@ -171,7 +177,7 @@ def test_mimic_loss_zero_at_init_with_identical_inputs():
     model = build_two_branch_model(cfg, 2, rng)
     images = rng.normal(size=(3, 1, 12, 12))
     rois = [RoI(i, 0.0, 0.0, 11.0, 11.0) for i in range(3)]
-    batch = MimicBatch(rois, images.copy(), np.array([0, 1, 2]), np.ones(3), 0.5)
+    batch = MimicBatch(rois, images.copy(), np.array([0, 1, 2]))
     _, parts = mimic_step(model, images, batch, MimicConfig(patch_size=(12, 12)))
     assert parts["mimic"] == 0.0
 
@@ -207,7 +213,7 @@ def test_shared_param_identity_enforced():
     model.rcnn_head = model.frcnn_head  # violate head distinctness
     images = rng.normal(size=(2, 1, 12, 12))
     rois = [RoI(0, 0, 0, 11, 11), RoI(1, 0, 0, 11, 11)]
-    batch = MimicBatch(rois, images, np.array([0, 1]), np.ones(2), 0.5)
+    batch = MimicBatch(rois, images, np.array([0, 1]))
     with pytest.raises(ConfigurationError):
         mimic_step(model, images, batch, MimicConfig(patch_size=(12, 12)))
 
@@ -245,7 +251,7 @@ def test_mimic_step_runs_each_trunk_layer_once_per_branch(monkeypatch, weight, r
         layer.tag = tag
     images = rng.normal(size=(3, 1, 12, 12))
     rois = [RoI(i, 1.0, 2.0, 10.0, 9.0) for i in range(3)]
-    batch = MimicBatch(rois, images.copy(), np.array([0, 1, 2]), np.ones(3), 0.5)
+    batch = MimicBatch(rois, images.copy(), np.array([0, 1, 2]))
     mimic_step(model, images, batch, MimicConfig(mimic_weight=weight, rcnn_cls_weight=weight,
                                                  patch_size=(12, 12)))
     want = Counter()

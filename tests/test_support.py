@@ -7,7 +7,6 @@ from dcn2.imageio import decode_netpbm, encode_mask_pgm, encode_pgm
 from dcn2.support import (
     NodeProbe,
     SaliencyMask,
-    conv_tap_probe,
     constant_probe,
     effective_receptive_field,
     effective_sampling_locations,
@@ -23,11 +22,36 @@ from dcn2.support import (
 # effective receptive field
 # ---------------------------------------------------------------------------
 
+def _conv_tap_probe(kernel: np.ndarray, center: tuple[int, int]) -> NodeProbe:
+    """Scalar node: one kernel applied to channel 0 at a fixed location."""
+    kh, kw = kernel.shape
+    cy, cx = center
+
+    def taps(img):
+        h, w = img.shape[1:]
+        for u in range(kh):
+            for v in range(kw):
+                iy, ix = cy + u - kh // 2, cx + v - kw // 2
+                if 0 <= iy < h and 0 <= ix < w:
+                    yield u, v, iy, ix
+
+    def fn(img):
+        return sum(kernel[u, v] * img[0, iy, ix] for u, v, iy, ix in taps(img))
+
+    def grad_fn(img):
+        g = np.zeros_like(img)
+        for u, v, iy, ix in taps(img):
+            g[0, iy, ix] = kernel[u, v]
+        return g
+
+    return NodeProbe(fn, grad_fn, name="conv-tap")
+
+
 def test_erf_conv_probe_equals_abs_kernel():
     rng = np.random.default_rng(0)
     kernel = rng.normal(size=(3, 3))
     img = rng.normal(size=(1, 9, 9))
-    probe = conv_tap_probe(kernel, center=(4, 4))
+    probe = _conv_tap_probe(kernel, center=(4, 4))
     erf = effective_receptive_field(probe, img)
     expected = np.zeros((9, 9))
     expected[3:6, 3:6] = np.abs(kernel)

@@ -14,6 +14,7 @@ from dcn2.synthetic import (
     ToyRegressionNet,
     TrainingDiverged,
     run_toy_training,
+    save_model,
 )
 
 
@@ -156,3 +157,54 @@ def test_deterministic_mode_bit_identical_metrics():
     m1, _ = run_toy_training(cfg, task, steps=5, seed=9)
     m2, _ = run_toy_training(cfg, task, steps=5, seed=9)
     assert json.dumps(m1, sort_keys=True).encode() == json.dumps(m2, sort_keys=True).encode()
+
+
+_DEFAULT_CONFIG_JSON = (
+    '{"batch_size": 8, "bins": [1, 1], "branch_lr_mult": 0.1, "channels": [8, 8], '
+    '"head_widths": [], "image_size": 32, "layers": ["regular", "mdconv"], '
+    '"learning_rate": 0.05, "mimic": false, "momentum": 0.9, "pool_samples": 2, '
+    '"weight_decay": 0.0001}'
+)
+
+_DEFAULT_MODEL_JSON = """{
+  "config": {
+    "batch_size": 8,
+    "bins": [
+      1,
+      1
+    ],
+    "branch_lr_mult": 0.1,
+    "channels": [
+      8,
+      8
+    ],
+    "head_widths": [],
+    "image_size": 32,
+    "layers": [
+      "regular",
+      "mdconv"
+    ],
+    "learning_rate": 0.05,
+    "mimic": false,
+    "momentum": 0.9,
+    "pool_samples": 2,
+    "weight_decay": 0.0001
+  },
+  "params": {
+    "head_out.bias": "param007.dcnt",
+    "head_out.weight": "param006.dcnt",
+    "layer0.regular.bias": "param001.dcnt",
+    "layer0.regular.weight": "param000.dcnt",
+    "layer1.mdconv.bias": "param003.dcnt",
+    "layer1.mdconv.branch_bias": "param005.dcnt",
+    "layer1.mdconv.branch_weight": "param004.dcnt",
+    "layer1.mdconv.weight": "param002.dcnt"
+  }
+}"""
+
+
+def test_default_config_and_model_json_bytes_are_pinned(tmp_path):
+    # the model-file format: the bytes must not move when the config class does
+    assert ToyNetConfig().to_json() == _DEFAULT_CONFIG_JSON
+    save_model(ToyRegressionNet(ToyNetConfig(), np.random.default_rng(0)), tmp_path)
+    assert (tmp_path / "model.json").read_bytes() == _DEFAULT_MODEL_JSON.encode("ascii")
