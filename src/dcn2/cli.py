@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--task", choices=("translate", "dilate", "scale-jitter"),
                    default="dilate")
-    p.add_argument("--dilation", type=_finite_float, default=2.0)
+    p.add_argument("--dilation", type=_positive_float, default=2.0)
     p.add_argument("--task-seed", type=lambda s: _int_at_least(s, 0), default=0)
     p.add_argument("--steps", type=lambda s: _int_at_least(s, 0), default=100)
     p.add_argument("--layers", default=None,
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default=None)
     p.add_argument("--epsilon", type=_finite_float, default=0.1)
     p.add_argument("--center", default=None, help="cy,cx rectangle center")
-    p.add_argument("--segments", type=int, default=100)
+    p.add_argument("--segments", type=lambda s: _int_at_least(s, 1), default=100)
     p.set_defaults(fn=cmd_saliency)
 
     p = subcommand("erf")

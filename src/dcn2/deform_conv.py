@@ -52,8 +52,10 @@ BRANCH_LR_MULTIPLIER = 0.1
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel geometry: K taps enumerated row-major starting at
-    (-floor(kh/2)*dil_h, -floor(kw/2)*dil_w).
+    """Kernel geometry: K taps enumerated row-major. Before any offset, tap
+    (u, v) of output position (i, j) reads input pixel
+    (i*stride_h - pad_h + u*dil_h, j*stride_w - pad_w + v*dil_w), the
+    lattice point p + p_k; `taps_at` gives these for a position list.
     """
 
     kernel_h: int
@@ -72,23 +74,22 @@ class KernelSpec:
     def k(self) -> int:
         return self.kernel_h * self.kernel_w
 
-    def taps(self) -> np.ndarray:
-        """(K, 2) array of pre-specified (dy, dx) tap displacements in pixels."""
-        dh, dw = self.dilation
-        tap = np.empty((self.k, 2), dtype=np.float64)
-        idx = 0
-        for u in range(self.kernel_h):
-            for v in range(self.kernel_w):
-                tap[idx, 0] = (u - self.kernel_h // 2) * dh
-                tap[idx, 1] = (v - self.kernel_w // 2) * dw
-                idx += 1
-        return tap
-
-    def center(self) -> tuple[int, int]:
-        """Displacement from the top-left tap's lattice position to the kernel
-        center p, i.e. where the base sampling position sits.
+    def taps_at(self, positions, out_hw: tuple[int, int]):
+        """(item (P,), rows (P, kh), cols (P, kw)) of sorted flat positions
+        b*H_out*W_out + i*W_out + j of an (N, H_out, W_out) output map: tap
+        (u, v) of position p reads unpadded input pixel (rows[p, u],
+        cols[p, v]) of item[p] before any offset. Rows and columns outside
+        the input are in the zero padding.
         """
-        return (self.kernel_h // 2 * self.dilation[0], self.kernel_w // 2 * self.dilation[1])
+        h_out, w_out = out_hw
+        item, rc = np.divmod(np.asarray(positions, dtype=np.int64), h_out * w_out)
+        row, col = np.divmod(rc, w_out)
+        (sh, sw), (ph, pw), (dh, dw) = self.stride, self.pad, self.dilation
+        # built tap-major: a broadcast whose inner axis is the short tap
+        # axis runs several times slower
+        rows = (np.arange(self.kernel_h)[:, None] * dh + (row * sh - ph)).T
+        cols = (np.arange(self.kernel_w)[:, None] * dw + (col * sw - pw)).T
+        return item, rows, cols
 
     def out_size(self, h: int, w: int) -> tuple[int, int]:
         kh, kw = self.kernel_h, self.kernel_w
@@ -161,13 +162,11 @@ class OffsetModulationField:
         return self.offsets.shape[1] // 2
 
     @staticmethod
-    def identity(n: int, k: int, h_out: int, w_out: int, modulation: float = 1.0,
-                 dtype=np.float64) -> "OffsetModulationField":
+    def identity(n: int, k: int, h_out: int, w_out: int,
+                 modulation: float = 1.0) -> "OffsetModulationField":
         """dp = 0 with constant modulation (1.0 recovers a rigid convolution)."""
-        return OffsetModulationField(
-            np.zeros((n, 2 * k, h_out, w_out), dtype=dtype),
-            np.full((n, k, h_out, w_out), modulation, dtype=dtype),
-        )
+        return OffsetModulationField(np.zeros((n, 2 * k, h_out, w_out)),
+                                     np.full((n, k, h_out, w_out), modulation, dtype=np.float64))
 
 
 def _check_mdconv_args(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField):
@@ -243,22 +242,18 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def mdconv_forward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField) -> np.ndarray:
     x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field)
     c_out = w.weight.shape[0]
-    taps = spec.taps()
-    cy, cx = spec.center()
-    sh, sw = spec.stride
-    ph, pw = spec.pad
+    (sh, sw), (ph, pw), (dh, dw) = spec.stride, spec.pad, spec.dilation
     wk = w.weight.reshape(c_out, c_in, spec.k).astype(np.float64)
 
     out = np.zeros((n, c_out, h_out, w_out), dtype=np.float64)
     for b in range(n):
         for i in range(h_out):
             for j in range(w_out):
-                py = i * sh - ph + cy
-                px = j * sw - pw + cx
                 sampled = np.zeros((c_in, spec.k), dtype=np.float64)
                 for k in range(spec.k):
-                    sy = py + taps[k, 0] + float(field.offsets[b, 2 * k, i, j])
-                    sx = px + taps[k, 1] + float(field.offsets[b, 2 * k + 1, i, j])
+                    u, v = divmod(k, spec.kernel_w)
+                    sy = i * sh - ph + u * dh + float(field.offsets[b, 2 * k, i, j])
+                    sx = j * sw - pw + v * dw + float(field.offsets[b, 2 * k + 1, i, j])
                     m = float(field.modulation[b, k, i, j])
                     for ci in range(c_in):
                         sampled[ci, k] = bilinear_sample(x[b, ci], (sy, sx)) * m
@@ -279,10 +274,7 @@ def mdconv_backward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulation
     c_out = w.weight.shape[0]
     if g.shape != (n, c_out, h_out, w_out):
         raise ShapeError(f"upstream shape {g.shape} != {(n, c_out, h_out, w_out)}")
-    taps = spec.taps()
-    cy, cx = spec.center()
-    sh, sw = spec.stride
-    ph, pw = spec.pad
+    (sh, sw), (ph, pw), (dh, dw) = spec.stride, spec.pad, spec.dilation
     wk = w.weight.reshape(c_out, c_in, spec.k).astype(np.float64)
 
     grad_x = np.zeros((n, c_in, h, win), dtype=np.float64)
@@ -295,11 +287,10 @@ def mdconv_backward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulation
         for i in range(h_out):
             for j in range(w_out):
                 gvec = g[b, :, i, j].astype(np.float64)
-                py = i * sh - ph + cy
-                px = j * sw - pw + cx
                 for k in range(spec.k):
-                    sy = py + taps[k, 0] + float(field.offsets[b, 2 * k, i, j])
-                    sx = px + taps[k, 1] + float(field.offsets[b, 2 * k + 1, i, j])
+                    u, v = divmod(k, spec.kernel_w)
+                    sy = i * sh - ph + u * dh + float(field.offsets[b, 2 * k, i, j])
+                    sx = j * sw - pw + v * dw + float(field.offsets[b, 2 * k + 1, i, j])
                     m = float(field.modulation[b, k, i, j])
                     # per-channel chain through the bilinear surface
                     gk = wk[:, :, k].T @ gvec  # (c_in,) = dL/d(sample*m) per channel
@@ -380,15 +371,11 @@ class _ConvGeometry:
             w.weight.reshape(c_out, self.c_in, spec.k).transpose(2, 1, 0),
             dtype=self.dtype).reshape(spec.k * self.c_in, c_out)
         self.bias = None if w.bias is None else np.asarray(w.bias, dtype=self.dtype)
-        self.item, rc = np.divmod(positions, h_out * w_out)
-        row, col = np.divmod(rc, w_out)
-        taps = spec.taps()
-        cy, cx = spec.center()
-        base_y = row.astype(np.float64) * spec.stride[0] - spec.pad[0] + cy
-        base_x = col.astype(np.float64) * spec.stride[1] - spec.pad[1] + cx
+        self.item, rows, cols = spec.taps_at(positions, (h_out, w_out))
         offs = _rows(field.offsets, positions).astype(np.float64)
-        self.py = (taps[:, 0] + base_y[:, None]) + offs[:, 0::2]
-        self.px = (taps[:, 1] + base_x[:, None]) + offs[:, 1::2]
+        # (P, K) in row-major tap order
+        self.py = np.repeat(rows, spec.kernel_w, axis=1) + offs[:, 0::2]
+        self.px = np.tile(cols, (1, spec.kernel_h)) + offs[:, 1::2]
         self.mods = _rows(field.modulation, positions).astype(np.float64)
 
     def planes(self, n0: int, n1: int) -> np.ndarray:
@@ -576,18 +563,17 @@ def _patches(xp: np.ndarray, spec: KernelSpec, out_hw: tuple[int, int]) -> np.nd
 def _patch_index(shape, spec: KernelSpec, positions: np.ndarray,
                  out_hw: tuple[int, int]) -> np.ndarray:
     """(P, C*kh*kw) flat indices into a padded (N, C, H_p, W_p) input of the
-    im2col rows of the flat output positions: each position's top-left
-    corner plus a fixed offset per (channel, tap).
+    im2col rows of the flat output positions, in (channel, tap) order.
     """
-    n, c, hp, wp = shape
-    h_out, w_out = out_hw
-    item, rc = np.divmod(positions, h_out * w_out)
-    row, col = np.divmod(rc, w_out)
-    corner = (item * (c * hp) + row * spec.stride[0]) * wp + col * spec.stride[1]
-    tap = ((np.arange(c)[:, None, None] * hp
-            + np.arange(spec.kernel_h)[:, None] * spec.dilation[0]) * wp
-           + np.arange(spec.kernel_w) * spec.dilation[1])
-    return corner[:, None] + tap.reshape(-1)
+    c, hp, wp = shape[1:]
+    item, rows, cols = spec.taps_at(positions, out_hw)
+    first = (item * (c * hp) + rows[:, 0] + spec.pad[0]) * wp + cols[:, 0] + spec.pad[1]
+    # every position's taps lie where those of output (0, 0) lie from its
+    # first tap; one (P, C*K) add is several times cheaper than a broadcast
+    # over the short tap axes
+    _, r0, c0 = spec.taps_at([0], (1, 1))
+    step = (np.arange(c)[:, None, None] * hp + (r0 - r0[:, :1]).T) * wp + (c0 - c0[:, :1])
+    return first[:, None] + step.reshape(-1)
 
 
 def dense_conv_forward(x, w: ConvWeights, spec: KernelSpec, positions=None) -> np.ndarray:
@@ -634,7 +620,6 @@ def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions
     kh, kw = spec.kernel_h, spec.kernel_w
     sh, sw = spec.stride
     ph, pw = spec.pad
-    dh, dw = spec.dilation
     h_out, w_out = spec.out_size(h, win)
     xp = _padded(x, spec, dtype)
     c_out = w.weight.shape[0]
@@ -648,10 +633,13 @@ def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions
         grad_b = g.sum(axis=(0, 2, 3), dtype=np.float64)
         grad_cols = np.matmul(wmat.T, gmat).reshape(n, c, kh, kw, h_out, w_out)
         gxp = np.zeros(xp.shape, dtype=dtype)
-        for u in range(kh):
-            for v in range(kw):
-                gxp[:, :, u * dh : u * dh + sh * h_out : sh,
-                    v * dw : v * dw + sw * w_out : sw] += grad_cols[:, :, u, v]
+        # tap (u, v) reads (top, left) of the padded input at output (0, 0),
+        # and one stride further at each next output
+        _, r0, c0 = spec.taps_at([0], (1, 1))
+        for u, top in enumerate(r0[0] + ph):
+            for v, left in enumerate(c0[0] + pw):
+                gxp[:, :, top : top + sh * h_out : sh,
+                    left : left + sw * w_out : sw] += grad_cols[:, :, u, v]
     else:
         g_rows = _rows(g, positions)
         index = _patch_index(xp.shape, spec, positions, (h_out, w_out))

@@ -93,9 +93,9 @@ class BinField:
             raise ArgumentError("offsets must be finite")
 
     @staticmethod
-    def identity(r: int, k: int, modulation: float = 1.0) -> "BinField":
-        """dp = 0 with constant modulation for R RoIs of K bins."""
-        return BinField(np.zeros((r, 2 * k)), np.full((r, k), modulation))
+    def identity(r: int, k: int) -> "BinField":
+        """dp = 0 and modulation 1 for R RoIs of K bins."""
+        return BinField(np.zeros((r, 2 * k)), np.ones((r, k)))
 
 
 def _grid_positions(rois: list[RoI], spec: PoolSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -284,7 +284,7 @@ class Sequential:
                    default=None)
         for i, layer in enumerate(self.layers):
             if i == last and demand is not None:
-                x = layer.forward(x, _demand_before(self.layers[i + 1:], x.shape[0],
+                x = layer.forward(x, _demand_before(self.layers[i + 1:],
                                                     layer.spec.out_size(*x.shape[2:]), demand))
             else:
                 x = layer.forward(x)
@@ -296,8 +296,8 @@ class Sequential:
         return gy
 
 
-def _demand_before(layers, n: int, hw: tuple[int, int], demand):
-    """The positions of the (n, *hw) map entering `layers` that their output
+def _demand_before(layers, hw: tuple[int, int], demand):
+    """The positions of the (N, *hw) map entering `layers` that their output
     positions `demand` read; None when a layer is neither a regular conv nor
     a ReLU.
     """
@@ -310,13 +310,7 @@ def _demand_before(layers, n: int, hw: tuple[int, int], demand):
     demand = np.asarray(demand)
     for layer, (h, w), (h_out, w_out) in reversed(list(zip(layers, sizes, sizes[1:]))):
         if isinstance(layer, Conv2dLayer):
-            spec = layer.spec
-            item, rc = np.divmod(demand, h_out * w_out)
-            row, col = np.divmod(rc, w_out)
-            rows = (row[:, None] * spec.stride[0] - spec.pad[0]
-                    + np.arange(spec.kernel_h) * spec.dilation[0])
-            cols = (col[:, None] * spec.stride[1] - spec.pad[1]
-                    + np.arange(spec.kernel_w) * spec.dilation[1])
+            item, rows, cols = layer.spec.taps_at(demand, (h_out, w_out))
             # taps that land in the zero padding read nothing
             inside = (((rows >= 0) & (rows < h))[:, :, None]
                       & ((cols >= 0) & (cols < w))[:, None, :])

@@ -134,6 +134,9 @@ class SyntheticTask:
     def __post_init__(self):
         if self.mode not in TASK_MODES:
             raise ArgumentError(f"unknown task mode {self.mode!r}")
+        # the marker radius and width scale with it; at -2 the width is 0
+        if not (math.isfinite(self.dilation) and self.dilation > 0):
+            raise ArgumentError(f"dilation must be finite and > 0, got {self.dilation}")
 
     def _render_markers(self, rng: np.random.Generator, img: np.ndarray, d: float) -> float:
         """Four blobs N/E/S/W of center at a radius scaling with d; the target

@@ -52,11 +52,14 @@ def test_gradcheck_unknown_op_is_usage_error():
     ("gradcheck", "--seeds", "0"), ("gradcheck", "--seeds", "-2"),
     ("gradcheck", "--threads", "0"), ("gradcheck", "--threads", "-3"),
     ("demo-train", "--threads", "0"), ("demo-train", "--steps", "-1"),
+    ("saliency", "--segments", "0"), ("saliency", "--segments", "-3"),
 ])
-def test_bad_count_flag_is_usage_error(capsys, command, flag, value):
-    # a check of zero seeds would pass vacuously, and a negative step count
-    # would reach metrics.json
-    extra = ["--op", "bilinear"] if command == "gradcheck" else ["--steps", "0"]
+def test_bad_count_flag_is_usage_error(capsys, pgm_image, command, flag, value):
+    # a check of zero seeds would pass vacuously, a negative step count
+    # would reach metrics.json, and a segment count below 1 was reported
+    # under the library's name for it
+    extra = {"gradcheck": ["--op", "bilinear"], "demo-train": ["--steps", "0"],
+             "saliency": ["--image", pgm_image]}[command]
     assert main([command, *extra, f"{flag}={value}"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert flag in captured.err
@@ -170,11 +173,14 @@ def test_failing_gradcheck_is_numeric_exit(capsys):
     (["demo-train", "--steps", "0", "--task-seed=-1"], "--task-seed"),
     (["gradcheck", "--op", "bilinear", "--tolerance=-1"], "--tolerance"),
     (["gradcheck", "--op", "bilinear", "--tolerance=0"], "--tolerance"),
+    (["demo-train", "--steps", "1", "--dilation=0"], "--dilation"),
+    (["demo-train", "--steps", "1", "--dilation=-2"], "--dilation"),
 ], ids=["bench-seed", "demo-train-seed", "demo-train-task-seed", "tolerance-negative",
-        "tolerance-zero"])
+        "tolerance-zero", "dilation-zero", "dilation-negative"])
 def test_out_of_range_seed_or_tolerance_is_usage_error(capsys, argv, flag):
-    # a negative seed once ended in numpy's ValueError traceback, and a
-    # tolerance of zero or less failed every check with the divergence code
+    # a negative seed once ended in numpy's ValueError traceback, a
+    # tolerance of zero or less failed every check with the divergence code,
+    # and a dilation of -2 gave the task's markers a width of 0
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert flag in captured.err

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dcn2.deform_conv import KernelSpec
 from dcn2.deform_roipool import PoolSpec, make_roi_branch
-from dcn2.errors import UsageError
-from dcn2.net import AffineLayer, Conv2dLayer, DeformConv2dLayer, ReLULayer, RoIPoolLayer
+from dcn2.errors import ShapeError, UsageError
+from dcn2.net import (
+    AffineLayer,
+    Conv2dLayer,
+    DeformConv2dLayer,
+    ReLULayer,
+    RoIPoolLayer,
+    Sequential,
+)
 
 LAYERS = {
     "conv": lambda rng: Conv2dLayer(2, 2, KernelSpec(3, 3, pad=(1, 1)), rng),
@@ -51,3 +60,45 @@ def test_mean_abs_offset_refuses_demanded_forward():
     assert layer.recorded_state()[0] is x
     layer.forward(x)
     assert layer.mean_abs_offset() == pytest.approx(0.75)
+
+
+@st.composite
+def demanded_stacks(draw):
+    """A deformable layer with moving offsets, then regular convs of random
+    kernel size, stride, pad and dilation (some behind a ReLU), an input and
+    a demand on the output map.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, hw = draw(st.integers(1, 2)), (draw(st.integers(5, 14)), draw(st.integers(5, 14)))
+    deform = DeformConv2dLayer(2, 2, KernelSpec(3, 3, pad=(1, 1)), rng)
+    for p in (deform.branch_weight, deform.branch_bias):
+        p.value[...] = rng.normal(0.0, 0.5, p.value.shape)
+    layers, out_hw = [deform], hw
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            layers.append(ReLULayer())
+        spec = KernelSpec(*(draw(st.integers(1, 4)) for _ in range(2)),
+                          stride=tuple(draw(st.integers(1, 3)) for _ in range(2)),
+                          pad=tuple(draw(st.integers(0, 3)) for _ in range(2)),
+                          dilation=tuple(draw(st.integers(1, 3)) for _ in range(2)))
+        try:
+            out_hw = spec.out_size(*out_hw)
+        except ShapeError:
+            assume(False)
+        assume(min(out_hw) >= 1)
+        layers.append(Conv2dLayer(2, 2, spec, rng))
+    size = n * out_hw[0] * out_hw[1]
+    demand = np.sort(rng.choice(size, size=draw(st.integers(1, size)), replace=False))
+    x = rng.normal(size=(n, 2, *hw)).astype(np.float32)
+    return Sequential(layers), x, demand
+
+
+@settings(max_examples=60, deadline=None)
+@given(demanded_stacks())
+def test_demanded_forward_matches_full_forward_after_any_conv_geometry(case):
+    # a demand walk that missed a pixel some tap reads would leave it zero
+    net, x, demand = case
+    full, got = net.forward(x), net.forward(x, demand)
+    rows = full.transpose(0, 2, 3, 1).reshape(-1, full.shape[1])[demand]
+    got_rows = got.transpose(0, 2, 3, 1).reshape(-1, got.shape[1])[demand]
+    assert np.abs(got_rows - rows).max() <= 1e-5 * max(np.abs(rows).max(), 1e-30)

@@ -41,6 +41,13 @@ def test_unknown_mode_rejected():
         SyntheticTask(mode="rotate")
 
 
+@pytest.mark.parametrize("dilation", [0.0, -2.0, math.nan, math.inf])
+def test_non_positive_or_non_finite_dilation_rejected(dilation):
+    # at -2 the markers' width was 0 and sampling divided by zero
+    with pytest.raises(ArgumentError, match="dilation"):
+        SyntheticTask(mode="dilate", dilation=dilation)
+
+
 def test_dilate_target_is_antisymmetric_amplitude_sum():
     # targets live in the antisymmetric range of four U(0.3, 1) amplitudes
     task = SyntheticTask(mode="dilate", image_size=16, dilation=1.0, seed=0)
