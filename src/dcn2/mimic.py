@@ -18,7 +18,7 @@ import numpy as np
 
 from .deform_roipool import RoI
 from .errors import ArgumentError, ConfigurationError, ShapeError
-from .net import COMPUTE_DTYPE, Param, ReLULayer, RoIPoolLayer, Sequential, softmax_cross_entropy
+from .net import Param, RoIPoolLayer, Sequential, roi_readout, softmax_cross_entropy
 from .sampling import bilinear_corner_gather, sampling_matrix
 
 # norms below this are treated as zero vectors by the cosine guard
@@ -102,13 +102,16 @@ def crop_resize_patch(images, roi: RoI, out_hw: tuple[int, int]) -> np.ndarray:
     """Crop the RoI rectangle (clipped to the image) and bilinearly resize it.
 
     `images` is an (N, C, H, W) stack from which the RoI's batch element is
-    taken. An RoI that misses the image entirely is a zero-area crop and
-    raises ArgumentError. The separable grid samples through the kernels'
-    sparse bilinear matrix, in float64.
+    taken. An RoI whose batch index lies outside the stack, or that misses
+    the image entirely (a zero-area crop), raises ArgumentError. The
+    separable grid samples through the kernels' sparse bilinear matrix, in
+    float64.
     """
     stack = np.asarray(images)
     if stack.ndim != 4:
         raise ShapeError(f"expected (N,C,H,W) images, got shape {stack.shape}")
+    if not 0 <= roi.batch_index < stack.shape[0]:
+        raise ArgumentError(f"RoI batch index {roi.batch_index} outside batch of {stack.shape[0]}")
     arr = stack[roi.batch_index]
     c, h, w = arr.shape
     y1 = max(roi.y1, 0.0)
@@ -224,17 +227,10 @@ class TwoBranchModel:
         return self.shared_params() + self.frcnn_head.params() + self.rcnn_head.params()
 
     def roi_features(self, images, rois: list[RoI]) -> np.ndarray:
-        """(R, D) trunk features; caches stay valid for one backward pass.
-        The backbone computes only what the pooling reads of its output (see
-        `Sequential.forward`), so its last deformable layer's recorded field
-        is a demanded one for aligned pooling.
+        """(R, D) trunk features, the fc stack over `roi_readout`; caches
+        stay valid for one backward pass.
         """
-        x = np.asarray(images).astype(COMPUTE_DTYPE)
-        shape = (x.shape[0], *self.backbone.out_hw(x.shape[2:]))
-        feat = self.backbone.forward(x, self.pool.demand(shape, rois))
-        pooled = self.pool.forward(feat, rois)
-        flat = pooled.reshape(pooled.shape[0], -1)
-        return self.fc.forward(flat)
+        return self.fc.forward(roi_readout(self.backbone, self.pool, images, rois))
 
     def roi_features_backward(self, grad_feat: np.ndarray) -> None:
         g = self.fc.backward(grad_feat)

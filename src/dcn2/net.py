@@ -132,8 +132,9 @@ class DeformConv2dLayer:
     input and field stay recorded for `backward` and for spatial-support
     analysis. A demanded forward (see `forward`) records a field that is zero
     outside its demand, so the readers of whole fields (`mean_abs_offset`,
-    `support.effective_sampling_locations`) take `full_map_state()`, which
-    refuses it.
+    `support.effective_sampling_locations`) recompute the field over the
+    whole map from the recorded input, which is always whole, with the
+    current branch parameters.
     """
 
     def __init__(self, c_in: int, c_out: int, spec: KernelSpec,
@@ -194,18 +195,12 @@ class DeformConv2dLayer:
         """(input, field) of the last forward, demanded or not."""
         return _recorded(self._x), self._field
 
-    def full_map_state(self):
-        """(input, field) of the last forward, which must have computed the
-        whole map: a demanded field's zeros are not offsets.
-        """
-        state = self.recorded_state()
-        if self._demand is not None:
-            raise UsageError("the last forward computed only its demanded positions; "
-                             "run a forward without a demand to record the whole field")
-        return state
+    def _whole_field(self):
+        """The whole-map field of the recorded input, under the current branch parameters."""
+        return offset_branch_forward(self.recorded_state()[0], self._branch_weights(), self.spec)
 
     def mean_abs_offset(self) -> float:
-        return float(np.abs(self.full_map_state()[1].offsets).mean())
+        return float(np.abs(self._whole_field().offsets).mean())
 
 
 class ReLULayer:
@@ -224,10 +219,9 @@ class ReLULayer:
 
 
 class AffineLayer:
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 std: float | None = None, name: str = "fc"):
-        std = 1.0 / np.sqrt(in_dim) if std is None else std
-        self.weight = Param(rng.normal(0.0, std, (out_dim, in_dim)), name=f"{name}.weight")
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, name: str = "fc"):
+        self.weight = Param(rng.normal(0.0, 1.0 / np.sqrt(in_dim), (out_dim, in_dim)),
+                            name=f"{name}.weight")
         self.bias = Param(np.zeros(out_dim), name=f"{name}.bias")
         self._x = None
 
@@ -401,6 +395,18 @@ class RoIPoolLayer:
 
     def recorded_state(self):
         return _recorded(self._cache)
+
+
+def roi_readout(trunk: Sequential, pool: RoIPoolLayer, images, rois: list[RoI]) -> np.ndarray:
+    """(R, C*K) rows of `pool` over the trunk's output for `images`; the
+    trunk computes only what the pooling reads of it (see
+    `Sequential.forward`), so its last deformable layer records a demanded
+    field for aligned pooling.
+    """
+    x = np.asarray(images).astype(COMPUTE_DTYPE)
+    demand = pool.demand((x.shape[0], *trunk.out_hw(x.shape[2:])), rois)
+    pooled = pool.forward(trunk.forward(x, demand), rois)
+    return pooled.reshape(pooled.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------

@@ -112,24 +112,28 @@ def constant_probe() -> NodeProbe:
 def network_probe(trunk: Sequential, y: int, x: int) -> NodeProbe:
     """Vector node: the channel vector of a trunk's output at one location.
 
-    `response` demands the node's one position of the trunk's output map
-    (see `Sequential.forward`): the layers before the trunk's last
-    deformable layer run in full, that layer computes only the positions the
-    node reads through the later layers, and those run in full. It runs on
-    shallow copies of the trunk's layers, made here, which share their
-    Params, so it records no state on the trunk. `gradient` runs the whole
-    trunk forward and backward, so it leaves every layer's recorded state a
-    full-map one.
+    Both `response` and `gradient` demand the node's one position of the
+    trunk's output map (see `Sequential.forward`): the layers before the
+    trunk's last deformable layer run in full, that layer computes only the
+    positions the node reads through the later layers, and those run in
+    full. A node outside the output map raises ArgumentError. `response`
+    runs on shallow copies of the trunk's layers, made here, which share
+    their Params, so it records no state on the trunk; `gradient` runs
+    forward and backward on the trunk itself, which keeps that state.
     """
     copies = Sequential(map(copy.copy, trunk.layers))
 
-    def fn(img):
+    def demand(img):
         h, w = trunk.out_hw(img.shape[1:])
-        demand = [y * w + x] if 0 <= y < h and 0 <= x < w else None
-        return copies.forward(img[None], demand)[0, :, y, x]
+        if not (0 <= y < h and 0 <= x < w):
+            raise ArgumentError(f"node ({y}, {x}) lies outside the {h}x{w} output map")
+        return [y * w + x]
+
+    def fn(img):
+        return copies.forward(img[None], demand(img))[0, :, y, x]
 
     def grad_fn(img):
-        out = trunk.forward(img[None])
+        out = trunk.forward(img[None], demand(img))
         f = out[0, :, y, x]
         n = np.linalg.norm(f)
         upstream = np.zeros_like(out)
@@ -158,14 +162,15 @@ def effective_sampling_locations(layer, upstream) -> np.ndarray:
     """Gradient magnitude of a node with respect to each 2-D sampling (or
     bin) coordinate of a deformable layer, from its recorded forward state.
 
-    For a deformable conv layer the result is (N, K, H_out, W_out), and its
-    last forward must have computed the whole map (a UsageError after a
-    demanded one); for a deformable pooling layer it is (R, K).
+    For a deformable conv layer the result is (N, K, H_out, W_out), over the
+    whole field recomputed from the recorded input with the current branch
+    parameters, so a demanded forward serves as well as a full one; for a
+    deformable pooling layer it is (R, K), from the recorded field.
     """
     if isinstance(layer, DeformConv2dLayer):
-        x, fld = layer.full_map_state()
         _, _, _, goff, _ = mdconv_backward_optimized(
-            x, layer._weights(), layer.spec, fld, upstream)
+            layer.recorded_state()[0], layer._weights(), layer.spec, layer._whole_field(),
+            upstream)
         return np.hypot(goff[:, 0::2], goff[:, 1::2])
     if isinstance(layer, RoIPoolLayer):
         cache = layer.recorded_state()

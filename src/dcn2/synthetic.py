@@ -22,7 +22,6 @@ from .deform_roipool import PoolSpec, RoI
 from .errors import ArgumentError, ConfigurationError, FormatError, ShapeError
 from .mimic import MimicBatch, MimicConfig, TwoBranchModel, mimic_step
 from .net import (
-    COMPUTE_DTYPE,
     SGD,
     AffineLayer,
     Conv2dLayer,
@@ -32,6 +31,7 @@ from .net import (
     RoIPoolLayer,
     Sequential,
     mse_loss,
+    roi_readout,
 )
 from .tensor import load_tensor, save_tensor
 
@@ -259,21 +259,12 @@ class ToyRegressionNet:
         c = (self.cfg.image_size - 1) / 2.0
         return [RoI(b, c - 1.0, c - 1.0, c + 1.0, c + 1.0) for b in range(batch)]
 
-    def forward(self, images: np.ndarray, full_map: bool = True) -> np.ndarray:
-        """Predictions. full_map=False, a training step's forward, computes
-        the trunk only where the readout reads (see `Sequential.forward`);
-        the default leaves every layer a whole map, as `mean_abs_offset` and
-        the analysis tools need.
+    def forward(self, images: np.ndarray) -> np.ndarray:
+        """Predictions: the head over `roi_readout`, so the trunk computes
+        only where the readout reads.
         """
-        x = images.astype(COMPUTE_DTYPE)
-        rois = self.readout_rois(x.shape[0])
-        demand = None
-        if not full_map:
-            demand = self.pool.demand((x.shape[0], *self.trunk.out_hw(x.shape[2:])), rois)
-        feat = self.trunk.forward(x, demand)
-        pooled = self.pool.forward(feat, rois)
-        out = self.head.forward(pooled.reshape(pooled.shape[0], -1))
-        return out[:, 0]
+        rows = roi_readout(self.trunk, self.pool, images, self.readout_rois(len(images)))
+        return self.head.forward(rows)[:, 0]
 
     def backward(self, grad_pred: np.ndarray) -> None:
         g = self.head.backward(grad_pred[:, None])
@@ -289,8 +280,10 @@ def run_toy_training(cfg: ToyNetConfig, task: SyntheticTask, steps: int,
     """Train the regression net with SGD and report metrics: per-step loss,
     final eval loss, and mean |dp| per deformable layer on the eval batch of
     `_EVAL_BATCH` images.
-    A training step's trunk computes only what the readout reads; the eval
-    forward computes whole maps, whose fields give mean |dp|.
+    Every forward, training and eval, computes the trunk only where the
+    readout reads (see `ToyRegressionNet.forward`); mean |dp| is taken over
+    the whole field that `DeformConv2dLayer.mean_abs_offset` recomputes from
+    the eval forward's recorded input with the trained branch parameters.
     """
     rng = np.random.default_rng([seed, task.seed])
     net = ToyRegressionNet(cfg, rng)
@@ -299,7 +292,7 @@ def run_toy_training(cfg: ToyNetConfig, task: SyntheticTask, steps: int,
     losses = []
     for step in range(steps):
         images, targets = task.sample_batch(rng, cfg.batch_size)
-        pred = net.forward(images, full_map=False)
+        pred = net.forward(images)
         loss, grad = mse_loss(pred, targets)
         if not np.isfinite(loss):
             raise TrainingDiverged(step, loss)

@@ -125,6 +125,13 @@ def test_crop_outside_image_rejected():
         crop_resize_patch(img[None], RoI(0, 10.0, 10.0, 12.0, 12.0), (2, 2))
 
 
+@pytest.mark.parametrize("batch_index", [-1, 2])
+def test_crop_batch_index_outside_stack_rejected(batch_index):
+    # -1 would silently crop the last image, 2 would raise a raw IndexError
+    with pytest.raises(ArgumentError, match="batch index"):
+        crop_resize_patch(np.zeros((2, 1, 4, 4)), RoI(batch_index, 0.0, 0.0, 3.0, 3.0), (2, 2))
+
+
 def test_crop_wants_image_stack():
     with pytest.raises(ShapeError):
         crop_resize_patch(np.zeros((1, 4, 4)), RoI(0, 0.0, 0.0, 3.0, 3.0), (2, 2))
@@ -359,7 +366,8 @@ def test_deformable_pooling_demands_every_position():
     assert model.pool.demand((2, 12, 12), rois) is None
     model.roi_features(rng.normal(size=(2, 1, 12, 12)), rois)
     layer = next(l for l in model.backbone.layers if isinstance(l, DeformConv2dLayer))
-    assert layer.mean_abs_offset() == 0.0  # a full-map state: no UsageError
+    # a demanded field's modulation is zero off the demand; the whole one is 0.5
+    assert layer.recorded_state()[1].modulation.all()
 
 
 def test_aligned_pooling_demand_is_its_non_zero_weights():

@@ -48,18 +48,18 @@ def test_pool_layer_branch_is_make_roi_branch():
         assert np.array_equal(p.value, w.astype(np.float32))
 
 
-def test_mean_abs_offset_refuses_demanded_forward():
+def test_mean_abs_offset_after_demanded_forward_equals_full_forward():
     rng = np.random.default_rng(5)
     layer = DeformConv2dLayer(2, 2, KernelSpec(3, 3, pad=(1, 1)), rng)
-    layer.branch_bias.value[...] = 0.75  # every offset 0.75 over the whole map
-    x = rng.normal(size=(1, 2, 4, 4))
-    layer.forward(x, [0, 5])
-    # the demanded field is zero at 14 of 16 positions: its mean would read 0.09
-    with pytest.raises(UsageError):
-        layer.mean_abs_offset()
-    assert layer.recorded_state()[0] is x
+    for p in (layer.branch_weight, layer.branch_bias):
+        p.value[...] = rng.normal(0.0, 0.5, p.value.shape)
+    x = rng.normal(size=(1, 2, 4, 4)).astype(np.float32)
     layer.forward(x)
-    assert layer.mean_abs_offset() == pytest.approx(0.75)
+    want = layer.mean_abs_offset()
+    layer.forward(x, [0, 5])
+    # the recorded field is zero at 14 of 16 positions; the reader recomputes it whole
+    assert np.count_nonzero(layer.recorded_state()[1].offsets.any(axis=1)) == 2
+    assert layer.mean_abs_offset() == want > 0
 
 
 @st.composite

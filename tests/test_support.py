@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcn2.deform_conv import KernelSpec
 from dcn2.errors import ArgumentError, CapabilityError, ConvergenceError, UsageError
@@ -156,7 +158,7 @@ def test_network_probe_windowed_response_matches_full_forward(name):
     assert nonzero >= len(nodes) // 2
 
 
-def test_network_probe_response_records_nothing_gradient_records_full_map():
+def test_network_probe_response_records_nothing_gradient_records_its_demand():
     from dcn2.net import DeformConv2dLayer
 
     trunk = _probe_trunks()["full_trunk"]
@@ -171,7 +173,36 @@ def test_network_probe_response_records_nothing_gradient_records_full_map():
     probe.gradient(img)
     x2, field2 = layer.recorded_state()
     assert x2 is not x_rec and x2.shape == x_rec.shape
-    assert field2.offsets.shape[2:] == (12, 12)
+    # only a ReLU follows the mdconv layer: it computed the node alone
+    assert np.argwhere(field2.modulation[0].any(axis=0)).tolist() == [[5, 6]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_probe_trunks())), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True))
+def test_network_probe_gradient_matches_full_map_backward_property(name, seed, fy, fx):
+    trunk = _probe_trunks()[name]
+    img = np.random.default_rng(seed).normal(size=(1, 12, 12))
+    out = trunk.forward(img[None])
+    y, x = int(fy * out.shape[2]), int(fx * out.shape[3])
+    f = out[0, :, y, x]
+    n = np.linalg.norm(f)
+    upstream = np.zeros_like(out)
+    if n > 0:
+        upstream[0, :, y, x] = f / n
+    want = trunk.backward(upstream)[0]
+    got = network_probe(trunk, y, x).gradient(img)
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+
+@pytest.mark.parametrize("node", [(-3, 2), (2, -1), (12, 2), (50, 2), (2, 12)])
+def test_network_probe_node_outside_output_map_is_argument_error(node):
+    # -3 would silently probe row 9 of the 12x12 map, 50 would raise a raw IndexError
+    probe = network_probe(_probe_trunks()["full_trunk"], *node)
+    img = np.random.default_rng(10).normal(size=(1, 12, 12))
+    for call in (probe.response, probe.gradient):
+        with pytest.raises(ArgumentError, match="outside"):
+            call(img)
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +277,20 @@ def test_sampling_locations_requires_recorded_state():
         effective_sampling_locations(layer, np.zeros((1, 1, 1, 1)))
 
 
-def test_sampling_locations_refuse_demanded_forward():
+def test_sampling_locations_after_demanded_forward_equal_full_forward():
     from dcn2.net import DeformConv2dLayer
 
     rng = np.random.default_rng(6)
     layer = DeformConv2dLayer(1, 2, KernelSpec(3, 3, pad=(1, 1)), rng)
     layer.branch_weight.value[...] = rng.normal(0.0, 0.3, layer.branch_weight.value.shape)
     x = rng.normal(size=(1, 1, 5, 5))
-    upstream = np.zeros((1, 2, 5, 5))
-    upstream[0, :, 2, 2] = 1.0
-    layer.forward(x, [12])
-    with pytest.raises(UsageError):
-        effective_sampling_locations(layer, upstream)
+    upstream = rng.normal(size=(1, 2, 5, 5))
     layer.forward(x)
-    assert effective_sampling_locations(layer, upstream)[0, :, 2, 2].any()
+    want = effective_sampling_locations(layer, upstream)
+    layer.forward(x, [12])
+    got = effective_sampling_locations(layer, upstream)
+    assert np.array_equal(got, want)
+    assert np.count_nonzero(got.any(axis=1)) > 1  # every position, not only the demanded one
 
 
 # ---------------------------------------------------------------------------
