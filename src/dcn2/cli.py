@@ -240,8 +240,9 @@ def cmd_saliency(args) -> int:
             cy, cx = (float(v) for v in args.center.split(","))
         except ValueError:
             cy = cx = math.nan
-        if not (math.isfinite(cy) and math.isfinite(cx)):
-            raise UsageError(f"--center {args.center!r}: want finite cy,cx")
+        h, w = image.shape[-2:]
+        if not (0 <= cy <= h - 1 and 0 <= cx <= w - 1):  # NaN fails too
+            raise UsageError(f"--center {args.center!r}: want cy,cx inside the {h}x{w} image")
         center = (cy, cx)
     mask = saliency_region(probe, image, epsilon=args.epsilon, center=center,
                            target_segments=args.segments)
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe", default="window:0,0,8,8")
     p.add_argument("--model", default=None)
     p.add_argument("--epsilon", type=_finite_float, default=0.1)
-    p.add_argument("--center", default=None, help="cy,cx rectangle center")
+    p.add_argument("--center", default=None, help="cy,cx in the image: 0<=cy<=H-1, 0<=cx<=W-1")
     p.add_argument("--segments", type=lambda s: _int_at_least(s, 1), default=100)
     p.set_defaults(fn=cmd_saliency)
 

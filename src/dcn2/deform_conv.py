@@ -8,7 +8,9 @@ positions, index b*H_out*W_out + i*W_out + j of output (b, i, j). Per chunk
 of the list the mdconv kernels build the sparse sampling matrix S
 (`sampling.sampling_matrix`, one row per (position, tap), modulation folded
 into its data); S @ X^T reshapes for free to (positions, K*C_in), and one
-GEMM with the weights gives the output.
+GEMM with the weights gives the output. `sampling` owns the layout, the
+(pixels, C) operand X^T and a map's rows at a list (`pixel_rows`) and back
+(`pixel_map`), and the precision rule (`compute_dtype`).
 
 - A forward given `positions` computes only those positions and returns the
   full map, zero elsewhere; without them it computes every position, which
@@ -43,7 +45,8 @@ import numpy as np
 
 from . import runtime
 from .errors import ArgumentError, ShapeError
-from .sampling import bilinear_backward, bilinear_corner_gather, bilinear_sample, sampling_matrix
+from .sampling import (bilinear_backward, bilinear_corner_gather, bilinear_sample, compute_dtype,
+                       pixel_map, pixel_rows, sampling_matrix)
 
 # learning-rate multiplier carried by offset/modulation branch weights (the
 # descriptor asserted by tests; applied by the optimizer in net.py)
@@ -200,31 +203,6 @@ def _check_positions(positions, size: int) -> np.ndarray | None:
     return None if p.size == size else p
 
 
-def _rows(a: np.ndarray, positions: np.ndarray | None) -> np.ndarray:
-    """(P, C) values of an (N, C, H, W) map at flat positions (every position
-    when None; a sorted list as long as the map is every position too).
-    """
-    n, c, h, w = a.shape
-    a = a.reshape(n, c, h * w)
-    if positions is None or positions.size == a.shape[0] * a.shape[2]:
-        return a.transpose(0, 2, 1).reshape(n * h * w, c)
-    item, rc = np.divmod(positions, a.shape[2])
-    return a[item, :, rc]
-
-
-def _to_map(rows: np.ndarray, positions: np.ndarray | None, shape) -> np.ndarray:
-    """(N, C, H, W) map holding (P, C) `rows` at flat positions (every
-    position when None) and zero elsewhere.
-    """
-    n, c, h, w = shape
-    if positions is None:
-        return np.ascontiguousarray(rows.reshape(n, h, w, c).transpose(0, 3, 1, 2))
-    out = np.zeros((n, c, h * w), dtype=rows.dtype)
-    item, rc = np.divmod(positions, h * w)
-    out[item, :, rc] = rows
-    return out.reshape(shape)
-
-
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, kept a gemm for a one-row a: numpy sends a one-row product to
     gemv, which rounds unlike the gemm of a many-row one. A zero second row
@@ -344,25 +322,19 @@ def _chunks(positions: np.ndarray, c_in: int, k: int, h_out: int, w_out: int):
             for s0, s1 in bounds]
 
 
-def _compute_dtype(x: np.ndarray) -> np.dtype:
-    """float32 inputs run in single precision, everything else in double."""
-    return np.dtype(np.float32) if x.dtype == np.float32 else np.dtype(np.float64)
-
-
 class _ConvGeometry:
     """Shared sampling-matrix machinery for the optimized kernels, over one
     sorted list of flat output positions.
 
     Everything per position is kept position-major, (P, K), so a chunk's
     sampling matrix has one row per (position, tap) and its product with the
-    (pixels, C_in) input reshapes for free to the (positions, K*C_in)
-    operand of the GEMM.
+    `pixel_rows` of the chunk's items reshapes for free to the
+    (positions, K*C_in) operand of the GEMM.
     """
 
     def __init__(self, x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField,
                  positions: np.ndarray):
-        self.x = x
-        self.dtype = _compute_dtype(x)
+        self.dtype = compute_dtype(x)
         _, self.c_in, self.h, self.w_in = x.shape
         c_out = w.weight.shape[0]
         h_out, w_out = field.offsets.shape[2:]
@@ -372,21 +344,16 @@ class _ConvGeometry:
             dtype=self.dtype).reshape(spec.k * self.c_in, c_out)
         self.bias = None if w.bias is None else np.asarray(w.bias, dtype=self.dtype)
         self.item, rows, cols = spec.taps_at(positions, (h_out, w_out))
-        offs = _rows(field.offsets, positions).astype(np.float64)
+        offs = pixel_rows(field.offsets, positions, np.float64)
         # (P, K) in row-major tap order
         self.py = np.repeat(rows, spec.kernel_w, axis=1) + offs[:, 0::2]
         self.px = np.tile(cols, (1, spec.kernel_h)) + offs[:, 1::2]
-        self.mods = _rows(field.modulation, positions).astype(np.float64)
-
-    def planes(self, n0: int, n1: int) -> np.ndarray:
-        """((n1-n0)*H*W, C_in) pixel-major copy of the input in compute dtype."""
-        return np.ascontiguousarray(self.x[n0:n1].transpose(0, 2, 3, 1),
-                                    dtype=self.dtype).reshape(-1, self.c_in)
+        self.mods = pixel_rows(field.modulation, positions, np.float64)
 
     def pattern(self, n0: int, s0: int, s1: int, derivatives: bool = False):
         """Sampling pattern of positions s0 .. s1-1 of the list, (P, K) in
         compute dtype; items count from n0, the first item of the chunk's
-        planes. Modulated, or unmodulated with the weights' y/x derivatives.
+        pixel rows. Modulated, or unmodulated with the weights' y/x derivatives.
         """
         offset = ((self.item[s0:s1] - n0) * (self.h * self.w_in))[:, None]
         return bilinear_corner_gather(
@@ -422,7 +389,8 @@ def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
     def do_chunk(task):
         n0, n1, s0, s1 = task
         cols, data = geo.pattern(n0, s0, s1)
-        sampled = sampling_matrix(cols, data, (n1 - n0) * h * win) @ geo.planes(n0, n1)
+        xt = pixel_rows(x[n0:n1], dtype=geo.dtype)
+        sampled = sampling_matrix(cols, data, xt.shape[0]) @ xt
         res = sampled.reshape(s1 - s0, k * c_in) @ geo.wmat
         if geo.bias is not None:
             res += geo.bias
@@ -430,7 +398,7 @@ def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
 
     for _ in runtime.run_chunks(do_chunk, _chunks(listed, c_in, k, h_out, w_out)):
         pass
-    return _to_map(rows, positions, (n, c_out, h_out, w_out))
+    return pixel_map(rows, positions, (n, c_out, h_out, w_out))
 
 
 def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
@@ -470,33 +438,29 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
 
     def finish():
         gw = grad_w.reshape(k, c_in, c_out).transpose(2, 1, 0).reshape(w.weight.shape)
-        per_channel = (n, h_out, w_out, -1)
         return (grad_x.astype(x.dtype), gw.astype(x.dtype),
                 None if grad_b is None else grad_b.astype(x.dtype),
-                np.ascontiguousarray(grad_off.reshape(per_channel).transpose(0, 3, 1, 2),
-                                     dtype=x.dtype),
-                np.ascontiguousarray(grad_mod.reshape(per_channel).transpose(0, 3, 1, 2),
-                                     dtype=x.dtype))
+                pixel_map(grad_off.reshape(n * hw, 2 * k), None, field.offsets.shape, x.dtype),
+                pixel_map(grad_mod, None, field.modulation.shape, x.dtype))
 
     if x.size == 0 or g.size == 0:
         if grad_b is not None and g.size:
             grad_b += g.sum(axis=(0, 2, 3), dtype=np.float64)
         return finish()
 
-    g = g.reshape(n, c_out, hw)
     live = _live(g)
     tasks = _chunks(live, c_in, k, h_out, w_out)
     if not tasks:
         return finish()
     geo = _ConvGeometry(x, w, spec, field, live)
-    g_live = g[live // hw, :, live % hw]
+    g_live = pixel_rows(g, live)
 
     def do_chunk(task):
         n0, n1, s0, s1 = task
         pos = live[s0:s1]
         cols, weights, dwy, dwx = geo.pattern(n0, s0, s1, derivatives=True)
-        n_cols = (n1 - n0) * h * win
-        xt = geo.planes(n0, n1)
+        xt = pixel_rows(x[n0:n1], dtype=geo.dtype)
+        n_cols = xt.shape[0]
         s0_mat = sampling_matrix(cols, weights, n_cols)
         samples = s0_mat @ xt
         dsdy = sampling_matrix(cols, dwy, n_cols) @ xt
@@ -525,7 +489,7 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
 
 
 def _live(g: np.ndarray) -> np.ndarray:
-    """Sorted flat positions of an (N, C, H*W) upstream where any channel is
+    """Sorted flat positions of an (N, C, H, W) upstream where any channel is
     non-zero; `!= 0` holds for NaN, so non-finite values stay live.
     """
     return np.flatnonzero((g != 0).any(axis=1))
@@ -586,7 +550,7 @@ def dense_conv_forward(x, w: ConvWeights, spec: KernelSpec, positions=None) -> n
     if x.ndim != 4:
         raise ShapeError(f"input must be (N,C,H,W), got {x.shape}")
     w.check_spec(spec, x.shape[1])
-    dtype = _compute_dtype(x)
+    dtype = compute_dtype(x)
     n = x.shape[0]
     h_out, w_out = spec.out_size(*x.shape[2:])
     positions = _check_positions(positions, n * h_out * w_out)
@@ -597,13 +561,12 @@ def dense_conv_forward(x, w: ConvWeights, spec: KernelSpec, positions=None) -> n
         res = xp.reshape(-1)[_patch_index(xp.shape, spec, positions, (h_out, w_out))] @ wmat.T
         if bias is not None:
             res += bias
-        return _to_map(res, positions, (n, wmat.shape[0], h_out, w_out)).astype(x.dtype,
-                                                                                 copy=False)
+        return pixel_map(res, positions, (n, wmat.shape[0], h_out, w_out), x.dtype)
     cols = _patches(xp, spec, (h_out, w_out)).reshape(n, wmat.shape[1], h_out * w_out)
     out = np.matmul(wmat, cols)
     if bias is not None:
         out += bias[None, :, None]
-    return out.reshape(n, -1, h_out, w_out).astype(x.dtype)
+    return out.reshape(n, wmat.shape[0], h_out, w_out).astype(x.dtype)
 
 
 def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions=None):
@@ -614,7 +577,7 @@ def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions
     grad_x is then scattered from the rows in float64.
     """
     x = np.asarray(x)
-    dtype = _compute_dtype(x)
+    dtype = compute_dtype(x)
     g = np.asarray(upstream).astype(dtype)
     n, c, h, win = x.shape
     kh, kw = spec.kernel_h, spec.kernel_w
@@ -641,7 +604,7 @@ def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions
                 gxp[:, :, top : top + sh * h_out : sh,
                     left : left + sw * w_out : sw] += grad_cols[:, :, u, v]
     else:
-        g_rows = _rows(g, positions)
+        g_rows = pixel_rows(g, positions)
         index = _patch_index(xp.shape, spec, positions, (h_out, w_out))
         grad_w = (g_rows.T @ xp.reshape(-1)[index]).reshape(w.weight.shape)
         grad_b = g_rows.sum(axis=0, dtype=np.float64)
@@ -695,11 +658,9 @@ def offset_branch_forward(x, branch_w: ConvWeights, spec: KernelSpec,
     x = np.asarray(x)
     k, modulated = _branch_k(branch_w, spec)
     raw = dense_conv_forward(x, branch_w, spec, positions)
-    n, _, h_out, w_out = raw.shape
-    positions = _check_positions(positions, n * h_out * w_out)
-    rows = _rows(raw[:, 2 * k :], positions)
+    rows = pixel_rows(raw[:, 2 * k :], positions)
     rows = sigmoid(rows) if modulated else np.ones((rows.shape[0], k))
-    modulation = _to_map(rows.astype(raw.dtype, copy=False), positions, (n, k, h_out, w_out))
+    modulation = pixel_map(rows, positions, (raw.shape[0], k, *raw.shape[2:]), raw.dtype)
     return OffsetModulationField(raw[:, : 2 * k], modulation)
 
 
@@ -713,7 +674,7 @@ def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
     channel of it is non-zero (NaN included).
     """
     k, modulated = _branch_k(branch_w, spec)
-    dtype = _compute_dtype(np.asarray(x))
+    dtype = compute_dtype(np.asarray(x))
     grad_raw = np.asarray(grad_offsets).astype(dtype, copy=False)
     if modulated:
         gm = np.asarray(grad_modulation).astype(dtype, copy=False)
@@ -722,5 +683,4 @@ def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
     if grad_raw.shape[1] != branch_w.weight.shape[0]:
         raise ShapeError(f"field gradients inconsistent with {branch_w.weight.shape[0]} "
                          "branch channels")
-    n, c = grad_raw.shape[:2]
-    return dense_conv_backward(x, branch_w, spec, grad_raw, _live(grad_raw.reshape(n, c, -1)))
+    return dense_conv_backward(x, branch_w, spec, grad_raw, _live(grad_raw))

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform_conv import _compute_dtype, sigmoid
+from .deform_conv import sigmoid
 from .errors import ArgumentError, ShapeError
-from .sampling import bilinear_corner_gather, sampling_matrix
+from .sampling import bilinear_corner_gather, compute_dtype, pixel_map, pixel_rows, sampling_matrix
 
 
 @dataclass(frozen=True)
@@ -147,14 +147,7 @@ def _pool_geometry(x: np.ndarray, rois: list[RoI], spec: PoolSpec, field: BinFie
     scale = (field.modulation / spec.n_k)[:, :, None] if modulated else None
     return bilinear_corner_gather(py, px, h, w, flat_offset=plane_off[:, None, None],
                                   scale=scale, derivatives=derivatives,
-                                  dtype=_compute_dtype(x))
-
-
-def _pixel_rows(x: np.ndarray) -> np.ndarray:
-    """(N*H*W, C) pixel-major input in the compute dtype: the columns of S."""
-    n, c, h, w = x.shape
-    return np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=_compute_dtype(x)).reshape(
-        n * h * w, c)
+                                  dtype=compute_dtype(x))
 
 
 def _upstream_rows(x: np.ndarray, rois: list[RoI], spec: PoolSpec, upstream) -> np.ndarray:
@@ -162,31 +155,29 @@ def _upstream_rows(x: np.ndarray, rois: list[RoI], spec: PoolSpec, upstream) -> 
     one per bin, in the row order of the pooling pattern.
     """
     g = np.asarray(upstream)
-    c = x.shape[1]
-    want = (len(rois), c, spec.bins_h, spec.bins_w)
+    want = (len(rois), x.shape[1], spec.bins_h, spec.bins_w)
     if g.shape != want:
         raise ShapeError(f"upstream shape {g.shape} != {want}")
-    return g.reshape(len(rois), c, spec.k).transpose(0, 2, 1).reshape(-1, c).astype(np.float64)
+    return pixel_rows(g, dtype=np.float64)
 
 
 def _scatter_to_pixels(cols, weights, gs: np.ndarray, x: np.ndarray, spec: PoolSpec):
-    """grad_x = S^T gs, accumulated in float64, in x's layout and dtype."""
-    n, c, h, w = x.shape
+    """grad_x = S^T gs, accumulated in float64, as a map in x's dtype."""
+    n, _, h, w = x.shape
     grad_x = sampling_matrix(cols, weights, n * h * w, 4 * spec.n_k).T @ gs  # (N*H*W, C)
-    return grad_x.reshape(n, h, w, c).transpose(0, 3, 1, 2).astype(x.dtype)
+    return pixel_map(grad_x, None, x.shape, x.dtype)
 
 
 def mdpool_forward(x, rois: list[RoI], spec: PoolSpec, field: BinField) -> np.ndarray:
     """Pooled output (R, C, bins_h, bins_w) for the (R, 2K)/(R, K) field."""
     x = _check_pool_args(x, rois, spec, field)
-    _, c, h, w = x.shape
+    c = x.shape[1]
     if not rois:
         return np.zeros((0, c, spec.bins_h, spec.bins_w), dtype=x.dtype)
     cols, data = _pool_geometry(x, rois, spec, field, modulated=True)
-    xt = _pixel_rows(x)
+    xt = pixel_rows(x, dtype=compute_dtype(x))
     out = sampling_matrix(cols, data, xt.shape[0], per_row=4 * spec.n_k) @ xt  # (R*K, C)
-    out = out.reshape(len(rois), spec.k, c).transpose(0, 2, 1)
-    return out.reshape(len(rois), c, spec.bins_h, spec.bins_w).astype(x.dtype)
+    return pixel_map(out, None, (len(rois), c, spec.bins_h, spec.bins_w), x.dtype)
 
 
 def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, field: BinField, upstream):
@@ -203,7 +194,7 @@ def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, field: BinField, upstrea
         return np.zeros(x.shape, dtype=x.dtype), np.zeros((0, 2 * spec.k)), np.zeros((0, spec.k))
 
     cols, weights, dwy, dwx = _pool_geometry(x, rois, spec, field, derivatives=True)
-    xt = _pixel_rows(x)
+    xt = pixel_rows(x, dtype=compute_dtype(x))
     per_bin = 4 * spec.n_k
 
     def binned(data):  # (R*K, C): per-bin sums of the samples' rows

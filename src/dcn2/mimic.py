@@ -19,7 +19,7 @@ import numpy as np
 from .deform_roipool import RoI
 from .errors import ArgumentError, ConfigurationError, ShapeError
 from .net import Param, RoIPoolLayer, Sequential, roi_readout, softmax_cross_entropy
-from .sampling import bilinear_corner_gather, sampling_matrix
+from .sampling import bilinear_corner_gather, pixel_map, pixel_rows, sampling_matrix
 
 # norms below this are treated as zero vectors by the cosine guard
 _NORM_GUARD = 1e-30
@@ -112,8 +112,8 @@ def crop_resize_patch(images, roi: RoI, out_hw: tuple[int, int]) -> np.ndarray:
         raise ShapeError(f"expected (N,C,H,W) images, got shape {stack.shape}")
     if not 0 <= roi.batch_index < stack.shape[0]:
         raise ArgumentError(f"RoI batch index {roi.batch_index} outside batch of {stack.shape[0]}")
-    arr = stack[roi.batch_index]
-    c, h, w = arr.shape
+    arr = stack[roi.batch_index : roi.batch_index + 1]
+    _, c, h, w = arr.shape
     y1 = max(roi.y1, 0.0)
     y2 = min(roi.y2, h - 1.0)
     x1 = max(roi.x1, 0.0)
@@ -130,9 +130,8 @@ def crop_resize_patch(images, roi: RoI, out_hw: tuple[int, int]) -> np.ndarray:
     ys = np.clip(y1 + (np.arange(out_h, dtype=np.float64) + 0.5) * (eh / out_h) - 0.5, y1, y2)
     xs = np.clip(x1 + (np.arange(out_w, dtype=np.float64) + 0.5) * (ew / out_w) - 0.5, x1, x2)
     cols, weights = bilinear_corner_gather(ys[:, None], xs[None, :], h, w)
-    pixels = np.ascontiguousarray(arr.transpose(1, 2, 0), dtype=np.float64).reshape(h * w, c)
-    out = sampling_matrix(cols, weights, h * w) @ pixels  # (out_h * out_w, C)
-    return out.T.reshape(c, out_h, out_w).astype(arr.dtype)
+    out = sampling_matrix(cols, weights, h * w) @ pixel_rows(arr, dtype=np.float64)
+    return pixel_map(out, None, (1, c, out_h, out_w), arr.dtype)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .deform_roipool import (
     roi_branch_forward,
 )
 from .errors import ShapeError, UsageError
+from .sampling import pixel_map, pixel_rows
 
 
 # toy networks train in single precision; gradient accumulators stay f64
@@ -177,10 +178,7 @@ class DeformConv2dLayer:
     def backward(self, gy: np.ndarray) -> np.ndarray:
         x, field = self.recorded_state()
         if self._demand is not None:
-            n, _, h, w = gy.shape
-            kept = np.zeros(n * h * w, dtype=bool)
-            kept[self._demand] = True
-            gy = np.where(kept.reshape(n, 1, h, w), gy, 0)
+            gy = pixel_map(pixel_rows(gy, self._demand), self._demand, gy.shape)
         gx, gw, gb, goff, gmod = mdconv_backward_optimized(
             x, self._weights(), self.spec, field, gy)
         self.weight.grad += gw

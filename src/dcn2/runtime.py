@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,12 +27,14 @@ def run_chunks(fn, chunks):
 
     Results come back in chunk order regardless of thread scheduling, so a
     caller that reduces them in that order gets the same bits for any thread
-    count.
+    count. Every chunk runs in a copy of the caller's context, so a
+    `numpy.errstate` around the call holds in the pool's threads too.
     """
     threads = num_threads()
     if threads == 1 or len(chunks) <= 1:
         for ch in chunks:
             yield fn(ch)
         return
+    context = contextvars.copy_context()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, chunks)
+        yield from pool.map(lambda ch: context.copy().run(fn, ch), chunks)

@@ -1,6 +1,7 @@
 """Bilinear interpolation on (H, W) planes: values and analytic gradients
 with respect to the plane and the sampling coordinate, and the sparse
-sampling matrix that mdconv, mdpool and crop-and-resize all sample through.
+sampling matrix and pixel layout that mdconv, mdpool and crop-and-resize all
+sample through.
 
 Bilinear weights do not depend on the channel, so sampling many positions of
 a C-channel plane stack is one sparse product: `bilinear_corner_gather` lays
@@ -9,6 +10,9 @@ backward, the weights' y/x derivatives on the same sparsity pattern), and
 `sampling_matrix` wraps them as a CSR matrix S with 4 nonzeros per row, so
 that S @ X^T, with X^T the (pixels, C) input, gives every sample of every
 channel and S^T scatters gradients back onto the pixels.
+
+`pixel_rows` and `pixel_map` own that layout, a map's (P, C) rows at
+sorted flat positions and back, and `compute_dtype` the kernels' precision.
 
 Out-of-bounds neighbors contribute zero (zero-padding convention). At exactly
 integer coordinates the spatial derivative uses the floor cell (the cell to
@@ -175,3 +179,36 @@ def sampling_matrix(cols: np.ndarray, data: np.ndarray, n_cols: int,
     indptr = np.arange(0, indices.size + 1, per_row, dtype=indices.dtype)
     return sparse.csr_array((data.reshape(-1), indices, indptr),
                             shape=(indptr.size - 1, n_cols))
+
+
+def compute_dtype(x: np.ndarray) -> np.dtype:
+    """float32 inputs run in single precision, everything else in double."""
+    return np.dtype(np.float32) if x.dtype == np.float32 else np.dtype(np.float64)
+
+
+def pixel_rows(a: np.ndarray, positions=None, dtype=None) -> np.ndarray:
+    """(P, C) values of an (N, C, H, W) map, in `dtype` (a's own when None),
+    at sorted flat positions b*H*W + i*W + j; every pixel, in that order,
+    when `positions` is None or lists every position.
+    """
+    n, c, h, w = a.shape
+    a = a.reshape(n, c, h * w)
+    if positions is None or np.size(positions) == n * h * w:
+        return np.ascontiguousarray(a.transpose(0, 2, 1), dtype=dtype).reshape(n * h * w, c)
+    item, rc = np.divmod(positions, h * w)
+    rows = a[item, :, rc]
+    return rows if dtype is None else rows.astype(dtype, copy=False)
+
+
+def pixel_map(rows: np.ndarray, positions, shape, dtype=None) -> np.ndarray:
+    """The (N, C, H, W) map of `shape`, in `dtype` (the rows' own when None),
+    holding (P, C) `rows` at the sorted flat positions of `pixel_rows` and
+    zero elsewhere.
+    """
+    n, c, h, w = shape
+    if positions is None or np.size(positions) == n * h * w:
+        return np.ascontiguousarray(rows.reshape(n, h, w, c).transpose(0, 3, 1, 2), dtype=dtype)
+    out = np.zeros((n, c, h * w), dtype=rows.dtype if dtype is None else dtype)
+    item, rc = np.divmod(positions, h * w)
+    out[item, :, rc] = rows
+    return out.reshape(shape)

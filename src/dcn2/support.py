@@ -15,6 +15,7 @@ being defined for feature vectors).
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -443,12 +444,17 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
     The rectangle is square, centered on `center` (default: the image
     center), and grows by `_AREA_STEP` of the image area per step; step 2
     segments the image into at most `target_segments` SLIC superpixels at
-    `slic_segment`'s default compactness.
+    `slic_segment`'s default compactness. A center (cy, cx) must lie in the
+    H x W image, 0 <= cy <= H-1 and 0 <= cx <= W-1, or ArgumentError is
+    raised.
     """
     if not epsilon > 0:  # NaN fails too
         raise ArgumentError(f"epsilon must be positive, got {epsilon}")
     img = _chw(image)
     _, h, w = img.shape
+    cy, cx = ((h - 1) / 2.0, (w - 1) / 2.0) if center is None else center
+    if not (0 <= cy <= h - 1 and 0 <= cx <= w - 1):  # NaN fails too
+        raise ArgumentError(f"center ({cy}, {cx}) must lie in the {h}x{w} image")
     orig = probe.response(img)
     calls = 1
 
@@ -458,48 +464,33 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
         calls += 1
         return _reconstruction_loss(orig, resp)
 
-    cy, cx = ((h - 1) / 2.0, (w - 1) / 2.0) if center is None else center
-
     # step 1: centered square grown at even area increments
     step = max(1.0, _AREA_STEP * h * w)
     prev_rect = None
-    rect = None
-    rect_error = None
-    t = 0
-    while True:
-        t += 1
-        area = t * step
-        rh = math.sqrt(area)
-        rw = area / rh
-        y0 = max(0, int(round(cy - rh / 2 + 0.5)))
-        y1 = min(h, int(round(cy + rh / 2 + 0.5)))
-        x0 = max(0, int(round(cx - rw / 2 + 0.5)))
-        x1 = min(w, int(round(cx + rw / 2 + 0.5)))
+    for t in itertools.count(1):
+        side = math.sqrt(t * step)
+        y0 = max(0, int(round(cy - side / 2 + 0.5)))
+        y1 = min(h, int(round(cy + side / 2 + 0.5)))
+        x0 = max(0, int(round(cx - side / 2 + 0.5)))
+        x1 = min(w, int(round(cx + side / 2 + 0.5)))
+        # a one-pixel side can round to an empty span
         if y1 <= y0:
-            y0 = min(max(0, int(cy)), h - 1)
-            y1 = y0 + 1
+            y0, y1 = int(cy), int(cy) + 1
         if x1 <= x0:
-            x0 = min(max(0, int(cx)), w - 1)
-            x1 = x0 + 1
+            x0, x1 = int(cx), int(cx) + 1
         cand = (y0, y1, x0, x1)
         if cand == prev_rect:
-            if cand == (0, h, 0, w):
-                raise ConvergenceError(
-                    f"reconstruction bound {epsilon} unreachable even with the full image")
             continue
         prev_rect = cand
         mask = np.zeros((h, w), dtype=np.float64)
         mask[y0:y1, x0:x1] = 1.0
         err = loss_for(mask)
         if err < epsilon:
-            rect = cand
-            rect_error = err
             break
         if cand == (0, h, 0, w):
             raise ConvergenceError(
                 f"reconstruction bound {epsilon} unreachable even with the full image")
 
-    y0, y1, x0, x1 = rect
     rect_mask = np.zeros((h, w), dtype=bool)
     rect_mask[y0:y1, x0:x1] = True
 
@@ -512,7 +503,7 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
             units.append((s_id, cells))
     kept = {s_id for s_id, _ in units}
     cur_mask = rect_mask.copy()
-    cur_error = rect_error
+    cur_error = err
     sizes = [int(cur_mask.sum())]
     while kept:
         best = None

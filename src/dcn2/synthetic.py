@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,9 +41,21 @@ TASK_MODES = ("translate", "dilate", "scale-jitter")
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, step: int, loss: float):
-        super().__init__(f"non-finite loss {loss} at step {step}")
+    def __init__(self, step: int, cause: str):
+        super().__init__(f"{cause} at step {step}")
         self.step = step
+
+
+@contextmanager
+def _training_step(step: int):
+    """A training step whose numpy overflow or invalid value raises
+    TrainingDiverged there, before a later forward's field validation.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise TrainingDiverged(step, f"floating-point error ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -284,6 +297,8 @@ def run_toy_training(cfg: ToyNetConfig, task: SyntheticTask, steps: int,
     readout reads (see `ToyRegressionNet.forward`); mean |dp| is taken over
     the whole field that `DeformConv2dLayer.mean_abs_offset` recomputes from
     the eval forward's recorded input with the trained branch parameters.
+    A step, or the eval (as step `steps`), that overflows or makes an invalid
+    value raises TrainingDiverged.
     """
     rng = np.random.default_rng([seed, task.seed])
     net = ToyRegressionNet(cfg, rng)
@@ -291,24 +306,26 @@ def run_toy_training(cfg: ToyNetConfig, task: SyntheticTask, steps: int,
               weight_decay=cfg.weight_decay)
     losses = []
     for step in range(steps):
-        images, targets = task.sample_batch(rng, cfg.batch_size)
-        pred = net.forward(images)
-        loss, grad = mse_loss(pred, targets)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(step, loss)
-        opt.zero_grad()
-        net.backward(grad)
-        opt.step()
+        with _training_step(step):
+            images, targets = task.sample_batch(rng, cfg.batch_size)
+            pred = net.forward(images)
+            loss, grad = mse_loss(pred, targets)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(step, f"non-finite loss {loss}")
+            opt.zero_grad()
+            net.backward(grad)
+            opt.step()
         losses.append(loss)
 
     eval_rng = np.random.default_rng([seed, task.seed, 777])
     images, targets = task.sample_batch(eval_rng, _EVAL_BATCH)
-    pred = net.forward(images)
-    eval_loss, _ = mse_loss(pred, targets)
-    offsets = {
-        layer.weight.name.rsplit(".", 1)[0]: layer.mean_abs_offset()
-        for layer in deformable_layers(net.trunk)
-    }
+    with _training_step(steps):
+        pred = net.forward(images)
+        eval_loss, _ = mse_loss(pred, targets)
+        offsets = {
+            layer.weight.name.rsplit(".", 1)[0]: layer.mean_abs_offset()
+            for layer in deformable_layers(net.trunk)
+        }
     metrics = {
         "task": {"mode": task.mode, "dilation": task.dilation,
                  "image_size": task.image_size, "seed": task.seed},
@@ -350,13 +367,14 @@ def run_mimic_training(cfg: ToyNetConfig, task: SyntheticTask, steps: int, seed:
               weight_decay=cfg.weight_decay)
     history = []
     for step in range(steps):
-        images, proposals, gt_boxes, labels = task.sample_detection_batch(rng, cfg.batch_size)
-        batch = MimicBatch.build(images, proposals, gt_boxes, labels, mimic_cfg, rng)
-        opt.zero_grad()
-        total, parts = mimic_step(model, images, batch, mimic_cfg)
-        if not np.isfinite(total):
-            raise TrainingDiverged(step, total)
-        opt.step()
+        with _training_step(step):
+            images, proposals, gt_boxes, labels = task.sample_detection_batch(rng, cfg.batch_size)
+            batch = MimicBatch.build(images, proposals, gt_boxes, labels, mimic_cfg, rng)
+            opt.zero_grad()
+            total, parts = mimic_step(model, images, batch, mimic_cfg)
+            if not np.isfinite(total):
+                raise TrainingDiverged(step, f"non-finite loss {total}")
+            opt.step()
         history.append({"total": total, **parts})
     metrics = {
         "seed": seed,

@@ -322,12 +322,16 @@ def test_demo_train_zero_steps_zero_offsets(tmp_path):
     assert all(v == 0.0 for v in metrics["mean_abs_offset"].values())
 
 
-def test_demo_train_divergence_exit_code(tmp_path):
-    cfg = ToyNetConfig(layers=("regular", "regular"), channels=(4, 4), image_size=12,
-                       batch_size=2, learning_rate=1e6)
-    cfg_path = tmp_path / "net.json"
-    cfg_path.write_text(cfg.to_json())
-    assert main(["demo-train", "--config", str(cfg_path), "--steps", "40"]) == EXIT_DIVERGED
+def test_demo_train_divergence_exit_code(tmp_path, capsys):
+    # with a deformable layer, the next forward's field validation must not
+    # pre-empt the divergence exit
+    for layers in (("regular", "regular"), ("regular", "mdconv")):
+        cfg = ToyNetConfig(layers=layers, channels=(4, 4), image_size=12,
+                           batch_size=2, learning_rate=1e6)
+        cfg_path = tmp_path / "net.json"
+        cfg_path.write_text(cfg.to_json())
+        assert main(["demo-train", "--config", str(cfg_path), "--steps", "40"]) == EXIT_DIVERGED
+        assert "diverged:" in capsys.readouterr().err
 
 
 def test_config_round_trip_parse_serialize_parse(tmp_path):
@@ -398,9 +402,10 @@ def test_probe_window_outside_image_is_usage_error(pgm_image, command, probe):
     assert main([command, "--image", pgm_image, "--probe", probe]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("center", ["a,b", "1", "nan,12"])
-def test_bad_saliency_center_is_usage_error(pgm_image, center):
-    assert main(["saliency", "--image", pgm_image, "--center", center]) == EXIT_USAGE
+@pytest.mark.parametrize("center", ["a,b", "1", "nan,12", "1e9,1e9", "-0.5,3"])
+def test_bad_saliency_center_is_usage_error(pgm_image, center, capsys):
+    assert main(["saliency", "--image", pgm_image, f"--center={center}"]) == EXIT_USAGE
+    assert "--center" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload", ['{"mimic": "café"}'.encode("utf-8"), b"{not json"],

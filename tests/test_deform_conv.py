@@ -221,6 +221,19 @@ def test_lattice_samples_use_floor_cell_derivative():
         assert np.allclose(goff[0, 1], want_dx, atol=1e-12)
 
 
+def test_kernel_threads_keep_the_callers_errstate(monkeypatch, kernel_threads):
+    import dcn2.deform_conv as dc
+
+    # a float32 forward whose weights overflow the GEMM, tiled onto 2 threads
+    monkeypatch.setattr(dc, "_CHUNK_BUDGET", 200)
+    kernel_threads(2)
+    spec = KernelSpec(3, 3, pad=(1, 1))
+    x = np.ones((2, 2, 8, 8), dtype=np.float32)
+    weights = ConvWeights(np.full((2, 2, 3, 3), 1e38, dtype=np.float32))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        mdconv_forward_optimized(x, weights, spec, OffsetModulationField.identity(2, 9, 8, 8))
+
+
 def test_backward_threaded_matches_serial(monkeypatch, kernel_threads):
     import dcn2.deform_conv as dc
 
@@ -385,11 +398,19 @@ def test_branch_lr_multiplier_descriptor():
 
 def test_empty_batch_gives_empty_output():
     spec = KernelSpec(3, 3)
-    x = np.zeros((0, 2, 5, 5))
     weights = ConvWeights(np.zeros((2, 2, 3, 3)))
-    field = OffsetModulationField(np.zeros((0, 18, 3, 3)), np.zeros((0, 9, 3, 3)))
-    out = mdconv_forward_optimized(x, weights, spec, field)
-    assert out.shape == (0, 2, 3, 3)
+    # an empty batch, and an input smaller than the kernel (an empty map)
+    for x, out_hw in ((np.zeros((0, 2, 5, 5)), (3, 3)), (np.ones((1, 2, 2, 2)), (0, 0))):
+        n = x.shape[0]
+        field = OffsetModulationField.identity(n, 9, *out_hw)
+        out = mdconv_forward_optimized(x, weights, spec, field)
+        assert out.shape == (n, 2, *out_hw)
+        grads = mdconv_backward_optimized(x, weights, spec, field, out)
+        assert [g.shape for g in grads if g is not None] == [
+            x.shape, weights.weight.shape, field.offsets.shape, field.modulation.shape]
+        assert not any(g.any() for g in grads if g is not None)
+        branch = ConvWeights(np.zeros((27, 2, 3, 3)))
+        assert offset_branch_forward(x, branch, spec).offsets.shape == field.offsets.shape
 
 
 def test_zero_output_channels_reference_matches_optimized():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcn2.errors import ArgumentError
-from dcn2.sampling import bilinear_backward, bilinear_sample
+from dcn2.sampling import bilinear_backward, bilinear_sample, pixel_map, pixel_rows
 
 PLANE = np.array([[1.0, 2.0], [3.0, 4.0]])
 
@@ -111,3 +113,38 @@ def test_plane_gradient_matches_fd():
             fminus = upstream * bilinear_sample(bumped, pt)
             numeric = (fplus - fminus) / (2 * h)
             assert abs(g - numeric) <= 1e-4 * max(abs(g), abs(numeric), 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_pixel_rows_and_map_round_trip_property(data):
+    n, c, h, w = data.draw(st.tuples(*[st.integers(1, 4)] * 4), label="shape")
+    a = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(n, c, h, w))
+    size = n * h * w
+    kind = data.draw(st.sampled_from(["none", "empty", "partial", "full"]), label="kind")
+    listed = {
+        "none": np.arange(size),
+        "empty": np.zeros(0, dtype=np.int64),
+        "full": np.arange(size),
+        "partial": np.array(sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1,
+                                                     max_size=size)))),
+    }[kind]
+    positions = None if kind == "none" else listed
+
+    rows = pixel_rows(a, positions)
+    assert rows.shape == (listed.size, c)
+    item, rc = np.divmod(listed, h * w)
+    for row, b, i, j in zip(rows, item, rc // w, rc % w):  # list order
+        assert np.array_equal(row, a[b, :, i, j])
+    kept = np.zeros(size, dtype=bool)
+    kept[listed] = True
+    back = pixel_map(rows, positions, a.shape)
+    assert back.shape == a.shape
+    assert np.array_equal(back, np.where(kept.reshape(n, 1, h, w), a, 0.0))
+
+    single = pixel_rows(a, positions, np.float32)
+    assert single.dtype == np.float32
+    assert np.array_equal(single, rows.astype(np.float32))
+    as_map = pixel_map(rows, positions, a.shape, np.float32)
+    assert as_map.dtype == np.float32
+    assert np.array_equal(as_map, back.astype(np.float32))

@@ -551,6 +551,16 @@ def test_saliency_non_positive_epsilon_is_argument_error(epsilon):
         saliency_region(window_probe(2, 2, 3, 3), img, epsilon=epsilon, target_segments=4)
 
 
+@pytest.mark.parametrize("center", [(float("nan"), 3.0), (3.0, float("inf")), (-0.5, 3.0),
+                                    (3.0, 7.5), (1e9, 1e9)])
+def test_saliency_center_outside_image_is_argument_error(center):
+    img = np.random.default_rng(10).uniform(0.1, 1.0, size=(1, 8, 8))
+    with pytest.raises(ArgumentError):
+        saliency_region(window_probe(2, 2, 3, 3), img, center=center, target_segments=4)
+    # the edges are inside
+    saliency_region(window_probe(2, 2, 3, 3), img, center=(0.0, 7.0), target_segments=4)
+
+
 def test_saliency_nondeterministic_probe_raises():
     state = {"n": 0}
 

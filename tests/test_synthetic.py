@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcn2.errors import ArgumentError, ConfigurationError, ShapeError
+from dcn2.mimic import MimicConfig
 from dcn2.synthetic import (
     LAYER_KINDS,
     SyntheticTask,
     ToyNetConfig,
     ToyRegressionNet,
     TrainingDiverged,
+    run_mimic_training,
     run_toy_training,
     save_model,
 )
@@ -140,6 +142,25 @@ def test_divergence_raises_with_step_index():
     with pytest.raises(TrainingDiverged) as err:
         run_toy_training(cfg, task, steps=60, seed=0)
     assert err.value.step >= 0
+
+
+@pytest.mark.parametrize("mimic", [False, True])
+def test_deformable_divergence_names_floating_point_error(mimic):
+    # huge but finite float32 weights overflow inside a step; that must stop
+    # training there, not fail the next forward's field validation
+    cfg = ToyNetConfig(layers=("regular", "mdconv"), channels=(4, 4), image_size=12,
+                       batch_size=2, learning_rate=1e3)
+    task = SyntheticTask(mode="dilate", image_size=12, seed=0)
+    with pytest.raises(TrainingDiverged, match="floating-point error"):
+        if mimic:
+            run_mimic_training(cfg, task, steps=60, seed=0, mimic_cfg=MimicConfig())
+        else:
+            run_toy_training(cfg, task, steps=60, seed=0)
+    if not mimic:
+        # 11 steps pass, and the eval forward of the trained net overflows
+        with pytest.raises(TrainingDiverged, match="floating-point error") as err:
+            run_toy_training(cfg, task, steps=11, seed=0)
+        assert err.value.step == 11
 
 
 def test_dconv_layer_kind_trains():
