@@ -5,9 +5,9 @@ This is the only module allowed to see both the kernels and the oracle. Each
 target builds a random small instance (rejection-sampled so every bilinear
 sampling position stays at least 0.02 from the integer lattice and ReLU
 pre-activations stay away from their kink; a generator whose draws run out
-raises ConvergenceError), contracts the operation output
-against a fixed random projection to get a scalar objective, and hands the
-analytic gradients plus per-block objectives to `oracle.gradcheck`.
+raises ConvergenceError) and returns its named float64 arrays in block
+order, their analytic gradients by name, and one scalar `objective(**values)`
+that contracts the output against a fixed random projection.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .deform_roipool import (
     roi_branch_forward,
 )
 from .errors import ConvergenceError, UsageError
-from .net import DeformConv2dLayer
-from .oracle import GradBlock, GradCheckReport, gradcheck
+from .net import DeformConv2dLayer, RoIPoolLayer
+from .oracle import GradCheckReport, gradcheck
 from .sampling import bilinear_backward, bilinear_sample
 
 LATTICE_MARGIN = 2e-2
@@ -74,7 +74,7 @@ def _near_lattice(positions: np.ndarray) -> np.ndarray:
 
 
 @register_gradcheck("bilinear")
-def _bilinear_instance(seed: int) -> list[GradBlock]:
+def _bilinear_instance(seed: int):
     rng = np.random.default_rng([seed, 1])
     plane = rng.normal(size=(4, 5))
     pt = _off_lattice(rng.uniform(-0.5, 4.0, size=2))
@@ -85,25 +85,19 @@ def _bilinear_instance(seed: int) -> list[GradBlock]:
     for (iy, ix), gv in gplane_sparse.items():
         gplane[iy, ix] = gv
 
-    return [
-        GradBlock("plane", plane, gplane,
-                  lambda p: upstream * bilinear_sample(p, pt)),
-        GradBlock("point", pt, np.asarray(gpt),
-                  lambda q: upstream * bilinear_sample(plane, (q[0], q[1]))),
-    ]
+    return ({"plane": plane, "point": pt}, {"plane": gplane, "point": gpt},
+            lambda plane, point: upstream * bilinear_sample(plane, point))
 
 
 @register_gradcheck("cosine_mimic")
-def _cosine_instance(seed: int) -> list[GradBlock]:
+def _cosine_instance(seed: int):
     rng = np.random.default_rng([seed, 2])
     a = rng.normal(size=16) + 0.1
     b = rng.normal(size=16) + 0.1
     upstream = float(rng.normal())
     ga, gb = mimic.cosine_mimic_backward(a, b, upstream)
-    return [
-        GradBlock("a", a, ga, lambda v: upstream * mimic.cosine_mimic_loss(v, b)),
-        GradBlock("b", b, gb, lambda v: upstream * mimic.cosine_mimic_loss(a, v)),
-    ]
+    return ({"a": a, "b": b}, {"a": ga, "b": gb},
+            lambda a, b: upstream * mimic.cosine_mimic_loss(a, b))
 
 
 def _mdconv_instance_parts(rng: np.random.Generator):
@@ -117,35 +111,27 @@ def _mdconv_instance_parts(rng: np.random.Generator):
     return spec, x, w, offsets, modulation, upstream
 
 
-def _mdconv_blocks(spec: KernelSpec, x, w: ConvWeights, offsets, modulation,
-                   upstream) -> list[GradBlock]:
-    field = OffsetModulationField(offsets, modulation)
-    gx, gw, gb, goff, gmod = mdconv_backward_optimized(x, w, spec, field, upstream)
+def _mdconv_target(spec: KernelSpec, x, w: ConvWeights, offsets, modulation, upstream):
+    values = dict(x=x, weight=w.weight, bias=w.bias, offsets=offsets, modulation=modulation)
+    grads = mdconv_backward_optimized(x, w, spec, OffsetModulationField(offsets, modulation),
+                                      upstream)
 
-    def obj(x_=None, w_=None, b_=None, off_=None, mod_=None) -> float:
-        ww = ConvWeights(w.weight if w_ is None else w_, w.bias if b_ is None else b_)
-        ff = OffsetModulationField(offsets if off_ is None else off_,
-                                   modulation if mod_ is None else mod_)
-        out = mdconv_forward_optimized(x if x_ is None else x_, ww, spec, ff)
+    def objective(x, weight, bias, offsets, modulation) -> float:
+        out = mdconv_forward_optimized(x, ConvWeights(weight, bias), spec,
+                                       OffsetModulationField(offsets, modulation))
         return float((out * upstream).sum())
 
-    return [
-        GradBlock("x", x, gx, lambda v: obj(x_=v)),
-        GradBlock("weight", w.weight, gw, lambda v: obj(w_=v)),
-        GradBlock("bias", w.bias, gb, lambda v: obj(b_=v)),
-        GradBlock("offsets", offsets, goff, lambda v: obj(off_=v)),
-        GradBlock("modulation", modulation, gmod, lambda v: obj(mod_=v)),
-    ]
+    return values, dict(zip(values, grads)), objective
 
 
 @register_gradcheck("mdconv")
-def _mdconv_instance(seed: int) -> list[GradBlock]:
+def _mdconv_instance(seed: int):
     rng = np.random.default_rng([seed, 3])
-    return _mdconv_blocks(*_mdconv_instance_parts(rng))
+    return _mdconv_target(*_mdconv_instance_parts(rng))
 
 
 @register_gradcheck("mdconv_geometry")
-def _mdconv_geometry_instance(seed: int) -> list[GradBlock]:
+def _mdconv_geometry_instance(seed: int):
     """Strided, padded and dilated mdconv. The kernel lattice is integer, so
     a sampling position is off the lattice exactly when its offset is; the
     offsets that come within LATTICE_MARGIN of an integer are redrawn.
@@ -166,7 +152,16 @@ def _mdconv_geometry_instance(seed: int) -> list[GradBlock]:
                                "in 100 draws")
     modulation = rng.uniform(0.1, 0.9, size=(1, spec.k, h_out, w_out))
     upstream = rng.normal(size=(1, 3, h_out, w_out))
-    return _mdconv_blocks(spec, x, w, offsets, modulation, upstream)
+    return _mdconv_target(spec, x, w, offsets, modulation, upstream)
+
+
+def _bins_near_lattice(rois: list[RoI], spec: PoolSpec, offsets: np.ndarray) -> bool:
+    """Whether any bin sampling position, moved by the (R, 2K) `offsets`,
+    lies within LATTICE_MARGIN of the lattice.
+    """
+    py, px = _grid_positions(rois, spec)
+    return bool(_near_lattice(np.concatenate([py + offsets[:, 0::2, None],
+                                              px + offsets[:, 1::2, None]])).any())
 
 
 def _mdpool_instance_parts(rng: np.random.Generator):
@@ -177,11 +172,9 @@ def _mdpool_instance_parts(rng: np.random.Generator):
         RoI(int(rng.integers(0, 2)), 0.4, 2.2, 6.9, 5.3),
     ]
     # keep every sampling position off the lattice under FD perturbation
-    py, px = _grid_positions(rois, spec)
     for _ in range(50):
         offsets = rng.uniform(-1.5, 1.5, size=(len(rois), 2 * spec.k))
-        if not _near_lattice(np.concatenate([py + offsets[:, 0::2, None],
-                                             px + offsets[:, 1::2, None]])).any():
+        if not _bins_near_lattice(rois, spec, offsets):
             break
     else:
         raise ConvergenceError(f"no mdpool offsets {LATTICE_MARGIN} off the lattice in 50 draws")
@@ -191,25 +184,21 @@ def _mdpool_instance_parts(rng: np.random.Generator):
 
 
 @register_gradcheck("mdpool")
-def _mdpool_instance(seed: int) -> list[GradBlock]:
+def _mdpool_instance(seed: int):
     rng = np.random.default_rng([seed, 4])
     spec, x, rois, offsets, modulation, upstream = _mdpool_instance_parts(rng)
-    gx, goff, gmod = mdpool_backward(x, rois, spec, BinField(offsets, modulation), upstream)
+    values = {"x": x, "offsets": offsets, "modulation": modulation}
+    grads = mdpool_backward(x, rois, spec, BinField(offsets, modulation), upstream)
 
-    def obj(x_=None, off_=None, mod_=None) -> float:
-        field = BinField(offsets if off_ is None else off_, modulation if mod_ is None else mod_)
-        out = mdpool_forward(x if x_ is None else x_, rois, spec, field)
-        return float((out * upstream).sum())
+    def objective(x, offsets, modulation) -> float:
+        return float((mdpool_forward(x, rois, spec, BinField(offsets, modulation))
+                      * upstream).sum())
 
-    return [
-        GradBlock("x", x, gx, lambda v: obj(x_=v)),
-        GradBlock("offsets", offsets, goff, lambda v: obj(off_=v)),
-        GradBlock("modulation", modulation, gmod, lambda v: obj(mod_=v)),
-    ]
+    return values, dict(zip(values, grads)), objective
 
 
 @register_gradcheck("offset_branch")
-def _offset_branch_instance(seed: int) -> list[GradBlock]:
+def _offset_branch_instance(seed: int):
     rng = np.random.default_rng([seed, 5])
     spec = KernelSpec(3, 3, pad=(1, 1))
     x = rng.normal(size=(1, 2, 5, 5))
@@ -219,24 +208,33 @@ def _offset_branch_instance(seed: int) -> list[GradBlock]:
     u_off = rng.normal(size=(1, 2 * spec.k, h_out, w_out))
     u_mod = rng.normal(size=(1, spec.k, h_out, w_out))
 
+    values = {"x": x, "branch_weight": bw.weight, "branch_bias": bw.bias}
     field = offset_branch_forward(x, bw, spec)
-    gx, gw, gb = offset_branch_backward(x, bw, spec, field, u_off, u_mod)
+    grads = offset_branch_backward(x, bw, spec, field, u_off, u_mod)
 
-    def obj(x_=None, w_=None, b_=None) -> float:
-        ww = ConvWeights(bw.weight if w_ is None else w_, bw.bias if b_ is None else b_)
-        f = offset_branch_forward(x if x_ is None else x_, ww, spec)
+    def objective(x, branch_weight, branch_bias) -> float:
+        f = offset_branch_forward(x, ConvWeights(branch_weight, branch_bias), spec)
         return float((f.offsets * u_off).sum() + (f.modulation * u_mod).sum())
 
-    return [
-        GradBlock("x", x, gx, lambda v: obj(x_=v)),
-        GradBlock("branch_weight", bw.weight, gw, lambda v: obj(w_=v)),
-        GradBlock("branch_bias", bw.bias, gb, lambda v: obj(b_=v)),
-    ]
+    return values, dict(zip(values, grads)), objective
 
 
-def _deform_layer_blocks(seed: int, stream: int, modulated: bool,
-                         demanded: bool = False) -> list[GradBlock]:
-    """Blocks for a whole float64 `DeformConv2dLayer`, offset branch included;
+def _layer_target(layer, forward, x, upstream, params: dict):
+    """A float64 layer's target after its last `forward(x)`; `params` names
+    its Params by attribute, which the objective sets before `forward`.
+    """
+    analytic = {"x": layer.backward(upstream), **{n: getattr(layer, n).grad for n in params}}
+
+    def objective(x, **arrays) -> float:
+        for name, value in arrays.items():
+            getattr(layer, name).value = value
+        return float((forward(x) * upstream).sum())
+
+    return {"x": x, **params}, analytic, objective
+
+
+def _deform_layer_target(seed: int, stream: int, modulated: bool, demanded: bool = False):
+    """A whole float64 `DeformConv2dLayer`, offset branch included;
     `demanded` runs it on a random non-empty list of its output positions,
     with an upstream that is non-zero everywhere.
 
@@ -251,7 +249,7 @@ def _deform_layer_blocks(seed: int, stream: int, modulated: bool,
         rng = np.random.default_rng([seed, stream, attempt])
         layer = DeformConv2dLayer(2, 2, spec, rng, modulated=modulated)
         branch_out = layer.branch_bias.value.size
-        values = {
+        params = {
             "weight": rng.normal(size=layer.weight.value.shape),
             "bias": rng.normal(size=2),
             "branch_weight": rng.normal(size=layer.branch_weight.value.shape) * 0.03,
@@ -259,9 +257,8 @@ def _deform_layer_blocks(seed: int, stream: int, modulated: bool,
                 rng.integers(-1, 2, size=2 * k) + rng.uniform(0.4, 0.6, size=2 * k),
                 rng.normal(size=branch_out - 2 * k)]),
         }
-        params = {name: getattr(layer, name) for name in values}
-        for name, value in values.items():
-            params[name].value = value
+        for name, value in params.items():
+            getattr(layer, name).value = value
         x = rng.normal(size=(1, 2, 5, 5))
         layer.forward(x)
         if not _near_lattice(layer.recorded_state()[1].offsets).any():
@@ -274,41 +271,62 @@ def _deform_layer_blocks(seed: int, stream: int, modulated: bool,
         demand = np.sort(rng.choice(9, size=int(rng.integers(1, 9)), replace=False))
         layer.forward(x, demand)
     upstream = rng.normal(size=(1, 2, 3, 3))
-    gx = layer.backward(upstream)
-
-    def obj(**override) -> float:
-        for name, p in params.items():
-            p.value = override.get(name, values[name])
-        return float((layer.forward(override.get("x", x), demand) * upstream).sum())
-
-    return [GradBlock("x", x, gx, lambda v: obj(x=v))] + [
-        GradBlock(name, values[name], params[name].grad, lambda v, name=name: obj(**{name: v}))
-        for name in values
-    ]
+    return _layer_target(layer, lambda v: layer.forward(v, demand), x, upstream, params)
 
 
 @register_gradcheck("mdconv_layer")
-def _mdconv_layer_instance(seed: int) -> list[GradBlock]:
-    return _deform_layer_blocks(seed, 8, modulated=True)
+def _mdconv_layer_instance(seed: int):
+    return _deform_layer_target(seed, 8, modulated=True)
 
 
 @register_gradcheck("dconv_layer")
-def _dconv_layer_instance(seed: int) -> list[GradBlock]:
+def _dconv_layer_instance(seed: int):
     """The unmodulated layer: a 2K branch, modulation fixed at 1."""
-    return _deform_layer_blocks(seed, 9, modulated=False)
+    return _deform_layer_target(seed, 9, modulated=False)
 
 
 @register_gradcheck("mdconv_layer_positions")
-def _mdconv_layer_positions_instance(seed: int) -> list[GradBlock]:
+def _mdconv_layer_positions_instance(seed: int):
     """The layer's position-list path: a demanded forward, whose output is
     the constant zero off the demand, and the backward that masks it.
     """
-    return _deform_layer_blocks(seed, 11, modulated=True, demanded=True)
+    return _deform_layer_target(seed, 11, modulated=True, demanded=True)
 
 
-def _roi_branch_blocks(seed: int, stream: int, rois: list[RoI]) -> list[GradBlock]:
-    """Blocks for `roi_branch_forward/backward` on R RoIs (pooled
-    (R, 3, 2, 2)); the objective projects every RoI's offsets and modulation.
+@register_gradcheck("roi_pool_layer")
+def _roi_pool_layer_instance(seed: int):
+    """A whole float64 deformable `RoIPoolLayer`, fc branch included, so the
+    input gradient adds the branch's pooled-feature gradient, taken back
+    through aligned pooling, to the mdpool one. A draw is rejected when a
+    bin sampling position comes within LATTICE_MARGIN of the lattice or an
+    fc1 pre-activation within KINK_MARGIN of the ReLU kink.
+    """
+    spec = PoolSpec(2, 2, samples=2)
+    rois = [RoI(0, 1.3, 0.9, 5.7, 6.1), RoI(1, 0.4, 2.2, 6.9, 5.3)]
+    for attempt in range(100):
+        rng = np.random.default_rng([seed, 12, attempt])
+        layer = RoIPoolLayer(2, spec, rng, deformable=True, hidden=6)
+        params = {}
+        for name, scale in (("fc1_w", 0.5), ("fc1_b", 0.1), ("fc2_w", 0.5), ("fc2_b", 0.1),
+                            ("out_w", 0.1), ("out_b", 0.1)):
+            params[name] = rng.normal(size=getattr(layer, name).value.shape) * scale
+            getattr(layer, name).value = params[name]
+        x = rng.normal(size=(2, 2, 8, 8))
+        layer.forward(x, rois)
+        field, branch = layer.recorded_state()[2:]
+        z1 = branch.z0 @ params["fc1_w"].T + params["fc1_b"]
+        if not _bins_near_lattice(rois, spec, field.offsets) and np.abs(z1).min() > KINK_MARGIN:
+            break
+    else:
+        raise ConvergenceError(f"no RoI pooling layer instance {LATTICE_MARGIN} off the lattice "
+                               f"and {KINK_MARGIN} off the ReLU kink in 100 draws")
+    upstream = rng.normal(size=(len(rois), 2, spec.bins_h, spec.bins_w))
+    return _layer_target(layer, lambda v: layer.forward(v, rois), x, upstream, params)
+
+
+def _roi_branch_target(seed: int, stream: int, rois: list[RoI]):
+    """`roi_branch_forward/backward` on R RoIs (pooled (R, 3, 2, 2)); the
+    objective projects every RoI's offsets and modulation.
     """
     hidden = 12
     k = 4
@@ -328,41 +346,34 @@ def _roi_branch_blocks(seed: int, stream: int, rois: list[RoI]) -> list[GradBloc
     u_off = rng.normal(size=(len(rois), 2 * k))
     u_mod = rng.normal(size=(len(rois), k))
 
+    values = dict(pooled=pooled, fc1_weight=fc1.weight, fc1_bias=fc1.bias, fc2_weight=fc2.weight,
+                  fc2_bias=fc2.bias, out_weight=out_w.weight, out_bias=out_w.bias)
     _, cache = roi_branch_forward(pooled, fc1, fc2, out_w, rois)
     gp, (gw1, gb1), (gw2, gb2), (gwo, gbo) = roi_branch_backward(
         fc1, fc2, out_w, cache, u_off, u_mod)
 
-    def obj(pooled_=None, w1=None, b1=None, w2=None, b2=None, wo=None, bo=None) -> float:
-        f1 = Affine(fc1.weight if w1 is None else w1, fc1.bias if b1 is None else b1)
-        f2 = Affine(fc2.weight if w2 is None else w2, fc2.bias if b2 is None else b2)
-        fo = Affine(out_w.weight if wo is None else wo, out_w.bias if bo is None else bo)
-        f, _ = roi_branch_forward(pooled if pooled_ is None else pooled_, f1, f2, fo, rois)
+    def objective(pooled, fc1_weight, fc1_bias, fc2_weight, fc2_bias,
+                  out_weight, out_bias) -> float:
+        f, _ = roi_branch_forward(pooled, Affine(fc1_weight, fc1_bias),
+                                  Affine(fc2_weight, fc2_bias), Affine(out_weight, out_bias), rois)
         return float((f.offsets * u_off).sum() + (f.modulation * u_mod).sum())
 
-    return [
-        GradBlock("pooled", pooled, gp, lambda v: obj(pooled_=v)),
-        GradBlock("fc1_weight", fc1.weight, gw1, lambda v: obj(w1=v)),
-        GradBlock("fc1_bias", fc1.bias, gb1, lambda v: obj(b1=v)),
-        GradBlock("fc2_weight", fc2.weight, gw2, lambda v: obj(w2=v)),
-        GradBlock("fc2_bias", fc2.bias, gb2, lambda v: obj(b2=v)),
-        GradBlock("out_weight", out_w.weight, gwo, lambda v: obj(wo=v)),
-        GradBlock("out_bias", out_w.bias, gbo, lambda v: obj(bo=v)),
-    ]
+    return values, dict(zip(values, (gp, gw1, gb1, gw2, gb2, gwo, gbo))), objective
 
 
 @register_gradcheck("roi_branch")
-def _roi_branch_instance(seed: int) -> list[GradBlock]:
-    return _roi_branch_blocks(seed, 6, [RoI(0, 1.25, 2.5, 9.75, 8.0)])
+def _roi_branch_instance(seed: int):
+    return _roi_branch_target(seed, 6, [RoI(0, 1.25, 2.5, 9.75, 8.0)])
 
 
 @register_gradcheck("roi_branch_batch")
-def _roi_branch_batch_instance(seed: int) -> list[GradBlock]:
+def _roi_branch_batch_instance(seed: int):
     """Three RoIs of different extents: the parameter gradients are sums over
     RoIs, and each RoI's offsets scale with its own height and width.
     """
     rois = [RoI(0, 1.25, 2.5, 9.75, 8.0), RoI(1, 0.5, 0.0, 3.5, 12.25),
             RoI(0, 4.0, 1.5, 21.0, 6.0)]
-    return _roi_branch_blocks(seed, 7, rois)
+    return _roi_branch_target(seed, 7, rois)
 
 
 def matching_ops(pattern: str) -> list[str]:
@@ -383,5 +394,5 @@ def run_gradcheck(pattern: str = "*", seeds: int = 50,
     for op in matching_ops(pattern):
         build = GRADCHECK_TARGETS[op]
         for seed in range(seeds):
-            reports.append(gradcheck(op, build(seed), seed, tolerance=tolerance))
+            reports.append(gradcheck(op, *build(seed), seed, tolerance=tolerance))
     return reports

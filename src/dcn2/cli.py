@@ -186,8 +186,11 @@ def cmd_demo_train(args) -> int:
     if args.layers:
         kinds = tuple(args.layers.split(","))
         cfg = replace(cfg, layers=kinds, channels=tuple([cfg.channels[0]] * len(kinds)))
-    task = SyntheticTask(mode=args.task, image_size=cfg.image_size,
-                         dilation=args.dilation, seed=args.task_seed)
+    try:
+        task = SyntheticTask(mode=args.task, image_size=cfg.image_size,
+                             dilation=args.dilation, seed=args.task_seed)
+    except ArgumentError as exc:  # the parser has checked every other task argument
+        raise UsageError(f"--dilation: {exc}") from None
     if cfg.mimic or args.mimic:
         mimic_cfg = MimicConfig(patch_size=(cfg.image_size, cfg.image_size))
         if args.mimic_weight is not None:
@@ -331,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--task", choices=("translate", "dilate", "scale-jitter"),
                    default="dilate")
-    p.add_argument("--dilation", type=_positive_float, default=2.0)
+    p.add_argument("--dilation", type=_positive_float, default=2.0,
+                   help="marker scale of the dilate task; at most (image_size - 3) / 3, "
+                        "so that the markers stay inside the image")
     p.add_argument("--task-seed", type=lambda s: _int_at_least(s, 0), default=0)
     p.add_argument("--steps", type=lambda s: _int_at_least(s, 0), default=100)
     p.add_argument("--layers", default=None,

@@ -172,14 +172,26 @@ class OffsetModulationField:
                                      np.full((n, k, h_out, w_out), modulation, dtype=np.float64))
 
 
-def _check_mdconv_args(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField):
-    """Validated (x, N, C_in, H, W, H_out, W_out)."""
+def _check_conv_args(x, w: ConvWeights, spec: KernelSpec, upstream=None):
+    """Validated (x, N, C_in, H, W, H_out, W_out) of a convolution, checking
+    an `upstream` gradient, when given, against its output shape.
+    """
     x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeError(f"input must be (N,C,H,W), got shape {x.shape}")
     n, c_in, h, win = x.shape
     w.check_spec(spec, c_in)
     h_out, w_out = spec.out_size(h, win)
+    out_shape = (n, w.weight.shape[0], h_out, w_out)
+    if upstream is not None and np.shape(upstream) != out_shape:
+        raise ShapeError(f"upstream shape {np.shape(upstream)} != {out_shape}")
+    return x, n, c_in, h, win, h_out, w_out
+
+
+def _check_mdconv_args(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField,
+                       upstream=None):
+    """`_check_conv_args`, and the field's shape."""
+    x, n, c_in, h, win, h_out, w_out = _check_conv_args(x, w, spec, upstream)
     if field.offsets.shape != (n, 2 * spec.k, h_out, w_out):
         raise ShapeError(
             f"field offsets {field.offsets.shape} != {(n, 2 * spec.k, h_out, w_out)}"
@@ -247,11 +259,9 @@ def mdconv_backward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulation
     grad_offsets, grad_modulation). The offset gradient routes through the
     bilinear coordinate derivative scaled by w_k * dm_k.
     """
-    x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field)
+    x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field, upstream)
     g = np.asarray(upstream)
     c_out = w.weight.shape[0]
-    if g.shape != (n, c_out, h_out, w_out):
-        raise ShapeError(f"upstream shape {g.shape} != {(n, c_out, h_out, w_out)}")
     (sh, sw), (ph, pw), (dh, dw) = spec.stride, spec.pad, spec.dilation
     wk = w.weight.reshape(c_out, c_in, spec.k).astype(np.float64)
 
@@ -420,11 +430,9 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
     reduced in chunk order, so the result is bit-identical for any thread
     count.
     """
-    x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field)
+    x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field, upstream)
     g = np.asarray(upstream)
     c_out = w.weight.shape[0]
-    if g.shape != (n, c_out, h_out, w_out):
-        raise ShapeError(f"upstream shape {g.shape} != {(n, c_out, h_out, w_out)}")
 
     k = spec.k
     hw = h_out * w_out
@@ -546,13 +554,8 @@ def dense_conv_forward(x, w: ConvWeights, spec: KernelSpec, positions=None) -> n
     computed, as a GEMM over their im2col rows, and the output is zero
     elsewhere.
     """
-    x = np.asarray(x)
-    if x.ndim != 4:
-        raise ShapeError(f"input must be (N,C,H,W), got {x.shape}")
-    w.check_spec(spec, x.shape[1])
+    x, n, _, _, _, h_out, w_out = _check_conv_args(x, w, spec)
     dtype = compute_dtype(x)
-    n = x.shape[0]
-    h_out, w_out = spec.out_size(*x.shape[2:])
     positions = _check_positions(positions, n * h_out * w_out)
     xp = _padded(x, spec, dtype)
     wmat = w.weight.reshape(w.weight.shape[0], -1).astype(dtype)
@@ -576,14 +579,12 @@ def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions
     elsewhere is not read (the forward's output there is a constant zero);
     grad_x is then scattered from the rows in float64.
     """
-    x = np.asarray(x)
+    x, n, c, h, win, h_out, w_out = _check_conv_args(x, w, spec, upstream)
     dtype = compute_dtype(x)
     g = np.asarray(upstream).astype(dtype)
-    n, c, h, win = x.shape
     kh, kw = spec.kernel_h, spec.kernel_w
     sh, sw = spec.stride
     ph, pw = spec.pad
-    h_out, w_out = spec.out_size(h, win)
     xp = _padded(x, spec, dtype)
     c_out = w.weight.shape[0]
     gmat = g.reshape(n, c_out, h_out * w_out)
@@ -667,20 +668,21 @@ def offset_branch_forward(x, branch_w: ConvWeights, spec: KernelSpec,
 def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
                            field: OffsetModulationField, grad_offsets, grad_modulation):
     """Gradients (grad_x, grad_branch_w, grad_branch_bias) given gradients on
-    the produced field. Modulation grads are pulled back through the sigmoid
-    of a 3K branch; a 2K branch has no modulation channels to reach. The
-    branch-output gradient is formed in x's compute dtype, and the branch
-    convolution's backward runs on its live positions only, those where any
-    channel of it is non-zero (NaN included).
+    the produced field, of its shapes. Modulation grads are pulled back
+    through the sigmoid of a 3K branch; a 2K branch has no modulation
+    channels to reach. The branch-output gradient is formed in x's compute
+    dtype, and the branch convolution's backward runs on its live positions
+    only, those where any channel of it is non-zero (NaN included).
     """
     k, modulated = _branch_k(branch_w, spec)
+    shapes = (np.shape(grad_offsets), np.shape(grad_modulation))
+    if shapes != (field.offsets.shape, field.modulation.shape):
+        raise ShapeError(f"field gradients {shapes[0]} / {shapes[1]} != the field's "
+                         f"{field.offsets.shape} / {field.modulation.shape}")
     dtype = compute_dtype(np.asarray(x))
     grad_raw = np.asarray(grad_offsets).astype(dtype, copy=False)
     if modulated:
         gm = np.asarray(grad_modulation).astype(dtype, copy=False)
         m = field.modulation.astype(dtype, copy=False)
         grad_raw = np.concatenate([grad_raw, gm * m * (1.0 - m)], axis=1)
-    if grad_raw.shape[1] != branch_w.weight.shape[0]:
-        raise ShapeError(f"field gradients inconsistent with {branch_w.weight.shape[0]} "
-                         "branch channels")
     return dense_conv_backward(x, branch_w, spec, grad_raw, _live(grad_raw))

@@ -244,8 +244,8 @@ class TwoBranchModel:
         """This model on shallow copies of the trunk layers: they hold the
         same Params, so gradients and updates land on the shared trunk, but
         keep their own forward state. Safe because every layer rebinds its
-        state attributes (`_x`, `_field`, `_cache`, `_mask`) in `forward` and
-        never mutates them in place.
+        state attributes (`_x`, `_field`, `_demand`, `_cache`, `_mask`) in
+        `forward` and never mutates them in place.
         """
         return TwoBranchModel(Sequential(map(copy.copy, self.backbone.layers)),
                               copy.copy(self.pool), Sequential(map(copy.copy, self.fc.layers)),

@@ -160,10 +160,14 @@ def aligned_roipool_oracle(x: np.ndarray, rois: Sequence, bins_h: int, bins_w: i
 # finite differences and gradient comparison
 # ---------------------------------------------------------------------------
 
-def finite_diff(f: Callable[[np.ndarray], float], block: np.ndarray, h: float = 1e-3) -> np.ndarray:
-    """Central differences (f(b + h e_i) - f(b - h e_i)) / 2h per entry, in f64."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
+# central-difference step, and the |a| + |n| below which an entry is skipped
+FD_STEP = 1e-3
+EMPTY_FLOOR = 1e-7
+
+
+def finite_diff(f: Callable[[np.ndarray], float], block: np.ndarray) -> np.ndarray:
+    """Central differences (f(b + h e_i) - f(b - h e_i)) / 2h, h = FD_STEP, in f64."""
+    h = FD_STEP
     theta = np.array(block, dtype=np.float64)
     grad = np.zeros_like(theta)
     flat = theta.reshape(-1)
@@ -179,20 +183,6 @@ def finite_diff(f: Callable[[np.ndarray], float], block: np.ndarray, h: float = 
             raise OracleError(f"non-finite objective at entry {i}: f+={fp}, f-={fm}")
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad
-
-
-@dataclass
-class GradBlock:
-    """One parameter block of an instance under gradient check.
-
-    `fn` is the scalar objective as a function of this block alone (the other
-    blocks held fixed); `analytic` is the gradient claimed by the kernel.
-    """
-
-    name: str
-    value: np.ndarray
-    analytic: np.ndarray
-    fn: Callable[[np.ndarray], float]
 
 
 @dataclass
@@ -238,15 +228,15 @@ class GradCheckReport:
 
 
 def compare_gradients(name: str, analytic: np.ndarray, numeric: np.ndarray,
-                      tolerance: float = 1e-3, floor: float = 1e-7) -> BlockReport:
+                      tolerance: float = 1e-3) -> BlockReport:
     """Relative error |a-n| / max(|a|, |n|, 1e-6); entries with
-    |a| + |n| <= floor are skipped as numerically empty.
+    |a| + |n| <= EMPTY_FLOOR are skipped as numerically empty.
     """
     a = np.asarray(analytic, dtype=np.float64).reshape(-1)
     n = np.asarray(numeric, dtype=np.float64).reshape(-1)
     if a.shape != n.shape:
         raise ShapeError(f"gradient block {name}: {a.shape} vs {n.shape}")
-    keep = (np.abs(a) + np.abs(n)) > floor
+    keep = (np.abs(a) + np.abs(n)) > EMPTY_FLOOR
     abs_err = np.abs(a - n)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
     rel = np.where(keep, abs_err / denom, 0.0)
@@ -255,11 +245,14 @@ def compare_gradients(name: str, analytic: np.ndarray, numeric: np.ndarray,
     return BlockReport(name, max_rel, max_abs, int(keep.sum()), max_rel < tolerance)
 
 
-def gradcheck(op_name: str, blocks: Sequence[GradBlock], seed: int,
-              tolerance: float = 1e-3, h: float = 1e-3, floor: float = 1e-7) -> GradCheckReport:
-    """Run the central-difference oracle over every block and report."""
+def gradcheck(op_name: str, values: dict, analytic: dict, objective: Callable[..., float],
+              seed: int, tolerance: float = 1e-3) -> GradCheckReport:
+    """Compare `analytic[name]` with the central differences of the scalar
+    `objective(**values)` in `values[name]`, the other arrays held, for
+    every named array in order, and report.
+    """
     report = GradCheckReport(op=op_name, seed=seed, tolerance=tolerance)
-    for blk in blocks:
-        numeric = finite_diff(blk.fn, blk.value, h=h)
-        report.blocks.append(compare_gradients(blk.name, blk.analytic, numeric, tolerance, floor))
+    for name, value in values.items():
+        numeric = finite_diff(lambda v: objective(**{**values, name: v}), value)
+        report.blocks.append(compare_gradients(name, analytic[name], numeric, tolerance))
     return report

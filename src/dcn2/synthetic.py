@@ -137,6 +137,11 @@ def _json_scalar(key: str, value, kind: type):
                              f"JSON {kind.__name__}, not {value!r}")
 
 
+def _marker_radius(d: float) -> float:
+    """Distance of the dilate task's markers from the image center."""
+    return 1.0 + 1.5 * d
+
+
 @dataclass(frozen=True)
 class SyntheticTask:
     mode: str = "dilate"
@@ -150,6 +155,13 @@ class SyntheticTask:
         # the marker radius and width scale with it; at -2 the width is 0
         if not (math.isfinite(self.dilation) and self.dilation > 0):
             raise ArgumentError(f"dilation must be finite and > 0, got {self.dilation}")
+        half = (self.image_size - 1) / 2.0
+        if self.mode == "dilate" and _marker_radius(self.dilation) > half:
+            raise ArgumentError(
+                f"dilation {self.dilation} puts the markers {_marker_radius(self.dilation)} "
+                f"pixels from the center, past the {half} of a {self.image_size}x"
+                f"{self.image_size} image; the most is (image_size - 3) / 3 = "
+                f"{(self.image_size - 3) / 3:.6g}")
 
     def _render_markers(self, rng: np.random.Generator, img: np.ndarray, d: float) -> float:
         """Four blobs N/E/S/W of center at a radius scaling with d; the target
@@ -159,7 +171,7 @@ class SyntheticTask:
         """
         s = self.image_size
         c = (s - 1) / 2.0
-        radius = 1.0 + 1.5 * d
+        radius = _marker_radius(d)
         sigma_base = 1.0 + 0.5 * d
         amps = rng.uniform(0.3, 1.0, size=4)
         sigmas = sigma_base * rng.uniform(0.75, 1.25, size=4)

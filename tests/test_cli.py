@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dcn2.cli import (
@@ -187,6 +187,16 @@ def test_out_of_range_seed_or_tolerance_is_usage_error(capsys, argv, flag):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("steps, dilation", [("0", "1e300"), ("1", "1e300"), ("0", "40")])
+def test_dilation_whose_markers_leave_the_image_is_usage_error(capsys, steps, dilation):
+    # 1e300 once exited as a modulation range error at 0 steps and as
+    # divergence at 1; 40 trained on markers outside the 32x32 image
+    assert main(["demo-train", f"--steps={steps}", f"--dilation={dilation}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--dilation" in captured.err
+    assert captured.out == ""
+
+
 # seeds: negative, zero, small and beyond 64 bits
 _SEEDS = st.one_of(st.integers(-3, 3), st.integers(2**62, 2**80), st.integers(-(2**80), -(2**62)))
 
@@ -206,7 +216,10 @@ def test_bench_argument_vectors_exit_with_contract_code(values, seed):
                            f"--kernel={kh},{kw}", f"--repeats={repeats}", f"--seed={seed}"])
 
 
+# a numeric warning is a fault: the dilate task once rendered 1e300 in overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
+@example(0, 0, 0, "dilate", "1e300", False, None)
 @given(st.integers(0, 1), _SEEDS, _SEEDS, st.sampled_from(["translate", "dilate", "scale-jitter"]),
        st.sampled_from(["2", "0", "-2", "1e300", "nan"]), st.booleans(),
        st.sampled_from([None, "regular", "mdconv,dconv", "regular,,mdconv", "bogus"]))

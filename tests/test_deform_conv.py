@@ -461,6 +461,33 @@ def test_dense_conv_backward_matches_finite_diff():
     check(gb, weights.bias, lambda v: (x, ConvWeights(weights.weight, v), spec))
 
 
+@pytest.mark.parametrize("x_shape, w_shape, g_shape", [
+    ((1, 2, 4, 4), (3, 2, 3, 3), (1, 4, 4, 3)),  # same size, channels last
+    ((1, 2, 4, 4), (3, 2, 3, 3), (1, 3, 5, 5)),
+    ((1, 2, 4, 4), (3, 1, 3, 3), (1, 3, 4, 4)),
+    ((1, 2, 4, 4), (3, 2, 2, 2), (1, 3, 4, 4)),
+    ((2, 4, 4), (3, 2, 3, 3), (1, 3, 4, 4)),
+], ids=["upstream-transposed", "upstream-larger", "weights-c-in", "weights-kernel", "input-3d"])
+def test_dense_conv_backward_rejects_misfit_arguments(x_shape, w_shape, g_shape):
+    # numpy's reshape once raised ValueError here, or for a transposed
+    # upstream of the right size returned wrong gradients
+    with pytest.raises(ShapeError):
+        dense_conv_backward(np.ones(x_shape), ConvWeights(np.ones(w_shape)),
+                            KernelSpec(3, 3, pad=(1, 1)), np.ones(g_shape))
+
+
+@pytest.mark.parametrize("modulated", [True, False])
+def test_offset_branch_backward_rejects_misfit_field_gradients(modulated):
+    spec = KernelSpec(3, 3, pad=(1, 1))
+    x = np.ones((1, 2, 4, 4))
+    bw = ConvWeights(np.zeros(((3 if modulated else 2) * spec.k, 2, 3, 3)))
+    field = offset_branch_forward(x, bw, spec)
+    g_off, g_mod = np.ones(field.offsets.shape), np.ones(field.modulation.shape)
+    for bad in ((g_off[:, :, :3], g_mod), (g_off, g_mod[:, :4]), (g_off[:, :-2], g_mod)):
+        with pytest.raises(ShapeError):
+            offset_branch_backward(x, bw, spec, field, *bad)
+
+
 # ---------------------------------------------------------------------------
 # position lists: a forward computes only the positions it is given
 # ---------------------------------------------------------------------------

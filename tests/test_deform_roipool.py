@@ -246,6 +246,16 @@ def test_roi_branch_batch_gradcheck():
         "pooled", "fc1_weight", "fc1_bias", "fc2_weight", "fc2_bias", "out_weight", "out_bias"}
 
 
+def test_roi_pool_layer_gradcheck():
+    # the whole deformable layer: the branch's pooled-feature gradient goes
+    # back through aligned pooling and adds to the mdpool input gradient
+    reports = run_gradcheck("roi_pool_layer", seeds=5)
+    assert [b.name for b in reports[0].blocks] == [
+        "x", "fc1_w", "fc1_b", "fc2_w", "fc2_b", "out_w", "out_b"]
+    for rep in reports:
+        assert rep.passed, rep.to_json()
+
+
 def _rel(got, want) -> float:
     want = np.asarray(want, dtype=np.float64)
     return float(np.abs(np.asarray(got, dtype=np.float64) - want).max() / np.abs(want).max())

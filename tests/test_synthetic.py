@@ -50,6 +50,23 @@ def test_non_positive_or_non_finite_dilation_rejected(dilation):
         SyntheticTask(mode="dilate", dilation=dilation)
 
 
+def test_dilation_whose_markers_leave_the_image_rejected():
+    # 40 once gave a 32x32 task markers 61 pixels from its center
+    with pytest.raises(ArgumentError, match="dilation"):
+        SyntheticTask(mode="dilate", image_size=32, dilation=40.0)
+    # the other modes draw or ignore the dilation
+    for mode in ("translate", "scale-jitter"):
+        SyntheticTask(mode=mode, image_size=32, dilation=40.0)
+
+
+def test_dilation_bound_is_the_marker_radius_at_the_image_edge():
+    # dilation 10 puts the markers 1 + 1.5 * 10 = 16 = (33 - 1) / 2 from the center
+    task = SyntheticTask(mode="dilate", image_size=33, dilation=10.0)
+    assert np.isfinite(task.sample_batch(np.random.default_rng(0), 1)[0]).all()
+    with pytest.raises(ArgumentError, match="dilation"):
+        SyntheticTask(mode="dilate", image_size=33, dilation=math.nextafter(10.0, 11.0))
+
+
 def test_dilate_target_is_antisymmetric_amplitude_sum():
     # targets live in the antisymmetric range of four U(0.3, 1) amplitudes
     task = SyntheticTask(mode="dilate", image_size=16, dilation=1.0, seed=0)
