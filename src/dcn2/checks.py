@@ -288,7 +288,8 @@ def _dconv_layer_instance(seed: int):
 @register_gradcheck("mdconv_layer_positions")
 def _mdconv_layer_positions_instance(seed: int):
     """The layer's position-list path: a demanded forward, whose output is
-    the constant zero off the demand, and the backward that masks it.
+    the constant zero off the demand, and the backward that reads the
+    upstream's rows at the demand.
     """
     return _deform_layer_target(seed, 11, modulated=True, demanded=True)
 

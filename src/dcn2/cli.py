@@ -190,7 +190,8 @@ def cmd_demo_train(args) -> int:
         task = SyntheticTask(mode=args.task, image_size=cfg.image_size,
                              dilation=args.dilation, seed=args.task_seed)
     except ArgumentError as exc:  # the parser has checked every other task argument
-        raise UsageError(f"--dilation: {exc}") from None
+        cause = "--dilation" if args.task == "dilate" else "--config"
+        raise UsageError(f"{cause}: {exc}") from None
     if cfg.mimic or args.mimic:
         mimic_cfg = MimicConfig(patch_size=(cfg.image_size, cfg.image_size))
         if args.mimic_weight is not None:

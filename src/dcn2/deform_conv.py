@@ -12,10 +12,12 @@ GEMM with the weights gives the output. `sampling` owns the layout, the
 (pixels, C) operand X^T and a map's rows at a list (`pixel_rows`) and back
 (`pixel_map`), and the precision rule (`compute_dtype`).
 
-- A forward given `positions` computes only those positions and returns the
-  full map, zero elsewhere; without them it computes every position, which
-  is the all-positions list (the dense convolution then keeps its strided
-  im2col view).
+- A call given `positions` works on (P, C) rows at those positions, in the
+  layout of `sampling.pixel_rows`: the field, the output, the upstream and
+  the field gradients are rows, and only the input gradient is a map.
+  Without them a call works on (N, C, H_out, W_out) maps and computes every
+  position, which is the all-positions list (the dense convolution then
+  keeps its strided im2col view).
 - The mdconv backward computes only the live output positions, those where
   any channel of the upstream gradient is non-zero (NaN and inf count as
   live). A dead position gets exact-zero offset and modulation gradients
@@ -133,7 +135,8 @@ class ConvWeights:
 
 @dataclass
 class OffsetModulationField:
-    """Learned offsets (N, 2K, H_out, W_out) and modulation (N, K, H_out, W_out).
+    """Learned offsets (N, 2K, H_out, W_out) and modulation (N, K, H_out, W_out),
+    or under a position list their (P, 2K) and (P, K) rows.
 
     Channel pair (2k, 2k+1) is (dy_k, dx_k); modulation lies in [0, 1] and is
     shared across all input and output channels at each spatial location.
@@ -145,14 +148,14 @@ class OffsetModulationField:
     def __post_init__(self):
         self.offsets = np.asarray(self.offsets)
         self.modulation = np.asarray(self.modulation)
-        if self.offsets.ndim != 4 or self.modulation.ndim != 4:
-            raise ShapeError("offset/modulation fields must be 4-D")
-        n, twok, h, w = self.offsets.shape
+        if self.offsets.ndim not in (2, 4) or self.modulation.ndim != self.offsets.ndim:
+            raise ShapeError("offset/modulation fields must be 4-D maps or 2-D rows")
+        lead, twok, *hw = self.offsets.shape
         if twok % 2 != 0:
             raise ShapeError(f"offset channel count {twok} must be even (2K)")
-        if self.modulation.shape != (n, twok // 2, h, w):
+        if self.modulation.shape != (lead, twok // 2, *hw):
             raise ShapeError(
-                f"modulation shape {self.modulation.shape} != {(n, twok // 2, h, w)}"
+                f"modulation shape {self.modulation.shape} != {(lead, twok // 2, *hw)}"
             )
         # written so that NaN fails the range test
         if not ((self.modulation >= 0.0) & (self.modulation <= 1.0)).all():
@@ -172,9 +175,11 @@ class OffsetModulationField:
                                      np.full((n, k, h_out, w_out), modulation, dtype=np.float64))
 
 
-def _check_conv_args(x, w: ConvWeights, spec: KernelSpec, upstream=None):
-    """Validated (x, N, C_in, H, W, H_out, W_out) of a convolution, checking
-    an `upstream` gradient, when given, against its output shape.
+def _check_conv_args(x, w: ConvWeights, spec: KernelSpec, upstream=None, positions=None):
+    """Validated (x, N, C_in, H, W, H_out, W_out, positions) of a convolution,
+    `positions` as `_check_positions` gives them, checking an `upstream`
+    gradient, when given, against the output's shape: the map, or with
+    positions its (P, C_out) rows.
     """
     x = np.asarray(x)
     if x.ndim != 4:
@@ -182,27 +187,30 @@ def _check_conv_args(x, w: ConvWeights, spec: KernelSpec, upstream=None):
     n, c_in, h, win = x.shape
     w.check_spec(spec, c_in)
     h_out, w_out = spec.out_size(h, win)
-    out_shape = (n, w.weight.shape[0], h_out, w_out)
+    positions = _check_positions(positions, n * h_out * w_out)
+    c_out = w.weight.shape[0]
+    out_shape = (n, c_out, h_out, w_out) if positions is None else (positions.size, c_out)
     if upstream is not None and np.shape(upstream) != out_shape:
         raise ShapeError(f"upstream shape {np.shape(upstream)} != {out_shape}")
-    return x, n, c_in, h, win, h_out, w_out
+    return x, n, c_in, h, win, h_out, w_out, positions
 
 
 def _check_mdconv_args(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField,
-                       upstream=None):
+                       upstream=None, positions=None):
     """`_check_conv_args`, and the field's shape."""
-    x, n, c_in, h, win, h_out, w_out = _check_conv_args(x, w, spec, upstream)
-    if field.offsets.shape != (n, 2 * spec.k, h_out, w_out):
-        raise ShapeError(
-            f"field offsets {field.offsets.shape} != {(n, 2 * spec.k, h_out, w_out)}"
-        )
-    return x, n, c_in, h, win, h_out, w_out
+    x, n, c_in, h, win, h_out, w_out, positions = _check_conv_args(x, w, spec, upstream,
+                                                                   positions)
+    twok = 2 * spec.k
+    want = (n, twok, h_out, w_out) if positions is None else (positions.size, twok)
+    if field.offsets.shape != want:
+        raise ShapeError(f"field offsets {field.offsets.shape} != {want}")
+    return x, n, c_in, h, win, h_out, w_out, positions
 
 
 def _check_positions(positions, size: int) -> np.ndarray | None:
     """`positions` as int64 flat positions into a map of `size` positions;
-    None when it is None or lists every position. It must be a strictly
-    increasing 1-D integer list inside the map.
+    None when it is None. It must be a strictly increasing 1-D integer list
+    inside the map.
     """
     if positions is None:
         return None
@@ -212,7 +220,7 @@ def _check_positions(positions, size: int) -> np.ndarray | None:
     p = p.astype(np.int64, copy=False)
     if p.size and (p[0] < 0 or p[-1] >= size or (p[1:] <= p[:-1]).any()):
         raise ArgumentError(f"positions must increase strictly within [0, {size})")
-    return None if p.size == size else p
+    return p
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,7 +238,7 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def mdconv_forward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField) -> np.ndarray:
-    x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field)
+    x, n, c_in, h, win, h_out, w_out, _ = _check_mdconv_args(x, w, spec, field)
     c_out = w.weight.shape[0]
     (sh, sw), (ph, pw), (dh, dw) = spec.stride, spec.pad, spec.dilation
     wk = w.weight.reshape(c_out, c_in, spec.k).astype(np.float64)
@@ -259,7 +267,7 @@ def mdconv_backward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulation
     grad_offsets, grad_modulation). The offset gradient routes through the
     bilinear coordinate derivative scaled by w_k * dm_k.
     """
-    x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field, upstream)
+    x, n, c_in, h, win, h_out, w_out, _ = _check_mdconv_args(x, w, spec, field, upstream)
     g = np.asarray(upstream)
     c_out = w.weight.shape[0]
     (sh, sw), (ph, pw), (dh, dw) = spec.stride, spec.pad, spec.dilation
@@ -334,7 +342,8 @@ def _chunks(positions: np.ndarray, c_in: int, k: int, h_out: int, w_out: int):
 
 class _ConvGeometry:
     """Shared sampling-matrix machinery for the optimized kernels, over one
-    sorted list of flat output positions.
+    sorted list of flat output positions and the field's (P, 2K) offset and
+    (P, K) modulation rows there.
 
     Everything per position is kept position-major, (P, K), so a chunk's
     sampling matrix has one row per (position, tap) and its product with the
@@ -342,23 +351,22 @@ class _ConvGeometry:
     (positions, K*C_in) operand of the GEMM.
     """
 
-    def __init__(self, x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField,
-                 positions: np.ndarray):
+    def __init__(self, x, w: ConvWeights, spec: KernelSpec, offsets, modulation,
+                 positions: np.ndarray, out_hw: tuple[int, int]):
         self.dtype = compute_dtype(x)
         _, self.c_in, self.h, self.w_in = x.shape
         c_out = w.weight.shape[0]
-        h_out, w_out = field.offsets.shape[2:]
         # (K*C_in, C_out), rows in the (tap, channel) order of a sampled row
         self.wmat = np.ascontiguousarray(
             w.weight.reshape(c_out, self.c_in, spec.k).transpose(2, 1, 0),
             dtype=self.dtype).reshape(spec.k * self.c_in, c_out)
         self.bias = None if w.bias is None else np.asarray(w.bias, dtype=self.dtype)
-        self.item, rows, cols = spec.taps_at(positions, (h_out, w_out))
-        offs = pixel_rows(field.offsets, positions, np.float64)
+        self.item, rows, cols = spec.taps_at(positions, out_hw)
+        offs = offsets.astype(np.float64, copy=False)
         # (P, K) in row-major tap order
         self.py = np.repeat(rows, spec.kernel_w, axis=1) + offs[:, 0::2]
         self.px = np.tile(cols, (1, spec.kernel_h)) + offs[:, 1::2]
-        self.mods = pixel_rows(field.modulation, positions, np.float64)
+        self.mods = modulation.astype(np.float64, copy=False)
 
     def pattern(self, n0: int, s0: int, s1: int, derivatives: bool = False):
         """Sampling pattern of positions s0 .. s1-1 of the list, (P, K) in
@@ -380,39 +388,42 @@ def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
     independent of thread count.
 
     With `positions`, a sorted list of flat output positions, only those are
-    computed: the output is zero elsewhere, and the field is read only
-    there. Sampling still reads the whole input, since offsets can land
+    computed: the field comes as its rows there and the output as (P, C_out)
+    rows. Sampling still reads the whole input, since offsets can land
     anywhere.
     """
-    x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field)
-    positions = _check_positions(positions, n * h_out * w_out)
+    x, n, c_in, h, win, h_out, w_out, positions = _check_mdconv_args(x, w, spec, field,
+                                                                     positions=positions)
     c_out = w.weight.shape[0]
-    if x.size == 0 or n * c_out * h_out * w_out == 0:
-        out = np.empty((n, c_out, h_out, w_out), dtype=x.dtype)
-        out[...] = 0.0 if w.bias is None else np.asarray(w.bias)[None, :, None, None]
-        return out
     listed = np.arange(n * h_out * w_out) if positions is None else positions
-    geo = _ConvGeometry(x, w, spec, field, listed)
-    k = spec.k
-    rows = np.zeros((listed.size, c_out), dtype=x.dtype)
+    rows = np.empty((listed.size, c_out), dtype=x.dtype)
+    if x.size == 0 or rows.size == 0:
+        rows[...] = 0.0 if w.bias is None else np.asarray(w.bias)
+    else:
+        offs, mods = field.offsets, field.modulation
+        if positions is None:
+            offs, mods = pixel_rows(offs, dtype=np.float64), pixel_rows(mods, dtype=np.float64)
+        geo = _ConvGeometry(x, w, spec, offs, mods, listed, (h_out, w_out))
+        k = spec.k
 
-    def do_chunk(task):
-        n0, n1, s0, s1 = task
-        cols, data = geo.pattern(n0, s0, s1)
-        xt = pixel_rows(x[n0:n1], dtype=geo.dtype)
-        sampled = sampling_matrix(cols, data, xt.shape[0]) @ xt
-        res = sampled.reshape(s1 - s0, k * c_in) @ geo.wmat
-        if geo.bias is not None:
-            res += geo.bias
-        rows[s0:s1] = res
+        def do_chunk(task):
+            n0, n1, s0, s1 = task
+            cols, data = geo.pattern(n0, s0, s1)
+            xt = pixel_rows(x[n0:n1], dtype=geo.dtype)
+            sampled = sampling_matrix(cols, data, xt.shape[0]) @ xt
+            res = sampled.reshape(s1 - s0, k * c_in) @ geo.wmat
+            if geo.bias is not None:
+                res += geo.bias
+            rows[s0:s1] = res
 
-    for _ in runtime.run_chunks(do_chunk, _chunks(listed, c_in, k, h_out, w_out)):
-        pass
-    return pixel_map(rows, positions, (n, c_out, h_out, w_out))
+        for _ in runtime.run_chunks(do_chunk, _chunks(listed, c_in, k, h_out, w_out)):
+            pass
+    return rows if positions is not None else pixel_map(rows, None, (n, c_out, h_out, w_out))
 
 
 def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
-                              field: OffsetModulationField, upstream):
+                              field: OffsetModulationField, upstream, positions=None,
+                              input_grad: bool = True):
     """Vectorized analytic gradients; same return signature as mdconv_backward.
 
     Only live output positions are computed: those where any channel of the
@@ -420,6 +431,10 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
     still propagate. Every other position contributes exactly nothing, and
     gets zero offset and modulation gradients; an all-zero upstream builds
     no pattern at all.
+
+    With `positions` (see `mdconv_forward_optimized`) the field and the
+    upstream are rows there, and so are the offset and modulation gradients.
+    With input_grad=False grad_x is None and S^T is never applied.
 
     With S the modulated sampling matrix of a chunk of live positions, S0
     the unmodulated one and Sy/Sx its coordinate derivatives:
@@ -430,42 +445,49 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
     reduced in chunk order, so the result is bit-identical for any thread
     count.
     """
-    x, n, c_in, h, win, h_out, w_out = _check_mdconv_args(x, w, spec, field, upstream)
+    x, n, c_in, h, win, h_out, w_out, positions = _check_mdconv_args(x, w, spec, field,
+                                                                     upstream, positions)
     g = np.asarray(upstream)
     c_out = w.weight.shape[0]
 
     k = spec.k
-    hw = h_out * w_out
-    grad_x = np.zeros((n, c_in, h, win), dtype=np.float64)
+    grad_x = np.zeros((n, c_in, h, win), dtype=np.float64) if input_grad else None
     grad_w = np.zeros((k * c_in, c_out), dtype=np.float64)
     grad_b = np.zeros(c_out, dtype=np.float64) if w.bias is not None else None
-    # position-major: row p holds (dy, dx) per tap, and the modulation
-    # gradient per tap, of flat output position p
-    grad_off = np.zeros((n * hw, k, 2), dtype=np.float64)
-    grad_mod = np.zeros((n * hw, k), dtype=np.float64)
+    # position-major: row r holds (dy, dx) per tap, and the modulation
+    # gradient per tap, of the upstream's row r (flat position r of a map)
+    n_rows = g.shape[0] if positions is not None else n * h_out * w_out
+    grad_off = np.zeros((n_rows, k, 2), dtype=x.dtype)
+    grad_mod = np.zeros((n_rows, k), dtype=x.dtype)
 
     def finish():
         gw = grad_w.reshape(k, c_in, c_out).transpose(2, 1, 0).reshape(w.weight.shape)
-        return (grad_x.astype(x.dtype), gw.astype(x.dtype),
-                None if grad_b is None else grad_b.astype(x.dtype),
-                pixel_map(grad_off.reshape(n * hw, 2 * k), None, field.offsets.shape, x.dtype),
-                pixel_map(grad_mod, None, field.modulation.shape, x.dtype))
+        goff, gmod = grad_off.reshape(n_rows, 2 * k), grad_mod
+        if positions is None:
+            goff = pixel_map(goff, None, field.offsets.shape)
+            gmod = pixel_map(gmod, None, field.modulation.shape)
+        return (None if grad_x is None else grad_x.astype(x.dtype), gw.astype(x.dtype),
+                None if grad_b is None else grad_b.astype(x.dtype), goff, gmod)
 
     if x.size == 0 or g.size == 0:
         if grad_b is not None and g.size:
-            grad_b += g.sum(axis=(0, 2, 3), dtype=np.float64)
+            grad_b += g.sum(axis=0 if positions is not None else (0, 2, 3), dtype=np.float64)
         return finish()
 
-    live = _live(g)
+    at = _live(g)
+    live = at if positions is None else positions[at]
     tasks = _chunks(live, c_in, k, h_out, w_out)
     if not tasks:
         return finish()
-    geo = _ConvGeometry(x, w, spec, field, live)
-    g_live = pixel_rows(g, live)
+    if positions is None:
+        g_live, offs, mods = (pixel_rows(a, at) for a in (g, field.offsets, field.modulation))
+    else:
+        g_live, offs, mods = g[at], field.offsets[at], field.modulation[at]
+    geo = _ConvGeometry(x, w, spec, offs, mods, live, (h_out, w_out))
 
     def do_chunk(task):
         n0, n1, s0, s1 = task
-        pos = live[s0:s1]
+        rows = at[s0:s1]
         cols, weights, dwy, dwx = geo.pattern(n0, s0, s1, derivatives=True)
         xt = pixel_rows(x[n0:n1], dtype=geo.dtype)
         n_cols = xt.shape[0]
@@ -477,19 +499,22 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
         gmat = g_live[s0:s1].astype(geo.dtype)
 
         gsm = _gemm(gmat, geo.wmat.T).reshape(-1, c_in)  # dL/d(sample * m)
-        grad_mod[pos] = np.einsum("ij,ij->i", gsm, samples).reshape(-1, k)
+        grad_mod[rows] = np.einsum("ij,ij->i", gsm, samples).reshape(-1, k)
         gs = gsm * m  # dL/d(sample)
-        grad_off[pos, :, 0] = np.einsum("ij,ij->i", gs, dsdy).reshape(-1, k)
-        grad_off[pos, :, 1] = np.einsum("ij,ij->i", gs, dsdx).reshape(-1, k)
+        grad_off[rows, :, 0] = np.einsum("ij,ij->i", gs, dsdy).reshape(-1, k)
+        grad_off[rows, :, 1] = np.einsum("ij,ij->i", gs, dsdx).reshape(-1, k)
 
         # partial sums that may overlap across chunks
         gw = (samples * m).reshape(-1, k * c_in).T @ gmat
         gb = gmat.sum(axis=0) if grad_b is not None else None
+        if grad_x is None:
+            return n0, n1, None, gw, gb
         gx = s0_mat.T @ gs.astype(np.float64)
         return n0, n1, gx.reshape(n1 - n0, h, win, c_in).transpose(0, 3, 1, 2), gw, gb
 
     for n0, n1, gx, gw, gb in runtime.run_chunks(do_chunk, tasks):
-        grad_x[n0:n1] += gx
+        if grad_x is not None:
+            grad_x[n0:n1] += gx
         grad_w += gw
         if grad_b is not None:
             grad_b += gb
@@ -497,8 +522,9 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
 
 
 def _live(g: np.ndarray) -> np.ndarray:
-    """Sorted flat positions of an (N, C, H, W) upstream where any channel is
-    non-zero; `!= 0` holds for NaN, so non-finite values stay live.
+    """Where any channel of an upstream is non-zero: flat positions of an
+    (N, C, H, W) map, row indices of (P, C) rows. `!= 0` holds for NaN, so
+    non-finite values stay live.
     """
     return np.flatnonzero((g != 0).any(axis=1))
 
@@ -551,69 +577,72 @@ def _patch_index(shape, spec: KernelSpec, positions: np.ndarray,
 def dense_conv_forward(x, w: ConvWeights, spec: KernelSpec, positions=None) -> np.ndarray:
     """Regular zero-padded strided dilated convolution (vectorized). With
     `positions`, a sorted list of flat output positions, only those are
-    computed, as a GEMM over their im2col rows, and the output is zero
-    elsewhere.
+    computed, as a GEMM over their im2col rows, and the output is their
+    (P, C_out) rows.
     """
-    x, n, _, _, _, h_out, w_out = _check_conv_args(x, w, spec)
+    x, n, _, _, _, h_out, w_out, positions = _check_conv_args(x, w, spec, positions=positions)
     dtype = compute_dtype(x)
-    positions = _check_positions(positions, n * h_out * w_out)
     xp = _padded(x, spec, dtype)
     wmat = w.weight.reshape(w.weight.shape[0], -1).astype(dtype)
     bias = None if w.bias is None else np.asarray(w.bias, dtype=dtype)
-    if positions is not None:
+    if positions is not None and positions.size < n * h_out * w_out:
         res = xp.reshape(-1)[_patch_index(xp.shape, spec, positions, (h_out, w_out))] @ wmat.T
         if bias is not None:
             res += bias
-        return pixel_map(res, positions, (n, wmat.shape[0], h_out, w_out), x.dtype)
+        return res.astype(x.dtype, copy=False)
     cols = _patches(xp, spec, (h_out, w_out)).reshape(n, wmat.shape[1], h_out * w_out)
     out = np.matmul(wmat, cols)
     if bias is not None:
         out += bias[None, :, None]
-    return out.reshape(n, wmat.shape[0], h_out, w_out).astype(x.dtype)
+    out = out.reshape(n, wmat.shape[0], h_out, w_out).astype(x.dtype)
+    return out if positions is None else pixel_rows(out)
 
 
-def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions=None):
+def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions=None,
+                        input_grad: bool = True):
     """Gradients (grad_x, grad_w, grad_bias) of
-    `dense_conv_forward(x, w, spec, positions)`. With `positions` only those
-    output positions are computed, from their im2col rows, and the upstream
-    elsewhere is not read (the forward's output there is a constant zero);
-    grad_x is then scattered from the rows in float64.
+    `dense_conv_forward(x, w, spec, positions)`. With `positions` the
+    upstream is the (P, C_out) rows there, only those output positions are
+    computed, from their im2col rows, and grad_x is scattered from the rows
+    in float64. With input_grad=False grad_x is None.
     """
-    x, n, c, h, win, h_out, w_out = _check_conv_args(x, w, spec, upstream)
+    x, n, c, h, win, h_out, w_out, positions = _check_conv_args(x, w, spec, upstream, positions)
     dtype = compute_dtype(x)
-    g = np.asarray(upstream).astype(dtype)
+    g = np.asarray(upstream).astype(dtype, copy=False)
     kh, kw = spec.kernel_h, spec.kernel_w
     sh, sw = spec.stride
     ph, pw = spec.pad
     xp = _padded(x, spec, dtype)
     c_out = w.weight.shape[0]
-    gmat = g.reshape(n, c_out, h_out * w_out)
     wmat = w.weight.reshape(c_out, -1).astype(dtype)
 
-    positions = _check_positions(positions, n * h_out * w_out)
+    if positions is not None and positions.size == n * h_out * w_out:
+        g, positions = pixel_map(g, None, (n, c_out, h_out, w_out)), None
+    gxp = None
     if positions is None:
+        gmat = g.reshape(n, c_out, h_out * w_out)
         cols = _patches(xp, spec, (h_out, w_out)).reshape(n, c * kh * kw, h_out * w_out)
         grad_w = np.tensordot(gmat, cols, axes=([0, 2], [0, 2])).reshape(w.weight.shape)
         grad_b = g.sum(axis=(0, 2, 3), dtype=np.float64)
-        grad_cols = np.matmul(wmat.T, gmat).reshape(n, c, kh, kw, h_out, w_out)
-        gxp = np.zeros(xp.shape, dtype=dtype)
-        # tap (u, v) reads (top, left) of the padded input at output (0, 0),
-        # and one stride further at each next output
-        _, r0, c0 = spec.taps_at([0], (1, 1))
-        for u, top in enumerate(r0[0] + ph):
-            for v, left in enumerate(c0[0] + pw):
-                gxp[:, :, top : top + sh * h_out : sh,
-                    left : left + sw * w_out : sw] += grad_cols[:, :, u, v]
+        if input_grad:
+            grad_cols = np.matmul(wmat.T, gmat).reshape(n, c, kh, kw, h_out, w_out)
+            gxp = np.zeros(xp.shape, dtype=dtype)
+            # tap (u, v) reads (top, left) of the padded input at output (0, 0),
+            # and one stride further at each next output
+            _, r0, c0 = spec.taps_at([0], (1, 1))
+            for u, top in enumerate(r0[0] + ph):
+                for v, left in enumerate(c0[0] + pw):
+                    gxp[:, :, top : top + sh * h_out : sh,
+                        left : left + sw * w_out : sw] += grad_cols[:, :, u, v]
     else:
-        g_rows = pixel_rows(g, positions)
         index = _patch_index(xp.shape, spec, positions, (h_out, w_out))
-        grad_w = (g_rows.T @ xp.reshape(-1)[index]).reshape(w.weight.shape)
-        grad_b = g_rows.sum(axis=0, dtype=np.float64)
-        gxp = np.bincount(index.reshape(-1), weights=_gemm(g_rows, wmat).reshape(-1),
-                          minlength=xp.size).reshape(xp.shape)
-    grad_x = gxp[:, :, ph : ph + h, pw : pw + win] if (ph or pw) else gxp
+        grad_w = (g.T @ xp.reshape(-1)[index]).reshape(w.weight.shape)
+        grad_b = g.sum(axis=0, dtype=np.float64)
+        if input_grad:
+            gxp = np.bincount(index.reshape(-1), weights=_gemm(g, wmat).reshape(-1),
+                              minlength=xp.size).reshape(xp.shape)
     return (
-        grad_x.astype(x.dtype),
+        None if gxp is None else gxp[:, :, ph : ph + h, pw : pw + win].astype(x.dtype),
         grad_w.astype(x.dtype),
         None if w.bias is None else grad_b.astype(x.dtype),
     )
@@ -626,13 +655,11 @@ def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic sigmoid (dtype preserving for floats)."""
     z = np.asarray(z)
-    dtype = z.dtype if z.dtype in (np.float32, np.float64) else np.float64
-    out = np.empty_like(z, dtype=dtype)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    if z.dtype not in (np.float32, np.float64):
+        z = z.astype(np.float64)
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: e never overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _branch_k(branch_w: ConvWeights, spec: KernelSpec) -> tuple[int, bool]:
@@ -653,26 +680,26 @@ def offset_branch_forward(x, branch_w: ConvWeights, spec: KernelSpec,
     Zero weights (the standard init) therefore yield dp=0, dm=0.5 exactly.
     A 2K-channel branch is the unmodulated (DCNv1) case: offsets only, with
     the modulation fixed at 1. With `positions` (see `dense_conv_forward`)
-    the field is computed only there and is zero elsewhere, modulation
-    included.
+    the field is computed only there and comes as its rows, so the sigmoid
+    and the field's checks run on those rows alone.
     """
     x = np.asarray(x)
     k, modulated = _branch_k(branch_w, spec)
     raw = dense_conv_forward(x, branch_w, spec, positions)
-    rows = pixel_rows(raw[:, 2 * k :], positions)
-    rows = sigmoid(rows) if modulated else np.ones((rows.shape[0], k))
-    modulation = pixel_map(rows, positions, (raw.shape[0], k, *raw.shape[2:]), raw.dtype)
+    modulation = sigmoid(raw[:, 2 * k :]) if modulated else np.ones_like(raw[:, :k])
     return OffsetModulationField(raw[:, : 2 * k], modulation)
 
 
 def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
-                           field: OffsetModulationField, grad_offsets, grad_modulation):
+                           field: OffsetModulationField, grad_offsets, grad_modulation,
+                           positions=None, input_grad: bool = True):
     """Gradients (grad_x, grad_branch_w, grad_branch_bias) given gradients on
-    the produced field, of its shapes. Modulation grads are pulled back
-    through the sigmoid of a 3K branch; a 2K branch has no modulation
-    channels to reach. The branch-output gradient is formed in x's compute
-    dtype, and the branch convolution's backward runs on its live positions
-    only, those where any channel of it is non-zero (NaN included).
+    the produced field, of its shapes: maps, or with `positions` rows there.
+    Modulation grads are pulled back through the sigmoid of a 3K branch; a
+    2K branch has no modulation channels to reach. The branch-output
+    gradient is formed in x's compute dtype, and the branch convolution's
+    backward runs on its live positions only, those where any channel of it
+    is non-zero (NaN included). With input_grad=False grad_x is None.
     """
     k, modulated = _branch_k(branch_w, spec)
     shapes = (np.shape(grad_offsets), np.shape(grad_modulation))
@@ -685,4 +712,9 @@ def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
         gm = np.asarray(grad_modulation).astype(dtype, copy=False)
         m = field.modulation.astype(dtype, copy=False)
         grad_raw = np.concatenate([grad_raw, gm * m * (1.0 - m)], axis=1)
-    return dense_conv_backward(x, branch_w, spec, grad_raw, _live(grad_raw))
+    at = _live(grad_raw)
+    if positions is None:
+        rows, live = pixel_rows(grad_raw, at), at
+    else:
+        rows, live = grad_raw[at], np.asarray(positions)[at]
+    return dense_conv_backward(x, branch_w, spec, rows, live, input_grad)

@@ -234,7 +234,7 @@ class TwoBranchModel:
     def roi_features_backward(self, grad_feat: np.ndarray) -> None:
         g = self.fc.backward(grad_feat)
         g = self.pool.backward(g)
-        self.backbone.backward(g)
+        self.backbone.backward(g, input_grad=False)  # nothing reads the image gradient
 
     def infer(self, images, rois: list[RoI]) -> np.ndarray:
         """Inference runs the main branch only: trunk features -> class logits."""
@@ -245,7 +245,8 @@ class TwoBranchModel:
         same Params, so gradients and updates land on the shared trunk, but
         keep their own forward state. Safe because every layer rebinds its
         state attributes (`_x`, `_field`, `_demand`, `_cache`, `_mask`) in
-        `forward` and never mutates them in place.
+        `forward` and never mutates them in place; a demanded deformable
+        layer's `_field` holds rows at its `_demand`, not maps.
         """
         return TwoBranchModel(Sequential(map(copy.copy, self.backbone.layers)),
                               copy.copy(self.pool), Sequential(map(copy.copy, self.fc.layers)),

@@ -17,6 +17,7 @@ from .deform_conv import (
     BRANCH_LR_MULTIPLIER,
     ConvWeights,
     KernelSpec,
+    OffsetModulationField,
     dense_conv_backward,
     dense_conv_forward,
     mdconv_backward_optimized,
@@ -117,8 +118,9 @@ class Conv2dLayer:
         self._x = x
         return dense_conv_forward(x, self._weights(), self.spec)
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
-        gx, gw, gb = dense_conv_backward(_recorded(self._x), self._weights(), self.spec, gy)
+    def backward(self, gy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        gx, gw, gb = dense_conv_backward(_recorded(self._x), self._weights(), self.spec, gy,
+                                         input_grad=input_grad)
         self.weight.grad += gw
         self.bias.grad += gb
         return gx
@@ -130,9 +132,11 @@ class DeformConv2dLayer:
     The sibling branch convolution (`offset_branch_forward`: 3K channels,
     or 2K with dm = 1 when unmodulated) is zero-initialized and its
     parameters carry the 0.1 learning-rate multiplier. The last forward's
-    input and field stay recorded for `backward` and for spatial-support
-    analysis. A demanded forward (see `forward`) records a field that is zero
-    outside its demand, so the readers of whole fields (`mean_abs_offset`,
+    input `_x`, field `_field` and demand `_demand` stay recorded for
+    `backward` and for spatial-support analysis. A demanded forward (see
+    `forward`) records the field as its rows at the demand, which
+    `recorded_state` turns into whole maps, zero off the demand, only when
+    asked; the readers of whole fields (`mean_abs_offset`,
     `support.effective_sampling_locations`) recompute the field over the
     whole map from the recorded input, which is always whole, with the
     current branch parameters.
@@ -165,37 +169,54 @@ class DeformConv2dLayer:
     def _weights(self) -> ConvWeights:
         return ConvWeights(self.weight.value, self.bias.value)
 
+    def _map_shape(self, c: int) -> tuple:
+        """(N, c, H_out, W_out) of the last forward's output."""
+        return (len(self._x), c, *self.spec.out_size(*self._x.shape[2:]))
+
     def forward(self, x: np.ndarray, demand=None) -> np.ndarray:
         """The output map. With `demand`, a sorted list of flat output
         positions, the offset branch and the kernel compute only those
-        positions; the output and the recorded field are zero elsewhere, and
-        `backward` treats the output there as a constant.
+        positions, as rows; the output map is zero elsewhere, and `backward`
+        treats it there as a constant.
         """
         field = offset_branch_forward(x, self._branch_weights(), self.spec, demand)
         self._x, self._field, self._demand = x, field, demand
-        return mdconv_forward_optimized(x, self._weights(), self.spec, field, positions=demand)
+        y = mdconv_forward_optimized(x, self._weights(), self.spec, field, positions=demand)
+        return y if demand is None else pixel_map(y, demand, self._map_shape(y.shape[1]))
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
-        x, field = self.recorded_state()
-        if self._demand is not None:
-            gy = pixel_map(pixel_rows(gy, self._demand), self._demand, gy.shape)
+    def backward(self, gy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """The input gradient for the output gradient `gy`, read only at the
+        last forward's demand; None with input_grad=False.
+        """
+        x, field, demand = _recorded(self._x), self._field, self._demand
+        if demand is not None:
+            want = self._map_shape(len(self.bias.value))
+            if np.shape(gy) != want:
+                raise ShapeError(f"upstream shape {np.shape(gy)} != {want}")
+            gy = pixel_rows(gy, demand)
         gx, gw, gb, goff, gmod = mdconv_backward_optimized(
-            x, self._weights(), self.spec, field, gy)
+            x, self._weights(), self.spec, field, gy, demand, input_grad)
         self.weight.grad += gw
         self.bias.grad += gb
         gx_branch, gbw, gbb = offset_branch_backward(
-            x, self._branch_weights(), self.spec, field, goff, gmod)
+            x, self._branch_weights(), self.spec, field, goff, gmod, demand, input_grad)
         self.branch_weight.grad += gbw
         self.branch_bias.grad += gbb
-        return gx + gx_branch
+        return gx + gx_branch if input_grad else None
 
     def recorded_state(self):
-        """(input, field) of the last forward, demanded or not."""
-        return _recorded(self._x), self._field
+        """(input, field) of the last forward; a demanded forward's field as
+        whole maps, zero off the demand.
+        """
+        x, field = _recorded(self._x), self._field
+        if self._demand is not None:
+            field = OffsetModulationField(*(pixel_map(a, self._demand, self._map_shape(a.shape[1]))
+                                            for a in (field.offsets, field.modulation)))
+        return x, field
 
     def _whole_field(self):
         """The whole-map field of the recorded input, under the current branch parameters."""
-        return offset_branch_forward(self.recorded_state()[0], self._branch_weights(), self.spec)
+        return offset_branch_forward(_recorded(self._x), self._branch_weights(), self.spec)
 
     def mean_abs_offset(self) -> float:
         return float(np.abs(self._whole_field().offsets).mean())
@@ -212,8 +233,8 @@ class ReLULayer:
         self._mask = (x > 0).astype(x.dtype)
         return x * self._mask
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
-        return gy * _recorded(self._mask)
+    def backward(self, gy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        return gy * _recorded(self._mask) if input_grad else None
 
 
 class AffineLayer:
@@ -232,10 +253,10 @@ class AffineLayer:
         self._x = x
         return x @ self.weight.value.T + self.bias.value
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def backward(self, gy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         self.weight.grad += gy.T @ _recorded(self._x)
         self.bias.grad += gy.sum(axis=0)
-        return gy @ self.weight.value
+        return gy @ self.weight.value if input_grad else None
 
 
 class Sequential:
@@ -282,9 +303,13 @@ class Sequential:
                 x = layer.forward(x)
         return x
 
-    def backward(self, gy):
-        for layer in reversed(self.layers):
-            gy = layer.backward(gy)
+    def backward(self, gy, input_grad: bool = True):
+        """Each layer's backward in reverse order. A caller that discards the
+        input gradient passes input_grad=False: the first layer then skips
+        it, and None is returned.
+        """
+        for i in reversed(range(len(self.layers))):
+            gy = self.layers[i].backward(gy, input_grad or i > 0)
         return gy
 
 

@@ -195,7 +195,7 @@ def pixel_rows(a: np.ndarray, positions=None, dtype=None) -> np.ndarray:
     a = a.reshape(n, c, h * w)
     if positions is None or np.size(positions) == n * h * w:
         return np.ascontiguousarray(a.transpose(0, 2, 1), dtype=dtype).reshape(n * h * w, c)
-    item, rc = np.divmod(positions, h * w)
+    item, rc = np.divmod(np.asarray(positions, dtype=np.int64), h * w)
     rows = a[item, :, rc]
     return rows if dtype is None else rows.astype(dtype, copy=False)
 
@@ -209,6 +209,6 @@ def pixel_map(rows: np.ndarray, positions, shape, dtype=None) -> np.ndarray:
     if positions is None or np.size(positions) == n * h * w:
         return np.ascontiguousarray(rows.reshape(n, h, w, c).transpose(0, 3, 1, 2), dtype=dtype)
     out = np.zeros((n, c, h * w), dtype=rows.dtype if dtype is None else dtype)
-    item, rc = np.divmod(positions, h * w)
+    item, rc = np.divmod(np.asarray(positions, dtype=np.int64), h * w)
     out[item, :, rc] = rows
     return out.reshape(shape)

@@ -120,7 +120,9 @@ def network_probe(trunk: Sequential, y: int, x: int) -> NodeProbe:
     full. A node outside the output map raises ArgumentError. `response`
     runs on shallow copies of the trunk's layers, made here, which share
     their Params, so it records no state on the trunk; `gradient` runs
-    forward and backward on the trunk itself, which keeps that state.
+    forward and backward on the trunk itself, which keeps that state: the
+    last deformable layer's `_field` then holds the field's rows at the
+    node's demand (`recorded_state` gives them as whole maps).
     """
     copies = Sequential(map(copy.copy, trunk.layers))
 

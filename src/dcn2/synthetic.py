@@ -142,6 +142,10 @@ def _marker_radius(d: float) -> float:
     return 1.0 + 1.5 * d
 
 
+# the dilations that scale-jitter mode draws from
+_JITTER = (1.0, 3.0)
+
+
 @dataclass(frozen=True)
 class SyntheticTask:
     mode: str = "dilate"
@@ -162,6 +166,13 @@ class SyntheticTask:
                 f"pixels from the center, past the {half} of a {self.image_size}x"
                 f"{self.image_size} image; the most is (image_size - 3) / 3 = "
                 f"{(self.image_size - 3) / 3:.6g}")
+        top = _marker_radius(_JITTER[1])
+        if self.mode == "scale-jitter" and top > half:
+            raise ArgumentError(
+                f"image_size {self.image_size} is too small for scale-jitter: its dilations "
+                f"up to {_JITTER[1]:g} put the markers {top} pixels from the center, past "
+                f"the {half} of a {self.image_size}x{self.image_size} image; the least is "
+                f"{2 * top + 1:g}")
 
     def _render_markers(self, rng: np.random.Generator, img: np.ndarray, d: float) -> float:
         """Four blobs N/E/S/W of center at a radius scaling with d; the target
@@ -196,7 +207,7 @@ class SyntheticTask:
                 img += amp * np.exp(-((yy - py) ** 2 + (xx - px) ** 2) / (2.0 * 1.5**2))
                 targets[b] = amp
             else:
-                d = self.dilation if self.mode == "dilate" else rng.uniform(1.0, 3.0)
+                d = self.dilation if self.mode == "dilate" else rng.uniform(*_JITTER)
                 targets[b] = self._render_markers(rng, img, d)
             images[b, 0] = img
         return images, targets
@@ -294,7 +305,7 @@ class ToyRegressionNet:
     def backward(self, grad_pred: np.ndarray) -> None:
         g = self.head.backward(grad_pred[:, None])
         g = self.pool.backward(g)
-        self.trunk.backward(g)
+        self.trunk.backward(g, input_grad=False)  # nothing reads the image gradient
 
 
 _EVAL_BATCH = 64

@@ -197,6 +197,17 @@ def test_dilation_whose_markers_leave_the_image_is_usage_error(capsys, steps, di
     assert captured.out == ""
 
 
+def test_scale_jitter_on_too_small_an_image_is_usage_error(tmp_path, capsys):
+    # an 8x8 image once trained on scale-jitter markers up to 5.5 pixels out
+    cfg_path = tmp_path / "net.json"
+    cfg_path.write_text(ToyNetConfig(image_size=8).to_json())
+    argv = ["demo-train", "--steps=1", "--task=scale-jitter", f"--config={cfg_path}"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "image_size 8" in captured.err and "scale-jitter" in captured.err
+    assert captured.out == ""
+
+
 # seeds: negative, zero, small and beyond 64 bits
 _SEEDS = st.one_of(st.integers(-3, 3), st.integers(2**62, 2**80), st.integers(-(2**80), -(2**62)))
 

@@ -22,6 +22,7 @@ from dcn2.errors import ArgumentError, ShapeError
 from dcn2.mimic import MimicBatch, MimicConfig, mimic_step
 from dcn2.net import SGD, DeformConv2dLayer
 from dcn2.oracle import dcnv1_conv_oracle, dense_conv_oracle
+from dcn2.sampling import pixel_map, pixel_rows
 from dcn2.support import effective_sampling_locations
 from dcn2.synthetic import SyntheticTask, ToyNetConfig, build_two_branch_model
 
@@ -502,6 +503,12 @@ def _at(a, positions):
     return a.reshape(n, c, -1).transpose(0, 2, 1).reshape(-1, c)[positions]
 
 
+def _rows_field(field, positions):
+    """The (P, 2K) / (P, K) rows of a whole field at flat positions."""
+    return OffsetModulationField(pixel_rows(field.offsets, positions),
+                                 pixel_rows(field.modulation, positions))
+
+
 def _outside(a, positions):
     """Values of an (N, C, H, W) map at every position not listed."""
     n, c = a.shape[:2]
@@ -523,8 +530,13 @@ def test_bad_positions_are_argument_error():
             dense_conv_forward(x, weights, spec, positions=bad)
         with pytest.raises(ArgumentError):
             layer.forward(x, bad)
-    assert mdconv_forward_optimized(x, weights, spec, field, positions=[5]).shape == (1, 2, 2, 3)
-    assert not mdconv_forward_optimized(x, weights, spec, field, positions=[]).any()
+    # under a position list the field and the output are rows there
+    with pytest.raises(ShapeError):
+        mdconv_forward_optimized(x, weights, spec, field, positions=[5])
+    assert mdconv_forward_optimized(x, weights, spec, _rows_field(field, [5]),
+                                    positions=[5]).shape == (1, 2)
+    assert mdconv_forward_optimized(x, weights, spec, _rows_field(field, []),
+                                    positions=[]).shape == (0, 2)
 
 
 @st.composite
@@ -553,27 +565,98 @@ def demanded_layers(draw):
     return layer, x, demand
 
 
-@settings(max_examples=40, deadline=None)
-@given(demanded_layers())
-def test_demanded_forward_matches_full_map_property(case):
-    layer, x, demand = case
+def _param_grads(layer, upstream):
+    """(grad_x, and each Param's gradient) of one backward from zero."""
+    for p in layer.params():
+        p.zero_grad()
+    gx = layer.backward(upstream)
+    return (gx, *(p.grad.copy() for p in layer.params()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(demanded_layers(), st.sampled_from(("empty", "one", "partial", "all")),
+       st.sampled_from((np.float32, np.float64)), st.integers(0, 2**32 - 1))
+def test_demanded_forward_matches_full_map_property(case, kind, dtype, seed):
+    layer, x, _ = case
+    x = x.astype(dtype)
+    rng = np.random.default_rng(seed)
     full = layer.forward(x)
-    _, field = layer.recorded_state()
+    _, full_field = layer.recorded_state()
+    size = full.shape[0] * full.shape[2] * full.shape[3]
+    demand = {"empty": np.arange(0), "one": rng.integers(size, size=1),
+              "partial": np.flatnonzero(rng.random(size) < 0.4), "all": np.arange(size)}[kind]
+    upstream = rng.normal(size=full.shape).astype(dtype)
+    masked = pixel_map(pixel_rows(upstream, demand), demand, upstream.shape)
+    tol = F32_REL_TOL if dtype == np.float32 else 1e-10
+    want_grads = _param_grads(layer, masked)
+
     got = layer.forward(x, demand)
-    assert got.shape == full.shape
-    assert _rel_err(_at(got, demand), _at(full, demand)) <= 1e-10
+    assert got.shape == full.shape and got.dtype == dtype
+    assert _rel_err(_at(got, demand), _at(full, demand)) <= tol
     assert not _outside(got, demand).any()
-    x_rec, got_field = layer.recorded_state()
+    x_rec, field = layer.recorded_state()
     assert x_rec is x
     for part in ("offsets", "modulation"):
-        want, have = getattr(field, part), getattr(got_field, part)
-        assert have.shape == want.shape
-        assert _rel_err(_at(have, demand), _at(want, demand)) <= 1e-10
+        have, want = getattr(field, part), getattr(full_field, part)
+        assert have.shape == want.shape and have.dtype == dtype
+        assert _rel_err(_at(have, demand), _at(want, demand)) <= tol
         assert not _outside(have, demand).any()
-    # the kernel alone, on the full field
-    kernel = mdconv_forward_optimized(x, layer._weights(), layer.spec, field, positions=demand)
-    assert _rel_err(_at(kernel, demand), _at(full, demand)) <= 1e-10
-    assert not _outside(kernel, demand).any()
+    # the kernel alone, on the full field's rows
+    kernel = mdconv_forward_optimized(x, layer._weights(), layer.spec,
+                                      _rows_field(full_field, demand), positions=demand)
+    assert _rel_err(kernel, _at(full, demand)) <= tol
+    # the layer reads the upstream only at its demand
+    grads = _param_grads(layer, upstream)
+    for g, want in zip(grads, want_grads):
+        assert g.shape == want.shape
+        assert _rel_err(g, want) <= tol
+    # bit for bit what the full-map kernels give on the same forward state:
+    # the recorded field as whole maps and the upstream zero off the demand
+    gx, gw, gb, goff, gmod = mdconv_backward_optimized(x, layer._weights(), layer.spec,
+                                                       field, masked)
+    bgx, gbw, gbb = offset_branch_backward(x, layer._branch_weights(), layer.spec, field,
+                                           goff, gmod)
+    assert grads[0].dtype == dtype
+    for g, want in zip(grads, (gx + bgx, gw, gb, gbw, gbb)):
+        assert np.array_equal(g, want)
+
+
+@pytest.mark.parametrize("channel, match", [(0, "offsets"), (-1, "modulation")])
+def test_non_finite_branch_output_at_the_demand_is_argument_error(channel, match):
+    rng = np.random.default_rng(19)
+    layer = DeformConv2dLayer(2, 3, KernelSpec(3, 3, pad=(1, 1)), rng)
+    x = rng.normal(size=(2, 2, 5, 4)).astype(np.float32)
+    layer.branch_bias.value[channel] = np.nan
+    with pytest.raises(ArgumentError, match=match):
+        layer.forward(x, [7])
+    # an empty demand computes, and checks, no branch output
+    assert not layer.forward(x, []).any()
+
+
+def test_demanded_layer_builds_no_zero_filled_maps_at_mimic_shape(monkeypatch):
+    import sys
+
+    calls = []
+
+    def counting(pixel_map):
+        def wrapped(*args, **kwargs):
+            calls.append(args[2])
+            return pixel_map(*args, **kwargs)
+        return wrapped
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dcn2") and hasattr(module, "pixel_map"):
+            monkeypatch.setattr(module, "pixel_map", counting(module.pixel_map))
+    rng = np.random.default_rng(20)
+    layer = DeformConv2dLayer(8, 8, KernelSpec(3, 3, pad=(1, 1)), rng)
+    layer.branch_weight.value[...] = rng.normal(0.0, 0.05, layer.branch_weight.value.shape)
+    x = rng.normal(size=(8, 8, 32, 32)).astype(np.float32)
+    demand = np.sort(rng.choice(8 * 32 * 32, 512, replace=False))  # mimic's 6.25%
+    y = layer.forward(x, demand)
+    gx = layer.backward(rng.normal(size=y.shape).astype(np.float32))
+    assert gx.shape == x.shape
+    # the output map alone; no field, upstream or field-gradient map
+    assert len(calls) <= 2 and calls[0] == y.shape
 
 
 @settings(max_examples=40, deadline=None)
@@ -592,8 +675,9 @@ def test_float32_forward_matches_float64_property(case):
     f32 = OffsetModulationField(off32, mod32)
     f64 = OffsetModulationField(off32.astype(np.float64), mod32.astype(np.float64))
     for positions in (None, demand):
-        got = mdconv_forward_optimized(x32, w32, layer.spec, f32, positions=positions)
-        want = mdconv_forward_optimized(x32.astype(np.float64), w64, layer.spec, f64,
+        rows = (lambda f: f) if positions is None else (lambda f: _rows_field(f, positions))
+        got = mdconv_forward_optimized(x32, w32, layer.spec, rows(f32), positions=positions)
+        want = mdconv_forward_optimized(x32.astype(np.float64), w64, layer.spec, rows(f64),
                                         positions=positions)
         assert got.dtype == np.float32
         assert _rel_err(got, want) <= 1e-5
@@ -775,6 +859,19 @@ def test_sparse_backward_threaded_matches_serial(monkeypatch, kernel_threads):
     for w_, a, b in zip(whole, serial, threaded):
         assert _rel_err(a, w_) <= 1e-10  # tiling changes only summation order
         assert np.array_equal(a, b)  # ordered reduction: bit identical
+    # rows at a demand run the same live rows: the same bits, as rows
+    demand = np.flatnonzero(rng.random(3 * 20 * 9) < 0.5)
+    masked = pixel_map(pixel_rows(upstream, demand), demand, upstream.shape)
+    want = mdconv_backward_optimized(x, weights, spec, field, masked)
+    rows = mdconv_backward_optimized(x, weights, spec, _rows_field(field, demand),
+                                     pixel_rows(upstream, demand), demand)
+    kernel_threads(1)
+    assert chunk_counts[-1] > 3
+    for a, b in zip(rows, mdconv_backward_optimized(x, weights, spec, _rows_field(field, demand),
+                                                    pixel_rows(upstream, demand), demand)):
+        assert np.array_equal(a, b)
+    for part, (a, b) in enumerate(zip(rows, want)):
+        assert np.array_equal(a, b if part < 3 else pixel_rows(b, demand))
 
 
 @pytest.fixture(scope="module")

@@ -102,3 +102,26 @@ def test_demanded_forward_matches_full_forward_after_any_conv_geometry(case):
     rows = full.transpose(0, 2, 3, 1).reshape(-1, full.shape[1])[demand]
     got_rows = got.transpose(0, 2, 3, 1).reshape(-1, got.shape[1])[demand]
     assert np.abs(got_rows - rows).max() <= 1e-5 * max(np.abs(rows).max(), 1e-30)
+
+
+@pytest.mark.parametrize("first", ["conv", "deform_conv", "affine"])
+def test_discarded_input_gradient_is_skipped_and_changes_no_parameter_gradient(first):
+    rng = np.random.default_rng(21)
+    if first == "affine":
+        model = Sequential([AffineLayer(6, 4, rng), ReLULayer(), AffineLayer(4, 3, rng)])
+        x, demand = rng.normal(size=(5, 6)), None
+    else:
+        model = Sequential([LAYERS[first](rng), ReLULayer(),
+                            DeformConv2dLayer(2, 2, KernelSpec(3, 3, pad=(1, 1)), rng)])
+        for p in model.params():
+            p.value[...] = rng.normal(0.0, 0.3, p.value.shape)
+        x, demand = rng.normal(size=(2, 2, 6, 5)).astype(np.float32), [3, 17, 40]
+    grads = []
+    for input_grad in (True, False):
+        for p in model.params():
+            p.zero_grad()
+        y = model.forward(x, demand)
+        assert (model.backward(np.ones_like(y), input_grad=input_grad) is None) == (not input_grad)
+        grads.append([p.grad.copy() for p in model.params()])
+    for a, b in zip(*grads):
+        assert np.array_equal(a, b)

@@ -67,6 +67,16 @@ def test_dilation_bound_is_the_marker_radius_at_the_image_edge():
         SyntheticTask(mode="dilate", image_size=33, dilation=math.nextafter(10.0, 11.0))
 
 
+def test_scale_jitter_markers_must_fit_the_image():
+    # scale-jitter draws dilations up to 3: markers 1 + 1.5 * 3 = 5.5 pixels
+    # from the center, which an 11x11 image (half-width 5) cannot hold
+    with pytest.raises(ArgumentError, match="image_size 11"):
+        SyntheticTask(mode="scale-jitter", image_size=11)
+    task = SyntheticTask(mode="scale-jitter", image_size=12)
+    images, targets = task.sample_batch(np.random.default_rng(0), 4)
+    assert np.isfinite(images).all() and np.isfinite(targets).all()
+
+
 def test_dilate_target_is_antisymmetric_amplitude_sum():
     # targets live in the antisymmetric range of four U(0.3, 1) amplitudes
     task = SyntheticTask(mode="dilate", image_size=16, dilation=1.0, seed=0)
