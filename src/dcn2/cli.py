@@ -193,6 +193,10 @@ def cmd_demo_train(args) -> int:
         cause = "--dilation" if args.task == "dilate" else "--config"
         raise UsageError(f"{cause}: {exc}") from None
     if cfg.mimic or args.mimic:
+        try:
+            task.check_detection()
+        except ArgumentError as exc:  # the image size comes from the config
+            raise UsageError(f"--config: {exc}") from None
         mimic_cfg = MimicConfig(patch_size=(cfg.image_size, cfg.image_size))
         if args.mimic_weight is not None:
             mimic_cfg = replace(mimic_cfg, mimic_weight=args.mimic_weight,

@@ -206,10 +206,14 @@ _SLIC_ITERS = 10
 def slic_segment(image, target_segments: int, compactness: float = 10.0) -> SuperpixelLabeling:
     """Grid-seeded k-means in (color, position) space with distance
     d = d_color + (compactness / S) * d_spatial, S = sqrt(H*W/target), run
-    for `_SLIC_ITERS` assignment passes, then connectivity enforcement
-    merging orphan fragments into the largest adjacent segment.
+    until an assignment pass repeats the previous one (at most `_SLIC_ITERS`
+    passes), then connectivity enforcement merging orphan fragments into the
+    largest adjacent segment. The early stop is exact: centers depend only
+    on the assignment (an empty cluster keeps its center), so every later
+    pass would repeat the last.
 
-    The image must be finite. Each center competes for the pixels of its
+    The image must be finite and `compactness` finite and >= 0 (0 is the
+    color-only distance). Each center competes for the pixels of its
     window, rows and columns int(c - 2S) .. int(c + 2S) clipped to the image.
     A pixel goes to the center with the smallest d among the windows
     covering it, ties to the lowest center index; a pixel that no window
@@ -226,6 +230,8 @@ def slic_segment(image, target_segments: int, compactness: float = 10.0) -> Supe
         raise ArgumentError(f"target_segments {target_segments} exceeds pixel count {h * w}")
     if not np.isfinite(img).all():
         raise ArgumentError("SLIC needs a finite image")
+    if not (math.isfinite(compactness) and compactness >= 0):
+        raise ArgumentError(f"compactness must be finite and >= 0, got {compactness}")
 
     s = math.sqrt(h * w / target_segments)
     gh = max(1, round(math.sqrt(target_segments * h / w)))
@@ -242,6 +248,7 @@ def slic_segment(image, target_segments: int, compactness: float = 10.0) -> Supe
     colors = img.reshape(c, -1)  # (C, H*W): distances add the channels one by one
     pixels = np.ascontiguousarray(colors.T)  # (H*W, C): the layout of img[:, mask]
     ratio = compactness / s
+    previous = None
     for _ in range(_SLIC_ITERS):
         cy, cx = centers_pos.T
         r0 = np.maximum(0, (cy - 2 * s).astype(np.int64))
@@ -285,7 +292,10 @@ def slic_segment(image, target_segments: int, compactness: float = 10.0) -> Supe
                 better = d_m < d_all
                 d_all[better] = d_m[better]
                 assign[missing[better]] = k
+        if previous is not None and np.array_equal(assign, previous):
+            break  # the centers would not move
         _move_centers(pixels, w, assign, centers_pos, centers_col)
+        previous = assign
 
     labels = _enforce_connectivity(assign.reshape(h, w))
     return SuperpixelLabeling(labels, int(labels.max()) + 1)

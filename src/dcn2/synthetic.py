@@ -144,6 +144,11 @@ def _marker_radius(d: float) -> float:
 
 # the dilations that scale-jitter mode draws from
 _JITTER = (1.0, 3.0)
+# the largest offset of translate mode's blob from the image center, per axis
+_SHIFT = 4.0
+# half the side of the detection task's boxes, whose centers it draws at
+# least this far inside the image
+_BOX_HALF = 5.0
 
 
 @dataclass(frozen=True)
@@ -173,6 +178,21 @@ class SyntheticTask:
                 f"up to {_JITTER[1]:g} put the markers {top} pixels from the center, past "
                 f"the {half} of a {self.image_size}x{self.image_size} image; the least is "
                 f"{2 * top + 1:g}")
+        if self.mode == "translate" and _SHIFT > half:
+            raise ArgumentError(
+                f"image_size {self.image_size} is too small for translate: its blob lies up "
+                f"to {_SHIFT:g} pixels from the center, past the {half} of a "
+                f"{self.image_size}x{self.image_size} image; the least is {2 * _SHIFT + 1:g}")
+
+    def check_detection(self) -> None:
+        """Raise ArgumentError unless the image holds `sample_detection_batch`'s
+        boxes: their centers lie at least `_BOX_HALF` pixels inside it.
+        """
+        least = 2 * _BOX_HALF + 1
+        if self.image_size < least:
+            raise ArgumentError(
+                f"image_size {self.image_size} is too small for the detection task: its "
+                f"boxes reach {_BOX_HALF:g} pixels from their centers; the least is {least:g}")
 
     def _render_markers(self, rng: np.random.Generator, img: np.ndarray, d: float) -> float:
         """Four blobs N/E/S/W of center at a radius scaling with d; the target
@@ -201,7 +221,7 @@ class SyntheticTask:
             img = rng.uniform(0.0, 0.02, size=(s, s))
             if self.mode == "translate":
                 c = (s - 1) / 2.0
-                py, px = c + rng.uniform(-4.0, 4.0, size=2)
+                py, px = c + rng.uniform(-_SHIFT, _SHIFT, size=2)
                 amp = rng.uniform(0.3, 1.0)
                 yy, xx = np.mgrid[0:s, 0:s].astype(np.float64)
                 img += amp * np.exp(-((yy - py) ** 2 + (xx - px) ** 2) / (2.0 * 1.5**2))
@@ -221,7 +241,7 @@ class SyntheticTask:
         gt_boxes = []
         proposals = []
         labels = np.zeros(batch, dtype=np.int64)
-        half = 5.0
+        half = _BOX_HALF
         yy, xx = np.mgrid[0:s, 0:s].astype(np.float64)
         for b in range(batch):
             img = rng.uniform(0.0, 0.02, size=(s, s))
@@ -383,7 +403,10 @@ def build_two_branch_model(cfg: ToyNetConfig, n_classes: int,
 
 def run_mimic_training(cfg: ToyNetConfig, task: SyntheticTask, steps: int, seed: int,
                        mimic_cfg: MimicConfig) -> tuple[dict, TwoBranchModel]:
-    """Train the two-branch classifier; mimic/rcnn losses enter per mimic_cfg."""
+    """Train the two-branch classifier; mimic/rcnn losses enter per mimic_cfg.
+    A task whose images cannot hold the detection boxes raises ArgumentError.
+    """
+    task.check_detection()
     rng = np.random.default_rng([seed, task.seed, 13])
     model = build_two_branch_model(cfg, n_classes=2, rng=rng)
     opt = SGD(model.params(), lr=cfg.learning_rate, momentum=cfg.momentum,

@@ -208,6 +208,24 @@ def test_scale_jitter_on_too_small_an_image_is_usage_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("image_size, extra, needs", [
+    (8, ["--task=translate"], "translate"),
+    (10, ["--mimic"], "detection task"),
+    (10, ["--mimic", "--task=translate"], "detection task"),
+])
+def test_config_image_too_small_for_the_task_is_usage_error(tmp_path, capsys, image_size,
+                                                            extra, needs):
+    # translate once drew its blob off an 8x8 image; --mimic on a 10x10
+    # image once exited 1 with numpy's "high - low < 0" traceback
+    cfg_path = tmp_path / "net.json"
+    cfg_path.write_text(ToyNetConfig(image_size=image_size).to_json())
+    assert main(["demo-train", "--steps=1", f"--config={cfg_path}", *extra]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: --config:")
+    assert f"image_size {image_size}" in captured.err and needs in captured.err
+    assert captured.out == ""
+
+
 # seeds: negative, zero, small and beyond 64 bits
 _SEEDS = st.one_of(st.integers(-3, 3), st.integers(2**62, 2**80), st.integers(-(2**80), -(2**62)))
 

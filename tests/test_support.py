@@ -455,6 +455,55 @@ def _slic_loop_reference(img, target, compactness=10.0, iters=10):
     return np.unique(comp, return_inverse=True)[1].reshape(h, w)
 
 
+@pytest.mark.parametrize("case, moves", [("task0", 1), ("orphans", 10)])
+def test_slic_stops_when_an_assignment_repeats(monkeypatch, case, moves):
+    # task0's second pass repeats its first; the orphans noise never settles
+    # and keeps moving its centers up to the 10-pass cap
+    import dcn2.support as support
+    from dcn2.synthetic import SyntheticTask
+
+    calls = []
+    move = support._move_centers
+    monkeypatch.setattr(support, "_move_centers", lambda *a: calls.append(1) or move(*a))
+    if case == "task0":
+        task = SyntheticTask(mode="dilate", image_size=48)
+        args = (task.sample_batch(np.random.default_rng(0), 1)[0][0], 150)
+    else:
+        args = (np.random.default_rng(3).normal(size=(1, 24, 20)), 30, 0.1)
+    slic_segment(*args)
+    assert len(calls) == moves
+
+
+@st.composite
+def _slic_cases(draw):
+    c, h, w = draw(st.integers(1, 3)), draw(st.integers(2, 16)), draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    img = rng.normal(size=(c, h, w))
+    levels = draw(st.sampled_from([None, 2, 4]))
+    if levels:  # few colors: tied distances
+        img = np.round(img * levels / 4)
+    target = draw(st.integers(1, h * w))
+    compactness = draw(st.sampled_from([0.0, 0.1, 1.0, 10.0, 40.0]))
+    return img, target, compactness
+
+
+@settings(max_examples=25, deadline=None)
+@given(_slic_cases())
+def test_slic_matches_loop_reference_property(case):
+    # the reference runs all 10 passes: stopping early changes no label
+    img, target, compactness = case
+    seg = slic_segment(img, target, compactness)
+    assert np.array_equal(seg.labels, _slic_loop_reference(img, target, compactness))
+
+
+@pytest.mark.parametrize("compactness", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+def test_slic_rejects_bad_compactness(compactness):
+    # NaN and inf once failed in numpy's reduceat; a negative value rewarded
+    # spatial distance
+    with pytest.raises(ArgumentError, match="compactness"):
+        slic_segment(np.zeros((1, 8, 8)), 4, compactness)
+
+
 @pytest.mark.parametrize("candidates", [None, 300], ids=["one_block", "blocks_of_300"])
 def test_slic_matches_loop_reference(monkeypatch, candidates):
     # large images score their window candidates a block of centers at a

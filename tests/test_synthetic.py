@@ -77,6 +77,28 @@ def test_scale_jitter_markers_must_fit_the_image():
     assert np.isfinite(images).all() and np.isfinite(targets).all()
 
 
+def test_translate_blob_must_fit_the_image():
+    # translate draws its blob up to 4 pixels from the center, which an 8x8
+    # image (half-width 3.5) cannot hold
+    with pytest.raises(ArgumentError, match="image_size 8"):
+        SyntheticTask(mode="translate", image_size=8)
+    task = SyntheticTask(mode="translate", image_size=9)
+    images, targets = task.sample_batch(np.random.default_rng(0), 4)
+    assert np.isfinite(images).all() and np.isfinite(targets).all()
+
+
+def test_detection_boxes_must_fit_the_image():
+    # box centers are drawn from [5, image_size - 6]: empty below 11
+    cfg = ToyNetConfig(layers=("regular",), channels=(2,), image_size=10, batch_size=2)
+    task = SyntheticTask(mode="dilate", image_size=10)
+    with pytest.raises(ArgumentError, match="image_size 10"):
+        run_mimic_training(cfg, task, 0, 0, MimicConfig(patch_size=(10, 10)))
+    task = SyntheticTask(mode="dilate", image_size=11)
+    task.check_detection()
+    images, proposals, _, _ = task.sample_detection_batch(np.random.default_rng(0), 2)
+    assert images.shape == (2, 1, 11, 11) and len(proposals) == 2
+
+
 def test_dilate_target_is_antisymmetric_amplitude_sum():
     # targets live in the antisymmetric range of four U(0.3, 1) amplitudes
     task = SyntheticTask(mode="dilate", image_size=16, dilation=1.0, seed=0)
