@@ -411,7 +411,7 @@ def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
             cols, data = geo.pattern(n0, s0, s1)
             xt = pixel_rows(x[n0:n1], dtype=geo.dtype)
             sampled = sampling_matrix(cols, data, xt.shape[0]) @ xt
-            res = sampled.reshape(s1 - s0, k * c_in) @ geo.wmat
+            res = _gemm(sampled.reshape(s1 - s0, k * c_in), geo.wmat)
             if geo.bias is not None:
                 res += geo.bias
             rows[s0:s1] = res
@@ -586,7 +586,8 @@ def dense_conv_forward(x, w: ConvWeights, spec: KernelSpec, positions=None) -> n
     wmat = w.weight.reshape(w.weight.shape[0], -1).astype(dtype)
     bias = None if w.bias is None else np.asarray(w.bias, dtype=dtype)
     if positions is not None and positions.size < n * h_out * w_out:
-        res = xp.reshape(-1)[_patch_index(xp.shape, spec, positions, (h_out, w_out))] @ wmat.T
+        patch = xp.reshape(-1)[_patch_index(xp.shape, spec, positions, (h_out, w_out))]
+        res = _gemm(patch, wmat.T)
         if bias is not None:
             res += bias
         return res.astype(x.dtype, copy=False)

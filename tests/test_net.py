@@ -104,6 +104,22 @@ def test_demanded_forward_matches_full_forward_after_any_conv_geometry(case):
     assert np.abs(got_rows - rows).max() <= 1e-5 * max(np.abs(rows).max(), 1e-30)
 
 
+def test_one_position_demand_gives_the_full_forward_bit_for_bit():
+    # a one-row product goes to gemv, which rounds unlike the full map's gemm;
+    # where the output cancels, that ulp shows as a large relative error
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        deform = DeformConv2dLayer(2, 2, KernelSpec(3, 3, pad=(1, 1)), rng)
+        for p in (deform.branch_weight, deform.branch_bias):
+            p.value[...] = rng.normal(0.0, 0.5, p.value.shape)
+        net = Sequential([deform, Conv2dLayer(2, 2, KernelSpec(1, 1), rng)])
+        x = rng.normal(size=(1, 2, 5, 5)).astype(np.float32)
+        full = net.forward(x).transpose(0, 2, 3, 1).reshape(-1, 2)
+        for at in (0, 12, 24):
+            got = net.forward(x, [at]).transpose(0, 2, 3, 1).reshape(-1, 2)
+            assert np.array_equal(got[at], full[at])
+
+
 @pytest.mark.parametrize("first", ["conv", "deform_conv", "affine"])
 def test_discarded_input_gradient_is_skipped_and_changes_no_parameter_gradient(first):
     rng = np.random.default_rng(21)
