@@ -393,6 +393,9 @@ def main(argv=None) -> int:
     except (ArgumentError, ShapeError, ConfigurationError, CapabilityError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"usage error: the run does not fit in memory ({exc})", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -163,10 +163,6 @@ class OffsetModulationField:
         if self.offsets.size and not np.isfinite(self.offsets).all():
             raise ArgumentError("offsets must be finite")
 
-    @property
-    def k(self) -> int:
-        return self.offsets.shape[1] // 2
-
     @staticmethod
     def identity(n: int, k: int, h_out: int, w_out: int,
                  modulation: float = 1.0) -> "OffsetModulationField":

@@ -172,8 +172,6 @@ def mdpool_forward(x, rois: list[RoI], spec: PoolSpec, field: BinField) -> np.nd
     """Pooled output (R, C, bins_h, bins_w) for the (R, 2K)/(R, K) field."""
     x = _check_pool_args(x, rois, spec, field)
     c = x.shape[1]
-    if not rois:
-        return np.zeros((0, c, spec.bins_h, spec.bins_w), dtype=x.dtype)
     cols, data = _pool_geometry(x, rois, spec, field, modulated=True)
     xt = pixel_rows(x, dtype=compute_dtype(x))
     out = sampling_matrix(cols, data, xt.shape[0], per_row=4 * spec.n_k) @ xt  # (R*K, C)
@@ -190,8 +188,6 @@ def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, field: BinField, upstrea
     """
     x = _check_pool_args(x, rois, spec, field)
     gk = _upstream_rows(x, rois, spec, upstream)
-    if not rois:
-        return np.zeros(x.shape, dtype=x.dtype), np.zeros((0, 2 * spec.k)), np.zeros((0, spec.k))
 
     cols, weights, dwy, dwx = _pool_geometry(x, rois, spec, field, derivatives=True)
     xt = pixel_rows(x, dtype=compute_dtype(x))
@@ -222,8 +218,6 @@ def aligned_pool_reads(shape: tuple[int, int, int], rois: list[RoI], spec: PoolS
     for roi in rois:
         if not 0 <= roi.batch_index < n:
             raise ArgumentError(f"RoI batch index {roi.batch_index} outside batch of {n}")
-    if not rois:
-        return np.zeros(0, dtype=np.int64)
     py, px = _grid_positions(rois, spec)
     plane_off = np.array([roi.batch_index for roi in rois], dtype=np.int64) * (h * w)
     cols, weights = bilinear_corner_gather(py, px, h, w, flat_offset=plane_off[:, None, None])
@@ -237,8 +231,6 @@ def aligned_pool_backward(x, rois: list[RoI], spec: PoolSpec, upstream) -> np.nd
     field = BinField.identity(len(rois), spec.k)
     x = _check_pool_args(x, rois, spec, field)
     gk = _upstream_rows(x, rois, spec, upstream)
-    if not rois:
-        return np.zeros(x.shape, dtype=x.dtype)
     cols, weights = _pool_geometry(x, rois, spec, field)
     return _scatter_to_pixels(cols, weights, gk * (1.0 / spec.n_k), x, spec)
 

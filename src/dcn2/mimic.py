@@ -98,40 +98,44 @@ def cosine_mimic_loss_batch(feats_a: np.ndarray, feats_b: np.ndarray) -> float:
 # patch cropping
 # ---------------------------------------------------------------------------
 
-def crop_resize_patch(images, roi: RoI, out_hw: tuple[int, int]) -> np.ndarray:
-    """Crop the RoI rectangle (clipped to the image) and bilinearly resize it.
+def crop_resize_patch(images, rois: list[RoI], out_hw: tuple[int, int]) -> np.ndarray:
+    """(R, C, out_h, out_w) patches: each RoI's rectangle (clipped to the
+    image) bilinearly resized.
 
-    `images` is an (N, C, H, W) stack from which the RoI's batch element is
+    `images` is an (N, C, H, W) stack from which each RoI's batch element is
     taken. An RoI whose batch index lies outside the stack, or that misses
-    the image entirely (a zero-area crop), raises ArgumentError. The
-    separable grid samples through the kernels' sparse bilinear matrix, in
-    float64.
+    the image entirely (a zero-area crop), raises ArgumentError. Every RoI's
+    separable grid samples through one sparse bilinear matrix over the whole
+    stack, in float64; an empty list gives R = 0.
     """
     stack = np.asarray(images)
     if stack.ndim != 4:
         raise ShapeError(f"expected (N,C,H,W) images, got shape {stack.shape}")
-    if not 0 <= roi.batch_index < stack.shape[0]:
-        raise ArgumentError(f"RoI batch index {roi.batch_index} outside batch of {stack.shape[0]}")
-    arr = stack[roi.batch_index : roi.batch_index + 1]
-    _, c, h, w = arr.shape
-    y1 = max(roi.y1, 0.0)
-    y2 = min(roi.y2, h - 1.0)
-    x1 = max(roi.x1, 0.0)
-    x2 = min(roi.x2, w - 1.0)
-    if y2 < y1 or x2 < x1:
-        raise ArgumentError(f"RoI {roi} clips to zero area on a {h}x{w} image")
+    n, c, h, w = stack.shape
+    rects = []
+    for roi in rois:
+        if not 0 <= roi.batch_index < n:
+            raise ArgumentError(f"RoI batch index {roi.batch_index} outside batch of {n}")
+        rect = (max(roi.y1, 0.0), max(roi.x1, 0.0), min(roi.y2, h - 1.0), min(roi.x2, w - 1.0))
+        if rect[2] < rect[0] or rect[3] < rect[1]:
+            raise ArgumentError(f"RoI {roi} clips to zero area on a {h}x{w} image")
+        rects.append(rect)
     out_h, out_w = out_hw
     if out_h < 1 or out_w < 1:
         raise ArgumentError(f"patch size {out_hw} must be positive")
+    # (R, 1) columns of the clipped rectangles
+    y1, x1, y2, x2 = np.array(rects, dtype=np.float64).reshape(-1, 4).T[:, :, None]
     # crop extent in pixel-center space; edges inclusive. The grid clamps to
     # the crop rectangle so upsampled borders replicate instead of dimming.
     eh = y2 - y1 + 1.0
     ew = x2 - x1 + 1.0
     ys = np.clip(y1 + (np.arange(out_h, dtype=np.float64) + 0.5) * (eh / out_h) - 0.5, y1, y2)
     xs = np.clip(x1 + (np.arange(out_w, dtype=np.float64) + 0.5) * (ew / out_w) - 0.5, x1, x2)
-    cols, weights = bilinear_corner_gather(ys[:, None], xs[None, :], h, w)
-    out = sampling_matrix(cols, weights, h * w) @ pixel_rows(arr, dtype=np.float64)
-    return pixel_map(out, None, (1, c, out_h, out_w), arr.dtype)[0]
+    plane_off = np.array([roi.batch_index for roi in rois], dtype=np.int64) * (h * w)
+    cols, weights = bilinear_corner_gather(ys[:, :, None], xs[:, None, :], h, w,
+                                           flat_offset=plane_off[:, None, None])
+    out = sampling_matrix(cols, weights, n * h * w) @ pixel_rows(stack, dtype=np.float64)
+    return pixel_map(out, None, (len(rois), c, out_h, out_w), stack.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +174,13 @@ class MimicBatch:
     def build(images, proposals: list[RoI], gt_boxes: list[RoI], gt_labels,
               cfg: MimicConfig, rng: np.random.Generator) -> "MimicBatch":
         """Keep proposals whose best ground-truth IoU reaches the positive
-        threshold, sample at most omega_size of them, crop+resize patches.
+        threshold, sample at most omega_size of them, and crop+resize their
+        patches in one `crop_resize_patch` call over the kept list. `gt_labels`
+        holds one label per gt box (1-D), else ShapeError.
         """
         gt_labels = np.asarray(gt_labels)
+        if gt_labels.shape != (len(gt_boxes),):
+            raise ShapeError(f"gt_labels of shape {gt_labels.shape} for {len(gt_boxes)} gt boxes")
         positives = []
         for p in proposals:
             best = -1.0
@@ -190,12 +198,7 @@ class MimicBatch:
             positives = [positives[i] for i in sorted(keep)]
         rois = [p for p, _ in positives]
         labels = np.array([l for _, l in positives], dtype=np.int64)
-        if rois:
-            patches = np.stack([crop_resize_patch(images, r, cfg.patch_size) for r in rois])
-        else:
-            arr = np.asarray(images)
-            patches = np.zeros((0, arr.shape[1]) + tuple(cfg.patch_size), dtype=arr.dtype)
-        return MimicBatch(rois, patches, labels)
+        return MimicBatch(rois, crop_resize_patch(images, rois, cfg.patch_size), labels)
 
     def __len__(self) -> int:
         return len(self.rois)

@@ -108,8 +108,9 @@ def bilinear_corner_gather(py: np.ndarray, px: np.ndarray, h: int, w: int,
     into the plane), and `weights`, its bilinear weight times `scale`
     (broadcast against the positions) in `dtype`. `flat_offset`, broadcast the same way,
     is added to every index, so one pattern can address a stack of H*W
-    planes. With derivatives=True the pattern also carries the derivatives of
-    the unscaled weights with respect to y and x. Out-of-bounds corners get
+    planes; an empty position set gives empty arrays. With derivatives=True
+    the pattern also carries the derivatives of the unscaled weights with
+    respect to y and x. Out-of-bounds corners get
     weight 0 in every array, and at integer coordinates the derivative is
     that of the floor cell. Returns (cols, weights) or (cols, weights,
     dweights_y, dweights_x); `sampling_matrix` turns any weight array into a
@@ -119,7 +120,7 @@ def bilinear_corner_gather(py: np.ndarray, px: np.ndarray, h: int, w: int,
     x0 = np.floor(px)
     ly = py - y0
     lx = px - x0
-    top = int(np.max(flat_offset)) if flat_offset is not None else 0
+    top = int(np.max(flat_offset, initial=0)) if flat_offset is not None else 0
     index_dtype = np.int32 if top + h * w <= np.iinfo(np.int32).max else np.int64
     # clamp before the integer cast so that huge offsets cannot overflow it;
     # a floor of -2 or h (w) leaves both corner rows (columns) out of bounds

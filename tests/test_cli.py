@@ -226,6 +226,20 @@ def test_config_image_too_small_for_the_task_is_usage_error(tmp_path, capsys, im
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["demo-train", "bench"])
+def test_run_too_large_for_memory_is_usage_error(tmp_path, capsys, command):
+    # both once exited 1 with numpy's _ArrayMemoryError traceback; each first
+    # array is several PiB, beyond any address space, so none is touched
+    cfg_path = tmp_path / "net.json"
+    cfg_path.write_text(json.dumps({"batch_size": 10**12}))
+    argv = {"demo-train": ["demo-train", "--steps=1", f"--config={cfg_path}"],
+            "bench": ["bench", "--shape=100000,100000,100000,1"]}[command]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and "does not fit in memory" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 # seeds: negative, zero, small and beyond 64 bits
 _SEEDS = st.one_of(st.integers(-3, 3), st.integers(2**62, 2**80), st.integers(-(2**80), -(2**62)))
 

@@ -9,6 +9,7 @@ from dcn2.deform_roipool import (
     RoI,
     aligned_pool_backward,
     aligned_pool_forward,
+    aligned_pool_reads,
     make_roi_branch,
     mdpool_backward,
     mdpool_forward,
@@ -378,3 +379,34 @@ def test_field_count_must_match_rois():
     with pytest.raises(ShapeError):  # 4 bins per row against a 1x1 spec
         mdpool_backward(x, [RoI(0, 0, 0, 2, 2)], PoolSpec(1, 1), BinField.identity(1, 4),
                         np.zeros((1, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_rois_pool_to_empty_outputs_and_zero_input_gradients(dtype):
+    rng = np.random.default_rng(17)
+    spec = PoolSpec(2, 3, samples=2)
+    x = rng.normal(size=(2, 4, 7, 8)).astype(dtype)
+    gy = np.zeros((0, 4, spec.bins_h, spec.bins_w), dtype=dtype)
+    empty_field = BinField.identity(0, spec.k)
+
+    def assert_empty_pool(out):
+        assert out.shape == gy.shape and out.dtype == dtype
+
+    def assert_zero_grad_x(gx):
+        assert gx.shape == x.shape and gx.dtype == dtype and not gx.any()
+
+    assert_empty_pool(mdpool_forward(x, [], spec, empty_field))
+    assert_empty_pool(aligned_pool_forward(x, [], spec))
+    gx, goff, gmod = mdpool_backward(x, [], spec, empty_field, gy)
+    assert_zero_grad_x(gx)
+    assert goff.shape == (0, 2 * spec.k) and goff.dtype == np.float64
+    assert gmod.shape == (0, spec.k) and gmod.dtype == np.float64
+    assert_zero_grad_x(aligned_pool_backward(x, [], spec, gy))
+    reads = aligned_pool_reads((2, 7, 8), [], spec)
+    assert reads.shape == (0,) and reads.dtype == np.int64
+
+    layer = RoIPoolLayer(4, spec, rng, deformable=True, hidden=8)
+    assert_empty_pool(layer.forward(x, []))
+    assert_zero_grad_x(layer.backward(gy))
+    for p in layer.params():
+        assert not p.grad.any(), p.name

@@ -92,13 +92,13 @@ def test_batch_loss_is_sum_of_pairs():
 def test_crop_whole_image_identity():
     rng = np.random.default_rng(3)
     img = rng.normal(size=(2, 6, 7))
-    out = crop_resize_patch(img[None], RoI(0, 0.0, 0.0, 6.0, 5.0), (6, 7))
+    out = crop_resize_patch(img[None], [RoI(0, 0.0, 0.0, 6.0, 5.0)], (6, 7))[0]
     assert np.abs(out - img).max() < 1e-5
 
 
 def test_crop_constant_image():
     img = np.full((1, 8, 8), 3.0)
-    out = crop_resize_patch(img[None], RoI(0, 1.3, 2.1, 6.7, 5.9), (5, 4))
+    out = crop_resize_patch(img[None], [RoI(0, 1.3, 2.1, 6.7, 5.9)], (5, 4))[0]
     assert out.shape == (1, 5, 4)
     assert np.allclose(out, 3.0)
 
@@ -108,7 +108,7 @@ def test_crop_ramp_right_half_hand_check():
     # mapping, evaluated with an independent interpolation
     img = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
     roi = RoI(0, 2.0, 0.0, 3.0, 3.0)
-    out = crop_resize_patch(img[None], roi, (2, 2))
+    out = crop_resize_patch(img[None], [roi], (2, 2))[0]
     eh, ew = 4.0, 2.0
     ys = [0 + (i + 0.5) * (eh / 2) - 0.5 for i in range(2)]
     xs = [2 + (j + 0.5) * (ew / 2) - 0.5 for j in range(2)]
@@ -119,22 +119,63 @@ def test_crop_ramp_right_half_hand_check():
             assert out[0, i, j] == pytest.approx(bilinear_sample(img[0], (y, x)))
 
 
+_GOOD_ROI = RoI(0, 0.0, 0.0, 3.0, 3.0)
+
+
 def test_crop_outside_image_rejected():
     img = np.zeros((1, 4, 4))
-    with pytest.raises(ArgumentError):
-        crop_resize_patch(img[None], RoI(0, 10.0, 10.0, 12.0, 12.0), (2, 2))
+    bad = RoI(0, 10.0, 10.0, 12.0, 12.0)
+    for rois in ([bad], [_GOOD_ROI, bad]):
+        with pytest.raises(ArgumentError, match="zero area"):
+            crop_resize_patch(img[None], rois, (2, 2))
 
 
 @pytest.mark.parametrize("batch_index", [-1, 2])
 def test_crop_batch_index_outside_stack_rejected(batch_index):
     # -1 would silently crop the last image, 2 would raise a raw IndexError
-    with pytest.raises(ArgumentError, match="batch index"):
-        crop_resize_patch(np.zeros((2, 1, 4, 4)), RoI(batch_index, 0.0, 0.0, 3.0, 3.0), (2, 2))
+    bad = RoI(batch_index, 0.0, 0.0, 3.0, 3.0)
+    for rois in ([bad], [_GOOD_ROI, bad]):
+        with pytest.raises(ArgumentError, match="batch index"):
+            crop_resize_patch(np.zeros((2, 1, 4, 4)), rois, (2, 2))
 
 
 def test_crop_wants_image_stack():
     with pytest.raises(ShapeError):
-        crop_resize_patch(np.zeros((1, 4, 4)), RoI(0, 0.0, 0.0, 3.0, 3.0), (2, 2))
+        crop_resize_patch(np.zeros((1, 4, 4)), [_GOOD_ROI], (2, 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_crop_of_no_rois_is_empty_stack(dtype):
+    out = crop_resize_patch(np.ones((2, 3, 5, 6), dtype=dtype), [], (4, 7))
+    assert out.shape == (0, 3, 4, 7) and out.dtype == dtype
+
+
+@st.composite
+def crop_cases(draw):
+    """An image stack and RoIs in several batch items that overlap one
+    another and may stick out of the image, but each meets it.
+    """
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = rng.normal(size=(n, c, h, w)).astype(draw(st.sampled_from([np.float32, np.float64])))
+    rois = []
+    for _ in range(draw(st.integers(1, 5))):
+        y1, x1 = draw(st.floats(-3.0, h - 1.0)), draw(st.floats(-3.0, w - 1.0))
+        y2, x2 = (lo + draw(st.floats(0.0, 6.0)) for lo in (max(y1, 0.0), max(x1, 0.0)))
+        rois.append(RoI(draw(st.integers(0, n - 1)), x1, y1, x2, y2))
+    rois.append(rois[0])  # an exact overlap
+    return images, rois, (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(crop_cases())
+def test_crop_of_many_rois_is_each_rois_crop_property(case):
+    images, rois, out_hw = case
+    out = crop_resize_patch(images, rois, out_hw)
+    assert out.shape == (len(rois), images.shape[1], *out_hw) and out.dtype == images.dtype
+    for r, roi in enumerate(rois):
+        assert np.array_equal(out[r], crop_resize_patch(images, [roi], out_hw)[0])
 
 
 def test_box_iou_basic():
@@ -171,6 +212,39 @@ def test_batch_caps_at_omega_size():
     cfg = MimicConfig(omega_size=8, patch_size=(8, 8))
     batch = MimicBatch.build(images, proposals, gt, [0], cfg, rng)
     assert len(batch) == 8
+
+
+def test_batch_crops_every_positive_in_one_gather(monkeypatch):
+    import dcn2.mimic as mimic
+
+    calls = []
+    gather = mimic.bilinear_corner_gather
+    monkeypatch.setattr(mimic, "bilinear_corner_gather",
+                        lambda *args, **kwargs: calls.append(1) or gather(*args, **kwargs))
+    rng = np.random.default_rng(11)
+    task = SyntheticTask(mode="dilate", image_size=32)
+    images, proposals, gt, labels = task.sample_detection_batch(rng, 8)
+    batch = MimicBatch.build(images, proposals, gt, labels, MimicConfig(), rng)
+    assert len(batch) == 8 and batch.patches.shape == (8, 1, 32, 32)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_without_positives_has_no_patches(dtype):
+    images = np.ones((1, 2, 16, 16), dtype=dtype)
+    batch = MimicBatch.build(images, [RoI(0, 0, 0, 3, 3)], [RoI(0, 8, 8, 15, 15)], [1],
+                             MimicConfig(patch_size=(5, 6)), np.random.default_rng(0))
+    assert len(batch) == 0 and batch.labels.shape == (0,)
+    assert batch.patches.shape == (0, 2, 5, 6) and batch.patches.dtype == dtype
+
+
+@pytest.mark.parametrize("gt_labels", [[1], [1, 0, 5], [[1], [0]], 1])
+def test_batch_wants_one_label_per_gt_box(gt_labels):
+    # [1] once raised numpy's IndexError, [1, 0, 5] passed, [[1], [0]] raised TypeError
+    images = np.zeros((1, 1, 16, 16))
+    gt = [RoI(0, 2, 2, 10, 10), RoI(0, 4, 4, 12, 12)]
+    with pytest.raises(ShapeError, match="gt_labels"):
+        MimicBatch.build(images, gt, gt, gt_labels, MimicConfig(), np.random.default_rng(0))
 
 
 def _tiny_cfg():
@@ -308,7 +382,7 @@ def demand_cases(draw):
         h, w = (max(0.0, -v) + draw(st.floats(0.0, size / 2)) for v in (y1, x1))
         rois.append(RoI(draw(st.integers(0, n - 1)), x1, y1, x1 + w, y1 + h))
     images = rng.normal(size=(n, 1, size, size)).astype(np.float32)
-    patches = np.stack([crop_resize_patch(images, r, (size, size)) for r in rois])
+    patches = crop_resize_patch(images, rois, (size, size))
     labels = rng.integers(0, 3, size=len(rois))
     return model, images, MimicBatch(rois, patches, labels), MimicConfig(patch_size=(size, size))
 
