@@ -214,7 +214,7 @@ def _check_positions(positions, size: int) -> np.ndarray | None:
     if p.ndim != 1 or (p.size and p.dtype.kind not in "iu"):
         raise ArgumentError(f"positions must be a 1-D integer list, got {p.dtype} {p.shape}")
     p = p.astype(np.int64, copy=False)
-    if p.size and (p[0] < 0 or p[-1] >= size or (p[1:] <= p[:-1]).any()):
+    if p.size and (p[0] < 0 or p[-1] >= size or (p.size > 1 and (p[1:] <= p[:-1]).any())):
         raise ArgumentError(f"positions must increase strictly within [0, {size})")
     return p
 
@@ -226,7 +226,7 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if a.shape[0] != 1:
         return a @ b
-    return (np.vstack([a, np.zeros_like(a)]) @ b)[:1]
+    return (np.concatenate([a, np.zeros(a.shape, a.dtype)]) @ b)[:1]
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +358,10 @@ class _ConvGeometry:
             dtype=self.dtype).reshape(spec.k * self.c_in, c_out)
         self.bias = None if w.bias is None else np.asarray(w.bias, dtype=self.dtype)
         self.item, rows, cols = spec.taps_at(positions, out_hw)
-        offs = offsets.astype(np.float64, copy=False)
-        # (P, K) in row-major tap order
-        self.py = np.repeat(rows, spec.kernel_w, axis=1) + offs[:, 0::2]
-        self.px = np.tile(cols, (1, spec.kernel_h)) + offs[:, 1::2]
+        # (P, K) in row-major tap order: tap (u, v) offsets rows[:, u], cols[:, v]
+        offs = offsets.astype(np.float64, copy=False).reshape(-1, spec.kernel_h, spec.kernel_w, 2)
+        self.py = (rows[:, :, None] + offs[..., 0]).reshape(-1, spec.k)
+        self.px = (cols[:, None, :] + offs[..., 1]).reshape(-1, spec.k)
         self.mods = modulation.astype(np.float64, copy=False)
 
     def pattern(self, n0: int, s0: int, s1: int, derivatives: bool = False):
@@ -530,44 +530,42 @@ def _live(g: np.ndarray) -> np.ndarray:
 # by rigid layers in toy networks
 # ---------------------------------------------------------------------------
 
-def _padded(x: np.ndarray, spec: KernelSpec, dtype) -> np.ndarray:
-    """x zero-padded by spec.pad, in `dtype`."""
+def _padded_patches(x: np.ndarray, spec: KernelSpec, out_hw: tuple[int, int], dtype):
+    """(xp, patches): x zero-padded by spec.pad in `dtype`, and the strided
+    (N, C, kh, kw, H_out, W_out) view of xp, its im2col matrix without a copy
+    (numpy checks that the view stays inside xp).
+    """
     n, c, h, w = x.shape
-    ph, pw = spec.pad
+    (sh, sw), (ph, pw), (dh, dw) = spec.stride, spec.pad, spec.dilation
     xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=dtype)
     xp[:, :, ph : ph + h, pw : pw + w] = x
-    return xp
-
-
-def _patches(xp: np.ndarray, spec: KernelSpec, out_hw: tuple[int, int]) -> np.ndarray:
-    """Strided (N, C, kh, kw, H_out, W_out) view of the padded input `xp`:
-    the im2col matrix without a copy.
-    """
-    n, c = xp.shape[:2]
     sb, sc, srow, scol = xp.strides
-    (sh, sw), (dh, dw) = spec.stride, spec.dilation
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, spec.kernel_h, spec.kernel_w, *out_hw),
-        strides=(sb, sc, dh * srow, dw * scol, sh * srow, sw * scol),
-        writeable=False,
-    )
+    return xp, np.ndarray((n, c, spec.kernel_h, spec.kernel_w, *out_hw), dtype, xp,
+                          strides=(sb, sc, dh * srow, dw * scol, sh * srow, sw * scol))
 
 
-def _patch_index(shape, spec: KernelSpec, positions: np.ndarray,
-                 out_hw: tuple[int, int]) -> np.ndarray:
-    """(P, C*kh*kw) flat indices into a padded (N, C, H_p, W_p) input of the
-    im2col rows of the flat output positions, in (channel, tap) order.
+def _im2col_rows(x: np.ndarray, spec: KernelSpec, positions: np.ndarray,
+                 out_hw: tuple[int, int], dtype):
+    """(rows, index, inside): the (P, C*kh*kw) im2col rows of the flat output
+    positions in (channel, tap) order and `dtype`, read from the unpadded
+    input at flat indices `index`, and the (P, 1, kh*kw) mask of the taps
+    inside it; a tap in the zero padding reads zero at index 0.
     """
-    c, hp, wp = shape[1:]
+    (p,), (c, h, w), (dh, dw), k = positions.shape, x.shape[1:], spec.dilation, spec.k
     item, rows, cols = spec.taps_at(positions, out_hw)
-    first = (item * (c * hp) + rows[:, 0] + spec.pad[0]) * wp + cols[:, 0] + spec.pad[1]
     # every position's taps lie where those of output (0, 0) lie from its
     # first tap; one (P, C*K) add is several times cheaper than a broadcast
     # over the short tap axes
-    _, r0, c0 = spec.taps_at([0], (1, 1))
-    step = (np.arange(c)[:, None, None] * hp + (r0 - r0[:, :1]).T) * wp + (c0 - c0[:, :1])
-    return first[:, None] + step.reshape(-1)
+    first = (item * (c * h) + rows[:, 0]) * w + cols[:, 0]
+    step = ((np.arange(c)[:, None] * h + np.arange(spec.kernel_h) * dh)[:, :, None] * w
+            + np.arange(spec.kernel_w) * dw)
+    index = first[:, None] + step.reshape(-1)
+    inside = (((rows >= 0) & (rows < h))[:, :, None]
+              & ((cols >= 0) & (cols < w))[:, None, :]).reshape(p, 1, k)
+    np.multiply(index.reshape(p, c, k), inside, out=index.reshape(p, c, k))
+    patch = x.reshape(-1)[index].astype(dtype, copy=False)
+    np.copyto(patch.reshape(p, c, k), 0, where=~inside)
+    return patch, index, inside
 
 
 def dense_conv_forward(x, w: ConvWeights, spec: KernelSpec, positions=None) -> np.ndarray:
@@ -578,20 +576,18 @@ def dense_conv_forward(x, w: ConvWeights, spec: KernelSpec, positions=None) -> n
     """
     x, n, _, _, _, h_out, w_out, positions = _check_conv_args(x, w, spec, positions=positions)
     dtype = compute_dtype(x)
-    xp = _padded(x, spec, dtype)
-    wmat = w.weight.reshape(w.weight.shape[0], -1).astype(dtype)
+    wmat = w.weight.reshape(w.weight.shape[0], -1).astype(dtype, copy=False)
     bias = None if w.bias is None else np.asarray(w.bias, dtype=dtype)
     if positions is not None and positions.size < n * h_out * w_out:
-        patch = xp.reshape(-1)[_patch_index(xp.shape, spec, positions, (h_out, w_out))]
-        res = _gemm(patch, wmat.T)
+        res = _gemm(_im2col_rows(x, spec, positions, (h_out, w_out), dtype)[0], wmat.T)
         if bias is not None:
             res += bias
         return res.astype(x.dtype, copy=False)
-    cols = _patches(xp, spec, (h_out, w_out)).reshape(n, wmat.shape[1], h_out * w_out)
-    out = np.matmul(wmat, cols)
+    cols = _padded_patches(x, spec, (h_out, w_out), dtype)[1]
+    out = np.matmul(wmat, cols.reshape(n, wmat.shape[1], h_out * w_out))
     if bias is not None:
         out += bias[None, :, None]
-    out = out.reshape(n, wmat.shape[0], h_out, w_out).astype(x.dtype)
+    out = out.reshape(n, wmat.shape[0], h_out, w_out).astype(x.dtype, copy=False)
     return out if positions is None else pixel_rows(out)
 
 
@@ -607,39 +603,38 @@ def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions
     dtype = compute_dtype(x)
     g = np.asarray(upstream).astype(dtype, copy=False)
     kh, kw = spec.kernel_h, spec.kernel_w
-    sh, sw = spec.stride
-    ph, pw = spec.pad
-    xp = _padded(x, spec, dtype)
+    (sh, sw), (ph, pw), (dh, dw) = spec.stride, spec.pad, spec.dilation
     c_out = w.weight.shape[0]
-    wmat = w.weight.reshape(c_out, -1).astype(dtype)
+    wmat = w.weight.reshape(c_out, -1).astype(dtype, copy=False)
 
     if positions is not None and positions.size == n * h_out * w_out:
         g, positions = pixel_map(g, None, (n, c_out, h_out, w_out)), None
-    gxp = None
+    grad_x = None
     if positions is None:
+        xp, cols = _padded_patches(x, spec, (h_out, w_out), dtype)
         gmat = g.reshape(n, c_out, h_out * w_out)
-        cols = _patches(xp, spec, (h_out, w_out)).reshape(n, c * kh * kw, h_out * w_out)
+        cols = cols.reshape(n, c * kh * kw, h_out * w_out)
         grad_w = np.tensordot(gmat, cols, axes=([0, 2], [0, 2])).reshape(w.weight.shape)
         grad_b = g.sum(axis=(0, 2, 3), dtype=np.float64)
         if input_grad:
             grad_cols = np.matmul(wmat.T, gmat).reshape(n, c, kh, kw, h_out, w_out)
             gxp = np.zeros(xp.shape, dtype=dtype)
-            # tap (u, v) reads (top, left) of the padded input at output (0, 0),
-            # and one stride further at each next output
-            _, r0, c0 = spec.taps_at([0], (1, 1))
-            for u, top in enumerate(r0[0] + ph):
-                for v, left in enumerate(c0[0] + pw):
-                    gxp[:, :, top : top + sh * h_out : sh,
-                        left : left + sw * w_out : sw] += grad_cols[:, :, u, v]
+            # tap (u, v) of output (i, j) reads padded pixel (u*dh + i*sh, v*dw + j*sw)
+            for u, v in np.ndindex(kh, kw):
+                gxp[:, :, u * dh : u * dh + sh * h_out : sh,
+                    v * dw : v * dw + sw * w_out : sw] += grad_cols[:, :, u, v]
+            grad_x = gxp[:, :, ph : ph + h, pw : pw + win]
     else:
-        index = _patch_index(xp.shape, spec, positions, (h_out, w_out))
-        grad_w = (g.T @ xp.reshape(-1)[index]).reshape(w.weight.shape)
+        patch, index, inside = _im2col_rows(x, spec, positions, (h_out, w_out), dtype)
+        grad_w = (g.T @ patch).reshape(w.weight.shape)
         grad_b = g.sum(axis=0, dtype=np.float64)
         if input_grad:
-            gxp = np.bincount(index.reshape(-1), weights=_gemm(g, wmat).reshape(-1),
-                              minlength=xp.size).reshape(xp.shape)
+            grad_patch = _gemm(g, wmat)  # the padding taps' gradients drop out
+            np.copyto(grad_patch.reshape(positions.size, c, spec.k), 0, where=~inside)
+            grad_x = np.bincount(index.reshape(-1), weights=grad_patch.reshape(-1),
+                                 minlength=x.size).reshape(x.shape)
     return (
-        None if gxp is None else gxp[:, :, ph : ph + h, pw : pw + win].astype(x.dtype),
+        None if grad_x is None else grad_x.astype(x.dtype),
         grad_w.astype(x.dtype),
         None if w.bias is None else grad_b.astype(x.dtype),
     )

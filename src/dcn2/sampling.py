@@ -120,50 +120,57 @@ def bilinear_corner_gather(py: np.ndarray, px: np.ndarray, h: int, w: int,
     x0 = np.floor(px)
     ly = py - y0
     lx = px - x0
-    top = int(np.max(flat_offset, initial=0)) if flat_offset is not None else 0
-    index_dtype = np.int32 if top + h * w <= np.iinfo(np.int32).max else np.int64
-    # clamp before the integer cast so that huge offsets cannot overflow it;
-    # a floor of -2 or h (w) leaves both corner rows (columns) out of bounds
-    iy = np.clip(y0, -2, h, out=y0).astype(index_dtype)
-    ix = np.clip(x0, -2, w, out=x0).astype(index_dtype)
-    iy1 = iy + 1
-    ix1 = ix + 1
-    # clipping moves exactly the out-of-bounds corners, which get weight 0
-    row = (np.clip(iy, 0, h - 1), np.clip(iy1, 0, h - 1))
-    col = (np.clip(ix, 0, w - 1), np.clip(ix1, 0, w - 1))
-    vy = (row[0] == iy, row[1] == iy1)
-    vx = (col[0] == ix, col[1] == ix1)
+    top = 0 if flat_offset is None else int(flat_offset.max(initial=0))
+    index_dtype = np.int32 if top + h * w < 2**31 else np.int64
+    row, vy = _corner_lines(y0, h, index_dtype)
+    col, vx = _corner_lines(x0, w, index_dtype)
     for r in row:
         r *= w
         if flat_offset is not None:
             r += flat_offset
-    cols = _corner_table(np.add, row, col, index_dtype)
+    shape = np.broadcast(py, px).shape
+    cols = _corner_table(np.add, row, col, shape, index_dtype)
 
-    # per-axis factors with validity folded in: a corner's weight is its row
-    # factor times its column factor
-    fy = (np.where(vy[0], 1.0 - ly, 0.0), np.where(vy[1], ly, 0.0))
-    fx = (np.where(vx[0], 1.0 - lx, 0.0), np.where(vx[1], lx, 0.0))
+    # per-axis factors in [0, 1], +0.0 out of bounds: a corner's weight is its
+    # row factor times its column factor
+    fy = (1.0 - ly, ly)
+    fx = (1.0 - lx, lx)
+    for factor, inside in zip(fy + fx, vy + vx):
+        factor *= inside
     scaled = fy if scale is None else (fy[0] * scale, fy[1] * scale)
-    weights = _corner_table(np.multiply, scaled, fx, dtype)
+    weights = _corner_table(np.multiply, scaled, fx, np.broadcast(scaled[0], px).shape, dtype)
     if not derivatives:
         return cols, weights
-    sy = (np.where(vy[0], -1.0, 0.0), np.where(vy[1], 1.0, 0.0))
-    sx = (np.where(vx[0], -1.0, 0.0), np.where(vx[1], 1.0, 0.0))
-    return cols, weights, _corner_table(np.multiply, sy, fx, dtype), \
-        _corner_table(np.multiply, fy, sx, dtype)
+    # a factor's slope: -1 for the first line, +1 for the second, +0.0 outside
+    sy = (np.subtract(0.0, vy[0]), vy[1])
+    sx = (np.subtract(0.0, vx[0]), vx[1])
+    return cols, weights, _corner_table(np.multiply, sy, fx, shape, dtype), \
+        _corner_table(np.multiply, fy, sx, shape, dtype)
 
 
-def _corner_table(op, rows, cols, dtype) -> np.ndarray:
-    """(*pos, 4) array of op(row factor, column factor) in corner order.
+def _corner_lines(floor: np.ndarray, n: int, index_dtype):
+    """The two grid lines around positions on an axis of n pixels, clamped
+    into [0, n), and whether each lies inside. The float floors are clamped
+    in place to [-2, n] first, so that huge ones cannot overflow the cast.
+    """
+    first = np.minimum(np.maximum(floor, -2, out=floor), n, out=floor).astype(index_dtype)
+    second = first + 1
+    lines = (np.maximum(first, 0), np.maximum(second, 0))
+    for line in lines:
+        np.minimum(line, n - 1, out=line)
+    return lines, (lines[0] == first, lines[1] == second)
+
+
+def _corner_table(op, rows, cols, shape, dtype) -> np.ndarray:
+    """(*shape, 4) array of op(row factor, column factor) in corner order.
 
     Filled corner by corner: numpy arithmetic broadcast along a trailing axis
     of length 4 runs several times slower than on the position arrays.
     """
-    shape = np.broadcast_shapes(rows[0].shape, cols[0].shape)
     out = np.empty(shape + (4,), dtype=dtype)
     for corner in range(4):
         dy, dx = divmod(corner, 2)
-        op(rows[dy], cols[dx], out=out[..., corner], casting="same_kind")
+        op(rows[dy], cols[dx], out=out[..., corner])
     return out
 
 

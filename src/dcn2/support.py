@@ -212,9 +212,10 @@ def slic_segment(image, target_segments: int, compactness: float = 10.0) -> Supe
     on the assignment (an empty cluster keeps its center), so every later
     pass would repeat the last.
 
-    The image must be finite and `compactness` finite and >= 0 (0 is the
-    color-only distance). Each center competes for the pixels of its
-    window, rows and columns int(c - 2S) .. int(c + 2S) clipped to the image.
+    The image must be finite, `target_segments` an integer from 1 to H*W
+    and `compactness` finite and >= 0 (0 is the color-only distance). Each
+    center competes for the pixels of its window, rows and columns
+    int(c - 2S) .. int(c + 2S) clipped to the image.
     A pixel goes to the center with the smallest d among the windows
     covering it, ties to the lowest center index; a pixel that no window
     reaches is scored against all centers. Each nonempty cluster's center
@@ -224,8 +225,7 @@ def slic_segment(image, target_segments: int, compactness: float = 10.0) -> Supe
     """
     img = _chw(image)
     c, h, w = img.shape
-    if target_segments < 1:
-        raise ArgumentError("target_segments must be >= 1")
+    _check_target_segments(target_segments)
     if target_segments > h * w:
         raise ArgumentError(f"target_segments {target_segments} exceeds pixel count {h * w}")
     if not np.isfinite(img).all():
@@ -299,6 +299,11 @@ def slic_segment(image, target_segments: int, compactness: float = 10.0) -> Supe
 
     labels = _enforce_connectivity(assign.reshape(h, w))
     return SuperpixelLabeling(labels, int(labels.max()) + 1)
+
+
+def _check_target_segments(target_segments) -> None:
+    if not (isinstance(target_segments, (int, np.integer)) and target_segments >= 1):
+        raise ArgumentError(f"target_segments must be an integer >= 1, got {target_segments!r}")
 
 
 def _move_centers(pixels: np.ndarray, w: int, assign: np.ndarray,
@@ -438,8 +443,7 @@ def _reconstruction_loss(orig: np.ndarray, masked: np.ndarray) -> float:
         return 0.0  # also for a zero response, whose cosine is undefined
     if orig.size > 1:
         return cosine_mimic_loss(orig, masked)
-    a = float(orig.reshape(()) if orig.ndim == 0 else orig[0])
-    b = float(masked.reshape(()) if masked.ndim == 0 else masked[0])
+    a, b = float(orig[0]), float(masked[0])  # responses are 1-D
     return abs(a - b) / max(abs(a), 1e-9)
 
 
@@ -456,12 +460,15 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
     The rectangle is square, centered on `center` (default: the image
     center), and grows by `_AREA_STEP` of the image area per step; step 2
     segments the image into at most `target_segments` SLIC superpixels at
-    `slic_segment`'s default compactness. A center (cy, cx) must lie in the
-    H x W image, 0 <= cy <= H-1 and 0 <= cx <= W-1, or ArgumentError is
-    raised.
+    `slic_segment`'s default compactness; its units are the superpixels that
+    share a pixel with the rectangle. Unless `epsilon` is finite and > 0,
+    `target_segments` an integer >= 1 (above H*W it means H*W) and a center
+    (cy, cx) lies in the H x W image, 0 <= cy <= H-1 and 0 <= cx <= W-1,
+    ArgumentError is raised before the probe runs.
     """
-    if not epsilon > 0:  # NaN fails too
-        raise ArgumentError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ArgumentError(f"epsilon must be finite and positive, got {epsilon}")
+    _check_target_segments(target_segments)
     img = _chw(image)
     _, h, w = img.shape
     cy, cx = ((h - 1) / 2.0, (w - 1) / 2.0) if center is None else center
@@ -503,25 +510,16 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
             raise ConvergenceError(
                 f"reconstruction bound {epsilon} unreachable even with the full image")
 
-    rect_mask = np.zeros((h, w), dtype=bool)
-    rect_mask[y0:y1, x0:x1] = True
-
     # step 2: greedy superpixel removal inside the rectangle
+    rect_mask = cur_mask = mask > 0
     seg = slic_segment(img, min(target_segments, h * w))
-    units = []
-    for s_id in range(seg.count):
-        cells = (seg.labels == s_id) & rect_mask
-        if cells.any():
-            units.append((s_id, cells))
-    kept = {s_id for s_id, _ in units}
-    cur_mask = rect_mask.copy()
+    units = {s_id: (seg.labels == s_id) & rect_mask
+             for s_id in np.unique(seg.labels[rect_mask]).tolist()}
     cur_error = err
     sizes = [int(cur_mask.sum())]
-    while kept:
+    while units:
         best = None
-        for s_id, cells in units:
-            if s_id not in kept:
-                continue
+        for s_id, cells in units.items():
             cand = cur_mask & ~cells
             err = loss_for(cand.astype(np.float64))
             if err < epsilon and (best is None or (err, s_id) < best[:2]):
@@ -529,7 +527,7 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
         if best is None:
             break
         cur_error, removed, cur_mask = best
-        kept.discard(removed)
+        del units[removed]
         sizes.append(int(cur_mask.sum()))
 
     return SaliencyMask(
@@ -537,7 +535,7 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
         achieved_error=float(cur_error),
         epsilon=float(epsilon),
         rect=(x0, y0, x1 - x0, y1 - y0),
-        segments_kept=len(kept),
+        segments_kept=len(units),
         probe_calls=calls,
         step2_sizes=sizes,
     )

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcn2.checks import run_gradcheck
@@ -17,6 +17,7 @@ from dcn2.deform_conv import (
     mdconv_forward_optimized,
     offset_branch_backward,
     offset_branch_forward,
+    _gemm,
 )
 from dcn2.errors import ArgumentError, ShapeError
 from dcn2.mimic import MimicBatch, MimicConfig, mimic_step
@@ -460,6 +461,80 @@ def test_dense_conv_backward_matches_finite_diff():
     check(gx, x, lambda v: (v, weights, spec))
     check(gw, weights.weight, lambda v: (x, ConvWeights(v, weights.bias), spec))
     check(gb, weights.bias, lambda v: (x, ConvWeights(weights.weight, v), spec))
+
+
+def _padded_im2col(a: np.ndarray, spec: KernelSpec, out_hw) -> np.ndarray:
+    """(N*H_out*W_out, C*kh*kw) im2col rows, C-contiguous, of `a` zero-padded
+    by spec.pad, built tap by tap from strided slices of the padded map.
+    """
+    (ph, pw), (sh, sw), (dh, dw) = spec.pad, spec.stride, spec.dilation
+    h_out, w_out = out_hw
+    ap = np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    taps = [ap[:, :, u * dh : u * dh + sh * (h_out - 1) + 1 : sh,
+               v * dw : v * dw + sw * (w_out - 1) + 1 : sw]
+            for u in range(spec.kernel_h) for v in range(spec.kernel_w)]
+    cols = np.stack(taps, axis=2)  # (N, C, K, H_out, W_out)
+    return np.ascontiguousarray(cols.transpose(0, 3, 4, 1, 2)).reshape(-1, a.shape[1] * spec.k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_dense_list_rows_are_the_padded_maps_im2col_rows_property(data):
+    """Under a position list the dense convolution reads its im2col rows from
+    the unpadded input. The forward equals, bit for bit, the weight product
+    of a C-contiguous copy of the padded map's im2col rows at the positions,
+    taps in the padding reading zero; the backward's grad_w is that copy's
+    product with the upstream, and its float64 grad_x scatter is the one
+    over the padded map, cropped: padding taps drop out.
+    """
+    kernel = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 4)), label="kernel")
+    stride, pad, dilation = (data.draw(st.tuples(st.integers(lo, hi), st.integers(lo, hi)),
+                                       label=name)
+                             for name, lo, hi in (("stride", 1, 3), ("pad", 0, 3),
+                                                  ("dilation", 1, 3)))
+    spec = KernelSpec(*kernel, stride=stride, pad=pad, dilation=dilation)
+    n, c, c_out = data.draw(st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)),
+                            label="n, c_in, c_out")
+    h, w = data.draw(st.tuples(st.integers(1, 7), st.integers(1, 7)), label="input")
+    assume(h + 2 * pad[0] > dilation[0] * (kernel[0] - 1)
+           and w + 2 * pad[1] > dilation[1] * (kernel[1] - 1))
+    h_out, w_out = spec.out_size(h, w)
+    total = n * h_out * w_out
+    # a strict subset of the positions (the whole list takes the map path),
+    # with every output map's corners when they leave room
+    corners = {b * h_out * w_out + i * w_out + j for b in range(n)
+               for i in (0, h_out - 1) for j in (0, w_out - 1)}
+    picked = data.draw(st.sets(st.integers(0, total - 1), max_size=total - 1), label="picked")
+    if data.draw(st.booleans(), label="with corners") and len(corners | picked) < total:
+        picked |= corners
+    positions = np.array(sorted(picked), dtype=np.int64)
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = rng.normal(size=(n, c, h, w)).astype(dtype)
+    weights = ConvWeights(rng.normal(size=(c_out, c, *kernel)).astype(dtype),
+                          rng.normal(size=c_out).astype(dtype))
+    g = rng.normal(size=(positions.size, c_out)).astype(dtype)
+
+    rows = np.ascontiguousarray(_padded_im2col(x, spec, (h_out, w_out))[positions])
+    wmat = weights.weight.reshape(c_out, -1)
+    want = _gemm(rows, wmat.T)
+    want += weights.bias
+    got = dense_conv_forward(x, weights, spec, positions)
+    assert got.dtype == dtype and got.shape == (positions.size, c_out)
+    assert np.array_equal(got, want)
+
+    gx, gw, gb = dense_conv_backward(x, weights, spec, g, positions)
+    assert np.array_equal(gw, (g.T @ rows).reshape(weights.weight.shape))
+    assert np.array_equal(gb, g.sum(axis=0, dtype=np.float64).astype(dtype))
+    padded_hw = (h + 2 * pad[0], w + 2 * pad[1])
+    flat = np.arange(n * c * padded_hw[0] * padded_hw[1], dtype=np.float64)
+    index = _padded_im2col(flat.reshape(n, c, *padded_hw), KernelSpec(*kernel, stride=stride,
+                                                                       dilation=dilation),
+                           (h_out, w_out))[positions].astype(np.int64)
+    scatter = np.bincount(index.reshape(-1), weights=_gemm(g, wmat).reshape(-1),
+                          minlength=flat.size).reshape(n, c, *padded_hw)
+    want_gx = scatter[:, :, pad[0] : pad[0] + h, pad[1] : pad[1] + w].astype(dtype)
+    assert gx.dtype == dtype and np.array_equal(gx, want_gx)
 
 
 @pytest.mark.parametrize("x_shape, w_shape, g_shape", [

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcn2.errors import ArgumentError
-from dcn2.sampling import bilinear_backward, bilinear_sample, pixel_map, pixel_rows
+from dcn2.sampling import (_corners, bilinear_backward, bilinear_corner_gather, bilinear_sample,
+                           pixel_map, pixel_rows)
 
 PLANE = np.array([[1.0, 2.0], [3.0, 4.0]])
 
@@ -148,3 +151,67 @@ def test_pixel_rows_and_map_round_trip_property(data):
     as_map = pixel_map(rows, positions, a.shape, np.float32)
     assert as_map.dtype == np.float32
     assert np.array_equal(as_map, back.astype(np.float32))
+
+
+def _coordinate(n: int):
+    """Sample coordinates along an axis of n pixels: off and on the lattice,
+    the border band -2 .. n+1 and far outside.
+    """
+    return st.one_of(st.floats(-2.5, n + 1.5), st.integers(-2, n + 1).map(float),
+                     st.sampled_from([-1e9, 1e9, -0.0, -1e-20, n - 1e-12]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corner_gather_matches_scalar_corners_property(data):
+    """Every corner of `bilinear_corner_gather` against the scalar `_corners`:
+    exact values (a zero weight may differ in sign), indices and dtypes.
+    """
+    h, w = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)), label="plane")
+    p, k = data.draw(st.tuples(st.integers(0, 4), st.integers(1, 3)), label="points")
+    py = np.array(data.draw(st.lists(_coordinate(h), min_size=p * k, max_size=p * k)),
+                  dtype=np.float64).reshape(p, k)
+    px = np.array(data.draw(st.lists(_coordinate(w), min_size=p * k, max_size=p * k)),
+                  dtype=np.float64).reshape(p, k)
+    # plane offsets; "edge" puts the highest index on either side of 2**31 - 1
+    kind = data.draw(st.sampled_from(["none", "planes", "edge"]), label="offset")
+    offset = None
+    if kind == "planes":
+        offset = np.array(data.draw(st.lists(st.integers(0, 3), min_size=p, max_size=p)),
+                          dtype=np.int64).reshape(p, 1) * (h * w)
+    elif kind == "edge":
+        top = 2**31 - 1 - h * w + data.draw(st.integers(0, 1), label="past the edge")
+        offset = np.full((p, 1), top, dtype=np.int64)
+    scale = None
+    if data.draw(st.booleans(), label="scaled"):
+        scale = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(size=(p, k))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+
+    cols, weights, dwy, dwx = bilinear_corner_gather(py, px, h, w, offset, scale,
+                                                     derivatives=True, dtype=dtype)
+    plain = bilinear_corner_gather(py, px, h, w, offset, scale, dtype=dtype)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(plain, (cols, weights)))
+    top = 0 if offset is None or p == 0 else int(offset.max())
+    assert cols.dtype == (np.int32 if top + h * w <= 2**31 - 1 else np.int64)
+    for table in (cols, weights, dwy, dwx):
+        assert table.shape == (p, k, 4)
+    assert weights.dtype == dwy.dtype == dwx.dtype == dtype
+
+    plane = np.zeros((h, w))
+    for i, j in np.ndindex(p, k):
+        y, x = py[i, j], px[i, j]
+        base = 0 if offset is None else int(offset[i, 0])
+        s = 1.0 if scale is None else scale[i, j]
+        ly, lx = y - math.floor(y), x - math.floor(x)
+        for corner, ((iy, ix), weight, _, inside) in enumerate(_corners(plane, y, x)):
+            dy, dx = divmod(corner, 2)
+            fy, fx = (1.0 - ly, ly)[dy], (1.0 - lx, lx)[dx]
+            got = [t[i, j, corner] for t in (weights, dwy, dwx)]
+            if inside:
+                assert cols[i, j, corner] == base + iy * w + ix
+                assert weight == fy * fx
+                want = [fy * s * fx, (-1.0, 1.0)[dy] * fx, (-1.0, 1.0)[dx] * fy]
+                assert [np.asarray(v, dtype=dtype) for v in want] == got
+            else:
+                assert 0 <= cols[i, j, corner] - base < h * w
+                assert got == [0.0, 0.0, 0.0]

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcn2 import support
 from dcn2.deform_conv import KernelSpec
 from dcn2.errors import ArgumentError, CapabilityError, ConvergenceError, UsageError
 from dcn2.imageio import decode_netpbm, encode_mask_pgm, encode_pgm
 from dcn2.support import (
     NodeProbe,
     SaliencyMask,
+    SuperpixelLabeling,
     constant_probe,
     effective_receptive_field,
     effective_sampling_locations,
@@ -593,11 +595,55 @@ def test_saliency_vacuous_bound_empties_mask():
     assert mask.mask.sum() == 0
 
 
-@pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -0.5])
+def test_saliency_units_are_the_segments_touching_the_rectangle(monkeypatch):
+    """Step 2 tries exactly the superpixels that share a pixel with the
+    rectangle: one that touches it in a single pixel is a unit, one beside it
+    is not.
+    """
+    img = np.random.default_rng(11).uniform(0.1, 1.0, size=(1, 8, 8))
+    seen = []
+
+    def fn(image):
+        seen.append((image[0] != 0).tolist())
+        return image[:, 2:6, 2:6].reshape(-1)
+
+    # step 1 stops at the window's own 4x4 square, rows and columns 2 .. 5
+    rect = np.zeros((8, 8), dtype=bool)
+    rect[2:6, 2:6] = True
+    corner = np.zeros((8, 8), dtype=bool)
+    corner[2, 2] = True
+    labels = np.zeros((8, 8), dtype=np.int64)
+    labels[rect] = 1
+    labels[1:3, 2] = 2  # touches the rectangle in pixel (2, 2) only
+    labels[1, 3:6] = 3  # beside the rectangle, outside it
+    monkeypatch.setattr(support, "slic_segment", lambda image, n: SuperpixelLabeling(labels, 4))
+
+    mask = saliency_region(NodeProbe(fn, name="recording window"), img, epsilon=1e-6)
+    assert mask.rect == (2, 2, 4, 4)
+    # no removal keeps the window, so one round removes each unit once:
+    # unit 1 leaves the corner, unit 2 the rest of the rectangle
+    step2 = seen[seen.index(rect.tolist()) + 1:]
+    assert step2 == [corner.tolist(), (rect & ~corner).tolist()]
+    assert mask.segments_kept == 2
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -0.5, float("inf")])
 def test_saliency_non_positive_epsilon_is_argument_error(epsilon):
     img = np.random.default_rng(10).uniform(0.1, 1.0, size=(1, 8, 8))
     with pytest.raises(ArgumentError):
         saliency_region(window_probe(2, 2, 3, 3), img, epsilon=epsilon, target_segments=4)
+
+
+@pytest.mark.parametrize("target", [2.5, float("nan"), float("inf")])
+def test_non_integer_target_segments_is_argument_error(target):
+    img = np.random.default_rng(10).uniform(0.1, 1.0, size=(1, 8, 8))
+    calls = []
+    probe = NodeProbe(lambda image: calls.append(1) or image[:, 2:5, 2:5].reshape(-1))
+    with pytest.raises(ArgumentError, match="target_segments"):
+        slic_segment(img, target)
+    with pytest.raises(ArgumentError, match="target_segments"):
+        saliency_region(probe, img, target_segments=target)
+    assert calls == []  # rejected before the probe runs
 
 
 @pytest.mark.parametrize("center", [(float("nan"), 3.0), (3.0, float("inf")), (-0.5, 3.0),
