@@ -199,17 +199,23 @@ def cmd_demo_train(args) -> int:
             raise UsageError(f"--config: {exc}") from None
         mimic_cfg = MimicConfig(patch_size=(cfg.image_size, cfg.image_size))
         if args.mimic_weight is not None:
-            mimic_cfg = replace(mimic_cfg, mimic_weight=args.mimic_weight,
-                                rcnn_cls_weight=args.mimic_weight)
+            try:
+                mimic_cfg = replace(mimic_cfg, mimic_weight=args.mimic_weight,
+                                    rcnn_cls_weight=args.mimic_weight)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"--mimic-weight: {exc}") from None
         metrics, _ = run_mimic_training(cfg, task, args.steps, args.seed, mimic_cfg)
+        history = metrics["history"]
+        summary = f"final step loss {history[-1]['total']}\n" if history else ""
     else:
         metrics, net = run_toy_training(cfg, task, args.steps, args.seed)
         if args.out:
             save_model(net, os.path.join(args.out, "model"))
+        summary = f"final loss {metrics['final_eval_loss']}\n"
     text = json.dumps(metrics, sort_keys=True) + "\n"
     _write_out(args.out, "metrics.json", text)
     if args.out:
-        sys.stdout.write(f"final loss {metrics.get('final_eval_loss', float('nan'))}\n")
+        sys.stdout.write(summary)
     return EXIT_OK
 
 

@@ -163,13 +163,6 @@ class OffsetModulationField:
         if self.offsets.size and not np.isfinite(self.offsets).all():
             raise ArgumentError("offsets must be finite")
 
-    @staticmethod
-    def identity(n: int, k: int, h_out: int, w_out: int,
-                 modulation: float = 1.0) -> "OffsetModulationField":
-        """dp = 0 with constant modulation (1.0 recovers a rigid convolution)."""
-        return OffsetModulationField(np.zeros((n, 2 * k, h_out, w_out)),
-                                     np.full((n, k, h_out, w_out), modulation, dtype=np.float64))
-
 
 def _check_conv_args(x, w: ConvWeights, spec: KernelSpec, upstream=None, positions=None):
     """Validated (x, N, C_in, H, W, H_out, W_out, positions) of a convolution,
@@ -363,6 +356,10 @@ class _ConvGeometry:
         self.py = (rows[:, :, None] + offs[..., 0]).reshape(-1, spec.k)
         self.px = (cols[:, None, :] + offs[..., 1]).reshape(-1, spec.k)
         self.mods = modulation.astype(np.float64, copy=False)
+        # X^T of the items the list spans, (items, H*W, C_in), built once for all chunks
+        self.first = int(self.item[0])
+        self.xt = pixel_rows(x[self.first : int(self.item[-1]) + 1], dtype=self.dtype).reshape(
+            -1, self.h * self.w_in, self.c_in)
 
     def pattern(self, n0: int, s0: int, s1: int, derivatives: bool = False):
         """Sampling pattern of positions s0 .. s1-1 of the list, (P, K) in
@@ -405,7 +402,7 @@ def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
         def do_chunk(task):
             n0, n1, s0, s1 = task
             cols, data = geo.pattern(n0, s0, s1)
-            xt = pixel_rows(x[n0:n1], dtype=geo.dtype)
+            xt = geo.xt[n0 - geo.first : n1 - geo.first].reshape(-1, c_in)
             sampled = sampling_matrix(cols, data, xt.shape[0]) @ xt
             res = _gemm(sampled.reshape(s1 - s0, k * c_in), geo.wmat)
             if geo.bias is not None:
@@ -482,30 +479,33 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
     geo = _ConvGeometry(x, w, spec, offs, mods, live, (h_out, w_out))
 
     def do_chunk(task):
+        # products are scaled in place and dropped once read (README, Conventions)
         n0, n1, s0, s1 = task
         rows = at[s0:s1]
         cols, weights, dwy, dwx = geo.pattern(n0, s0, s1, derivatives=True)
-        xt = pixel_rows(x[n0:n1], dtype=geo.dtype)
+        xt = geo.xt[n0 - geo.first : n1 - geo.first].reshape(-1, c_in)
         n_cols = xt.shape[0]
         s0_mat = sampling_matrix(cols, weights, n_cols)
         samples = s0_mat @ xt
-        dsdy = sampling_matrix(cols, dwy, n_cols) @ xt
-        dsdx = sampling_matrix(cols, dwx, n_cols) @ xt
         m = geo.mods[s0:s1].reshape(-1, 1).astype(geo.dtype)
-        gmat = g_live[s0:s1].astype(geo.dtype)
+        gmat = g_live[s0:s1].astype(geo.dtype, copy=False)
 
-        gsm = _gemm(gmat, geo.wmat.T).reshape(-1, c_in)  # dL/d(sample * m)
-        grad_mod[rows] = np.einsum("ij,ij->i", gsm, samples).reshape(-1, k)
-        gs = gsm * m  # dL/d(sample)
-        grad_off[rows, :, 0] = np.einsum("ij,ij->i", gs, dsdy).reshape(-1, k)
-        grad_off[rows, :, 1] = np.einsum("ij,ij->i", gs, dsdx).reshape(-1, k)
+        gs = _gemm(gmat, geo.wmat.T).reshape(-1, c_in)  # dL/d(sample * m)
+        grad_mod[rows] = np.einsum("ij,ij->i", gs, samples).reshape(-1, k)
+        gs *= m  # dL/d(sample)
+        for axis, dw in enumerate((dwy, dwx)):
+            grad_off[rows, :, axis] = np.einsum(
+                "ij,ij->i", gs, sampling_matrix(cols, dw, n_cols) @ xt).reshape(-1, k)
 
         # partial sums that may overlap across chunks
-        gw = (samples * m).reshape(-1, k * c_in).T @ gmat
+        samples *= m
+        gw = samples.reshape(-1, k * c_in).T @ gmat
+        del samples
         gb = gmat.sum(axis=0) if grad_b is not None else None
         if grad_x is None:
             return n0, n1, None, gw, gb
-        gx = s0_mat.T @ gs.astype(np.float64)
+        gs = gs.astype(np.float64)
+        gx = s0_mat.T @ gs
         return n0, n1, gx.reshape(n1 - n0, h, win, c_in).transpose(0, 3, 1, 2), gw, gb
 
     for n0, n1, gx, gw, gb in runtime.run_chunks(do_chunk, tasks):

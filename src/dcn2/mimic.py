@@ -161,6 +161,11 @@ class MimicConfig:
     omega_size: int = 32
     patch_size: tuple[int, int] = (32, 32)
 
+    def __post_init__(self):
+        if not (self.mimic_weight >= 0 and self.rcnn_cls_weight >= 0):  # NaN fails too
+            raise ConfigurationError(f"loss weights must be >= 0, got mimic_weight "
+                                     f"{self.mimic_weight}, rcnn_cls_weight {self.rcnn_cls_weight}")
+
 
 @dataclass
 class MimicBatch:

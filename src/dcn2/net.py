@@ -82,7 +82,7 @@ class SGD:
         for p, v in zip(self.params, self.velocity):
             v *= self.momentum
             v += p.grad + self.weight_decay * p.value
-            p.value -= (self.lr * p.lr_mult * v).astype(p.value.dtype)
+            p.value -= self.lr * p.lr_mult * v  # v has the value's dtype
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,9 @@ class DeformConv2dLayer:
             x, self._branch_weights(), self.spec, field, goff, gmod, demand, input_grad)
         self.branch_weight.grad += gbw
         self.branch_bias.grad += gbb
-        return gx + gx_branch if input_grad else None
+        if input_grad:
+            gx += gx_branch
+        return gx
 
     def recorded_state(self):
         """(input, field) of the last forward; a demanded forward's field as

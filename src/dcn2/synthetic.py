@@ -85,6 +85,13 @@ class ToyNetConfig:
             raise ShapeError(f"bins must be (bins_h, bins_w), got {self.bins}")
         if self.image_size < 1 or self.batch_size < 1:
             raise ConfigurationError("image_size and batch_size must be >= 1")
+        # written so that NaN fails
+        for key, ok, want in (("learning_rate", self.learning_rate > 0, "> 0"),
+                              ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+                              ("weight_decay", self.weight_decay >= 0, ">= 0"),
+                              ("branch_lr_mult", self.branch_lr_mult >= 0, ">= 0")):
+            if not ok:
+                raise ConfigurationError(f"{key} must be {want}, got {getattr(self, key)}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

@@ -30,7 +30,7 @@ from dcn2.support import saliency_region, slic_segment, window_probe
 from dcn2.synthetic import SyntheticTask, ToyNetConfig, build_two_branch_model, \
     run_mimic_training, run_toy_training
 
-from test_deform_conv import random_instance
+from test_deform_conv import identity_field, random_instance
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -51,7 +51,7 @@ def test_criterion_1_degeneration_identity():
         done += 1
         spec, x, weights, field = inst
         if done % 2 == 0:
-            zero_field = OffsetModulationField.identity(
+            zero_field = identity_field(
                 x.shape[0], spec.k, *field.modulation.shape[2:])
             got = mdconv_forward(x, weights, spec, zero_field)
             want = dense_conv_oracle(x, weights.weight, spec, weights.bias)

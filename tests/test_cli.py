@@ -365,6 +365,47 @@ def test_demo_train_mimic_deterministic_metrics(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_demo_train_mimic_prints_final_step_loss(tmp_path, capsys):
+    # the line once read `final loss nan`: a mimic run has no eval loss
+    out = tmp_path / "run"
+    assert main(["demo-train", "--mimic", "--steps", "2", "--out", str(out)]) == EXIT_OK
+    label, _, value = capsys.readouterr().out.strip().rpartition(" ")
+    assert label == "final step loss"
+    assert np.isfinite(float(value))
+    history = json.loads((out / "metrics.json").read_text())["history"]
+    assert float(value) == history[-1]["total"]
+
+
+@pytest.mark.parametrize("payload, flags, complaint", [
+    ('{"learning_rate": -1}', [], "learning_rate must be > 0"),
+    ('{"learning_rate": 0}', [], "learning_rate must be > 0"),
+    ('{"momentum": 5}', [], "momentum must be in [0, 1)"),
+    ('{"momentum": 1}', [], "momentum must be in [0, 1)"),
+    ('{"momentum": -0.5}', [], "momentum must be in [0, 1)"),
+    ('{"weight_decay": -3}', [], "weight_decay must be >= 0"),
+    ('{"branch_lr_mult": -1}', [], "branch_lr_mult must be >= 0"),
+    ("{}", ["--mimic", "--mimic-weight", "-1"], "--mimic-weight"),
+], ids=["negative_lr", "zero_lr", "momentum_5", "momentum_1", "negative_momentum",
+        "negative_decay", "negative_branch_mult", "negative_mimic_weight"])
+def test_out_of_range_training_setting_is_usage_error(tmp_path, capsys, payload, flags,
+                                                      complaint):
+    # each once trained, exit 0: a negative rate to a loss of 1.6e8
+    path = tmp_path / "cfg.json"
+    path.write_text(payload)
+    assert main(["demo-train", "--config", str(path), "--steps", "1", *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert complaint in captured.err
+    assert captured.out == ""
+
+
+def test_training_settings_at_their_bounds_run(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"momentum": 0, "weight_decay": 0, "branch_lr_mult": 0, "image_size": 12}')
+    argv = ["demo-train", "--config", str(path), "--steps", "1", "--mimic-weight", "0"]
+    assert main(argv) == EXIT_OK
+    assert main(argv + ["--mimic"]) == EXIT_OK
+
+
 def test_demo_train_zero_steps_zero_offsets(tmp_path):
     cfg = ToyNetConfig(layers=("regular", "mdconv"), channels=(4, 4), image_size=12,
                        batch_size=2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +28,12 @@ from dcn2.oracle import dcnv1_conv_oracle, dense_conv_oracle
 from dcn2.sampling import pixel_map, pixel_rows
 from dcn2.support import effective_sampling_locations
 from dcn2.synthetic import SyntheticTask, ToyNetConfig, build_two_branch_model
+
+
+def identity_field(n, k, h_out, w_out, modulation=1.0):
+    """dp = 0 with constant modulation (1.0 recovers a rigid convolution)."""
+    return OffsetModulationField(np.zeros((n, 2 * k, h_out, w_out)),
+                                 np.full((n, k, h_out, w_out), modulation, dtype=np.float64))
 
 
 def random_spec(rng):
@@ -95,7 +103,7 @@ def test_zero_modulation_leaves_only_bias():
     x = rng.normal(size=(1, 2, 5, 5))
     bias = rng.normal(size=3)
     weights = ConvWeights(rng.normal(size=(3, 2, 3, 3)), bias)
-    field = OffsetModulationField.identity(1, spec.k, 5, 5, modulation=0.0)
+    field = identity_field(1, spec.k, 5, 5, modulation=0.0)
     out = mdconv_forward(x, weights, spec, field)
     assert np.allclose(out, bias[None, :, None, None], atol=1e-12)
 
@@ -105,7 +113,7 @@ def test_half_modulation_halves_dense_conv():
     spec = KernelSpec(3, 3, pad=(1, 1))
     x = rng.normal(size=(1, 2, 6, 6))
     weights = ConvWeights(rng.normal(size=(2, 2, 3, 3)))
-    field = OffsetModulationField.identity(1, spec.k, 6, 6, modulation=0.5)
+    field = identity_field(1, spec.k, 6, 6, modulation=0.5)
     got = mdconv_forward(x, weights, spec, field)
     want = 0.5 * dense_conv_oracle(x, weights.weight, spec)
     assert np.abs(got - want).max() < 1e-5
@@ -233,7 +241,7 @@ def test_kernel_threads_keep_the_callers_errstate(monkeypatch, kernel_threads):
     x = np.ones((2, 2, 8, 8), dtype=np.float32)
     weights = ConvWeights(np.full((2, 2, 3, 3), 1e38, dtype=np.float32))
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        mdconv_forward_optimized(x, weights, spec, OffsetModulationField.identity(2, 9, 8, 8))
+        mdconv_forward_optimized(x, weights, spec, identity_field(2, 9, 8, 8))
 
 
 def test_backward_threaded_matches_serial(monkeypatch, kernel_threads):
@@ -286,7 +294,7 @@ def test_zero_modulation_kills_x_and_w_grads_not_modulation():
     x = rng.normal(size=(1, 2, 5, 5))
     weights = ConvWeights(rng.normal(size=(2, 2, 3, 3)))
     h_out, w_out = spec.out_size(5, 5)
-    field = OffsetModulationField.identity(1, spec.k, h_out, w_out, modulation=0.0)
+    field = identity_field(1, spec.k, h_out, w_out, modulation=0.0)
     upstream = rng.normal(size=(1, 2, h_out, w_out))
     gx, gw, _, _, gmod = mdconv_backward(x, weights, spec, field, upstream)
     assert np.all(gx == 0)
@@ -404,7 +412,7 @@ def test_empty_batch_gives_empty_output():
     # an empty batch, and an input smaller than the kernel (an empty map)
     for x, out_hw in ((np.zeros((0, 2, 5, 5)), (3, 3)), (np.ones((1, 2, 2, 2)), (0, 0))):
         n = x.shape[0]
-        field = OffsetModulationField.identity(n, 9, *out_hw)
+        field = identity_field(n, 9, *out_hw)
         out = mdconv_forward_optimized(x, weights, spec, field)
         assert out.shape == (n, 2, *out_hw)
         grads = mdconv_backward_optimized(x, weights, spec, field, out)
@@ -596,7 +604,7 @@ def test_bad_positions_are_argument_error():
     spec = KernelSpec(3, 3, pad=(1, 1))
     x = np.zeros((1, 2, 2, 3))
     weights = ConvWeights(np.zeros((2, 2, 3, 3)))
-    field = OffsetModulationField.identity(1, 9, 2, 3)
+    field = identity_field(1, 9, 2, 3)
     layer = DeformConv2dLayer(2, 2, spec, np.random.default_rng(0))
     for bad in ([6], [-1], [2, 1], [1, 1], [[0, 1]], [0.0, 1.0]):
         with pytest.raises(ArgumentError):
@@ -947,6 +955,28 @@ def test_sparse_backward_threaded_matches_serial(monkeypatch, kernel_threads):
         assert np.array_equal(a, b)
     for part, (a, b) in enumerate(zip(rows, want)):
         assert np.array_equal(a, b if part < 3 else pixel_rows(b, demand))
+
+
+def test_backward_chunk_footprint():
+    # a one-chunk float32 backward holds about four (positions*K, C_in)
+    # arrays at once; one copy per intermediate product reads ~9x
+    rng = np.random.default_rng(3)
+    n, c, h, w = 1, 64, 24, 40
+    spec = KernelSpec(3, 3, pad=(1, 1))
+    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    weights = ConvWeights(rng.normal(size=(c, c, 3, 3)).astype(np.float32),
+                          np.zeros(c, np.float32))
+    field = OffsetModulationField(rng.normal(0, 0.5, size=(n, 2 * spec.k, h, w)).astype(np.float32),
+                                  rng.uniform(size=(n, spec.k, h, w)).astype(np.float32))
+    upstream = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    mdconv_backward_optimized(x, weights, spec, field, upstream)
+    tracemalloc.start()
+    try:
+        mdconv_backward_optimized(x, weights, spec, field, upstream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * n * h * w * spec.k * c * 4
 
 
 @pytest.fixture(scope="module")
