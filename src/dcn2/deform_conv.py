@@ -41,6 +41,7 @@ Offset channel layout is pinned for file compatibility: channel pair
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,11 @@ from .sampling import (bilinear_backward, bilinear_corner_gather, bilinear_sampl
 # learning-rate multiplier carried by offset/modulation branch weights (the
 # descriptor asserted by tests; applied by the optimizer in net.py)
 BRANCH_LR_MULTIPLIER = 0.1
+
+
+def is_integer(v) -> bool:
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,11 @@ class KernelSpec:
     dilation: tuple[int, int] = (1, 1)
 
     def __post_init__(self):
+        pairs = (self.stride, self.pad, self.dilation)
+        if not (is_integer(self.kernel_h) and is_integer(self.kernel_w) and all(
+                isinstance(p, tuple) and len(p) == 2 and all(map(is_integer, p)) for p in pairs)):
+            raise ShapeError(f"kernel extents and stride/pad/dilation pairs must be integers: "
+                             f"{self}")
         if self.kernel_h < 1 or self.kernel_w < 1:
             raise ShapeError(f"kernel {self.kernel_h}x{self.kernel_w} must be >= 1")
         if min(self.stride) < 1 or min(self.dilation) < 1 or min(self.pad) < 0:
@@ -444,7 +455,8 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
     c_out = w.weight.shape[0]
 
     k = spec.k
-    grad_x = np.zeros((n, c_in, h, win), dtype=np.float64) if input_grad else None
+    # float64 (N*H*W, C_in) rows of grad_x, in X^T's layout; made by the first scatter
+    grad_x = None
     grad_w = np.zeros((k * c_in, c_out), dtype=np.float64)
     grad_b = np.zeros(c_out, dtype=np.float64) if w.bias is not None else None
     # position-major: row r holds (dy, dx) per tap, and the modulation
@@ -459,7 +471,10 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
         if positions is None:
             goff = pixel_map(goff, None, field.offsets.shape)
             gmod = pixel_map(gmod, None, field.modulation.shape)
-        return (None if grad_x is None else grad_x.astype(x.dtype), gw.astype(x.dtype),
+        gx = None if grad_x is None else pixel_map(grad_x, None, x.shape, x.dtype)
+        if input_grad and gx is None:  # no live position
+            gx = np.zeros(x.shape, dtype=x.dtype)
+        return (gx, gw.astype(x.dtype),
                 None if grad_b is None else grad_b.astype(x.dtype), goff, gmod)
 
     if x.size == 0 or g.size == 0:
@@ -502,15 +517,17 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
         gw = samples.reshape(-1, k * c_in).T @ gmat
         del samples
         gb = gmat.sum(axis=0) if grad_b is not None else None
-        if grad_x is None:
+        if not input_grad:
             return n0, n1, None, gw, gb
-        gs = gs.astype(np.float64)
-        gx = s0_mat.T @ gs
-        return n0, n1, gx.reshape(n1 - n0, h, win, c_in).transpose(0, 3, 1, 2), gw, gb
+        return n0, n1, s0_mat.T @ gs.astype(np.float64), gw, gb
 
     for n0, n1, gx, gw, gb in runtime.run_chunks(do_chunk, tasks):
-        if grad_x is not None:
-            grad_x[n0:n1] += gx
+        if input_grad and grad_x is None and n1 - n0 == n:
+            grad_x = gx  # a scatter starts from +0.0: it holds no -0.0 for 0 + gx to flip
+        elif input_grad:
+            if grad_x is None:
+                grad_x = np.zeros((n * h * win, c_in))
+            grad_x[n0 * h * win : n1 * h * win] += gx
         grad_w += gw
         if grad_b is not None:
             grad_b += gb

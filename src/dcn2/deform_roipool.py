@@ -8,7 +8,7 @@ pooled RoI features: two 1024-D fc layers with a ReLU between them, then an
 fc to 3K outputs whose first 2K entries are offsets normalized by the RoI
 height/width and whose last K pass through a sigmoid. The branch runs on all
 R RoIs of a call at once, one (R, D) matrix product per fc layer forward and
-backward; one RoI is the batch of one.
+backward in the compute dtype of its input; one RoI is the batch of one.
 
 RoI coordinates are continuous feature-map pixels, both edges inclusive; no
 rounding anywhere.
@@ -17,11 +17,12 @@ rounding anywhere.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .deform_conv import sigmoid
+from .deform_conv import is_integer, sigmoid
 from .errors import ArgumentError, ShapeError
 from .sampling import bilinear_corner_gather, compute_dtype, pixel_map, pixel_rows, sampling_matrix
 
@@ -35,6 +36,8 @@ class RoI:
     y2: float
 
     def __post_init__(self):
+        if not is_integer(self.batch_index):
+            raise ArgumentError(f"RoI batch index must be an integer: {self}")
         if not all(math.isfinite(v) for v in (self.x1, self.y1, self.x2, self.y2)):
             raise ArgumentError(f"RoI coordinates must be finite: {self}")
         if self.x2 < self.x1 or self.y2 < self.y1:
@@ -58,8 +61,9 @@ class PoolSpec:
     samples: int = 2
 
     def __post_init__(self):
-        if self.bins_h < 1 or self.bins_w < 1 or self.samples < 1:
-            raise ShapeError(f"bins and samples must be >= 1: {self}")
+        counts = (self.bins_h, self.bins_w, self.samples)
+        if not all(is_integer(v) and v >= 1 for v in counts):
+            raise ShapeError(f"bins and samples must be integers >= 1: {self}")
 
     @property
     def k(self) -> int:
@@ -168,14 +172,18 @@ def _scatter_to_pixels(cols, weights, gs: np.ndarray, x: np.ndarray, spec: PoolS
     return pixel_map(grad_x, None, x.shape, x.dtype)
 
 
+def _pooled(cols, data, xt: np.ndarray, x: np.ndarray, spec: PoolSpec) -> np.ndarray:
+    """The (R, C, bins_h, bins_w) map S X^T, in x's dtype, of a modulated pattern."""
+    out = sampling_matrix(cols, data, xt.shape[0], per_row=4 * spec.n_k) @ xt  # (R*K, C)
+    shape = (out.shape[0] // spec.k, x.shape[1], spec.bins_h, spec.bins_w)
+    return pixel_map(out, None, shape, x.dtype)
+
+
 def mdpool_forward(x, rois: list[RoI], spec: PoolSpec, field: BinField) -> np.ndarray:
     """Pooled output (R, C, bins_h, bins_w) for the (R, 2K)/(R, K) field."""
     x = _check_pool_args(x, rois, spec, field)
-    c = x.shape[1]
     cols, data = _pool_geometry(x, rois, spec, field, modulated=True)
-    xt = pixel_rows(x, dtype=compute_dtype(x))
-    out = sampling_matrix(cols, data, xt.shape[0], per_row=4 * spec.n_k) @ xt  # (R*K, C)
-    return pixel_map(out, None, (len(rois), c, spec.bins_h, spec.bins_w), x.dtype)
+    return _pooled(cols, data, pixel_rows(x, dtype=compute_dtype(x)), x, spec)
 
 
 def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, field: BinField, upstream):
@@ -187,21 +195,28 @@ def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, field: BinField, upstrea
     grad_x is S^T (upstream * dm / n_k), accumulated in float64.
     """
     x = _check_pool_args(x, rois, spec, field)
+    return _mdpool_backward(x, pixel_rows(x, dtype=compute_dtype(x)), rois, spec, field, upstream)
+
+
+def _mdpool_backward(x, xt: np.ndarray, rois: list[RoI], spec: PoolSpec, field: BinField,
+                     upstream):
+    """`mdpool_backward` on X^T. One product over the bins' interleaved weight,
+    y- and x-derivative rows gives each bin sum in the order of its own product.
+    """
     gk = _upstream_rows(x, rois, spec, upstream)
-
+    r, k, per_bin = len(rois), spec.k, 4 * spec.n_k
     cols, weights, dwy, dwx = _pool_geometry(x, rois, spec, field, derivatives=True)
-    xt = pixel_rows(x, dtype=compute_dtype(x))
-    per_bin = 4 * spec.n_k
+    data = np.stack([a.reshape(r * k, per_bin) for a in (weights, dwy, dwx)], axis=1)
+    cols3 = np.broadcast_to(cols.reshape(r * k, 1, per_bin), data.shape)
+    sums = sampling_matrix(cols3, data, xt.shape[0], per_bin) @ xt  # (3*R*K, C)
+    sums = sums.reshape(r * k, 3, xt.shape[1])
 
-    def binned(data):  # (R*K, C): per-bin sums of the samples' rows
-        return sampling_matrix(cols, data, xt.shape[0], per_bin) @ xt
-
-    grad_mod = np.einsum("ij,ij->i", gk, binned(weights)).reshape(len(rois), spec.k) / spec.n_k
+    grad_mod = np.einsum("ij,ij->i", gk, sums[:, 0]).reshape(r, k) / spec.n_k
     # dL/d(sample), shared by a bin's samples
     gs = gk * (field.modulation.reshape(-1, 1) / spec.n_k)
-    grad_off = np.empty((len(rois), 2 * spec.k), dtype=np.float64)
-    grad_off[:, 0::2] = np.einsum("ij,ij->i", gs, binned(dwy)).reshape(len(rois), spec.k)
-    grad_off[:, 1::2] = np.einsum("ij,ij->i", gs, binned(dwx)).reshape(len(rois), spec.k)
+    grad_off = np.empty((r, 2 * k), dtype=np.float64)
+    grad_off[:, 0::2] = np.einsum("ij,ij->i", gs, sums[:, 1]).reshape(r, k)
+    grad_off[:, 1::2] = np.einsum("ij,ij->i", gs, sums[:, 2]).reshape(r, k)
     return _scatter_to_pixels(cols, weights, gs, x, spec), grad_off, grad_mod
 
 
@@ -274,8 +289,8 @@ def make_roi_branch(in_dim: int, k: int, hidden: int = 1024,
 class RoiBranchCache:
     """What `roi_branch_backward` needs from one forward over R RoIs: the
     (R, D) flattened inputs, the (R, hidden) ReLU output and second fc
-    output, the (R, K) modulation and the (R, 2K) (height, width) table that
-    scales the offsets. `pooled_shape` is the shape of the forward's input.
+    output in the compute dtype, the (R, K) modulation and the (R, 2K)
+    (height, width) scales of the offsets. `pooled_shape` is the forward's.
     """
 
     pooled_shape: tuple
@@ -291,11 +306,13 @@ def roi_branch_forward(pooled, fc1: Affine, fc2: Affine, out_w: Affine,
     """The BinField of R RoIs from their plainly pooled (R, C, bins_h, bins_w)
     features, and the cache of `roi_branch_backward`.
 
-    Each fc layer is one (R, D) matrix product in float64. The first 2K
+    Each fc layer is one (R, D) matrix product in the compute dtype of
+    `pooled` (`sampling.compute_dtype`); the field is float64. The first 2K
     outputs are offsets normalized by the RoI extent: pair k is multiplied
     elementwise by (height, width) to give absolute pixels.
     """
-    p = np.asarray(pooled).astype(np.float64)
+    dt = compute_dtype(np.asarray(pooled))
+    p = np.asarray(pooled, dtype=dt)
     r, d = len(rois), fc1.weight.shape[1]
     if p.size != r * d or p.shape[:1] != (r,):
         raise ShapeError(f"fc1 expects {d} inputs per RoI, pooled is {p.shape} for {r} RoIs")
@@ -306,15 +323,14 @@ def roi_branch_forward(pooled, fc1: Affine, fc2: Affine, out_w: Affine,
     k = out_w.out_dim // 3
 
     z0 = p.reshape(r, d)
-    a1 = np.maximum(z0 @ np.asarray(fc1.weight, dtype=np.float64).T + fc1.bias, 0.0)
-    z2 = a1 @ np.asarray(fc2.weight, dtype=np.float64).T + fc2.bias
-    raw = z2 @ np.asarray(out_w.weight, dtype=np.float64).T + out_w.bias
+    a1 = np.maximum(z0 @ np.asarray(fc1.weight, dt).T + np.asarray(fc1.bias, dt), 0.0)
+    z2 = a1 @ np.asarray(fc2.weight, dt).T + np.asarray(fc2.bias, dt)
+    raw = z2 @ np.asarray(out_w.weight, dt).T + np.asarray(out_w.bias, dt)
 
     extents = np.array([(roi.height, roi.width) for roi in rois], dtype=np.float64)
     scale = np.tile(extents.reshape(r, 2), k)  # (R, 2K): (height, width) per bin
-    modulation = sigmoid(raw[:, 2 * k :])
-    field = BinField(raw[:, : 2 * k] * scale, modulation)
-    return field, RoiBranchCache(p.shape, z0, a1, z2, modulation, scale)
+    field = BinField(raw[:, : 2 * k] * scale, sigmoid(raw[:, 2 * k :]))
+    return field, RoiBranchCache(p.shape, z0, a1, z2, field.modulation, scale)
 
 
 def roi_branch_backward(fc1: Affine, fc2: Affine, out_w: Affine, cache: RoiBranchCache,
@@ -322,25 +338,60 @@ def roi_branch_backward(fc1: Affine, fc2: Affine, out_w: Affine, cache: RoiBranc
     """Gradients of the branch given (R, 2K) and (R, K) gradients on the
     absolute-pixel field.
 
-    Returns (grad_pooled, (gw1, gb1), (gw2, gb2), (gwo, gbo)). grad_pooled
-    has the shape of the forward's pooled input; each parameter gradient is
-    one matrix product summed over the RoIs.
+    Returns (grad_pooled, (gw1, gb1), (gw2, gb2), (gwo, gbo)) in the
+    forward's compute dtype. grad_pooled has the forward's pooled shape;
+    each parameter gradient is one matrix product summed over the RoIs.
     """
     go = np.asarray(grad_offsets, dtype=np.float64)
     gm = np.asarray(grad_modulation, dtype=np.float64)
     if go.shape != cache.scale.shape or gm.shape != cache.modulation.shape:
         raise ShapeError(f"field gradients {go.shape} / {gm.shape} != "
                          f"{cache.scale.shape} / {cache.modulation.shape}")
-    m = cache.modulation
+    m, dt = cache.modulation, cache.z0.dtype
     grad_raw = np.concatenate([go * cache.scale, gm * m * (1.0 - m)], axis=1)  # (R, 3K)
+    grad_raw = grad_raw.astype(dt, copy=False)
 
     gwo = grad_raw.T @ cache.z2
     gbo = grad_raw.sum(axis=0)
-    gz2 = grad_raw @ np.asarray(out_w.weight, dtype=np.float64)
+    gz2 = grad_raw @ np.asarray(out_w.weight, dt)
     gw2 = gz2.T @ cache.a1
     gb2 = gz2.sum(axis=0)
-    gz1 = (gz2 @ np.asarray(fc2.weight, dtype=np.float64)) * (cache.a1 > 0)
+    gz1 = (gz2 @ np.asarray(fc2.weight, dt)) * (cache.a1 > 0)
     gw1 = gz1.T @ cache.z0
     gb1 = gz1.sum(axis=0)
-    grad_pooled = gz1 @ np.asarray(fc1.weight, dtype=np.float64)
+    grad_pooled = gz1 @ np.asarray(fc1.weight, dt)
     return grad_pooled.reshape(cache.pooled_shape), (gw1, gb1), (gw2, gb2), (gwo, gbo)
+
+
+# a deformable pooling step's forward record: X^T in the compute dtype and
+# the aligned pattern, scaled by 1/n_k, serve its backward
+DeformablePoolCache = namedtuple("DeformablePoolCache",
+                                 "x rois field branch xt plain_cols plain_weights")
+
+
+def _deformable_pool_forward(x, rois: list[RoI], spec: PoolSpec, fc1: Affine, fc2: Affine,
+                             out_w: Affine) -> tuple[np.ndarray, DeformablePoolCache]:
+    """`aligned_pool_forward`, `roi_branch_forward`, `mdpool_forward` over one X^T."""
+    identity = BinField.identity(len(rois), spec.k)
+    x = _check_pool_args(x, rois, spec, identity)
+    xt = pixel_rows(x, dtype=compute_dtype(x))
+    plain_cols, plain_weights = _pool_geometry(x, rois, spec, identity, modulated=True)
+    field, branch = roi_branch_forward(_pooled(plain_cols, plain_weights, xt, x, spec),
+                                       fc1, fc2, out_w, rois)
+    cols, data = _pool_geometry(x, rois, spec, field, modulated=True)
+    return _pooled(cols, data, xt, x, spec), DeformablePoolCache(
+        x, rois, field, branch, xt, plain_cols, plain_weights)
+
+
+def _deformable_pool_backward(cache: DeformablePoolCache, spec: PoolSpec, fc1: Affine,
+                              fc2: Affine, out_w: Affine, upstream):
+    """(grad_x, the branch's parameter gradient pairs) of `mdpool_backward`,
+    `roi_branch_backward`, `aligned_pool_backward` on the forward's X^T and
+    aligned pattern; grad_x is bit for bit theirs when n_k is a power of two.
+    """
+    x, rois, field, branch, xt, plain_cols, plain_weights = cache
+    gx, goff, gmod = _mdpool_backward(x, xt, rois, spec, field, upstream)
+    grad_plain, *grads = roi_branch_backward(fc1, fc2, out_w, branch, goff, gmod)
+    gx += _scatter_to_pixels(plain_cols, plain_weights,
+                             pixel_rows(grad_plain, dtype=np.float64), x, spec)
+    return gx, grads

@@ -4,7 +4,8 @@ Not an autograd system: each layer caches what its own backward pass needs,
 and models wire layers together explicitly. The deformable layers keep no
 operator math of their own: `DeformConv2dLayer` calls
 `offset_branch_forward`/`_backward` and the mdconv kernels, `RoIPoolLayer`
-calls `roi_branch_forward`/`_backward` and the pooling kernels. Parameters
+the pooling kernels or, deformable, the step in `deform_roipool` that
+composes them with `roi_branch_forward`/`_backward`. Parameters
 carry a learning-rate multiplier so offset/modulation branches can train at
 0.1x the base rate.
 """
@@ -29,14 +30,12 @@ from .deform_roipool import (
     Affine,
     PoolSpec,
     RoI,
+    _deformable_pool_backward,
+    _deformable_pool_forward,
     aligned_pool_backward,
     aligned_pool_forward,
     aligned_pool_reads,
     make_roi_branch,
-    mdpool_backward,
-    mdpool_forward,
-    roi_branch_backward,
-    roi_branch_forward,
 )
 from .errors import ShapeError, UsageError
 from .sampling import pixel_map, pixel_rows
@@ -343,10 +342,12 @@ class RoIPoolLayer:
 
     In deformable mode the sibling fc branch (Gaussian hidden layers, zero
     output layer) is trained jointly; its fc parameters use the base rate.
-    The branch runs once per call over all RoIs, and the recorded state is
-    (x, rois) for aligned pooling and (x, rois, field, branch cache) for
-    deformable pooling. `backward` takes the upstream gradient as (R, C,
-    bins_h, bins_w) or as the (R, C*K) rows a head's backward gives.
+    The branch runs once per call over all RoIs, in the input's compute
+    dtype, and the recorded state is (x, rois) for aligned pooling and (x,
+    rois, field, branch cache) for deformable pooling, whose forward also
+    keeps X^T and the aligned pattern for its backward. `backward` takes the
+    upstream gradient as (R, C, bins_h, bins_w) or as the (R, C*K) rows a
+    head's backward gives.
     """
 
     def __init__(self, c_in: int, spec: PoolSpec, rng: np.random.Generator,
@@ -369,15 +370,10 @@ class RoIPoolLayer:
         return [self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b, self.out_w, self.out_b]
 
     def _affines(self):
-        """The branch fc layers in float64, cast once per call."""
-        def f64(p):
-            return p.value.astype(np.float64)
-
-        return (
-            Affine(f64(self.fc1_w), f64(self.fc1_b)),
-            Affine(f64(self.fc2_w), f64(self.fc2_b)),
-            Affine(f64(self.out_w), f64(self.out_b)),
-        )
+        """The branch fc layers over the parameter values."""
+        return (Affine(self.fc1_w.value, self.fc1_b.value),
+                Affine(self.fc2_w.value, self.fc2_b.value),
+                Affine(self.out_w.value, self.out_b.value))
 
     def demand(self, shape: tuple[int, int, int], rois: list[RoI]):
         """What `forward` reads of an (N, H, W) map for `rois`, as a sorted
@@ -391,11 +387,8 @@ class RoIPoolLayer:
         if not self.deformable:
             self._cache = (x, rois)
             return aligned_pool_forward(x, rois, self.spec)
-        fc1, fc2, out_w = self._affines()
-        plain = aligned_pool_forward(x, rois, self.spec)
-        field, branch = roi_branch_forward(plain, fc1, fc2, out_w, rois)
-        self._cache = (x, rois, field, branch)
-        return mdpool_forward(x, rois, self.spec, field)
+        out, self._cache = _deformable_pool_forward(x, rois, self.spec, *self._affines())
+        return out
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         x, rois = self.recorded_state()[:2]
@@ -404,22 +397,13 @@ class RoIPoolLayer:
             gy = np.reshape(gy, (len(rois), x.shape[1], self.spec.bins_h, self.spec.bins_w))
         if not self.deformable:
             return aligned_pool_backward(x, rois, self.spec, gy)
-        field, branch = self._cache[2:]
-        fc1, fc2, out_w = self._affines()
-        gx, goff, gmod = mdpool_backward(x, rois, self.spec, field, gy)
-        grad_plain, (gw1, gb1), (gw2, gb2), (gwo, gbo) = roi_branch_backward(
-            fc1, fc2, out_w, branch, goff, gmod)
-        self.fc1_w.grad += gw1
-        self.fc1_b.grad += gb1
-        self.fc2_w.grad += gw2
-        self.fc2_b.grad += gb2
-        self.out_w.grad += gwo
-        self.out_b.grad += gbo
-        gx += aligned_pool_backward(x, rois, self.spec, grad_plain)
+        gx, grads = _deformable_pool_backward(self._cache, self.spec, *self._affines(), gy)
+        for p, g in zip(self.params(), (g for pair in grads for g in pair)):
+            p.grad += g
         return gx
 
     def recorded_state(self):
-        return _recorded(self._cache)
+        return _recorded(self._cache)[:4]
 
 
 def roi_readout(trunk: Sequential, pool: RoIPoolLayer, images, rois: list[RoI]) -> np.ndarray:

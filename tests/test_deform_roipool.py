@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import dcn2.deform_roipool as deform_roipool
 from dcn2.checks import run_gradcheck
+from dcn2.deform_conv import KernelSpec
 from dcn2.deform_roipool import (
     Affine,
     BinField,
@@ -303,6 +307,84 @@ def test_deformable_pool_layer_matches_per_roi_branch_loop():
         assert _rel(p.grad, want) <= 1e-12, p.name
 
 
+def _deformable_layer_step(dtype):
+    """A seeded deformable layer's forward and backward on `dtype` input
+    (the same values for either dtype): (layer, x, rois, gy, out, gx).
+    """
+    rng = np.random.default_rng(21)
+    spec = PoolSpec(2, 3, samples=2)
+    c_in = 3
+    layer = RoIPoolLayer(c_in, spec, rng, deformable=True, hidden=16)
+    for p in (layer.out_w, layer.out_b):
+        p.value[...] = rng.normal(0.0, 0.05, p.value.shape)
+    x = rng.normal(size=(2, c_in, 12, 14)).astype(np.float32).astype(dtype)
+    rois = [RoI(0, 1.0, 2.0, 9.5, 8.0), RoI(1, 0.5, 0.5, 4.0, 11.0),
+            RoI(1, 3.25, 1.75, 12.5, 6.0), RoI(0, -1.5, 2.0, 2.5, 13.0)]
+    gy = rng.normal(size=(len(rois), c_in, spec.bins_h, spec.bins_w))
+    gy = gy.astype(np.float32).astype(dtype)
+    out = layer.forward(x, rois)
+    return layer, x, rois, gy, out, layer.backward(gy)
+
+
+def test_float32_deformable_pool_layer_matches_float64_layer():
+    # the branch runs in float32 for a float32 input: the README's float32 rule
+    layer32, _, _, _, out32, gx32 = _deformable_layer_step(np.float32)
+    layer64, _, _, _, out64, gx64 = _deformable_layer_step(np.float64)
+    assert out32.dtype == gx32.dtype == np.float32
+    assert layer32.recorded_state()[3].z0.dtype == np.float32
+    assert _rel(out32, out64) <= 1e-4
+    assert _rel(gx32, gx64) <= 1e-4
+    for p32, p64 in zip(layer32.params(), layer64.params()):
+        assert _rel(p32.grad, p64.grad) <= 1e-4, p32.name
+
+
+def test_float64_deformable_pool_layer_is_the_public_kernels_composed():
+    # with 2x2 samples the layer's shared X^T and aligned pattern change no bit
+    layer, x, rois, gy, out, gx = _deformable_layer_step(np.float64)
+    spec = layer.spec
+    fc1, fc2, out_w = layer._affines()
+    plain = aligned_pool_forward(x, rois, spec)
+    field, cache = roi_branch_forward(plain, fc1, fc2, out_w, rois)
+    assert np.array_equal(out, mdpool_forward(x, rois, spec, field))
+    want_gx, goff, gmod = mdpool_backward(x, rois, spec, field, gy)
+    grad_plain, *pairs = roi_branch_backward(fc1, fc2, out_w, cache, goff, gmod)
+    want_gx += aligned_pool_backward(x, rois, spec, grad_plain)
+    assert np.array_equal(gx, want_gx)
+    for p, want in zip(layer.params(), [g for pair in pairs for g in pair]):
+        assert np.array_equal(p.grad, want), p.name
+
+
+def test_deformable_pool_layer_step_gathers_three_patterns(monkeypatch):
+    # the aligned pattern serves forward and backward; mdpool needs one
+    # modulated pattern and one with derivatives
+    calls = []
+    gather = deform_roipool.bilinear_corner_gather
+    monkeypatch.setattr(deform_roipool, "bilinear_corner_gather",
+                        lambda *a, **kw: calls.append(1) or gather(*a, **kw))
+    _deformable_layer_step(np.float32)
+    assert len(calls) == 3
+
+
+def test_float32_deformable_pool_layer_step_copies_no_fc_weights():
+    # hidden 256 over D = 64 * 49: one float64 copy of fc1 is 6.4 MB, more
+    # than the whole float32 step may allocate
+    rng = np.random.default_rng(22)
+    layer = RoIPoolLayer(64, PoolSpec(7, 7, 2), rng, deformable=True, hidden=256)
+    x = rng.normal(size=(1, 64, 12, 12)).astype(np.float32)
+    rois = [RoI(0, 1.0, 1.5, 9.0, 10.0), RoI(0, 0.0, 0.0, 11.0, 11.0)]
+    gy = rng.normal(size=(len(rois), 64, 7, 7)).astype(np.float32)
+    layer.forward(x, rois)
+    layer.backward(gy)
+    tracemalloc.start()
+    try:
+        layer.forward(x, rois)
+        layer.backward(gy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < layer.fc1_w.value.size * 8
+
+
 def test_pool_layer_backward_takes_head_rows():
     rng = np.random.default_rng(15)
     spec = PoolSpec(2, 3)
@@ -349,6 +431,31 @@ def test_roi_branch_backward_shapes():
     assert gwo.shape == out_w.weight.shape and gbo.shape == out_w.bias.shape
     with pytest.raises(ShapeError):  # a single RoI's gradients are a batch of one
         roi_branch_backward(fc1, fc2, out_w, cache, np.ones(8), np.ones(4))
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: RoI(0.7, 0.0, 0.0, 2.0, 2.0), ArgumentError),
+    (lambda: RoI(1.0, 0.0, 0.0, 2.0, 2.0), ArgumentError),
+    (lambda: RoI(True, 0.0, 0.0, 2.0, 2.0), ArgumentError),
+    (lambda: PoolSpec(2.5, 2), ShapeError),
+    (lambda: PoolSpec(2, 2, samples=2.0), ShapeError),
+    (lambda: PoolSpec(2, True), ShapeError),
+    (lambda: KernelSpec(2.5, 3), ShapeError),
+    (lambda: KernelSpec(3, 3, stride=(1.5, 1)), ShapeError),
+    (lambda: KernelSpec(3, 3, pad=(1, 0.5)), ShapeError),
+    (lambda: KernelSpec(3, 3, dilation=(True, 1)), ShapeError),
+    (lambda: KernelSpec(3, 3, stride=2), ShapeError),
+], ids=["roi_fraction", "roi_float", "roi_bool", "bins", "samples", "bins_bool", "kernel",
+        "stride", "pad", "dilation_bool", "stride_scalar"])
+def test_geometry_records_take_integers_only(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def test_geometry_records_take_numpy_integers():
+    assert RoI(np.int64(1), 0.0, 0.0, 2.0, 2.0).batch_index == 1
+    assert PoolSpec(np.int32(2), 3).k == 6
+    assert KernelSpec(np.int64(3), 3, pad=(np.int64(1), 1)).out_size(8, 8) == (8, 8)
 
 
 def test_roi_invariants():
