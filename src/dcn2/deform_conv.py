@@ -662,10 +662,7 @@ def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions
 # ---------------------------------------------------------------------------
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic sigmoid (dtype preserving for floats)."""
-    z = np.asarray(z)
-    if z.dtype not in (np.float32, np.float64):
-        z = z.astype(np.float64)
+    """Overflow-safe logistic sigmoid of a float32 or float64 array, in its dtype."""
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: e never overflows
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)

@@ -24,6 +24,10 @@ from .sampling import bilinear_corner_gather, pixel_map, pixel_rows, sampling_ma
 # norms below this are treated as zero vectors by the cosine guard
 _NORM_GUARD = 1e-30
 
+# the positive threshold on a proposal's best ground-truth IoU, and Ω per image
+POSITIVE_IOU = 0.5
+OMEGA_SIZE = 32
+
 _zero_norm_guards = 0
 
 
@@ -157,8 +161,6 @@ def box_iou(a: RoI, b: RoI) -> float:
 class MimicConfig:
     mimic_weight: float = 0.1
     rcnn_cls_weight: float = 0.1
-    positive_iou: float = 0.5
-    omega_size: int = 32
     patch_size: tuple[int, int] = (32, 32)
 
     def __post_init__(self):
@@ -178,10 +180,10 @@ class MimicBatch:
     @staticmethod
     def build(images, proposals: list[RoI], gt_boxes: list[RoI], gt_labels,
               cfg: MimicConfig, rng: np.random.Generator) -> "MimicBatch":
-        """Keep proposals whose best ground-truth IoU reaches the positive
-        threshold, sample at most omega_size of them, and crop+resize their
-        patches in one `crop_resize_patch` call over the kept list. `gt_labels`
-        holds one label per gt box (1-D), else ShapeError.
+        """Keep proposals whose best ground-truth IoU reaches POSITIVE_IOU,
+        sample at most OMEGA_SIZE per image in proposal order, and crop+resize
+        their patches in one `crop_resize_patch` call over the kept list.
+        `gt_labels` holds one label per gt box (1-D), else ShapeError.
         """
         gt_labels = np.asarray(gt_labels)
         if gt_labels.shape != (len(gt_boxes),):
@@ -196,11 +198,15 @@ class MimicBatch:
                 v = box_iou(p, g)
                 if v > best:
                     best, best_g = v, gi
-            if best >= cfg.positive_iou:
+            if best >= POSITIVE_IOU:
                 positives.append((p, int(gt_labels[best_g])))
-        if len(positives) > cfg.omega_size:
-            keep = rng.choice(len(positives), size=cfg.omega_size, replace=False)
-            positives = [positives[i] for i in sorted(keep)]
+        keep = []
+        for b in sorted({p.batch_index for p, _ in positives}):
+            mine = [i for i, (p, _) in enumerate(positives) if p.batch_index == b]
+            if len(mine) > OMEGA_SIZE:
+                mine = rng.choice(mine, size=OMEGA_SIZE, replace=False).tolist()
+            keep += mine
+        positives = [positives[i] for i in sorted(keep)]
         rois = [p for p, _ in positives]
         labels = np.array([l for _, l in positives], dtype=np.int64)
         return MimicBatch(rois, crop_resize_patch(images, rois, cfg.patch_size), labels)
@@ -252,9 +258,9 @@ class TwoBranchModel:
         """This model on shallow copies of the trunk layers: they hold the
         same Params, so gradients and updates land on the shared trunk, but
         keep their own forward state. Safe because every layer rebinds its
-        state attributes (`_x`, `_field`, `_demand`, `_cache`, `_mask`) in
-        `forward` and never mutates them in place; a demanded deformable
-        layer's `_field` holds rows at its `_demand`, not maps.
+        state attributes (`_x`, `_field`, `_positions`, `_cache`, `_mask`) in
+        `forward` and never mutates them in place; a deformable layer's
+        `_field` holds rows at its `_positions`, not maps.
         """
         return TwoBranchModel(Sequential(map(copy.copy, self.backbone.layers)),
                               copy.copy(self.pool), Sequential(map(copy.copy, self.fc.layers)),

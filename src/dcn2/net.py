@@ -12,6 +12,9 @@ carry a learning-rate multiplier so offset/modulation branches can train at
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
 from .deform_conv import (
@@ -130,12 +133,11 @@ class DeformConv2dLayer:
 
     The sibling branch convolution (`offset_branch_forward`: 3K channels,
     or 2K with dm = 1 when unmodulated) is zero-initialized and its
-    parameters carry the 0.1 learning-rate multiplier. The last forward's
-    input `_x`, field `_field` and demand `_demand` stay recorded for
-    `backward` and for spatial-support analysis. A demanded forward (see
-    `forward`) records the field as its rows at the demand, which
-    `recorded_state` turns into whole maps, zero off the demand, only when
-    asked; the readers of whole fields (`mean_abs_offset`,
+    parameters carry the 0.1 learning-rate multiplier. Every call runs on a
+    sorted list of flat output positions (see `forward`), with the field as
+    its rows there. The last forward's input `_x`, field `_field` and list
+    `_positions` stay recorded for `backward` and for spatial-support
+    analysis. The readers of whole fields (`mean_abs_offset`,
     `support.effective_sampling_locations`) recompute the field over the
     whole map from the recorded input, which is always whole, with the
     current branch parameters.
@@ -157,7 +159,7 @@ class DeformConv2dLayer:
                                  lr_mult=BRANCH_LR_MULTIPLIER, name=f"{name}.branch_bias")
         self._x = None
         self._field = None
-        self._demand = None
+        self._positions = None
 
     def params(self):
         return [self.weight, self.bias, self.branch_weight, self.branch_bias]
@@ -168,37 +170,41 @@ class DeformConv2dLayer:
     def _weights(self) -> ConvWeights:
         return ConvWeights(self.weight.value, self.bias.value)
 
-    def _map_shape(self, c: int) -> tuple:
-        """(N, c, H_out, W_out) of the last forward's output."""
-        return (len(self._x), c, *self.spec.out_size(*self._x.shape[2:]))
+    def _map_shape(self, x: np.ndarray, c: int) -> tuple:
+        """(N, c, H_out, W_out) of the output map for the input `x`."""
+        return (len(x), c, *self.spec.out_size(*x.shape[2:]))
 
     def forward(self, x: np.ndarray, demand=None) -> np.ndarray:
-        """The output map. With `demand`, a sorted list of flat output
-        positions, the offset branch and the kernel compute only those
-        positions, as rows; the output map is zero elsewhere, and `backward`
-        treats it there as a constant.
+        """The output map. The offset branch and the kernel compute, as rows,
+        the positions of `demand`, a sorted list of flat output positions, or
+        every position; the map is zero off the list, and `backward` treats
+        it there as a constant.
         """
-        field = offset_branch_forward(x, self._branch_weights(), self.spec, demand)
-        self._x, self._field, self._demand = x, field, demand
-        y = mdconv_forward_optimized(x, self._weights(), self.spec, field, positions=demand)
-        return y if demand is None else pixel_map(y, demand, self._map_shape(y.shape[1]))
+        x = np.asarray(x)
+        if x.ndim != 4:
+            raise ShapeError(f"input must be (N,C,H,W), got shape {x.shape}")
+        shape = self._map_shape(x, len(self.bias.value))
+        positions = np.arange(shape[0] * shape[2] * shape[3]) if demand is None else demand
+        field = offset_branch_forward(x, self._branch_weights(), self.spec, positions)
+        self._x, self._field, self._positions = x, field, positions
+        y = mdconv_forward_optimized(x, self._weights(), self.spec, field, positions=positions)
+        return pixel_map(y, positions, shape)
 
     def backward(self, gy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """The input gradient for the output gradient `gy`, read only at the
-        last forward's demand; None with input_grad=False.
+        """The input gradient for the output map's gradient `gy`, read only at
+        the last forward's positions; None with input_grad=False.
         """
-        x, field, demand = _recorded(self._x), self._field, self._demand
-        if demand is not None:
-            want = self._map_shape(len(self.bias.value))
-            if np.shape(gy) != want:
-                raise ShapeError(f"upstream shape {np.shape(gy)} != {want}")
-            gy = pixel_rows(gy, demand)
+        x, field, positions = _recorded(self._x), self._field, self._positions
+        gy, want = np.asarray(gy), self._map_shape(x, len(self.bias.value))
+        if gy.shape != want:
+            raise ShapeError(f"upstream shape {gy.shape} != {want}")
         gx, gw, gb, goff, gmod = mdconv_backward_optimized(
-            x, self._weights(), self.spec, field, gy, demand, input_grad)
+            x, self._weights(), self.spec, field, pixel_rows(gy, positions), positions,
+            input_grad)
         self.weight.grad += gw
         self.bias.grad += gb
         gx_branch, gbw, gbb = offset_branch_backward(
-            x, self._branch_weights(), self.spec, field, goff, gmod, demand, input_grad)
+            x, self._branch_weights(), self.spec, field, goff, gmod, positions, input_grad)
         self.branch_weight.grad += gbw
         self.branch_bias.grad += gbb
         if input_grad:
@@ -206,14 +212,13 @@ class DeformConv2dLayer:
         return gx
 
     def recorded_state(self):
-        """(input, field) of the last forward; a demanded forward's field as
-        whole maps, zero off the demand.
+        """(input, field) of the last forward, the field as whole maps, zero
+        off the forward's positions.
         """
         x, field = _recorded(self._x), self._field
-        if self._demand is not None:
-            field = OffsetModulationField(*(pixel_map(a, self._demand, self._map_shape(a.shape[1]))
-                                            for a in (field.offsets, field.modulation)))
-        return x, field
+        return x, OffsetModulationField(*(
+            pixel_map(a, self._positions, self._map_shape(x, a.shape[1]))
+            for a in (field.offsets, field.modulation)))
 
     def _whole_field(self):
         """The whole-map field of the recorded input, under the current branch parameters."""
@@ -274,25 +279,17 @@ class Sequential:
         """(H, W) of the output map for an (H, W) input map; every layer must
         be a convolution or a ReLU.
         """
-        for layer in self.layers:
-            if isinstance(layer, (Conv2dLayer, DeformConv2dLayer)):
-                hw = layer.spec.out_size(*hw)
-            elif not isinstance(layer, ReLULayer):
-                raise UsageError(f"{type(layer).__name__} has no output map")
-        return hw
+        return functools.reduce(_out_hw, self.layers, hw)
 
     def forward(self, x, demand=None):
-        """Each layer in turn.
-
-        `demand`, a sorted list of flat positions of the (N, H_out, W_out)
-        output map, asks for those positions only. It is carried back
-        through the layers after the last deformable layer (a ReLU passes it
-        through, a regular conv dilates it by its kernel extent), and that
-        layer computes only the positions it then demands; every other layer
-        runs in full, since the earlier ones feed sampling positions that can
-        land anywhere. The output is exact at the demanded positions only.
-        Without a deformable layer, or with another kind of layer after it,
-        every layer runs in full.
+        """Each layer in turn; with `demand`, a sorted list of flat positions
+        of the (N, H_out, W_out) output map, exact at those positions only.
+        The demand is carried back through the layers after the last
+        deformable layer (a ReLU passes it through, a regular conv dilates it
+        by its kernel extent; any other layer raises UsageError, as in
+        `out_hw`), and that layer computes only the positions it then
+        demands. Every other layer runs in full, since the earlier ones feed
+        sampling positions that can land anywhere.
         """
         last = max((i for i, l in enumerate(self.layers) if isinstance(l, DeformConv2dLayer)),
                    default=None)
@@ -314,17 +311,20 @@ class Sequential:
         return gy
 
 
+def _out_hw(hw: tuple[int, int], layer) -> tuple[int, int]:
+    """(H, W) of a convolution's or a ReLU's output map; UsageError else."""
+    if isinstance(layer, (Conv2dLayer, DeformConv2dLayer)):
+        return layer.spec.out_size(*hw)
+    if not isinstance(layer, ReLULayer):
+        raise UsageError(f"{type(layer).__name__} has no output map")
+    return hw
+
+
 def _demand_before(layers, hw: tuple[int, int], demand):
-    """The positions of the (N, *hw) map entering `layers` that their output
-    positions `demand` read; None when a layer is neither a regular conv nor
-    a ReLU.
+    """The positions of the (N, *hw) map entering `layers`, regular convs and
+    ReLUs, that their output positions `demand` read.
     """
-    sizes = [hw]
-    for layer in layers:
-        if not isinstance(layer, (Conv2dLayer, ReLULayer)):
-            return None
-        sizes.append(layer.spec.out_size(*hw) if isinstance(layer, Conv2dLayer) else hw)
-        hw = sizes[-1]
+    sizes = list(itertools.accumulate(layers, _out_hw, initial=hw))
     demand = np.asarray(demand)
     for layer, (h, w), (h_out, w_out) in reversed(list(zip(layers, sizes, sizes[1:]))):
         if isinstance(layer, Conv2dLayer):

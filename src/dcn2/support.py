@@ -32,12 +32,6 @@ from .net import DeformConv2dLayer, RoIPoolLayer, Sequential
 
 def _chw(image) -> np.ndarray:
     arr = np.asarray(image)
-    if arr.ndim == 4:
-        if arr.shape[0] != 1:
-            raise ShapeError("analysis expects a single image")
-        arr = arr[0]
-    if arr.ndim == 2:
-        arr = arr[None]
     if arr.ndim != 3:
         raise ShapeError(f"expected (C,H,W) image, got shape {arr.shape}")
     return arr.astype(np.float64)

@@ -14,7 +14,6 @@ import numpy as np
 from .errors import FormatError, ShapeError
 
 MAGIC = b"DCN2TENS"
-FILE_EXTENSION = ".dcnt"
 
 # product of extents must stay addressable as a byte count on 64-bit hosts
 _MAX_ELEMENTS = 2**61

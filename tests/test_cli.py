@@ -20,8 +20,9 @@ from dcn2.cli import (
     mdconv_macs,
     mdconv_params,
 )
-from dcn2.errors import CapabilityError, ConfigurationError, ConvergenceError, ShapeError
-from dcn2.imageio import encode_pgm
+from dcn2.errors import (CapabilityError, ConfigurationError, ConvergenceError, FormatError,
+                         ShapeError)
+from dcn2.imageio import decode_netpbm, encode_pgm
 from dcn2.synthetic import ToyNetConfig, ToyRegressionNet, save_model
 
 
@@ -644,3 +645,48 @@ def test_threads_env_fallback(monkeypatch, kernel_threads):
     monkeypatch.delenv("DCN2_THREADS")
     kernel_threads(None)
     assert runtime.num_threads() == 1
+
+
+def test_threads_flag_sets_the_kernel_threads_and_keeps_the_output(capsys, kernel_threads):
+    from dcn2 import runtime
+
+    outputs = []
+    for threads in (1, 2):
+        kernel_threads(None)
+        assert main(["demo-train", "--steps", "2", "--threads", str(threads)]) == EXIT_OK
+        assert runtime.num_threads() == threads
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != ""
+
+
+# malformed netpbm bytes and the byte offset each fault is reported at
+_BAD_IMAGES = {
+    "empty": (b"", 0),
+    "bad_magic": (b"P3\n2 2\n255\n" + bytes(12), 0),
+    "no_maxval": (b"P5\n4 4", 6),
+    "non_numeric_width": (b"P5\nx 4\n255\n" + bytes(16), 4),
+    "zero_width": (b"P5\n0 4\n255\n", 10),
+    "zero_maxval": (b"P6\n2 2\n0\n" + bytes(12), 8),
+    "wide_maxval": (b"P5\n4 4\n256\n" + bytes(16), 10),
+    "short_gray_payload": (b"P5\n4 4\n255\n" + bytes(15), 26),
+    "short_color_payload": (b"P6\n2 2\n255\n" + bytes(11), 22),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_IMAGES))
+def test_malformed_image_is_format_error_and_io_exit(tmp_path, capsys, name):
+    buf, offset = _BAD_IMAGES[name]
+    with pytest.raises(FormatError) as err:
+        decode_netpbm(buf)
+    assert err.value.offset == offset
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(buf)
+    assert main(["erf", "--image", str(path)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith("i/o error:") and f"byte offset {offset}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_encode_pgm_wants_one_plane():
+    with pytest.raises(FormatError, match="2-D plane"):
+        encode_pgm(np.zeros((1, 4, 4)))

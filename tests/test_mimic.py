@@ -11,6 +11,7 @@ from dcn2.checks import run_gradcheck
 from dcn2.deform_roipool import PoolSpec, RoI
 from dcn2.errors import ArgumentError, ConfigurationError, ShapeError
 from dcn2.mimic import (
+    OMEGA_SIZE,
     MimicBatch,
     MimicConfig,
     TwoBranchModel,
@@ -195,7 +196,7 @@ def test_batch_filters_below_threshold():
         RoI(1, 4, 4, 12, 12),           # exact
         RoI(1, 0, 0, 3, 3),             # no overlap
     ]
-    cfg = MimicConfig(positive_iou=0.5, omega_size=32, patch_size=(8, 8))
+    cfg = MimicConfig(patch_size=(8, 8))
     batch = MimicBatch.build(images, proposals, gt, [1, 2], cfg, rng)
     assert len(batch) == 2
     for roi in batch.rois:
@@ -206,12 +207,17 @@ def test_batch_filters_below_threshold():
 
 def test_batch_caps_at_omega_size():
     rng = np.random.default_rng(5)
-    images = rng.normal(size=(1, 1, 16, 16))
-    gt = [RoI(0, 2, 2, 12, 12)]
-    proposals = [RoI(0, 2 + 0.01 * i, 2, 12 + 0.01 * i, 12) for i in range(40)]
-    cfg = MimicConfig(omega_size=8, patch_size=(8, 8))
-    batch = MimicBatch.build(images, proposals, gt, [0], cfg, rng)
-    assert len(batch) == 8
+    images = rng.normal(size=(2, 1, 16, 16))
+    gt = [RoI(0, 2, 2, 12, 12), RoI(1, 2, 2, 12, 12)]
+    # image 1's five positives sit among image 0's forty, in proposal order
+    proposals = [RoI(int(i % 9 == 4), 2 + 0.01 * i, 2, 12 + 0.01 * i, 12)
+                 for i in range(45)]
+    batch = MimicBatch.build(images, proposals, gt, [0, 1], MimicConfig(patch_size=(8, 8)), rng)
+    image_of = [r.batch_index for r in batch.rois]
+    assert (image_of.count(0), image_of.count(1)) == (OMEGA_SIZE, 5) == (32, 5)
+    order = [proposals.index(r) for r in batch.rois]
+    assert order == sorted(order)
+    assert list(batch.labels) == image_of
 
 
 def test_batch_crops_every_positive_in_one_gather(monkeypatch):
@@ -297,6 +303,26 @@ def test_shared_param_identity_enforced():
     batch = MimicBatch(rois, images, np.array([0, 1]))
     with pytest.raises(ConfigurationError):
         mimic_step(model, images, batch, MimicConfig(patch_size=(12, 12)))
+
+
+def test_head_param_aliased_into_the_trunk_is_configuration_error():
+    rng = np.random.default_rng(13)
+    model = build_two_branch_model(_tiny_cfg(), 2, rng)
+    model.rcnn_head.weight = model.fc.params()[0]
+    images = rng.normal(size=(1, 1, 12, 12))
+    batch = MimicBatch([RoI(0, 0, 0, 11, 11)], images, np.array([0]))
+    with pytest.raises(ConfigurationError, match="alias"):
+        mimic_step(model, images, batch, MimicConfig(patch_size=(12, 12)))
+
+
+def test_mimic_step_on_an_empty_batch_is_zero_and_adds_no_gradient():
+    rng = np.random.default_rng(14)
+    model = build_two_branch_model(_tiny_cfg(), 2, rng)
+    images = rng.normal(size=(2, 1, 12, 12))
+    batch = MimicBatch([], np.zeros((0, 1, 12, 12)), np.zeros(0, dtype=np.int64))
+    total, parts = mimic_step(model, images, batch, MimicConfig(patch_size=(12, 12)))
+    assert total == 0.0 and parts == {"task": 0.0, "mimic": 0.0, "rcnn_cls": 0.0}
+    assert not any(p.grad.any() for p in model.params())
 
 
 def test_inference_runs_main_branch_only(monkeypatch):

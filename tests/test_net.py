@@ -37,6 +37,19 @@ def test_backward_before_forward_is_usage_error(kind):
                 getattr(layer, state)()
 
 
+def test_deform_layer_checks_its_input_and_upstream_maps():
+    rng = np.random.default_rng(22)
+    layer = LAYERS["deform_conv"](rng)
+    x = rng.normal(size=(1, 2, 5, 4)).astype(np.float32)
+    with pytest.raises(ShapeError, match="input must be"):
+        layer.forward(x[0])
+    for demand in (None, [0, 7]):
+        y = layer.forward(x, demand)
+        for bad in (y[..., :-1], y[0], y.reshape(1, 2, -1)):
+            with pytest.raises(ShapeError, match="upstream shape"):
+                layer.backward(bad)
+
+
 def test_pool_layer_branch_is_make_roi_branch():
     c_in, spec, hidden = 3, PoolSpec(2, 3), 5
     layer = RoIPoolLayer(c_in, spec, np.random.default_rng(4), deformable=True, hidden=hidden)

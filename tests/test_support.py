@@ -171,7 +171,10 @@ def test_network_probe_response_records_nothing_gradient_records_its_demand():
     x_rec, field = layer.recorded_state()
     probe = network_probe(trunk, 5, 6)
     probe.response(rng.normal(size=(1, 12, 12)))
-    assert layer.recorded_state()[0] is x_rec and layer.recorded_state()[1] is field
+    x_after, field_after = layer.recorded_state()
+    assert x_after is x_rec
+    assert np.array_equal(field_after.offsets, field.offsets)
+    assert np.array_equal(field_after.modulation, field.modulation)
     probe.gradient(img)
     x2, field2 = layer.recorded_state()
     assert x2 is not x_rec and x2.shape == x_rec.shape
@@ -223,7 +226,7 @@ def test_sampling_locations_match_offset_grad_norms():
     upstream = rng.normal(size=(1, 3, 7, 7)).astype(np.float32)
     mags = effective_sampling_locations(layer, upstream)
     _, _, _, goff, _ = mdconv_backward_optimized(
-        x, layer._weights(), layer.spec, layer._field, upstream)
+        x, layer._weights(), layer.spec, layer.recorded_state()[1], upstream)
     assert np.allclose(mags, np.hypot(goff[:, 0::2], goff[:, 1::2]))
     assert mags.shape == (1, 9, 7, 7)
 

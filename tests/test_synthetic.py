@@ -14,6 +14,7 @@ from dcn2.synthetic import (
     ToyNetConfig,
     ToyRegressionNet,
     TrainingDiverged,
+    load_model,
     run_mimic_training,
     run_toy_training,
     save_model,
@@ -285,3 +286,18 @@ def test_default_config_and_model_json_bytes_are_pinned(tmp_path):
     assert ToyNetConfig().to_json() == _DEFAULT_CONFIG_JSON
     save_model(ToyRegressionNet(ToyNetConfig(), np.random.default_rng(0)), tmp_path)
     assert (tmp_path / "model.json").read_bytes() == _DEFAULT_MODEL_JSON.encode("ascii")
+
+
+def test_head_widths_train_and_round_trip_through_model_files(tmp_path):
+    cfg = ToyNetConfig(channels=(4, 4), image_size=12, batch_size=2, head_widths=(6, 5))
+    task = SyntheticTask(mode="dilate", image_size=12, seed=0)
+    metrics, net = run_toy_training(cfg, task, steps=2, seed=1)
+    assert len(metrics["per_step_loss"]) == 2 and math.isfinite(metrics["final_eval_loss"])
+    assert [p.value.shape for p in net.head.params()] == [(6, 4), (6,), (5, 6), (5,), (1, 5), (1,)]
+    save_model(net, tmp_path)
+    back = load_model(tmp_path)
+    assert back.cfg == cfg
+    for p, q in zip(net.params(), back.params(), strict=True):
+        assert p.name == q.name and np.array_equal(p.value, q.value)
+    images, _ = task.sample_batch(np.random.default_rng(2), 3)
+    assert np.array_equal(back.forward(images), net.forward(images))
