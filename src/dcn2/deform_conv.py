@@ -23,8 +23,10 @@ GEMM with the weights gives the output. `sampling` owns the layout, the
   live). A dead position gets exact-zero offset and modulation gradients
   and adds nothing to grad_x or grad_w. It rebuilds the live positions'
   pattern together with the weights' coordinate derivatives and scatters
-  grad_x through S^T in float64. The offset branch's backward runs its dense
-  convolution on the live positions of the field gradients alike.
+  grad_x through S^T in float64, each chunk into the window of pixels its
+  pattern reads. The offset branch's backward runs its dense convolution at
+  the positions the field was computed at, whatever the field gradients
+  hold: a whole map always takes the full-map im2col path.
 
 So RoI heads and single-unit probes, which read a few positions, pay only
 for those: `net.Sequential.forward` works out what a head demands and runs
@@ -316,9 +318,10 @@ def mdconv_backward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulation
 # optimized kernel: sparse sampling matrix + GEMM over row blocks
 # ---------------------------------------------------------------------------
 
-# element budget (C_in * K * positions) per work chunk; small problems run as
-# one whole-batch chunk, large ones split into per-item blocks of rows
-_CHUNK_BUDGET = 2_000_000
+# element budget (C_in * K * positions) per work chunk: a backward chunk's float64
+# S^T operand is at most 8 MB. Small problems run as one whole-batch chunk,
+# large ones split into per-item blocks of rows
+_CHUNK_BUDGET = 1_000_000
 
 
 def _chunks(positions: np.ndarray, c_in: int, k: int, h_out: int, w_out: int):
@@ -445,9 +448,10 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
     dL/d(modulated sample) = G W; grad_x = S^T (G W), taken as
     S0^T (G W * m) in float64; offset gradients contract G W * m with Sy X^T
     and Sx X^T; modulation gradients contract G W with S0 X^T; grad_w =
-    (S X^T)^T G. Per-chunk partial sums of grad_x/grad_w/grad_bias are
-    reduced in chunk order, so the result is bit-identical for any thread
-    count.
+    (S X^T)^T G. A chunk's matrices span only the pixel rows its pattern
+    reads, and so does its grad_x partial sum. Partial sums of
+    grad_x/grad_w/grad_bias are added in chunk order, so the result is
+    bit-identical for any thread count.
     """
     x, n, c_in, h, win, h_out, w_out, positions = _check_mdconv_args(x, w, spec, field,
                                                                      upstream, positions)
@@ -455,8 +459,8 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
     c_out = w.weight.shape[0]
 
     k = spec.k
-    # float64 (N*H*W, C_in) rows of grad_x, in X^T's layout; made by the first scatter
-    grad_x = None
+    # float64 (N*H*W, C_in) rows of grad_x, in X^T's layout
+    grad_x = np.zeros((n * h * win, c_in)) if input_grad else None
     grad_w = np.zeros((k * c_in, c_out), dtype=np.float64)
     grad_b = np.zeros(c_out, dtype=np.float64) if w.bias is not None else None
     # position-major: row r holds (dy, dx) per tap, and the modulation
@@ -472,8 +476,6 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
             goff = pixel_map(goff, None, field.offsets.shape)
             gmod = pixel_map(gmod, None, field.modulation.shape)
         gx = None if grad_x is None else pixel_map(grad_x, None, x.shape, x.dtype)
-        if input_grad and gx is None:  # no live position
-            gx = np.zeros(x.shape, dtype=x.dtype)
         return (gx, gw.astype(x.dtype),
                 None if grad_b is None else grad_b.astype(x.dtype), goff, gmod)
 
@@ -482,7 +484,8 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
             grad_b += g.sum(axis=0 if positions is not None else (0, 2, 3), dtype=np.float64)
         return finish()
 
-    at = _live(g)
+    # live: any channel non-zero; `!= 0` holds for NaN, so non-finite values stay live
+    at = np.flatnonzero((g != 0).any(axis=1))
     live = at if positions is None else positions[at]
     tasks = _chunks(live, c_in, k, h_out, w_out)
     if not tasks:
@@ -498,8 +501,10 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
         n0, n1, s0, s1 = task
         rows = at[s0:s1]
         cols, weights, dwy, dwx = geo.pattern(n0, s0, s1, derivatives=True)
-        xt = geo.xt[n0 - geo.first : n1 - geo.first].reshape(-1, c_in)
-        n_cols = xt.shape[0]
+        lo, hi = int(cols.min()), int(cols.max()) + 1  # the pixel rows the pattern reads
+        cols -= lo
+        xt = geo.xt[n0 - geo.first : n1 - geo.first].reshape(-1, c_in)[lo:hi]
+        n_cols = hi - lo
         s0_mat = sampling_matrix(cols, weights, n_cols)
         samples = s0_mat @ xt
         m = geo.mods[s0:s1].reshape(-1, 1).astype(geo.dtype)
@@ -517,29 +522,17 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
         gw = samples.reshape(-1, k * c_in).T @ gmat
         del samples
         gb = gmat.sum(axis=0) if grad_b is not None else None
-        if not input_grad:
-            return n0, n1, None, gw, gb
-        return n0, n1, s0_mat.T @ gs.astype(np.float64), gw, gb
+        gx = s0_mat.T @ gs.astype(np.float64) if input_grad else None
+        return n0 * h * win + lo, gx, gw, gb
 
-    for n0, n1, gx, gw, gb in runtime.run_chunks(do_chunk, tasks):
-        if input_grad and grad_x is None and n1 - n0 == n:
-            grad_x = gx  # a scatter starts from +0.0: it holds no -0.0 for 0 + gx to flip
-        elif input_grad:
-            if grad_x is None:
-                grad_x = np.zeros((n * h * win, c_in))
-            grad_x[n0 * h * win : n1 * h * win] += gx
+    for start, gx, gw, gb in runtime.run_chunks(do_chunk, tasks):
+        if input_grad:
+            # a scatter starts from +0.0: it holds no -0.0 that 0 + gx could flip
+            grad_x[start : start + len(gx)] += gx
         grad_w += gw
         if grad_b is not None:
             grad_b += gb
     return finish()
-
-
-def _live(g: np.ndarray) -> np.ndarray:
-    """Where any channel of an upstream is non-zero: flat positions of an
-    (N, C, H, W) map, row indices of (P, C) rows. `!= 0` holds for NaN, so
-    non-finite values stay live.
-    """
-    return np.flatnonzero((g != 0).any(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +607,9 @@ def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions
     `dense_conv_forward(x, w, spec, positions)`. With `positions` the
     upstream is the (P, C_out) rows there, only those output positions are
     computed, from their im2col rows, and grad_x is scattered from the rows
-    in float64. With input_grad=False grad_x is None.
+    in float64. Over the full map grad_x adds each tap's W_uv^T G into the
+    padded gradient, never building an im2col-sized one. With
+    input_grad=False grad_x is None.
     """
     x, n, c, h, win, h_out, w_out, positions = _check_conv_args(x, w, spec, upstream, positions)
     dtype = compute_dtype(x)
@@ -634,12 +629,12 @@ def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions
         grad_w = np.tensordot(gmat, cols, axes=([0, 2], [0, 2])).reshape(w.weight.shape)
         grad_b = g.sum(axis=(0, 2, 3), dtype=np.float64)
         if input_grad:
-            grad_cols = np.matmul(wmat.T, gmat).reshape(n, c, kh, kw, h_out, w_out)
             gxp = np.zeros(xp.shape, dtype=dtype)
             # tap (u, v) of output (i, j) reads padded pixel (u*dh + i*sh, v*dw + j*sw)
             for u, v in np.ndindex(kh, kw):
                 gxp[:, :, u * dh : u * dh + sh * h_out : sh,
-                    v * dw : v * dw + sw * w_out : sw] += grad_cols[:, :, u, v]
+                    v * dw : v * dw + sw * w_out : sw] += np.matmul(
+                        wmat[:, u * kw + v :: kh * kw].T, gmat).reshape(n, c, h_out, w_out)
             grad_x = gxp[:, :, ph : ph + h, pw : pw + win]
     else:
         patch, index, inside = _im2col_rows(x, spec, positions, (h_out, w_out), dtype)
@@ -704,8 +699,8 @@ def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
     Modulation grads are pulled back through the sigmoid of a 3K branch; a
     2K branch has no modulation channels to reach. The branch-output
     gradient is formed in x's compute dtype, and the branch convolution's
-    backward runs on its live positions only, those where any channel of it
-    is non-zero (NaN included). With input_grad=False grad_x is None.
+    backward runs at the positions the field was computed at, whatever the
+    gradients hold. With input_grad=False grad_x is None.
     """
     k, modulated = _branch_k(branch_w, spec)
     shapes = (np.shape(grad_offsets), np.shape(grad_modulation))
@@ -718,9 +713,4 @@ def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
         gm = np.asarray(grad_modulation).astype(dtype, copy=False)
         m = field.modulation.astype(dtype, copy=False)
         grad_raw = np.concatenate([grad_raw, gm * m * (1.0 - m)], axis=1)
-    at = _live(grad_raw)
-    if positions is None:
-        rows, live = pixel_rows(grad_raw, at), at
-    else:
-        rows, live = grad_raw[at], np.asarray(positions)[at]
-    return dense_conv_backward(x, branch_w, spec, rows, live, input_grad)
+    return dense_conv_backward(x, branch_w, spec, grad_raw, positions, input_grad)

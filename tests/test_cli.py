@@ -366,6 +366,22 @@ def test_demo_train_mimic_deterministic_metrics(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_demo_train_stacked_mimic_deterministic_metrics(tmp_path, kernel_threads):
+    # the paper's "more deformable" trunk: the non-last deformable layer runs
+    # on the whole map and its field gradients are zero away from what the
+    # last layer reads; the second run also splits kernels over two threads
+    kernel_threads(None)  # restored after the test
+    outs = []
+    for run, threads in (("a", "1"), ("b", "2")):
+        out = tmp_path / run
+        code = main(["demo-train", "--mimic", "--layers", "mdconv,mdconv", "--steps", "10",
+                     "--seed", "3", "--threads", threads, "--out", str(out)])
+        assert code == EXIT_OK
+        outs.append((out / "metrics.json").read_bytes())
+    assert b'"history"' in outs[0]
+    assert outs[0] == outs[1]
+
+
 def test_demo_train_mimic_prints_final_step_loss(tmp_path, capsys):
     # the line once read `final loss nan`: a mimic run has no eval loss
     out = tmp_path / "run"

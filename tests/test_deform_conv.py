@@ -693,12 +693,15 @@ def test_demanded_forward_matches_full_map_property(case, kind, dtype, seed):
     for g, want in zip(grads, want_grads):
         assert g.shape == want.shape
         assert _rel_err(g, want) <= tol
-    # bit for bit what the full-map kernels give on the same forward state:
-    # the recorded field as whole maps and the upstream zero off the demand
+    # bit for bit what the kernels give on the same forward state: the
+    # mdconv backward in map form (the recorded field as whole maps, the
+    # upstream zero off the demand), and the offset branch's backward on the
+    # demand's rows, the positions its field was computed at
     gx, gw, gb, goff, gmod = mdconv_backward_optimized(x, layer._weights(), layer.spec,
                                                        field, masked)
-    bgx, gbw, gbb = offset_branch_backward(x, layer._branch_weights(), layer.spec, field,
-                                           goff, gmod)
+    bgx, gbw, gbb = offset_branch_backward(x, layer._branch_weights(), layer.spec,
+                                           _rows_field(field, demand), pixel_rows(goff, demand),
+                                           pixel_rows(gmod, demand), demand)
     assert grads[0].dtype == dtype
     for g, want in zip(grads, (gx + bgx, gw, gb, gbw, gbb)):
         assert np.array_equal(g, want)
@@ -865,7 +868,7 @@ def test_all_zero_upstream_builds_no_pattern(monkeypatch):
     assert len(calls) == 1
 
 
-def test_offset_branch_backward_runs_on_live_positions():
+def test_offset_branch_backward_runs_at_the_fields_positions():
     rng = np.random.default_rng(18)
     spec = KernelSpec(3, 2, stride=(2, 1), pad=(1, 2), dilation=(1, 2))
     x = rng.normal(size=(2, 3, 9, 7))
@@ -875,13 +878,19 @@ def test_offset_branch_backward_runs_on_live_positions():
     live = rng.random((n, 1, h_out, w_out)) < 0.2
     g_off = rng.normal(size=field.offsets.shape) * live
     g_mod = rng.normal(size=field.modulation.shape) * live
-    got = offset_branch_backward(x, bw, spec, field, g_off, g_mod)
     m = field.modulation
-    # the same branch-output gradient through the whole-map im2col
-    want = dense_conv_backward(x, bw, spec, np.concatenate([g_off, g_mod * m * (1 - m)], axis=1))
-    for g, wnt in zip(got, want):
-        assert _rel_err(g, wnt) <= 1e-10
-    # a NaN field gradient is live and reaches every gradient
+    g_raw = np.concatenate([g_off, g_mod * m * (1 - m)], axis=1)
+    # a whole map runs the whole-map im2col, however many zeros it holds
+    got = offset_branch_backward(x, bw, spec, field, g_off, g_mod)
+    for g, wnt in zip(got, dense_conv_backward(x, bw, spec, g_raw)):
+        assert np.array_equal(g, wnt)
+    # rows at a list run the list's rows, dead ones included
+    demand = np.flatnonzero(rng.random(n * h_out * w_out) < 0.5)
+    got = offset_branch_backward(x, bw, spec, _rows_field(field, demand),
+                                 pixel_rows(g_off, demand), pixel_rows(g_mod, demand), demand)
+    for g, wnt in zip(got, dense_conv_backward(x, bw, spec, pixel_rows(g_raw, demand), demand)):
+        assert np.array_equal(g, wnt)
+    # a NaN field gradient reaches every gradient
     g_off[...] = 0.0
     g_mod[...] = 0.0
     g_off[1, 4, 2, 3] = np.nan
@@ -977,6 +986,105 @@ def test_backward_chunk_footprint():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * n * h * w * spec.k * c * 4
+
+
+# detect_train's trunk layer: 1x64x48x80 float32, a 3x3 kernel; its
+# P*K*C_in float32 im2col / sampled operand is 8.8 MB
+DETECT_SHAPE = (1, 64, 48, 80)
+DETECT_OPERAND = 48 * 80 * 9 * 64 * 4
+
+
+def _peak_over_operand(fn) -> float:
+    """tracemalloc peak of the second call of fn, over DETECT_OPERAND."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / DETECT_OPERAND
+
+
+def _whole_grad_cols_input_grad(w: np.ndarray, spec: KernelSpec, g: np.ndarray, x_shape):
+    """grad_x of a full-map dense conv from the whole (N, C*K, P) grad_cols
+    array W^T G, scattered tap by tap into the padded gradient."""
+    n, c, h, win = x_shape
+    (sh, sw), (ph, pw), (dh, dw) = spec.stride, spec.pad, spec.dilation
+    kh, kw, (h_out, w_out) = spec.kernel_h, spec.kernel_w, g.shape[2:]
+    grad_cols = np.matmul(w.reshape(len(w), -1).T, g.reshape(n, len(w), -1)).reshape(
+        n, c, kh, kw, h_out, w_out)
+    gxp = np.zeros((n, c, h + 2 * ph, win + 2 * pw), dtype=g.dtype)
+    for u, v in np.ndindex(kh, kw):
+        gxp[:, :, u * dh : u * dh + sh * h_out : sh,
+            v * dw : v * dw + sw * w_out : sw] += grad_cols[:, :, u, v]
+    return gxp[:, :, ph : ph + h, pw : pw + win]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_full_map_dense_backward_builds_input_grad_tap_by_tap(dtype):
+    rng = np.random.default_rng(21)
+    spec = KernelSpec(3, 3, stride=(2, 2), pad=(1, 2), dilation=(2, 2))
+    x = rng.normal(size=(8, 5, 13, 11)).astype(dtype)
+    weights = ConvWeights(rng.normal(size=(7, 5, 3, 3)).astype(dtype),
+                          rng.normal(size=7).astype(dtype))
+    g = rng.normal(size=(8, 7, *spec.out_size(13, 11))).astype(dtype)
+    gx, _, _ = dense_conv_backward(x, weights, spec, g)
+    assert gx.dtype == dtype
+    assert np.array_equal(gx, _whole_grad_cols_input_grad(weights.weight, spec, g, x.shape))
+
+
+def test_full_map_dense_backward_footprint():
+    # the offset branch's backward at detect_train: 64 -> 27 channels; one
+    # im2col-sized copy (grad_w's tensordot) and no im2col-sized grad_cols
+    rng = np.random.default_rng(22)
+    spec = KernelSpec(3, 3, pad=(1, 1))
+    x = rng.standard_normal(DETECT_SHAPE).astype(np.float32)
+    weights = ConvWeights(rng.normal(size=(27, 64, 3, 3)).astype(np.float32),
+                          np.zeros(27, np.float32))
+    g = rng.standard_normal((1, 27, 48, 80)).astype(np.float32)
+    gx, _, _ = dense_conv_backward(x, weights, spec, g)
+    assert np.array_equal(gx, _whole_grad_cols_input_grad(weights.weight, spec, g, x.shape))
+    assert _peak_over_operand(lambda: dense_conv_backward(x, weights, spec, g)) <= 1.6
+
+
+def test_whole_map_branch_backward_with_dead_positions_runs_full_map():
+    # a few dead positions once sent the whole branch backward to the
+    # im2col-rows path, peaking at 6.3x the operand
+    rng = np.random.default_rng(23)
+    spec = KernelSpec(3, 3, pad=(1, 1))
+    x = rng.standard_normal(DETECT_SHAPE).astype(np.float32)
+    bw = ConvWeights(rng.normal(0.0, 0.01, size=(27, 64, 3, 3)).astype(np.float32),
+                     np.zeros(27, np.float32))
+    field = offset_branch_forward(x, bw, spec)
+    dead = np.zeros((1, 1, 48, 80), dtype=bool)
+    dead.reshape(-1)[[5, 1700, 3839]] = True
+    g_off = rng.standard_normal(field.offsets.shape).astype(np.float32) * ~dead
+    g_mod = rng.standard_normal(field.modulation.shape).astype(np.float32) * ~dead
+    m = field.modulation
+    g_raw = np.concatenate([g_off, g_mod * m * (1.0 - m)], axis=1)
+    want = dense_conv_backward(x, bw, spec, g_raw)
+    got = offset_branch_backward(x, bw, spec, field, g_off, g_mod)
+    for g, wnt in zip(got, want):
+        assert np.array_equal(g, wnt)
+    assert _peak_over_operand(
+        lambda: offset_branch_backward(x, bw, spec, field, g_off, g_mod)) <= 2
+
+
+def test_full_list_mdconv_backward_footprint():
+    # each chunk holds at most a 1M-element float64 S^T operand and
+    # scatters into the window of pixels it reads
+    rng = np.random.default_rng(24)
+    spec = KernelSpec(3, 3, pad=(1, 1))
+    x = rng.standard_normal(DETECT_SHAPE).astype(np.float32)
+    weights = ConvWeights(rng.normal(size=(64, 64, 3, 3)).astype(np.float32),
+                          np.zeros(64, np.float32))
+    every = np.arange(48 * 80)
+    field = OffsetModulationField(rng.normal(0, 0.5, size=(every.size, 18)).astype(np.float32),
+                                  rng.uniform(size=(every.size, 9)).astype(np.float32))
+    upstream = rng.standard_normal((every.size, 64)).astype(np.float32)
+    assert _peak_over_operand(lambda: mdconv_backward_optimized(
+        x, weights, spec, field, upstream, every)) <= 3
 
 
 @pytest.fixture(scope="module")
