@@ -31,7 +31,7 @@ from .deform_roipool import (
     BinField,
     PoolSpec,
     RoI,
-    _grid_positions,
+    _sample_positions,
     mdpool_backward,
     mdpool_forward,
     roi_branch_backward,
@@ -159,9 +159,7 @@ def _bins_near_lattice(rois: list[RoI], spec: PoolSpec, offsets: np.ndarray) -> 
     """Whether any bin sampling position, moved by the (R, 2K) `offsets`,
     lies within LATTICE_MARGIN of the lattice.
     """
-    py, px = _grid_positions(rois, spec)
-    return bool(_near_lattice(np.concatenate([py + offsets[:, 0::2, None],
-                                              px + offsets[:, 1::2, None]])).any())
+    return bool(_near_lattice(np.concatenate(_sample_positions(rois, spec, offsets))).any())
 
 
 def _mdpool_instance_parts(rng: np.random.Generator):

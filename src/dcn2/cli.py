@@ -63,8 +63,8 @@ def conv_macs(c_in: int, c_out: int, kh: int, kw: int, h_out: int, w_out: int) -
     return c_out * c_in * kh * kw * h_out * w_out
 
 
-def conv_params(c_in: int, c_out: int, kh: int, kw: int, bias: bool = True) -> int:
-    return c_out * c_in * kh * kw + (c_out if bias else 0)
+def conv_params(c_in: int, c_out: int, kh: int, kw: int) -> int:
+    return c_out * c_in * kh * kw + c_out
 
 
 def mdconv_macs(c_in: int, c_out: int, kh: int, kw: int, h_out: int, w_out: int,
@@ -78,11 +78,8 @@ def mdconv_macs(c_in: int, c_out: int, kh: int, kw: int, h_out: int, w_out: int,
         conv_macs(c_in, branch_out, kh, kw, h_out, w_out)
 
 
-def mdconv_params(c_in: int, c_out: int, kh: int, kw: int, bias: bool = True,
-                  modulated: bool = True) -> int:
-    k = kh * kw
-    branch_out = 3 * k if modulated else 2 * k
-    return conv_params(c_in, c_out, kh, kw, bias) + conv_params(c_in, branch_out, kh, kw, bias)
+def mdconv_params(c_in: int, c_out: int, kh: int, kw: int) -> int:
+    return conv_params(c_in, c_out, kh, kw) + conv_params(c_in, 3 * kh * kw, kh, kw)
 
 
 # ---------------------------------------------------------------------------

@@ -129,10 +129,23 @@ def _check_pool_args(x, rois, spec: PoolSpec, field: BinField):
     if field.modulation.shape != (len(rois), spec.k):
         raise ShapeError(f"bin field of shape {field.modulation.shape} for {len(rois)} RoIs "
                          f"of {spec.k} bins")
-    for roi in rois:
-        if not 0 <= roi.batch_index < x.shape[0]:
-            raise ArgumentError(f"RoI batch index {roi.batch_index} outside batch of {x.shape[0]}")
     return x
+
+
+def _roi_planes(rois: list[RoI], n: int, hw: int) -> np.ndarray:
+    """(R, 1, 1) offsets b*hw of each RoI's plane in a flat stack of n planes
+    (a `flat_offset`); a batch index outside the stack raises ArgumentError.
+    """
+    for roi in rois:
+        if not 0 <= roi.batch_index < n:
+            raise ArgumentError(f"RoI batch index {roi.batch_index} outside batch of {n}")
+    return np.array([roi.batch_index for roi in rois], dtype=np.int64).reshape(-1, 1, 1) * hw
+
+
+def _sample_positions(rois: list[RoI], spec: PoolSpec, offsets: np.ndarray):
+    """(R, K, n_k) bin sample positions (py, px) moved by (R, 2K) (dy_k, dx_k) pairs."""
+    gy, gx = _grid_positions(rois, spec)
+    return gy + offsets[:, 0::2, None], gx + offsets[:, 1::2, None]
 
 
 def _pool_geometry(x: np.ndarray, rois: list[RoI], spec: PoolSpec, field: BinField,
@@ -143,13 +156,10 @@ def _pool_geometry(x: np.ndarray, rois: list[RoI], spec: PoolSpec, field: BinFie
     row; modulated=True scales them by dm_k / n_k, so that row is the pooled
     bin.
     """
-    _, _, h, w = x.shape
-    gy, gx = _grid_positions(rois, spec)
-    py = gy + field.offsets[:, 0::2, None]
-    px = gx + field.offsets[:, 1::2, None]
-    plane_off = np.array([roi.batch_index for roi in rois], dtype=np.int64) * (h * w)
+    n, _, h, w = x.shape
+    py, px = _sample_positions(rois, spec, field.offsets)
     scale = (field.modulation / spec.n_k)[:, :, None] if modulated else None
-    return bilinear_corner_gather(py, px, h, w, flat_offset=plane_off[:, None, None],
+    return bilinear_corner_gather(py, px, h, w, flat_offset=_roi_planes(rois, n, h * w),
                                   scale=scale, derivatives=derivatives,
                                   dtype=compute_dtype(x))
 
@@ -230,12 +240,8 @@ def aligned_pool_reads(shape: tuple[int, int, int], rois: list[RoI], spec: PoolS
     reads for `rois`: the pixels with a non-zero bilinear weight.
     """
     n, h, w = shape
-    for roi in rois:
-        if not 0 <= roi.batch_index < n:
-            raise ArgumentError(f"RoI batch index {roi.batch_index} outside batch of {n}")
-    py, px = _grid_positions(rois, spec)
-    plane_off = np.array([roi.batch_index for roi in rois], dtype=np.int64) * (h * w)
-    cols, weights = bilinear_corner_gather(py, px, h, w, flat_offset=plane_off[:, None, None])
+    planes = _roi_planes(rois, n, h * w)
+    cols, weights = bilinear_corner_gather(*_grid_positions(rois, spec), h, w, flat_offset=planes)
     return np.unique(cols[weights != 0]).astype(np.int64)
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform_roipool import RoI
+from .deform_conv import is_integer
+from .deform_roipool import RoI, _roi_planes
 from .errors import ArgumentError, ConfigurationError, ShapeError
 from .net import Param, RoIPoolLayer, Sequential, roi_readout, softmax_cross_entropy
 from .sampling import bilinear_corner_gather, pixel_map, pixel_rows, sampling_matrix
@@ -27,19 +28,6 @@ _NORM_GUARD = 1e-30
 # the positive threshold on a proposal's best ground-truth IoU, and Ω per image
 POSITIVE_IOU = 0.5
 OMEGA_SIZE = 32
-
-_zero_norm_guards = 0
-
-
-def zero_norm_guard_count() -> int:
-    """How many cosine evaluations hit the zero-norm guard so far."""
-    return _zero_norm_guards
-
-
-def reset_zero_norm_guard_count() -> None:
-    global _zero_norm_guards
-    _zero_norm_guards = 0
-
 
 def _cos_parts(a: np.ndarray, b: np.ndarray):
     a = np.asarray(a, dtype=np.float64).reshape(-1)
@@ -55,12 +43,10 @@ def _cos_parts(a: np.ndarray, b: np.ndarray):
 
 def cosine_mimic_loss(a, b) -> float:
     """1 - cos(a, b); a zero-norm vector makes the pair contribute loss 1
-    (cosine treated as 0) and bumps the guard counter.
+    (cosine treated as 0).
     """
-    global _zero_norm_guards
     a, b, na, nb = _cos_parts(a, b)
     if na < _NORM_GUARD or nb < _NORM_GUARD:
-        _zero_norm_guards += 1
         return 1.0
     if np.array_equal(a, b):
         # cos(a, a) = 1 exactly; avoid the norm-product rounding
@@ -75,10 +61,8 @@ def cosine_mimic_backward(a, b, upstream: float = 1.0):
     grad_a is orthogonal to a (cosine is scale invariant); zero-norm vectors
     receive zero gradient via the guard.
     """
-    global _zero_norm_guards
     a, b, na, nb = _cos_parts(a, b)
     if na < _NORM_GUARD or nb < _NORM_GUARD:
-        _zero_norm_guards += 1
         return np.zeros_like(a), np.zeros_like(b)
     if np.array_equal(a, b):
         # exact minimum: the gradient vanishes identically
@@ -87,15 +71,6 @@ def cosine_mimic_backward(a, b, upstream: float = 1.0):
     ga = -(b / (na * nb) - c * a / (na * na)) * upstream
     gb = -(a / (na * nb) - c * b / (nb * nb)) * upstream
     return ga, gb
-
-
-def cosine_mimic_loss_batch(feats_a: np.ndarray, feats_b: np.ndarray) -> float:
-    """Sum of per-RoI losses over the sampled set, in RoI-index order."""
-    fa = np.asarray(feats_a)
-    fb = np.asarray(feats_b)
-    if fa.shape != fb.shape or fa.ndim != 2:
-        raise ShapeError(f"batch feature shapes differ: {fa.shape} vs {fb.shape}")
-    return sum(cosine_mimic_loss(fa[i], fb[i]) for i in range(fa.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +91,9 @@ def crop_resize_patch(images, rois: list[RoI], out_hw: tuple[int, int]) -> np.nd
     if stack.ndim != 4:
         raise ShapeError(f"expected (N,C,H,W) images, got shape {stack.shape}")
     n, c, h, w = stack.shape
+    planes = _roi_planes(rois, n, h * w)
     rects = []
     for roi in rois:
-        if not 0 <= roi.batch_index < n:
-            raise ArgumentError(f"RoI batch index {roi.batch_index} outside batch of {n}")
         rect = (max(roi.y1, 0.0), max(roi.x1, 0.0), min(roi.y2, h - 1.0), min(roi.x2, w - 1.0))
         if rect[2] < rect[0] or rect[3] < rect[1]:
             raise ArgumentError(f"RoI {roi} clips to zero area on a {h}x{w} image")
@@ -135,9 +109,8 @@ def crop_resize_patch(images, rois: list[RoI], out_hw: tuple[int, int]) -> np.nd
     ew = x2 - x1 + 1.0
     ys = np.clip(y1 + (np.arange(out_h, dtype=np.float64) + 0.5) * (eh / out_h) - 0.5, y1, y2)
     xs = np.clip(x1 + (np.arange(out_w, dtype=np.float64) + 0.5) * (ew / out_w) - 0.5, x1, x2)
-    plane_off = np.array([roi.batch_index for roi in rois], dtype=np.int64) * (h * w)
     cols, weights = bilinear_corner_gather(ys[:, :, None], xs[:, None, :], h, w,
-                                           flat_offset=plane_off[:, None, None])
+                                           flat_offset=planes)
     out = sampling_matrix(cols, weights, n * h * w) @ pixel_rows(stack, dtype=np.float64)
     return pixel_map(out, None, (len(rois), c, out_h, out_w), stack.dtype)
 
@@ -164,6 +137,10 @@ class MimicConfig:
     patch_size: tuple[int, int] = (32, 32)
 
     def __post_init__(self):
+        size = self.patch_size
+        if not (isinstance(size, (tuple, list)) and len(size) == 2
+                and all(is_integer(v) and v >= 1 for v in size)):
+            raise ConfigurationError(f"patch_size must be two integers >= 1, got {size!r}")
         if not (self.mimic_weight >= 0 and self.rcnn_cls_weight >= 0):  # NaN fails too
             raise ConfigurationError(f"loss weights must be >= 0, got mimic_weight "
                                      f"{self.mimic_weight}, rcnn_cls_weight {self.rcnn_cls_weight}")
@@ -303,10 +280,10 @@ def mimic_step(model: TwoBranchModel, images, batch: MimicBatch, cfg: MimicConfi
         patch = model.patch_branch()
         f_rcnn = patch.roi_features(batch.patches, _whole_patch_rois(len(batch), cfg.patch_size))
         rcnn_logits = patch.rcnn_head.forward(f_rcnn)
-        mimic_loss = cosine_mimic_loss_batch(f_rcnn, f_frcnn)
         rcnn_loss, g_rcnn_logits = softmax_cross_entropy(rcnn_logits, batch.labels)
         g_f_rcnn = np.zeros_like(f_rcnn)
-        for i in range(len(batch)):
+        for i in range(len(batch)):  # the mimic loss sums its pairs in RoI order
+            mimic_loss += cosine_mimic_loss(f_rcnn[i], f_frcnn[i])
             ga, gb = cosine_mimic_backward(f_rcnn[i], f_frcnn[i], cfg.mimic_weight)
             g_f_rcnn[i] += ga
             g_f_frcnn[i] += gb

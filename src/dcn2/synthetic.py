@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .deform_conv import BRANCH_LR_MULTIPLIER, KernelSpec
+from .deform_conv import BRANCH_LR_MULTIPLIER, KernelSpec, is_integer
 from .deform_roipool import PoolSpec, RoI
 from .errors import ArgumentError, ConfigurationError, FormatError, ShapeError
 from .mimic import MimicBatch, MimicConfig, TwoBranchModel, mimic_step
@@ -79,11 +79,15 @@ class ToyNetConfig:
                 raise ArgumentError(f"unknown layer kind {kind!r}")
         if len(self.layers) != len(self.channels):
             raise ShapeError("layers and channels lists must align")
-        if any(c < 1 for c in self.channels) or any(hw < 1 for hw in self.head_widths):
-            raise ShapeError("widths must be >= 1")
+        widths = (*self.channels, *self.head_widths)
+        if not all(is_integer(v) and v >= 1 for v in widths):
+            raise ShapeError(f"widths must be integers >= 1, got {widths}")
         if len(self.bins) != 2:
             raise ShapeError(f"bins must be (bins_h, bins_w), got {self.bins}")
-        if self.image_size < 1 or self.batch_size < 1:
+        sizes = (self.image_size, self.batch_size)
+        if not all(is_integer(v) for v in sizes):
+            raise ConfigurationError(f"image_size and batch_size must be integers, got {sizes}")
+        if any(v < 1 for v in sizes):
             raise ConfigurationError("image_size and batch_size must be >= 1")
         # written so that NaN fails
         for key, ok, want in (("learning_rate", self.learning_rate > 0, "> 0"),
@@ -168,6 +172,10 @@ class SyntheticTask:
     def __post_init__(self):
         if self.mode not in TASK_MODES:
             raise ArgumentError(f"unknown task mode {self.mode!r}")
+        if not is_integer(self.image_size):
+            raise ArgumentError(f"image_size must be an integer, got {self.image_size!r}")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise ArgumentError(f"seed must be an integer >= 0, got {self.seed!r}")
         # the marker radius and width scale with it; at -2 the width is 0
         if not (math.isfinite(self.dilation) and self.dilation > 0):
             raise ArgumentError(f"dilation must be finite and > 0, got {self.dilation}")
@@ -293,6 +301,18 @@ def _build_trunk(cfg: ToyNetConfig, c_in: int, rng: np.random.Generator) -> Sequ
     return Sequential(layers)
 
 
+def _fc_stack(feat: int, widths, rng: np.random.Generator, prefix: str):
+    """Affine+ReLU layers of `widths` over `feat` inputs, and the last width.
+    Each affine is named by `prefix` and its index in the list (`head0`,
+    `head2`, ...), the names that model files key on.
+    """
+    layers = []
+    for width in widths:
+        layers += [AffineLayer(feat, width, rng, name=f"{prefix}{len(layers)}"), ReLULayer()]
+        feat = width
+    return layers, feat
+
+
 def deformable_layers(trunk: Sequential) -> list[DeformConv2dLayer]:
     return [l for l in trunk.layers if isinstance(l, DeformConv2dLayer)]
 
@@ -306,14 +326,9 @@ class ToyRegressionNet:
         self.cfg = cfg
         self.trunk = _build_trunk(cfg, 1, rng)
         self.pool = RoIPoolLayer(cfg.channels[-1], PoolSpec(*cfg.bins, cfg.pool_samples), rng)
-        feat = cfg.channels[-1] * cfg.bins[0] * cfg.bins[1]
-        head = []
-        for hw in cfg.head_widths:
-            head.append(AffineLayer(feat, hw, rng, name=f"head{len(head)}"))
-            head.append(ReLULayer())
-            feat = hw
-        head.append(AffineLayer(feat, 1, rng, name="head_out"))
-        self.head = Sequential(head)
+        head, feat = _fc_stack(cfg.channels[-1] * cfg.bins[0] * cfg.bins[1], cfg.head_widths,
+                               rng, "head")
+        self.head = Sequential(head + [AffineLayer(feat, 1, rng, name="head_out")])
 
     def params(self) -> list[Param]:
         return self.trunk.params() + self.pool.params() + self.head.params()
@@ -395,13 +410,7 @@ def build_two_branch_model(cfg: ToyNetConfig, n_classes: int,
     """
     backbone = _build_trunk(cfg, 1, rng)
     pool = RoIPoolLayer(cfg.channels[-1], PoolSpec(2, 2, cfg.pool_samples), rng)
-    feat = cfg.channels[-1] * 4
-    widths = cfg.head_widths or (32,)
-    fc_layers = []
-    for hw in widths:
-        fc_layers.append(AffineLayer(feat, hw, rng, name=f"fc{len(fc_layers)}"))
-        fc_layers.append(ReLULayer())
-        feat = hw
+    fc_layers, feat = _fc_stack(cfg.channels[-1] * 4, cfg.head_widths or (32,), rng, "fc")
     fc = Sequential(fc_layers)
     frcnn_head = AffineLayer(feat, n_classes + 1, rng, name="frcnn_head")
     rcnn_head = AffineLayer(feat, n_classes + 1, rng, name="rcnn_head")

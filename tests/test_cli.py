@@ -625,6 +625,9 @@ _MODEL_FAULTS = {
     "string_bool_config": lambda m: _rewrite_manifest(
         m, lambda d: d["config"].update(mimic="false")),
     "not_json": lambda m: _write_manifest_bytes(m, b"{not json"),
+    "not_a_tensor": lambda m: _rewrite_param(m, lambda v: b""),
+    "other_param_names": lambda m: _rewrite_manifest(
+        m, lambda d: d["params"].update({"head1.bias": d["params"].pop("head_out.bias")})),
     "non_ascii": lambda m: _write_manifest_bytes(m, '{"config": "café"}'.encode("utf-8")),
 }
 

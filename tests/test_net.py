@@ -14,6 +14,7 @@ from dcn2.net import (
     RoIPoolLayer,
     Sequential,
 )
+from dcn2.support import network_probe
 
 LAYERS = {
     "conv": lambda rng: Conv2dLayer(2, 2, KernelSpec(3, 3, pad=(1, 1)), rng),
@@ -48,6 +49,16 @@ def test_deform_layer_checks_its_input_and_upstream_maps():
         for bad in (y[..., :-1], y[0], y.reshape(1, 2, -1)):
             with pytest.raises(ShapeError, match="upstream shape"):
                 layer.backward(bad)
+
+
+@pytest.mark.parametrize("kind", ["affine", "aligned_pool"])
+def test_trunk_layer_without_an_output_map_is_usage_error(kind):
+    rng = np.random.default_rng(5)
+    trunk = Sequential([LAYERS["conv"](rng), LAYERS[kind](rng)])
+    with pytest.raises(UsageError, match="has no output map"):
+        trunk.out_hw((6, 6))
+    with pytest.raises(UsageError, match="has no output map"):
+        network_probe(trunk, 0, 0).response(rng.normal(size=(2, 6, 6)))
 
 
 def test_pool_layer_branch_is_make_roi_branch():

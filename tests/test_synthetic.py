@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcn2.errors import ArgumentError, ConfigurationError, ShapeError
+from dcn2.errors import ArgumentError, ConfigurationError, FormatError, ShapeError
 from dcn2.mimic import MimicConfig
 from dcn2.synthetic import (
     LAYER_KINDS,
@@ -14,6 +14,7 @@ from dcn2.synthetic import (
     ToyNetConfig,
     ToyRegressionNet,
     TrainingDiverged,
+    build_two_branch_model,
     load_model,
     run_mimic_training,
     run_toy_training,
@@ -125,6 +126,27 @@ def test_config_validation():
         ToyNetConfig(layers=("regular",), channels=(4, 4))
     with pytest.raises(ShapeError):
         ToyNetConfig(layers=("regular",), channels=(0,))
+
+
+# each of these once passed and failed later with numpy's TypeError or ValueError
+@pytest.mark.parametrize("error, fields", [
+    (ShapeError, {"channels": (2.5, 3)}),
+    (ShapeError, {"channels": (True, 3)}),
+    (ShapeError, {"head_widths": (4.0,)}),
+    (ConfigurationError, {"image_size": 2.5}),
+    (ConfigurationError, {"image_size": True}),
+    (ConfigurationError, {"batch_size": 2.0}),
+])
+def test_config_sizes_must_be_integers(error, fields):
+    with pytest.raises(error, match="integers"):
+        ToyNetConfig(**fields)
+
+
+@pytest.mark.parametrize("fields", [{"image_size": 32.5}, {"image_size": True},
+                                    {"seed": -1}, {"seed": 1.5}])
+def test_task_size_and_seed_must_be_integers(fields):
+    with pytest.raises(ArgumentError, match=next(iter(fields))):
+        SyntheticTask(**fields)
 
 
 _DEFAULTS = json.loads(ToyNetConfig().to_json())
@@ -301,3 +323,36 @@ def test_head_widths_train_and_round_trip_through_model_files(tmp_path):
         assert p.name == q.name and np.array_equal(p.value, q.value)
     images, _ = task.sample_batch(np.random.default_rng(2), 3)
     assert np.array_equal(back.forward(images), net.forward(images))
+
+
+def test_fc_stack_parameter_names_are_pinned():
+    # model files key on these names: the prefix and the layer's index in its list
+    trunk = ["layer0.regular.weight", "layer0.regular.bias", "layer1.mdconv.weight",
+             "layer1.mdconv.bias", "layer1.mdconv.branch_weight", "layer1.mdconv.branch_bias"]
+    net = ToyRegressionNet(ToyNetConfig(head_widths=(4, 3)), np.random.default_rng(0))
+    assert [p.name for p in net.params()] == trunk + [
+        "head0.weight", "head0.bias", "head2.weight", "head2.bias",
+        "head_out.weight", "head_out.bias"]
+    model = build_two_branch_model(ToyNetConfig(), 2, np.random.default_rng(0))
+    assert [p.name for p in model.params()] == trunk + [
+        "fc0.weight", "fc0.bias", "frcnn_head.weight", "frcnn_head.bias",
+        "rcnn_head.weight", "rcnn_head.bias"]
+    assert model.fc.params()[0].value.shape == (32, 8 * 2 * 2)
+
+
+def test_malformed_parameter_file_is_format_error_naming_it(tmp_path):
+    save_model(ToyRegressionNet(ToyNetConfig(), np.random.default_rng(0)), tmp_path)
+    broken = tmp_path / "param003.dcnt"
+    broken.write_bytes(b"not a tensor")
+    with pytest.raises(FormatError, match=str(broken)):
+        load_model(tmp_path)
+
+
+def test_manifest_naming_other_parameters_is_format_error(tmp_path):
+    save_model(ToyRegressionNet(ToyNetConfig(), np.random.default_rng(0)), tmp_path)
+    path = tmp_path / "model.json"
+    manifest = json.loads(path.read_text())
+    manifest["params"]["head1.weight"] = manifest["params"].pop("head_out.weight")
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="one file name per parameter"):
+        load_model(tmp_path)
