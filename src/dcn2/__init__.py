@@ -18,7 +18,6 @@ from .deform_conv import (
     offset_branch_forward,
 )
 from .deform_roipool import (
-    BinField,
     PoolSpec,
     RoI,
     mdpool_backward,

@@ -28,7 +28,6 @@ from .deform_conv import (
 )
 from .deform_roipool import (
     Affine,
-    BinField,
     PoolSpec,
     RoI,
     _sample_positions,
@@ -186,10 +185,10 @@ def _mdpool_instance(seed: int):
     rng = np.random.default_rng([seed, 4])
     spec, x, rois, offsets, modulation, upstream = _mdpool_instance_parts(rng)
     values = {"x": x, "offsets": offsets, "modulation": modulation}
-    grads = mdpool_backward(x, rois, spec, BinField(offsets, modulation), upstream)
+    grads = mdpool_backward(x, rois, spec, OffsetModulationField(offsets, modulation), upstream)
 
     def objective(x, offsets, modulation) -> float:
-        return float((mdpool_forward(x, rois, spec, BinField(offsets, modulation))
+        return float((mdpool_forward(x, rois, spec, OffsetModulationField(offsets, modulation))
                       * upstream).sum())
 
     return values, dict(zip(values, grads)), objective

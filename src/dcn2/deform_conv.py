@@ -123,19 +123,20 @@ class KernelSpec:
 
 @dataclass
 class ConvWeights:
-    """Main convolution weights (C_out, C_in, kh, kw) plus optional bias."""
+    """Main convolution weights (C_out, C_in, kh, kw) and bias (C_out,); a
+    convolution without a bias passes zeros.
+    """
 
     weight: np.ndarray
-    bias: np.ndarray | None = None
+    bias: np.ndarray
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight)
         if self.weight.ndim != 4:
             raise ShapeError(f"weights must be 4-D, got shape {self.weight.shape}")
-        if self.bias is not None:
-            self.bias = np.asarray(self.bias)
-            if self.bias.shape != (self.weight.shape[0],):
-                raise ShapeError(f"bias shape {self.bias.shape} != ({self.weight.shape[0]},)")
+        self.bias = np.asarray(self.bias)
+        if self.bias.shape != (self.weight.shape[0],):
+            raise ShapeError(f"bias shape {self.bias.shape} != ({self.weight.shape[0]},)")
 
     def check_spec(self, spec: KernelSpec, c_in: int) -> None:
         c_out, ci, kh, kw = self.weight.shape
@@ -258,13 +259,12 @@ def mdconv_forward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationF
                     for ci in range(c_in):
                         sampled[ci, k] = bilinear_sample(x[b, ci], (sy, sx)) * m
                 out[b, :, i, j] = wk.reshape(c_out, c_in * spec.k) @ sampled.reshape(-1)
-    if w.bias is not None:
-        out += np.asarray(w.bias, dtype=np.float64)[None, :, None, None]
+    out += np.asarray(w.bias, dtype=np.float64)[None, :, None, None]
     return out.astype(x.dtype)
 
 
 def mdconv_backward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulationField,
-                    upstream) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+                    upstream) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradients of the reference forward: (grad_x, grad_w, grad_bias,
     grad_offsets, grad_modulation). The offset gradient routes through the
     bilinear coordinate derivative scaled by w_k * dm_k.
@@ -277,7 +277,7 @@ def mdconv_backward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulation
 
     grad_x = np.zeros((n, c_in, h, win), dtype=np.float64)
     grad_w = np.zeros((c_out, c_in, spec.k), dtype=np.float64)
-    grad_b = g.sum(axis=(0, 2, 3), dtype=np.float64) if w.bias is not None else None
+    grad_b = g.sum(axis=(0, 2, 3), dtype=np.float64)
     grad_off = np.zeros_like(field.offsets, dtype=np.float64)
     grad_mod = np.zeros_like(field.modulation, dtype=np.float64)
 
@@ -308,7 +308,7 @@ def mdconv_backward(x, w: ConvWeights, spec: KernelSpec, field: OffsetModulation
     return (
         grad_x.astype(x.dtype),
         grad_w.reshape(w.weight.shape).astype(x.dtype),
-        None if grad_b is None else grad_b.astype(x.dtype),
+        grad_b.astype(x.dtype),
         grad_off.astype(x.dtype),
         grad_mod.astype(x.dtype),
     )
@@ -363,7 +363,7 @@ class _ConvGeometry:
         self.wmat = np.ascontiguousarray(
             w.weight.reshape(c_out, self.c_in, spec.k).transpose(2, 1, 0),
             dtype=self.dtype).reshape(spec.k * self.c_in, c_out)
-        self.bias = None if w.bias is None else np.asarray(w.bias, dtype=self.dtype)
+        self.bias = np.asarray(w.bias, dtype=self.dtype)
         self.item, rows, cols = spec.taps_at(positions, out_hw)
         # (P, K) in row-major tap order: tap (u, v) offsets rows[:, u], cols[:, v]
         offs = offsets.astype(np.float64, copy=False).reshape(-1, spec.kernel_h, spec.kernel_w, 2)
@@ -405,7 +405,7 @@ def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
     listed = np.arange(n * h_out * w_out) if positions is None else positions
     rows = np.empty((listed.size, c_out), dtype=x.dtype)
     if x.size == 0 or rows.size == 0:
-        rows[...] = 0.0 if w.bias is None else np.asarray(w.bias)
+        rows[...] = w.bias
     else:
         offs, mods = field.offsets, field.modulation
         if positions is None:
@@ -419,8 +419,7 @@ def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
             xt = geo.xt[n0 - geo.first : n1 - geo.first].reshape(-1, c_in)
             sampled = sampling_matrix(cols, data, xt.shape[0]) @ xt
             res = _gemm(sampled.reshape(s1 - s0, k * c_in), geo.wmat)
-            if geo.bias is not None:
-                res += geo.bias
+            res += geo.bias
             rows[s0:s1] = res
 
         for _ in runtime.run_chunks(do_chunk, _chunks(listed, c_in, k, h_out, w_out)):
@@ -462,7 +461,7 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
     # float64 (N*H*W, C_in) rows of grad_x, in X^T's layout
     grad_x = np.zeros((n * h * win, c_in)) if input_grad else None
     grad_w = np.zeros((k * c_in, c_out), dtype=np.float64)
-    grad_b = np.zeros(c_out, dtype=np.float64) if w.bias is not None else None
+    grad_b = np.zeros(c_out, dtype=np.float64)
     # position-major: row r holds (dy, dx) per tap, and the modulation
     # gradient per tap, of the upstream's row r (flat position r of a map)
     n_rows = g.shape[0] if positions is not None else n * h_out * w_out
@@ -476,12 +475,10 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
             goff = pixel_map(goff, None, field.offsets.shape)
             gmod = pixel_map(gmod, None, field.modulation.shape)
         gx = None if grad_x is None else pixel_map(grad_x, None, x.shape, x.dtype)
-        return (gx, gw.astype(x.dtype),
-                None if grad_b is None else grad_b.astype(x.dtype), goff, gmod)
+        return gx, gw.astype(x.dtype), grad_b.astype(x.dtype), goff, gmod
 
     if x.size == 0 or g.size == 0:
-        if grad_b is not None and g.size:
-            grad_b += g.sum(axis=0 if positions is not None else (0, 2, 3), dtype=np.float64)
+        grad_b += g.sum(axis=0 if positions is not None else (0, 2, 3), dtype=np.float64)
         return finish()
 
     # live: any channel non-zero; `!= 0` holds for NaN, so non-finite values stay live
@@ -521,7 +518,7 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
         samples *= m
         gw = samples.reshape(-1, k * c_in).T @ gmat
         del samples
-        gb = gmat.sum(axis=0) if grad_b is not None else None
+        gb = gmat.sum(axis=0)
         gx = s0_mat.T @ gs.astype(np.float64) if input_grad else None
         return n0 * h * win + lo, gx, gw, gb
 
@@ -530,8 +527,7 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
             # a scatter starts from +0.0: it holds no -0.0 that 0 + gx could flip
             grad_x[start : start + len(gx)] += gx
         grad_w += gw
-        if grad_b is not None:
-            grad_b += gb
+        grad_b += gb
     return finish()
 
 
@@ -587,16 +583,14 @@ def dense_conv_forward(x, w: ConvWeights, spec: KernelSpec, positions=None) -> n
     x, n, _, _, _, h_out, w_out, positions = _check_conv_args(x, w, spec, positions=positions)
     dtype = compute_dtype(x)
     wmat = w.weight.reshape(w.weight.shape[0], -1).astype(dtype, copy=False)
-    bias = None if w.bias is None else np.asarray(w.bias, dtype=dtype)
+    bias = np.asarray(w.bias, dtype=dtype)
     if positions is not None and positions.size < n * h_out * w_out:
         res = _gemm(_im2col_rows(x, spec, positions, (h_out, w_out), dtype)[0], wmat.T)
-        if bias is not None:
-            res += bias
+        res += bias
         return res.astype(x.dtype, copy=False)
     cols = _padded_patches(x, spec, (h_out, w_out), dtype)[1]
     out = np.matmul(wmat, cols.reshape(n, wmat.shape[1], h_out * w_out))
-    if bias is not None:
-        out += bias[None, :, None]
+    out += bias[None, :, None]
     out = out.reshape(n, wmat.shape[0], h_out, w_out).astype(x.dtype, copy=False)
     return out if positions is None else pixel_rows(out)
 
@@ -648,7 +642,7 @@ def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions
     return (
         None if grad_x is None else grad_x.astype(x.dtype),
         grad_w.astype(x.dtype),
-        None if w.bias is None else grad_b.astype(x.dtype),
+        grad_b.astype(x.dtype),
     )
 
 

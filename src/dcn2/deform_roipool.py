@@ -10,6 +10,12 @@ height/width and whose last K pass through a sigmoid. The branch runs on all
 R RoIs of a call at once, one (R, D) matrix product per fc layer forward and
 backward in the compute dtype of its input; one RoI is the batch of one.
 
+Offsets and modulation are the convolution's record,
+`deform_conv.OffsetModulationField`, in its row form: R RoIs of K bins are
+(R, 2K) offsets in absolute feature-map pixels, (dy_k, dx_k) pairs in
+row-major bin order, and (R, K) modulation in [0, 1]. The pooling kernels
+read it as float64 whatever its dtype.
+
 RoI coordinates are continuous feature-map pixels, both edges inclusive; no
 rounding anywhere.
 """
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform_conv import is_integer, sigmoid
+from .deform_conv import OffsetModulationField, is_integer, sigmoid
 from .errors import ArgumentError, ShapeError
 from .sampling import bilinear_corner_gather, compute_dtype, pixel_map, pixel_rows, sampling_matrix
 
@@ -74,34 +80,6 @@ class PoolSpec:
         return self.samples * self.samples
 
 
-@dataclass
-class BinField:
-    """Learned state of R RoIs: offsets (R, 2K) as absolute feature-map pixels
-    in (dy_k, dx_k) pairs per row, modulation (R, K) in [0, 1].
-    """
-
-    offsets: np.ndarray
-    modulation: np.ndarray
-
-    def __post_init__(self):
-        self.offsets = np.asarray(self.offsets, dtype=np.float64)
-        self.modulation = np.asarray(self.modulation, dtype=np.float64)
-        mod_shape = self.modulation.shape
-        if len(mod_shape) != 2 or self.offsets.shape != (mod_shape[0], 2 * mod_shape[1]):
-            raise ShapeError(f"offsets {self.offsets.shape} and modulation "
-                             f"{self.modulation.shape} must be (R, 2K) and (R, K)")
-        # written so that NaN fails the range test
-        if not ((self.modulation >= 0) & (self.modulation <= 1)).all():
-            raise ArgumentError("modulation values must lie in [0, 1]")
-        if not np.isfinite(self.offsets).all():
-            raise ArgumentError("offsets must be finite")
-
-    @staticmethod
-    def identity(r: int, k: int) -> "BinField":
-        """dp = 0 and modulation 1 for R RoIs of K bins."""
-        return BinField(np.zeros((r, 2 * k)), np.ones((r, k)))
-
-
 def _grid_positions(rois: list[RoI], spec: PoolSpec) -> tuple[np.ndarray, np.ndarray]:
     """(R, K, n_k) sampling positions p_kj of every RoI before the learned
     offset is added.
@@ -122,14 +100,23 @@ def _grid_positions(rois: list[RoI], spec: PoolSpec) -> tuple[np.ndarray, np.nda
     return py.reshape(-1, spec.k, spec.n_k), px.reshape(-1, spec.k, spec.n_k)
 
 
-def _check_pool_args(x, rois, spec: PoolSpec, field: BinField):
+def _identity_field(r: int, k: int) -> OffsetModulationField:
+    """dp = 0 and modulation 1 for R RoIs of K bins: plain aligned pooling."""
+    return OffsetModulationField(np.zeros((r, 2 * k)), np.ones((r, k)))
+
+
+def _check_pool_args(x, rois, spec: PoolSpec, field: OffsetModulationField):
+    """(x, field): x as an array, and the field, which must be the (R, 2K) /
+    (R, K) rows of R RoIs of K bins, read as float64 whatever its dtype.
+    """
     x = np.asarray(x)
     if x.ndim != 4:
         raise ShapeError(f"input must be (N,C,H,W), got {x.shape}")
     if field.modulation.shape != (len(rois), spec.k):
-        raise ShapeError(f"bin field of shape {field.modulation.shape} for {len(rois)} RoIs "
-                         f"of {spec.k} bins")
-    return x
+        raise ShapeError(f"field modulation of shape {field.modulation.shape} for {len(rois)} "
+                         f"RoIs of {spec.k} bins")
+    return x, OffsetModulationField(*(a.astype(np.float64, copy=False)
+                                      for a in (field.offsets, field.modulation)))
 
 
 def _roi_planes(rois: list[RoI], n: int, hw: int) -> np.ndarray:
@@ -148,7 +135,7 @@ def _sample_positions(rois: list[RoI], spec: PoolSpec, offsets: np.ndarray):
     return gy + offsets[:, 0::2, None], gx + offsets[:, 1::2, None]
 
 
-def _pool_geometry(x: np.ndarray, rois: list[RoI], spec: PoolSpec, field: BinField,
+def _pool_geometry(x: np.ndarray, rois: list[RoI], spec: PoolSpec, field: OffsetModulationField,
                    modulated: bool = False, derivatives: bool = False):
     """Sampling pattern of every (RoI, bin, sample) over the N*H*W pixels,
     in the compute dtype. The pattern's 4*n_k consecutive corners per bin
@@ -189,14 +176,16 @@ def _pooled(cols, data, xt: np.ndarray, x: np.ndarray, spec: PoolSpec) -> np.nda
     return pixel_map(out, None, shape, x.dtype)
 
 
-def mdpool_forward(x, rois: list[RoI], spec: PoolSpec, field: BinField) -> np.ndarray:
-    """Pooled output (R, C, bins_h, bins_w) for the (R, 2K)/(R, K) field."""
-    x = _check_pool_args(x, rois, spec, field)
+def mdpool_forward(x, rois: list[RoI], spec: PoolSpec,
+                   field: OffsetModulationField) -> np.ndarray:
+    """Pooled output (R, C, bins_h, bins_w) for the field's (R, 2K)/(R, K) rows."""
+    x, field = _check_pool_args(x, rois, spec, field)
     cols, data = _pool_geometry(x, rois, spec, field, modulated=True)
     return _pooled(cols, data, pixel_rows(x, dtype=compute_dtype(x)), x, spec)
 
 
-def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, field: BinField, upstream):
+def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, field: OffsetModulationField,
+                    upstream):
     """Analytic gradients (grad_x, grad_offsets (R, 2K), grad_modulation (R, K)).
 
     The offset gradient sums the coordinate gradients of all n_k samples in
@@ -204,12 +193,12 @@ def mdpool_backward(x, rois: list[RoI], spec: PoolSpec, field: BinField, upstrea
     bin mean contracted against the upstream gradient over channels;
     grad_x is S^T (upstream * dm / n_k), accumulated in float64.
     """
-    x = _check_pool_args(x, rois, spec, field)
+    x, field = _check_pool_args(x, rois, spec, field)
     return _mdpool_backward(x, pixel_rows(x, dtype=compute_dtype(x)), rois, spec, field, upstream)
 
 
-def _mdpool_backward(x, xt: np.ndarray, rois: list[RoI], spec: PoolSpec, field: BinField,
-                     upstream):
+def _mdpool_backward(x, xt: np.ndarray, rois: list[RoI], spec: PoolSpec,
+                     field: OffsetModulationField, upstream):
     """`mdpool_backward` on X^T. One product over the bins' interleaved weight,
     y- and x-derivative rows gives each bin sum in the order of its own product.
     """
@@ -232,7 +221,7 @@ def _mdpool_backward(x, xt: np.ndarray, rois: list[RoI], spec: PoolSpec, field: 
 
 def aligned_pool_forward(x, rois: list[RoI], spec: PoolSpec) -> np.ndarray:
     """Plain aligned average pooling: dp = 0, dm = 1 for every bin."""
-    return mdpool_forward(x, rois, spec, BinField.identity(len(rois), spec.k))
+    return mdpool_forward(x, rois, spec, _identity_field(len(rois), spec.k))
 
 
 def aligned_pool_reads(shape: tuple[int, int, int], rois: list[RoI], spec: PoolSpec) -> np.ndarray:
@@ -249,8 +238,7 @@ def aligned_pool_backward(x, rois: list[RoI], spec: PoolSpec, upstream) -> np.nd
     """grad_x of `aligned_pool_forward`: S^T (upstream / n_k) on the plain
     pattern, bit for bit the grad_x of `mdpool_backward` with the identity field.
     """
-    field = BinField.identity(len(rois), spec.k)
-    x = _check_pool_args(x, rois, spec, field)
+    x, field = _check_pool_args(x, rois, spec, _identity_field(len(rois), spec.k))
     gk = _upstream_rows(x, rois, spec, upstream)
     cols, weights = _pool_geometry(x, rois, spec, field)
     return _scatter_to_pixels(cols, weights, gk * (1.0 / spec.n_k), x, spec)
@@ -308,12 +296,13 @@ class RoiBranchCache:
 
 
 def roi_branch_forward(pooled, fc1: Affine, fc2: Affine, out_w: Affine,
-                       rois: list[RoI]) -> tuple[BinField, RoiBranchCache]:
-    """The BinField of R RoIs from their plainly pooled (R, C, bins_h, bins_w)
-    features, and the cache of `roi_branch_backward`.
+                       rois: list[RoI]) -> tuple[OffsetModulationField, RoiBranchCache]:
+    """The field of R RoIs, as (R, 2K)/(R, K) rows, from their plainly pooled
+    (R, C, bins_h, bins_w) features, and the cache of `roi_branch_backward`.
 
     Each fc layer is one (R, D) matrix product in the compute dtype of
-    `pooled` (`sampling.compute_dtype`); the field is float64. The first 2K
+    `pooled` (`sampling.compute_dtype`); the field is float64, the sigmoid
+    taken in the compute dtype and then cast. The first 2K
     outputs are offsets normalized by the RoI extent: pair k is multiplied
     elementwise by (height, width) to give absolute pixels.
     """
@@ -335,7 +324,8 @@ def roi_branch_forward(pooled, fc1: Affine, fc2: Affine, out_w: Affine,
 
     extents = np.array([(roi.height, roi.width) for roi in rois], dtype=np.float64)
     scale = np.tile(extents.reshape(r, 2), k)  # (R, 2K): (height, width) per bin
-    field = BinField(raw[:, : 2 * k] * scale, sigmoid(raw[:, 2 * k :]))
+    field = OffsetModulationField(raw[:, : 2 * k] * scale,
+                                  sigmoid(raw[:, 2 * k :]).astype(np.float64))
     return field, RoiBranchCache(p.shape, z0, a1, z2, field.modulation, scale)
 
 
@@ -378,8 +368,7 @@ DeformablePoolCache = namedtuple("DeformablePoolCache",
 def _deformable_pool_forward(x, rois: list[RoI], spec: PoolSpec, fc1: Affine, fc2: Affine,
                              out_w: Affine) -> tuple[np.ndarray, DeformablePoolCache]:
     """`aligned_pool_forward`, `roi_branch_forward`, `mdpool_forward` over one X^T."""
-    identity = BinField.identity(len(rois), spec.k)
-    x = _check_pool_args(x, rois, spec, identity)
+    x, identity = _check_pool_args(x, rois, spec, _identity_field(len(rois), spec.k))
     xt = pixel_rows(x, dtype=compute_dtype(x))
     plain_cols, plain_weights = _pool_geometry(x, rois, spec, identity, modulated=True)
     field, branch = roi_branch_forward(_pooled(plain_cols, plain_weights, xt, x, spec),

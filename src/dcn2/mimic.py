@@ -99,8 +99,8 @@ def crop_resize_patch(images, rois: list[RoI], out_hw: tuple[int, int]) -> np.nd
             raise ArgumentError(f"RoI {roi} clips to zero area on a {h}x{w} image")
         rects.append(rect)
     out_h, out_w = out_hw
-    if out_h < 1 or out_w < 1:
-        raise ArgumentError(f"patch size {out_hw} must be positive")
+    if not (is_integer(out_h) and is_integer(out_w) and out_h >= 1 and out_w >= 1):
+        raise ArgumentError(f"patch size {out_hw} must be two integers >= 1")
     # (R, 1) columns of the clipped rectangles
     y1, x1, y2, x2 = np.array(rects, dtype=np.float64).reshape(-1, 4).T[:, :, None]
     # crop extent in pixel-center space; edges inclusive. The grid clamps to

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .deform_conv import mdconv_backward_optimized
+from .deform_conv import is_integer, mdconv_backward_optimized
 from .deform_roipool import mdpool_backward
 from .errors import ArgumentError, CapabilityError, ConvergenceError, ShapeError, UsageError
 from .mimic import cosine_mimic_loss
@@ -296,7 +296,7 @@ def slic_segment(image, target_segments: int, compactness: float = 10.0) -> Supe
 
 
 def _check_target_segments(target_segments) -> None:
-    if not (isinstance(target_segments, (int, np.integer)) and target_segments >= 1):
+    if not (is_integer(target_segments) and target_segments >= 1):
         raise ArgumentError(f"target_segments must be an integer >= 1, got {target_segments!r}")
 
 

@@ -79,6 +79,8 @@ class ToyNetConfig:
                 raise ArgumentError(f"unknown layer kind {kind!r}")
         if len(self.layers) != len(self.channels):
             raise ShapeError("layers and channels lists must align")
+        if not self.layers:
+            raise ShapeError("the trunk needs at least one layer")
         widths = (*self.channels, *self.head_widths)
         if not all(is_integer(v) and v >= 1 for v in widths):
             raise ShapeError(f"widths must be integers >= 1, got {widths}")

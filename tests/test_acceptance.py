@@ -22,7 +22,7 @@ from dcn2.deform_conv import (
     mdconv_forward_optimized,
     offset_branch_forward,
 )
-from dcn2.deform_roipool import BinField, PoolSpec, RoI, make_roi_branch, mdpool_forward, \
+from dcn2.deform_roipool import PoolSpec, RoI, make_roi_branch, mdpool_forward, \
     roi_branch_forward
 from dcn2.mimic import MimicBatch, MimicConfig, mimic_step
 from dcn2.oracle import dcnv1_conv_oracle, dense_conv_oracle
@@ -94,7 +94,7 @@ def test_criterion_3_initialization_contract():
     field = offset_branch_forward(x, branch, spec)
     exact = bool(np.all(field.offsets == 0.0) and np.all(field.modulation == 0.5))
 
-    weights = ConvWeights(rng.normal(size=(4, 3, 3, 3)))  # zero bias
+    weights = ConvWeights(rng.normal(size=(4, 3, 3, 3)), np.zeros(4))
     out = mdconv_forward_optimized(x, weights, spec, field)
     rigid = dense_conv_oracle(x, weights.weight, spec)
     half_err = float(np.abs(out - 0.5 * rigid).max())
@@ -126,12 +126,12 @@ def test_criterion_4_optimized_equivalence_and_speed():
         upstream = rng.normal(size=ref.shape)
         for a, b in zip(mdconv_backward(x, weights, spec, field, upstream),
                         mdconv_backward_optimized(x, weights, spec, field, upstream)):
-            if a is not None:
-                max_err = max(max_err, float(np.abs(a - b).max()))
+            max_err = max(max_err, float(np.abs(a - b).max()))
 
     spec = KernelSpec(3, 3, pad=(1, 1))
     x = rng.normal(size=(1, 64, 128, 128)).astype(np.float32)
-    weights = ConvWeights(rng.normal(size=(64, 64, 3, 3)).astype(np.float32))
+    weights = ConvWeights(rng.normal(size=(64, 64, 3, 3)).astype(np.float32),
+                          np.zeros(64, dtype=np.float32))
     h_out, w_out = spec.out_size(128, 128)
     field = OffsetModulationField(
         rng.uniform(-1, 1, size=(1, 18, h_out, w_out)).astype(np.float32),
@@ -261,7 +261,8 @@ def test_criterion_8_constant_input_law():
         # offsets stay in-bounds: samples live in [3, 7+1] plus offset in [-2, 2]
         draws = [(rng.uniform(-2.0, 2.0, 2 * spec.k), rng.uniform(0.0, 1.0, spec.k))
                  for _ in rois]
-        field = BinField(np.stack([o for o, _ in draws]), np.stack([m for _, m in draws]))
+        field = OffsetModulationField(np.stack([o for o, _ in draws]),
+                                      np.stack([m for _, m in draws]))
         out = mdpool_forward(x, rois, spec, field)
         for r in range(len(rois)):
             want = c * field.modulation[r].reshape(spec.bins_h, spec.bins_w)

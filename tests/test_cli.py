@@ -227,6 +227,16 @@ def test_config_image_too_small_for_the_task_is_usage_error(tmp_path, capsys, im
     assert captured.out == ""
 
 
+def test_config_with_an_empty_trunk_is_usage_error(tmp_path, capsys):
+    # building the net once ended in an IndexError traceback
+    cfg_path = tmp_path / "net.json"
+    cfg_path.write_text(json.dumps({"layers": [], "channels": []}))
+    assert main(["demo-train", "--steps=1", f"--config={cfg_path}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and "at least one layer" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["demo-train", "bench"])
 def test_run_too_large_for_memory_is_usage_error(tmp_path, capsys, command):
     # both once exited 1 with numpy's _ArrayMemoryError traceback; each first

@@ -59,7 +59,7 @@ def random_instance(rng, offset_scale=2.0, modulation=None):
     x = rng.normal(size=(n, c_in, h, w))
     weights = ConvWeights(
         rng.normal(size=(c_out, c_in, spec.kernel_h, spec.kernel_w)),
-        rng.normal(size=c_out) if rng.random() < 0.5 else None,
+        rng.normal(size=c_out) if rng.random() < 0.5 else np.zeros(c_out),
     )
     offsets = rng.uniform(-offset_scale, offset_scale, size=(n, 2 * spec.k, h_out, w_out))
     if modulation is None:
@@ -112,7 +112,7 @@ def test_half_modulation_halves_dense_conv():
     rng = np.random.default_rng(3)
     spec = KernelSpec(3, 3, pad=(1, 1))
     x = rng.normal(size=(1, 2, 6, 6))
-    weights = ConvWeights(rng.normal(size=(2, 2, 3, 3)))
+    weights = ConvWeights(rng.normal(size=(2, 2, 3, 3)), np.zeros(2))
     field = identity_field(1, spec.k, 6, 6, modulation=0.5)
     got = mdconv_forward(x, weights, spec, field)
     want = 0.5 * dense_conv_oracle(x, weights.weight, spec)
@@ -130,15 +130,16 @@ def test_linearity_in_input_and_weights():
     x1, x2 = rng.normal(size=(2, 1, 2, 6, 6))
     w1, w2 = rng.normal(size=(2, 2, 2, 3, 3))
     a, b = 1.7, -0.3
+    zero = np.zeros(2)
 
-    combined = mdconv_forward(a * x1 + b * x2, ConvWeights(w1), spec, field)
-    split = a * mdconv_forward(x1, ConvWeights(w1), spec, field) \
-        + b * mdconv_forward(x2, ConvWeights(w1), spec, field)
+    combined = mdconv_forward(a * x1 + b * x2, ConvWeights(w1, zero), spec, field)
+    split = a * mdconv_forward(x1, ConvWeights(w1, zero), spec, field) \
+        + b * mdconv_forward(x2, ConvWeights(w1, zero), spec, field)
     assert np.abs(combined - split).max() < 1e-10
 
-    combined = mdconv_forward(x1, ConvWeights(a * w1 + b * w2), spec, field)
-    split = a * mdconv_forward(x1, ConvWeights(w1), spec, field) \
-        + b * mdconv_forward(x1, ConvWeights(w2), spec, field)
+    combined = mdconv_forward(x1, ConvWeights(a * w1 + b * w2, zero), spec, field)
+    split = a * mdconv_forward(x1, ConvWeights(w1, zero), spec, field) \
+        + b * mdconv_forward(x1, ConvWeights(w2, zero), spec, field)
     assert np.abs(combined - split).max() < 1e-10
 
 
@@ -159,10 +160,7 @@ def test_optimized_matches_reference_fuzz():
         ref_g = mdconv_backward(x, weights, spec, field, upstream)
         opt_g = mdconv_backward_optimized(x, weights, spec, field, upstream)
         for a, b in zip(ref_g, opt_g):
-            if a is None:
-                assert b is None
-            else:
-                assert np.abs(a - b).max() < 1e-5
+            assert np.abs(a - b).max() < 1e-5
 
 
 # float32 carries ~7 significant digits and every output or gradient entry
@@ -186,11 +184,11 @@ def test_float32_optimized_matches_float64_reference():
         on_lattice = rng.random(offsets.shape) < 0.5
         offsets[on_lattice] = np.round(offsets[on_lattice])
         f32 = [a.astype(np.float32) for a in (x, weights.weight, offsets, field.modulation)]
-        bias32 = None if weights.bias is None else weights.bias.astype(np.float32)
+        bias32 = weights.bias.astype(np.float32)
         x32, w32, off32, mod32 = f32
         # the reference sees the very same float32 values, in float64
         x64, w64, off64, mod64 = (a.astype(np.float64) for a in f32)
-        bias64 = None if bias32 is None else bias32.astype(np.float64)
+        bias64 = bias32.astype(np.float64)
         field32 = OffsetModulationField(off32, mod32)
         field64 = OffsetModulationField(off64, mod64)
 
@@ -201,9 +199,6 @@ def test_float32_optimized_matches_float64_reference():
                                 upstream.astype(np.float64))
         opt_g = mdconv_backward_optimized(x32, ConvWeights(w32, bias32), spec, field32, upstream)
         for a, b in zip((ref,) + ref_g, (opt,) + opt_g):
-            if a is None:
-                assert b is None
-                continue
             assert b.dtype == np.float32
             assert np.abs(a - b).max() <= F32_REL_TOL * max(1.0, np.abs(a).max())
 
@@ -219,7 +214,7 @@ def test_lattice_samples_use_floor_cell_derivative():
     offsets = np.zeros((1, 2, h, w))
     offsets[0, 0] = (h - 1) - np.arange(h)[:, None]
     field = OffsetModulationField(offsets, np.ones((1, 1, h, w)))
-    weights = ConvWeights(np.ones((1, 1, 1, 1)))
+    weights = ConvWeights(np.ones((1, 1, 1, 1)), np.zeros(1))
     last = x[0, 0, h - 1]
     want_dy = np.broadcast_to(-last, (h, w))
     want_dx = np.broadcast_to(np.append(last[1:] - last[:-1], -last[-1]), (h, w))
@@ -239,7 +234,8 @@ def test_kernel_threads_keep_the_callers_errstate(monkeypatch, kernel_threads):
     kernel_threads(2)
     spec = KernelSpec(3, 3, pad=(1, 1))
     x = np.ones((2, 2, 8, 8), dtype=np.float32)
-    weights = ConvWeights(np.full((2, 2, 3, 3), 1e38, dtype=np.float32))
+    weights = ConvWeights(np.full((2, 2, 3, 3), 1e38, dtype=np.float32),
+                          np.zeros(2, np.float32))
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         mdconv_forward_optimized(x, weights, spec, identity_field(2, 9, 8, 8))
 
@@ -281,7 +277,7 @@ def test_constant_input_zero_offset_gradient():
         rng.uniform(-0.8, 0.8, size=(1, 18, h_out, w_out)),
         rng.uniform(0.2, 0.9, size=(1, 9, h_out, w_out)),
     )
-    weights = ConvWeights(rng.normal(size=(2, 2, 3, 3)))
+    weights = ConvWeights(rng.normal(size=(2, 2, 3, 3)), np.zeros(2))
     upstream = rng.normal(size=(1, 2, h_out, w_out))
     # interior positions only: border taps see the zero-padding step
     _, _, _, goff, _ = mdconv_backward(x, weights, spec, field, upstream)
@@ -292,7 +288,7 @@ def test_zero_modulation_kills_x_and_w_grads_not_modulation():
     rng = np.random.default_rng(8)
     spec = KernelSpec(3, 3)
     x = rng.normal(size=(1, 2, 5, 5))
-    weights = ConvWeights(rng.normal(size=(2, 2, 3, 3)))
+    weights = ConvWeights(rng.normal(size=(2, 2, 3, 3)), np.zeros(2))
     h_out, w_out = spec.out_size(5, 5)
     field = identity_field(1, spec.k, h_out, w_out, modulation=0.0)
     upstream = rng.normal(size=(1, 2, h_out, w_out))
@@ -392,7 +388,7 @@ def test_offset_branch_channel_count_enforced():
     spec = KernelSpec(3, 3)
     with pytest.raises(ShapeError):
         offset_branch_forward(np.zeros((1, 1, 5, 5)),
-                              ConvWeights(np.zeros((10, 1, 3, 3))), spec)
+                              ConvWeights(np.zeros((10, 1, 3, 3)), np.zeros(10)), spec)
 
 
 def test_branch_lr_multiplier_descriptor():
@@ -408,7 +404,7 @@ def test_branch_lr_multiplier_descriptor():
 
 def test_empty_batch_gives_empty_output():
     spec = KernelSpec(3, 3)
-    weights = ConvWeights(np.zeros((2, 2, 3, 3)))
+    weights = ConvWeights(np.zeros((2, 2, 3, 3)), np.zeros(2))
     # an empty batch, and an input smaller than the kernel (an empty map)
     for x, out_hw in ((np.zeros((0, 2, 5, 5)), (3, 3)), (np.ones((1, 2, 2, 2)), (0, 0))):
         n = x.shape[0]
@@ -416,10 +412,10 @@ def test_empty_batch_gives_empty_output():
         out = mdconv_forward_optimized(x, weights, spec, field)
         assert out.shape == (n, 2, *out_hw)
         grads = mdconv_backward_optimized(x, weights, spec, field, out)
-        assert [g.shape for g in grads if g is not None] == [
-            x.shape, weights.weight.shape, field.offsets.shape, field.modulation.shape]
-        assert not any(g.any() for g in grads if g is not None)
-        branch = ConvWeights(np.zeros((27, 2, 3, 3)))
+        assert [g.shape for g in grads] == [x.shape, weights.weight.shape, weights.bias.shape,
+                                            field.offsets.shape, field.modulation.shape]
+        assert not any(g.any() for g in grads)
+        branch = ConvWeights(np.zeros((27, 2, 3, 3)), np.zeros(27))
         assert offset_branch_forward(x, branch, spec).offsets.shape == field.offsets.shape
 
 
@@ -556,7 +552,7 @@ def test_dense_conv_backward_rejects_misfit_arguments(x_shape, w_shape, g_shape)
     # numpy's reshape once raised ValueError here, or for a transposed
     # upstream of the right size returned wrong gradients
     with pytest.raises(ShapeError):
-        dense_conv_backward(np.ones(x_shape), ConvWeights(np.ones(w_shape)),
+        dense_conv_backward(np.ones(x_shape), ConvWeights(np.ones(w_shape), np.zeros(w_shape[0])),
                             KernelSpec(3, 3, pad=(1, 1)), np.ones(g_shape))
 
 
@@ -564,7 +560,8 @@ def test_dense_conv_backward_rejects_misfit_arguments(x_shape, w_shape, g_shape)
 def test_offset_branch_backward_rejects_misfit_field_gradients(modulated):
     spec = KernelSpec(3, 3, pad=(1, 1))
     x = np.ones((1, 2, 4, 4))
-    bw = ConvWeights(np.zeros(((3 if modulated else 2) * spec.k, 2, 3, 3)))
+    channels = (3 if modulated else 2) * spec.k
+    bw = ConvWeights(np.zeros((channels, 2, 3, 3)), np.zeros(channels))
     field = offset_branch_forward(x, bw, spec)
     g_off, g_mod = np.ones(field.offsets.shape), np.ones(field.modulation.shape)
     for bad in ((g_off[:, :, :3], g_mod), (g_off, g_mod[:, :4]), (g_off[:, :-2], g_mod)):
@@ -603,7 +600,7 @@ def _outside(a, positions):
 def test_bad_positions_are_argument_error():
     spec = KernelSpec(3, 3, pad=(1, 1))
     x = np.zeros((1, 2, 2, 3))
-    weights = ConvWeights(np.zeros((2, 2, 3, 3)))
+    weights = ConvWeights(np.zeros((2, 2, 3, 3)), np.zeros(2))
     field = identity_field(1, 9, 2, 3)
     layer = DeformConv2dLayer(2, 2, spec, np.random.default_rng(0))
     for bad in ([6], [-1], [2, 1], [1, 1], [[0, 1]], [0.0, 1.0]):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,9 @@ import pytest
 
 import dcn2.deform_roipool as deform_roipool
 from dcn2.checks import run_gradcheck
-from dcn2.deform_conv import KernelSpec
+from dcn2.deform_conv import KernelSpec, OffsetModulationField, sigmoid
 from dcn2.deform_roipool import (
     Affine,
-    BinField,
     PoolSpec,
     RoI,
     aligned_pool_backward,
@@ -26,11 +26,16 @@ from dcn2.oracle import aligned_roipool_oracle
 from dcn2.sampling import bilinear_backward, bilinear_sample
 
 
+def identity_rows(r, k):
+    """The field rows of plain aligned pooling: dp = 0, dm = 1."""
+    return OffsetModulationField(np.zeros((r, 2 * k)), np.ones((r, k)))
+
+
 def test_constant_plane_identity_field():
     x = np.full((1, 3, 8, 8), 4.25)
     spec = PoolSpec(2, 3, samples=2)
     rois = [RoI(0, 1.0, 1.0, 6.5, 6.0)]
-    out = mdpool_forward(x, rois, spec, BinField.identity(1, spec.k))
+    out = mdpool_forward(x, rois, spec, identity_rows(1, spec.k))
     assert np.allclose(out, 4.25, atol=1e-12)
 
 
@@ -39,7 +44,7 @@ def test_zero_modulation_zeroes_bin():
     x = rng.normal(size=(1, 2, 8, 8))
     spec = PoolSpec(2, 2)
     mods = np.array([0.0, 1.0, 1.0, 0.3])
-    field = BinField(np.zeros((1, 8)), mods[None])
+    field = OffsetModulationField(np.zeros((1, 8)), mods[None])
     out = mdpool_forward(x, [RoI(0, 1, 1, 6, 6)], spec, field)
     assert np.all(out[0, :, 0, 0] == 0.0)
     assert np.abs(out[0, :, 0, 1]).max() > 0
@@ -49,7 +54,7 @@ def test_whole_map_roi_single_bin_grid_positions():
     plane = np.array([[1.0, 2.0], [3.0, 4.0]])
     x = plane.reshape(1, 1, 2, 2)
     spec = PoolSpec(1, 1, samples=2)
-    out = mdpool_forward(x, [RoI(0, 0.0, 0.0, 1.0, 1.0)], spec, BinField.identity(1, 1))
+    out = mdpool_forward(x, [RoI(0, 0.0, 0.0, 1.0, 1.0)], spec, identity_rows(1, 1))
     # independent enumeration of the stated grid placement
     expected = np.mean([
         bilinear_sample(plane, (0.25, 0.25)),
@@ -83,7 +88,7 @@ def test_translation_invariance_away_from_borders():
     x2 = np.zeros((1, 3, 16, 16))
     x2[0, :, 6:11, 7:12] = content  # shifted by (3, 4)
     spec = PoolSpec(2, 2)
-    field = BinField(rng.uniform(-0.5, 0.5, (1, 8)), rng.uniform(0.2, 1.0, (1, 4)))
+    field = OffsetModulationField(rng.uniform(-0.5, 0.5, (1, 8)), rng.uniform(0.2, 1.0, (1, 4)))
     a = mdpool_forward(x, [RoI(0, 2.3, 2.6, 8.9, 8.1)], spec, field)
     b = mdpool_forward(x2, [RoI(0, 6.3, 5.6, 12.9, 11.1)], spec, field)
     assert np.abs(a - b).max() < 1e-10
@@ -100,8 +105,8 @@ def test_modulation_monotonicity_nonnegative_maps():
         m2 = m1.copy()
         bump = int(rng.integers(0, 4))
         m2[bump] = min(1.0, m1[bump] + rng.uniform(0, 1 - m1[bump] + 1e-12))
-        o1 = mdpool_forward(x, [roi], spec, BinField(offs[None], m1[None]))
-        o2 = mdpool_forward(x, [roi], spec, BinField(offs[None], m2[None]))
+        o1 = mdpool_forward(x, [roi], spec, OffsetModulationField(offs[None], m1[None]))
+        o2 = mdpool_forward(x, [roi], spec, OffsetModulationField(offs[None], m2[None]))
         by, bx = divmod(bump, 2)
         assert np.all(o2[0, :, by, bx] >= o1[0, :, by, bx] - 1e-12)
 
@@ -109,14 +114,14 @@ def test_modulation_monotonicity_nonnegative_maps():
 def test_batch_index_validated():
     x = np.zeros((1, 1, 4, 4))
     with pytest.raises(ArgumentError):
-        mdpool_forward(x, [RoI(1, 0, 0, 2, 2)], PoolSpec(1, 1), BinField.identity(1, 1))
+        mdpool_forward(x, [RoI(1, 0, 0, 2, 2)], PoolSpec(1, 1), identity_rows(1, 1))
 
 
 def test_degenerate_roi_collapses_to_point():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(1, 1, 6, 6))
     out = mdpool_forward(x, [RoI(0, 2.5, 3.5, 2.5, 3.5)], PoolSpec(2, 2),
-                         BinField.identity(1, 4))
+                         identity_rows(1, 4))
     point = bilinear_sample(x[0, 0], (3.5, 2.5))
     assert np.allclose(out, point)
 
@@ -170,7 +175,7 @@ def test_float32_mdpool_matches_float64_loop_reference():
     draws = [(np.tile([0.5, 1.5], spec.k), rng.uniform(0.1, 1.0, spec.k))]
     draws += [(rng.uniform(-1.5, 1.5, 2 * spec.k), rng.uniform(0.1, 1.0, spec.k))
               for _ in rois[1:]]
-    field = BinField(np.stack([o for o, _ in draws]), np.stack([m for _, m in draws]))
+    field = OffsetModulationField(np.stack([o for o, _ in draws]), np.stack([m for _, m in draws]))
     upstream = rng.normal(size=(len(rois), 3, 2, 2)).astype(np.float32)
     want = _mdpool_loop_reference(x32.astype(np.float64), rois, spec, field,
                                   upstream.astype(np.float64))
@@ -185,7 +190,7 @@ def test_backward_zero_modulation_kills_grad_x():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(1, 2, 8, 8))
     spec = PoolSpec(1, 1)
-    field = BinField(np.array([[0.3, -0.4]]), np.array([[0.0]]))
+    field = OffsetModulationField(np.array([[0.3, -0.4]]), np.array([[0.0]]))
     upstream = rng.normal(size=(1, 2, 1, 1))
     gx, goff, gmod = mdpool_backward(x, [RoI(0, 1, 1, 6, 6)], spec, field, upstream)
     assert np.all(gx == 0)
@@ -197,7 +202,7 @@ def test_backward_constant_input_zero_offset_grad():
     x = np.full((1, 2, 8, 8), 2.0)
     spec = PoolSpec(2, 2)
     rng = np.random.default_rng(6)
-    field = BinField(rng.uniform(-0.5, 0.5, (1, 8)), rng.uniform(0.2, 0.9, (1, 4)))
+    field = OffsetModulationField(rng.uniform(-0.5, 0.5, (1, 8)), rng.uniform(0.2, 0.9, (1, 4)))
     upstream = rng.normal(size=(1, 2, 2, 2))
     _, goff, _ = mdpool_backward(x, [RoI(0, 2, 2, 5.5, 5.5)], spec, field, upstream)
     assert np.abs(goff).max() < 1e-9
@@ -286,7 +291,7 @@ def test_deformable_pool_layer_matches_per_roi_branch_loop():
     plain = aligned_pool_forward(x, rois, spec)
     ref = [roi_branch_forward(plain[r:r + 1], fc1, fc2, out_w, [roi])
            for r, roi in enumerate(rois)]
-    ref_field = BinField(np.concatenate([f.offsets for f, _ in ref]),
+    ref_field = OffsetModulationField(np.concatenate([f.offsets for f, _ in ref]),
                          np.concatenate([f.modulation for f, _ in ref]))
     ref_gx, goff, gmod = mdpool_backward(x, rois, spec, ref_field, gy)
     grad_plain = np.zeros(plain.shape)
@@ -404,17 +409,51 @@ def test_pool_layer_backward_takes_head_rows():
 
 
 def test_aligned_pool_backward_is_mdpool_grad_x_with_identity_fields():
-    # bit for bit: the same pattern, S^T and upstream / n_k
+    # bit for bit: the same pattern, S^T and upstream / n_k; and the forward
+    # is mdpool's with zero offsets and unit modulation
     rng = np.random.default_rng(13)
-    spec = PoolSpec(3, 2, samples=3)
     rois = [RoI(0, 1.2, 0.4, 9.7, 6.3), RoI(1, 0.0, 2.5, 5.5, 7.0)]
-    for dtype in (np.float32, np.float64):
+    for samples, dtype in itertools.product((2, 3), (np.float32, np.float64)):
+        spec = PoolSpec(3, 2, samples=samples)
+        field = identity_rows(len(rois), spec.k)
         x = rng.normal(size=(2, 4, 9, 11)).astype(dtype)
         gy = rng.normal(size=(2, 4, 3, 2)).astype(dtype)
-        want, _, _ = mdpool_backward(x, rois, spec, BinField.identity(len(rois), spec.k), gy)
-        got = aligned_pool_backward(x, rois, spec, gy)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+        for got, want in ((aligned_pool_forward(x, rois, spec),
+                           mdpool_forward(x, rois, spec, field)),
+                          (aligned_pool_backward(x, rois, spec, gy),
+                           mdpool_backward(x, rois, spec, field, gy)[0])):
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+
+
+def test_pooling_reads_a_float32_field_as_float64():
+    # the field's values, not its dtype, decide the pooled bits
+    rng = np.random.default_rng(19)
+    spec = PoolSpec(2, 2, samples=3)  # dm / 9 rounds differently in float32
+    rois = [RoI(0, 1.0, 0.5, 7.5, 6.0), RoI(0, 0.0, 2.0, 5.0, 9.0)]
+    x = rng.normal(size=(1, 3, 10, 10))
+    gy = rng.normal(size=(len(rois), 3, 2, 2))
+    f32 = OffsetModulationField(rng.uniform(-1, 1, (2, 8)).astype(np.float32),
+                                rng.uniform(0.1, 0.9, (2, 4)).astype(np.float32))
+    f64 = OffsetModulationField(f32.offsets.astype(np.float64), f32.modulation.astype(np.float64))
+    assert np.array_equal(mdpool_forward(x, rois, spec, f32), mdpool_forward(x, rois, spec, f64))
+    for a, b in zip(mdpool_backward(x, rois, spec, f32, gy),
+                    mdpool_backward(x, rois, spec, f64, gy)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_float32_roi_branch_gives_a_float64_field():
+    rng = np.random.default_rng(20)
+    fc1, fc2, out_w = make_roi_branch(in_dim=12, k=4, hidden=16, rng=rng)
+    out_w = Affine(rng.normal(size=out_w.weight.shape) * 0.1, rng.normal(size=12) * 0.1)
+    pooled = rng.normal(size=(2, 3, 2, 2)).astype(np.float32)
+    rois = [RoI(0, 1, 1, 9, 7), RoI(0, 0, 2, 5, 8)]
+    field, cache = roi_branch_forward(pooled, fc1, fc2, out_w, rois)
+    assert field.offsets.dtype == field.modulation.dtype == np.float64
+    assert cache.z0.dtype == np.float32
+    # the sigmoid is taken in float32, then cast
+    raw = cache.z2 @ out_w.weight.astype(np.float32).T + out_w.bias.astype(np.float32)
+    assert np.array_equal(field.modulation, sigmoid(raw[:, 8:]).astype(np.float64))
 
 
 def test_roi_branch_backward_shapes():
@@ -469,22 +508,22 @@ def test_roi_invariants():
 def test_bin_field_modulation_range_enforced():
     for bad in (1.5, -0.5, np.nan):
         with pytest.raises(ArgumentError):
-            BinField(np.zeros((1, 2)), np.array([[bad]]))
+            OffsetModulationField(np.zeros((1, 2)), np.array([[bad]]))
 
 
 def test_bin_field_is_one_record_of_r_rows():
     for offsets, modulation in ((np.zeros(2), np.ones(1)), (np.zeros((2, 4)), np.ones((2, 3))),
                                 (np.zeros((2, 2)), np.ones((1, 1)))):
         with pytest.raises(ShapeError):
-            BinField(offsets, modulation)
+            OffsetModulationField(offsets, modulation)
 
 
 def test_field_count_must_match_rois():
     x = np.zeros((1, 1, 4, 4))
     with pytest.raises(ShapeError):  # no row for the RoI
-        mdpool_forward(x, [RoI(0, 0, 0, 2, 2)], PoolSpec(1, 1), BinField.identity(0, 1))
+        mdpool_forward(x, [RoI(0, 0, 0, 2, 2)], PoolSpec(1, 1), identity_rows(0, 1))
     with pytest.raises(ShapeError):  # 4 bins per row against a 1x1 spec
-        mdpool_backward(x, [RoI(0, 0, 0, 2, 2)], PoolSpec(1, 1), BinField.identity(1, 4),
+        mdpool_backward(x, [RoI(0, 0, 0, 2, 2)], PoolSpec(1, 1), identity_rows(1, 4),
                         np.zeros((1, 1, 1, 1)))
 
 
@@ -494,7 +533,7 @@ def test_no_rois_pool_to_empty_outputs_and_zero_input_gradients(dtype):
     spec = PoolSpec(2, 3, samples=2)
     x = rng.normal(size=(2, 4, 7, 8)).astype(dtype)
     gy = np.zeros((0, 4, spec.bins_h, spec.bins_w), dtype=dtype)
-    empty_field = BinField.identity(0, spec.k)
+    empty_field = identity_rows(0, spec.k)
 
     def assert_empty_pool(out):
         assert out.shape == gy.shape and out.dtype == dtype

@@ -114,6 +114,13 @@ def test_crop_outside_image_rejected():
             crop_resize_patch(img[None], rois, (2, 2))
 
 
+@pytest.mark.parametrize("out_hw", [(8.5, 8), (8, 8.5), (True, 8), (8, 0)])
+def test_crop_patch_size_must_be_two_integers_at_least_one(out_hw):
+    # (8.5, 8) once raised numpy's bare TypeError
+    with pytest.raises(ArgumentError, match="patch size"):
+        crop_resize_patch(np.zeros((1, 1, 8, 8)), [_GOOD_ROI], out_hw)
+
+
 @pytest.mark.parametrize("batch_index", [-1, 2])
 def test_crop_batch_index_outside_stack_rejected(batch_index):
     # -1 would silently crop the last image, 2 would raise a raw IndexError

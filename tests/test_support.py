@@ -351,6 +351,15 @@ def test_slic_rejects_oversubscription():
         slic_segment(np.zeros((1, 4, 4)), 17)
 
 
+def test_target_segments_must_be_an_integer_not_a_bool():
+    # True once counted as 1 segment
+    img = np.zeros((1, 8, 8))
+    with pytest.raises(ArgumentError, match="target_segments"):
+        slic_segment(img, True)
+    with pytest.raises(ArgumentError, match="target_segments"):
+        saliency_region(window_probe(0, 0, 4, 4), img, target_segments=True)
+
+
 def test_slic_rejects_non_finite_image():
     img = np.zeros((1, 8, 8))
     img[0, 3, 4] = np.nan

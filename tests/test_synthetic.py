@@ -126,6 +126,8 @@ def test_config_validation():
         ToyNetConfig(layers=("regular",), channels=(4, 4))
     with pytest.raises(ShapeError):
         ToyNetConfig(layers=("regular",), channels=(0,))
+    with pytest.raises(ShapeError, match="at least one layer"):
+        ToyNetConfig(layers=(), channels=())
 
 
 # each of these once passed and failed later with numpy's TypeError or ValueError
