@@ -180,9 +180,12 @@ def cmd_demo_train(args) -> int:
     from dataclasses import replace
 
     cfg = _load_net_config(args)
-    if args.layers:
+    if args.layers is not None:
         kinds = tuple(args.layers.split(","))
-        cfg = replace(cfg, layers=kinds, channels=tuple([cfg.channels[0]] * len(kinds)))
+        try:
+            cfg = replace(cfg, layers=kinds, channels=tuple([cfg.channels[0]] * len(kinds)))
+        except ArgumentError as exc:  # an empty or unknown layer kind
+            raise UsageError(f"--layers: {exc}") from None
     try:
         task = SyntheticTask(mode=args.task, image_size=cfg.image_size,
                              dilation=args.dilation, seed=args.task_seed)

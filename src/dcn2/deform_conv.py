@@ -21,12 +21,21 @@ GEMM with the weights gives the output. `sampling` owns the layout, the
 - The mdconv backward computes only the live output positions, those where
   any channel of the upstream gradient is non-zero (NaN and inf count as
   live). A dead position gets exact-zero offset and modulation gradients
-  and adds nothing to grad_x or grad_w. It rebuilds the live positions'
-  pattern together with the weights' coordinate derivatives and scatters
-  grad_x through S^T in float64, each chunk into the window of pixels its
-  pattern reads. The offset branch's backward runs its dense convolution at
-  the positions the field was computed at, whatever the field gradients
-  hold: a whole map always takes the full-map im2col path.
+  and adds nothing to grad_x or grad_w. It builds the live positions'
+  pattern with the weights' coordinate derivatives from their corner base
+  (`sampling.corner_base`) and scatters grad_x through S^T in float64, each
+  chunk into the window of pixels its pattern reads. The offset branch's
+  backward runs its dense convolution at the positions the field was
+  computed at, whatever the field gradients hold: a whole map always takes
+  the full-map im2col path.
+- Everything a call samples with that depends on the input, the field and
+  the list alone, not on the weights, is one `_ConvGeometry`: the
+  modulation rows, X^T and the corner base. `DeformConv2dLayer` keeps its
+  forward's geometry, with the branch's im2col rows, in one record
+  (`_deformable_conv_forward`) and its backward selects the live rows of
+  it (`_deformable_conv_backward`); each public kernel builds its own and
+  runs the same private step (`_mdconv_forward`, `_mdconv_backward`,
+  `_dense_backward`).
 
 So RoI heads and single-unit probes, which read a few positions, pay only
 for those: `net.Sequential.forward` works out what a head demands and runs
@@ -43,15 +52,17 @@ Offset channel layout is pinned for file compatibility: channel pair
 
 from __future__ import annotations
 
+import copy
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import runtime
 from .errors import ArgumentError, ShapeError
-from .sampling import (bilinear_backward, bilinear_corner_gather, bilinear_sample, compute_dtype,
-                       pixel_map, pixel_rows, sampling_matrix)
+from .sampling import (bilinear_backward, bilinear_sample, compute_dtype, corner_base,
+                       corner_weights, pixel_map, pixel_rows, sampling_matrix)
 
 # learning-rate multiplier carried by offset/modulation branch weights (the
 # descriptor asserted by tests; applied by the optimizer in net.py)
@@ -325,66 +336,181 @@ _CHUNK_BUDGET = 1_000_000
 
 
 def _chunks(positions: np.ndarray, c_in: int, k: int, h_out: int, w_out: int):
-    """Tasks (n0, n1, s0, s1) covering the sorted flat output positions:
-    positions[s0:s1], within items n0 .. n1-1. One task when the whole list
-    fits the budget, else per-item blocks of as many positions as the
-    budget's whole output rows hold, so that the all-positions list splits
-    into row blocks.
+    """Bounds (s0, s1) of chunks covering the sorted flat output positions,
+    positions[s0:s1] each. One chunk when the whole list fits the budget,
+    else per-item blocks of as many positions as the budget's whole output
+    rows hold, so that the all-positions list splits into row blocks.
     """
     hw = h_out * w_out
     if positions.size * c_in * k <= _CHUNK_BUDGET:
-        bounds = [(0, positions.size)] if positions.size else []
-    else:
-        block = max(1, _CHUNK_BUDGET // (c_in * k * w_out)) * w_out
-        starts = np.flatnonzero(np.diff(positions // hw)) + 1
-        items = zip([0, *starts.tolist()], [*starts.tolist(), positions.size])
-        bounds = [(i, min(i + block, i1)) for i0, i1 in items for i in range(i0, i1, block)]
-    return [(int(positions[s0] // hw), int(positions[s1 - 1] // hw) + 1, s0, s1)
-            for s0, s1 in bounds]
+        return [(0, positions.size)] if positions.size else []
+    block = max(1, _CHUNK_BUDGET // (c_in * k * w_out)) * w_out
+    starts = np.flatnonzero(np.diff(positions // hw)) + 1
+    items = zip([0, *starts.tolist()], [*starts.tolist(), positions.size])
+    return [(i, min(i + block, i1)) for i0, i1 in items for i in range(i0, i1, block)]
 
 
 class _ConvGeometry:
-    """Shared sampling-matrix machinery for the optimized kernels, over one
-    sorted list of flat output positions and the field's (P, 2K) offset and
-    (P, K) modulation rows there.
+    """The sampling geometry of one sorted list of flat output positions:
+    what the optimized kernels build from the input, the field's (P, 2K)
+    offset and (P, K) modulation rows there and the list, and never from the
+    weights. It holds the modulation rows, X^T (`pixel_rows`) of the items
+    the list spans and the corner base (`sampling.corner_base`) of every
+    (position, tap) sample, whose columns index X^T's rows.
 
     Everything per position is kept position-major, (P, K), so a chunk's
-    sampling matrix has one row per (position, tap) and its product with the
-    `pixel_rows` of the chunk's items reshapes for free to the
-    (positions, K*C_in) operand of the GEMM.
+    sampling matrix has one row per (position, tap) and its product with
+    X^T reshapes for free to the (positions, K*C_in) operand of the GEMM.
     """
 
-    def __init__(self, x, w: ConvWeights, spec: KernelSpec, offsets, modulation,
-                 positions: np.ndarray, out_hw: tuple[int, int]):
+    def __init__(self, x, spec: KernelSpec, offsets, modulation, positions: np.ndarray,
+                 out_hw: tuple[int, int]):
         self.dtype = compute_dtype(x)
-        _, self.c_in, self.h, self.w_in = x.shape
-        c_out = w.weight.shape[0]
-        # (K*C_in, C_out), rows in the (tap, channel) order of a sampled row
-        self.wmat = np.ascontiguousarray(
-            w.weight.reshape(c_out, self.c_in, spec.k).transpose(2, 1, 0),
-            dtype=self.dtype).reshape(spec.k * self.c_in, c_out)
-        self.bias = np.asarray(w.bias, dtype=self.dtype)
-        self.item, rows, cols = spec.taps_at(positions, out_hw)
+        _, self.c_in, h, w_in = x.shape
+        self.k, self.out_hw, self.positions = spec.k, out_hw, positions
+        item, rows, cols = spec.taps_at(positions, out_hw)
         # (P, K) in row-major tap order: tap (u, v) offsets rows[:, u], cols[:, v]
         offs = offsets.astype(np.float64, copy=False).reshape(-1, spec.kernel_h, spec.kernel_w, 2)
-        self.py = (rows[:, :, None] + offs[..., 0]).reshape(-1, spec.k)
-        self.px = (cols[:, None, :] + offs[..., 1]).reshape(-1, spec.k)
+        py = (rows[:, :, None] + offs[..., 0]).reshape(-1, spec.k)
+        px = (cols[:, None, :] + offs[..., 1]).reshape(-1, spec.k)
         self.mods = modulation.astype(np.float64, copy=False)
-        # X^T of the items the list spans, (items, H*W, C_in), built once for all chunks
-        self.first = int(self.item[0])
-        self.xt = pixel_rows(x[self.first : int(self.item[-1]) + 1], dtype=self.dtype).reshape(
-            -1, self.h * self.w_in, self.c_in)
+        self.first = int(item[0])
+        self.xt = pixel_rows(x[self.first : int(item[-1]) + 1], dtype=self.dtype)
+        self.base = corner_base(py, px, h, w_in,
+                                flat_offset=((item - self.first) * (h * w_in))[:, None])
 
-    def pattern(self, n0: int, s0: int, s1: int, derivatives: bool = False):
-        """Sampling pattern of positions s0 .. s1-1 of the list, (P, K) in
-        compute dtype; items count from n0, the first item of the chunk's
-        pixel rows. Modulated, or unmodulated with the weights' y/x derivatives.
+    def select(self, at: np.ndarray) -> _ConvGeometry:
+        """This geometry over rows `at`, sorted and distinct, of its list."""
+        if at.size == self.positions.size:
+            return self
+        sub = copy.copy(self)
+        sub.positions, sub.mods, sub.base = self.positions[at], self.mods[at], self.base.select(at)
+        return sub
+
+    def chunks(self):
+        return _chunks(self.positions, self.c_in, self.k, *self.out_hw)
+
+    def pattern(self, s0: int, s1: int, derivatives: bool = False):
+        """(cols, weight tables) of positions s0 .. s1-1 of the list, (P, K)
+        in compute dtype: modulated, or unmodulated with the weights' y/x
+        derivatives.
         """
-        offset = ((self.item[s0:s1] - n0) * (self.h * self.w_in))[:, None]
-        return bilinear_corner_gather(
-            self.py[s0:s1], self.px[s0:s1], self.h, self.w_in, flat_offset=offset,
-            scale=None if derivatives else self.mods[s0:s1], derivatives=derivatives,
-            dtype=self.dtype)
+        base = self.base.select(slice(s0, s1))
+        tables = corner_weights(base, None if derivatives else self.mods[s0:s1], derivatives,
+                                self.dtype)
+        return (base.cols, *tables) if derivatives else (base.cols, tables)
+
+
+def _conv_geometry(x, spec: KernelSpec, offsets, modulation, positions: np.ndarray,
+                   out_hw: tuple[int, int]) -> _ConvGeometry | None:
+    """The geometry of a list; None when the list or the input is empty."""
+    if x.size == 0 or positions.size == 0:
+        return None
+    return _ConvGeometry(x, spec, offsets, modulation, positions, out_hw)
+
+
+def _weight_matrix(w: ConvWeights, dtype) -> np.ndarray:
+    """(K*C_in, C_out) weights, rows in the (tap, channel) order of a sampled row."""
+    c_out, c_in, kh, kw = w.weight.shape
+    return np.ascontiguousarray(w.weight.reshape(c_out, c_in, kh * kw).transpose(2, 1, 0),
+                                dtype=dtype).reshape(kh * kw * c_in, c_out)
+
+
+def _live(g: np.ndarray) -> np.ndarray:
+    """Flat indices of the upstream's live positions, (P, C) rows or an
+    (N, C, H, W) map: any channel non-zero; `!= 0` holds for NaN, so
+    non-finite values stay live.
+    """
+    return np.flatnonzero((g != 0).any(axis=1))
+
+
+def _mdconv_forward(geo: _ConvGeometry | None, w: ConvWeights, n_rows: int, dtype) -> np.ndarray:
+    """The (n_rows, C_out) output rows, in `dtype`, of the list `geo` was
+    built over, under the weights `w`; the bias alone without a geometry.
+    """
+    rows = np.empty((n_rows, w.weight.shape[0]), dtype=dtype)
+    if geo is None or rows.size == 0:
+        rows[...] = w.bias
+        return rows
+    wmat, bias = _weight_matrix(w, geo.dtype), np.asarray(w.bias, dtype=geo.dtype)
+
+    def do_chunk(bounds):
+        s0, s1 = bounds
+        cols, data = geo.pattern(s0, s1)
+        sampled = sampling_matrix(cols, data, len(geo.xt)) @ geo.xt
+        res = _gemm(sampled.reshape(s1 - s0, geo.k * geo.c_in), wmat)
+        res += bias
+        rows[s0:s1] = res
+
+    for _ in runtime.run_chunks(do_chunk, geo.chunks()):
+        pass
+    return rows
+
+
+def _mdconv_backward(geo: _ConvGeometry | None, w: ConvWeights, g_live: np.ndarray,
+                     at: np.ndarray, n_rows: int, x_shape: tuple, dtype, input_grad: bool):
+    """Gradients (grad_x, grad_w, grad_bias, grad_offsets, grad_modulation)
+    of n_rows upstream rows that are live at rows `at`, with `g_live` their
+    values there and `geo` the geometry of the live positions (None for an
+    empty input). The field gradients are (n_rows, 2K) and (n_rows, K) rows,
+    zero off `at`; grad_x is an `x_shape` map, None with input_grad=False.
+    Every output is in `dtype`. The weights are read here, not from the
+    geometry.
+    """
+    n, c_in, h, win = x_shape
+    c_out, _, kh, kw = w.weight.shape
+    k = kh * kw
+    # float64 (N*H*W, C_in) rows of grad_x, in X^T's layout
+    grad_x = np.zeros((n * h * win, c_in)) if input_grad else None
+    grad_w = np.zeros((k * c_in, c_out), dtype=np.float64)
+    grad_b = np.zeros(c_out, dtype=np.float64)
+    # position-major: row r holds (dy, dx) per tap, and the modulation
+    # gradient per tap, of upstream row r
+    grad_off = np.zeros((n_rows, k, 2), dtype=dtype)
+    grad_mod = np.zeros((n_rows, k), dtype=dtype)
+    if geo is None:
+        grad_b += g_live.sum(axis=0, dtype=np.float64)
+    else:
+        wmat = _weight_matrix(w, geo.dtype)
+
+        def do_chunk(bounds):
+            # products are scaled in place and dropped once read (README, Conventions)
+            s0, s1 = bounds
+            rows = at[s0:s1]
+            cols, weights, dwy, dwx = geo.pattern(s0, s1, derivatives=True)
+            lo, hi = int(cols.min()), int(cols.max()) + 1  # the pixel rows the pattern reads
+            cols = cols - lo
+            xt = geo.xt[lo:hi]
+            n_cols = hi - lo
+            s0_mat = sampling_matrix(cols, weights, n_cols)
+            samples = s0_mat @ xt
+            m = geo.mods[s0:s1].reshape(-1, 1).astype(geo.dtype)
+            gmat = g_live[s0:s1].astype(geo.dtype, copy=False)
+
+            gs = _gemm(gmat, wmat.T).reshape(-1, c_in)  # dL/d(sample * m)
+            grad_mod[rows] = np.einsum("ij,ij->i", gs, samples).reshape(-1, k)
+            gs *= m  # dL/d(sample)
+            for axis, dw in enumerate((dwy, dwx)):
+                grad_off[rows, :, axis] = np.einsum(
+                    "ij,ij->i", gs, sampling_matrix(cols, dw, n_cols) @ xt).reshape(-1, k)
+
+            # partial sums that may overlap across chunks
+            samples *= m
+            gw = samples.reshape(-1, k * c_in).T @ gmat
+            del samples
+            gb = gmat.sum(axis=0)
+            gx = s0_mat.T @ gs.astype(np.float64) if input_grad else None
+            return geo.first * h * win + lo, gx, gw, gb
+
+        for start, gx, gw, gb in runtime.run_chunks(do_chunk, geo.chunks()):
+            if input_grad:
+                # a scatter starts from +0.0: it holds no -0.0 that 0 + gx could flip
+                grad_x[start : start + len(gx)] += gx
+            grad_w += gw
+            grad_b += gb
+    gw = grad_w.reshape(k, c_in, c_out).transpose(2, 1, 0).reshape(w.weight.shape)
+    gx = None if grad_x is None else pixel_map(grad_x, None, x_shape, dtype)
+    return gx, gw.astype(dtype), grad_b.astype(dtype), grad_off.reshape(n_rows, 2 * k), grad_mod
 
 
 def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
@@ -399,32 +525,17 @@ def mdconv_forward_optimized(x, w: ConvWeights, spec: KernelSpec,
     rows. Sampling still reads the whole input, since offsets can land
     anywhere.
     """
-    x, n, c_in, h, win, h_out, w_out, positions = _check_mdconv_args(x, w, spec, field,
-                                                                     positions=positions)
-    c_out = w.weight.shape[0]
+    x, n, _, _, _, h_out, w_out, positions = _check_mdconv_args(x, w, spec, field,
+                                                                positions=positions)
     listed = np.arange(n * h_out * w_out) if positions is None else positions
-    rows = np.empty((listed.size, c_out), dtype=x.dtype)
-    if x.size == 0 or rows.size == 0:
-        rows[...] = w.bias
-    else:
-        offs, mods = field.offsets, field.modulation
-        if positions is None:
-            offs, mods = pixel_rows(offs, dtype=np.float64), pixel_rows(mods, dtype=np.float64)
-        geo = _ConvGeometry(x, w, spec, offs, mods, listed, (h_out, w_out))
-        k = spec.k
-
-        def do_chunk(task):
-            n0, n1, s0, s1 = task
-            cols, data = geo.pattern(n0, s0, s1)
-            xt = geo.xt[n0 - geo.first : n1 - geo.first].reshape(-1, c_in)
-            sampled = sampling_matrix(cols, data, xt.shape[0]) @ xt
-            res = _gemm(sampled.reshape(s1 - s0, k * c_in), geo.wmat)
-            res += geo.bias
-            rows[s0:s1] = res
-
-        for _ in runtime.run_chunks(do_chunk, _chunks(listed, c_in, k, h_out, w_out)):
-            pass
-    return rows if positions is not None else pixel_map(rows, None, (n, c_out, h_out, w_out))
+    offs, mods = field.offsets, field.modulation
+    if positions is None:
+        offs, mods = pixel_rows(offs, dtype=np.float64), pixel_rows(mods, dtype=np.float64)
+    rows = _mdconv_forward(_conv_geometry(x, spec, offs, mods, listed, (h_out, w_out)), w,
+                           listed.size, x.dtype)
+    if positions is not None:
+        return rows
+    return pixel_map(rows, None, (n, w.weight.shape[0], h_out, w_out))
 
 
 def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
@@ -452,83 +563,23 @@ def mdconv_backward_optimized(x, w: ConvWeights, spec: KernelSpec,
     grad_x/grad_w/grad_bias are added in chunk order, so the result is
     bit-identical for any thread count.
     """
-    x, n, c_in, h, win, h_out, w_out, positions = _check_mdconv_args(x, w, spec, field,
-                                                                     upstream, positions)
+    x, n, _, _, _, h_out, w_out, positions = _check_mdconv_args(x, w, spec, field,
+                                                                upstream, positions)
     g = np.asarray(upstream)
-    c_out = w.weight.shape[0]
-
-    k = spec.k
-    # float64 (N*H*W, C_in) rows of grad_x, in X^T's layout
-    grad_x = np.zeros((n * h * win, c_in)) if input_grad else None
-    grad_w = np.zeros((k * c_in, c_out), dtype=np.float64)
-    grad_b = np.zeros(c_out, dtype=np.float64)
-    # position-major: row r holds (dy, dx) per tap, and the modulation
-    # gradient per tap, of the upstream's row r (flat position r of a map)
-    n_rows = g.shape[0] if positions is not None else n * h_out * w_out
-    grad_off = np.zeros((n_rows, k, 2), dtype=x.dtype)
-    grad_mod = np.zeros((n_rows, k), dtype=x.dtype)
-
-    def finish():
-        gw = grad_w.reshape(k, c_in, c_out).transpose(2, 1, 0).reshape(w.weight.shape)
-        goff, gmod = grad_off.reshape(n_rows, 2 * k), grad_mod
-        if positions is None:
-            goff = pixel_map(goff, None, field.offsets.shape)
-            gmod = pixel_map(gmod, None, field.modulation.shape)
-        gx = None if grad_x is None else pixel_map(grad_x, None, x.shape, x.dtype)
-        return gx, gw.astype(x.dtype), grad_b.astype(x.dtype), goff, gmod
-
-    if x.size == 0 or g.size == 0:
-        grad_b += g.sum(axis=0 if positions is not None else (0, 2, 3), dtype=np.float64)
-        return finish()
-
-    # live: any channel non-zero; `!= 0` holds for NaN, so non-finite values stay live
-    at = np.flatnonzero((g != 0).any(axis=1))
-    live = at if positions is None else positions[at]
-    tasks = _chunks(live, c_in, k, h_out, w_out)
-    if not tasks:
-        return finish()
+    at = _live(g)
     if positions is None:
+        live, n_rows = at, n * h_out * w_out
         g_live, offs, mods = (pixel_rows(a, at) for a in (g, field.offsets, field.modulation))
     else:
+        live, n_rows = positions[at], positions.size
         g_live, offs, mods = g[at], field.offsets[at], field.modulation[at]
-    geo = _ConvGeometry(x, w, spec, offs, mods, live, (h_out, w_out))
-
-    def do_chunk(task):
-        # products are scaled in place and dropped once read (README, Conventions)
-        n0, n1, s0, s1 = task
-        rows = at[s0:s1]
-        cols, weights, dwy, dwx = geo.pattern(n0, s0, s1, derivatives=True)
-        lo, hi = int(cols.min()), int(cols.max()) + 1  # the pixel rows the pattern reads
-        cols -= lo
-        xt = geo.xt[n0 - geo.first : n1 - geo.first].reshape(-1, c_in)[lo:hi]
-        n_cols = hi - lo
-        s0_mat = sampling_matrix(cols, weights, n_cols)
-        samples = s0_mat @ xt
-        m = geo.mods[s0:s1].reshape(-1, 1).astype(geo.dtype)
-        gmat = g_live[s0:s1].astype(geo.dtype, copy=False)
-
-        gs = _gemm(gmat, geo.wmat.T).reshape(-1, c_in)  # dL/d(sample * m)
-        grad_mod[rows] = np.einsum("ij,ij->i", gs, samples).reshape(-1, k)
-        gs *= m  # dL/d(sample)
-        for axis, dw in enumerate((dwy, dwx)):
-            grad_off[rows, :, axis] = np.einsum(
-                "ij,ij->i", gs, sampling_matrix(cols, dw, n_cols) @ xt).reshape(-1, k)
-
-        # partial sums that may overlap across chunks
-        samples *= m
-        gw = samples.reshape(-1, k * c_in).T @ gmat
-        del samples
-        gb = gmat.sum(axis=0)
-        gx = s0_mat.T @ gs.astype(np.float64) if input_grad else None
-        return n0 * h * win + lo, gx, gw, gb
-
-    for start, gx, gw, gb in runtime.run_chunks(do_chunk, tasks):
-        if input_grad:
-            # a scatter starts from +0.0: it holds no -0.0 that 0 + gx could flip
-            grad_x[start : start + len(gx)] += gx
-        grad_w += gw
-        grad_b += gb
-    return finish()
+    gx, gw, gb, goff, gmod = _mdconv_backward(
+        _conv_geometry(x, spec, offs, mods, live, (h_out, w_out)), w, g_live, at, n_rows,
+        x.shape, x.dtype, input_grad)
+    if positions is None:
+        goff = pixel_map(goff, None, field.offsets.shape)
+        gmod = pixel_map(gmod, None, field.modulation.shape)
+    return gx, gw, gb, goff, gmod
 
 
 # ---------------------------------------------------------------------------
@@ -574,25 +625,44 @@ def _im2col_rows(x: np.ndarray, spec: KernelSpec, positions: np.ndarray,
     return patch, index, inside
 
 
+def _listed_im2col(x: np.ndarray, spec: KernelSpec, positions, out_hw: tuple[int, int], dtype):
+    """`_im2col_rows` of a list that leaves out some output position; None
+    for the full map or the full list, which keep the strided im2col view.
+    """
+    if positions is None or positions.size == len(x) * out_hw[0] * out_hw[1]:
+        return None
+    return _im2col_rows(x, spec, positions, out_hw, dtype)
+
+
 def dense_conv_forward(x, w: ConvWeights, spec: KernelSpec, positions=None) -> np.ndarray:
     """Regular zero-padded strided dilated convolution (vectorized). With
     `positions`, a sorted list of flat output positions, only those are
     computed, as a GEMM over their im2col rows, and the output is their
     (P, C_out) rows.
     """
-    x, n, _, _, _, h_out, w_out, positions = _check_conv_args(x, w, spec, positions=positions)
+    x, _, _, _, _, h_out, w_out, positions = _check_conv_args(x, w, spec, positions=positions)
+    return _dense_forward(x, w, spec, positions, (h_out, w_out))[0]
+
+
+def _dense_forward(x: np.ndarray, w: ConvWeights, spec: KernelSpec, positions,
+                   out_hw: tuple[int, int]):
+    """`dense_conv_forward` on checked arguments, and the im2col rows it read
+    (`_listed_im2col`).
+    """
     dtype = compute_dtype(x)
     wmat = w.weight.reshape(w.weight.shape[0], -1).astype(dtype, copy=False)
     bias = np.asarray(w.bias, dtype=dtype)
-    if positions is not None and positions.size < n * h_out * w_out:
-        res = _gemm(_im2col_rows(x, spec, positions, (h_out, w_out), dtype)[0], wmat.T)
+    im2col = _listed_im2col(x, spec, positions, out_hw, dtype)
+    if im2col is not None:
+        res = _gemm(im2col[0], wmat.T)
         res += bias
-        return res.astype(x.dtype, copy=False)
-    cols = _padded_patches(x, spec, (h_out, w_out), dtype)[1]
-    out = np.matmul(wmat, cols.reshape(n, wmat.shape[1], h_out * w_out))
+        return res.astype(x.dtype, copy=False), im2col
+    n = len(x)
+    cols = _padded_patches(x, spec, out_hw, dtype)[1]
+    out = np.matmul(wmat, cols.reshape(n, wmat.shape[1], out_hw[0] * out_hw[1]))
     out += bias[None, :, None]
-    out = out.reshape(n, wmat.shape[0], h_out, w_out).astype(x.dtype, copy=False)
-    return out if positions is None else pixel_rows(out)
+    out = out.reshape(n, wmat.shape[0], *out_hw).astype(x.dtype, copy=False)
+    return (out if positions is None else pixel_rows(out)), None
 
 
 def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions=None,
@@ -605,18 +675,31 @@ def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions
     padded gradient, never building an im2col-sized one. With
     input_grad=False grad_x is None.
     """
-    x, n, c, h, win, h_out, w_out, positions = _check_conv_args(x, w, spec, upstream, positions)
+    x, _, _, _, _, h_out, w_out, positions = _check_conv_args(x, w, spec, upstream, positions)
+    return _dense_backward(x, w, spec, upstream,
+                           _listed_im2col(x, spec, positions, (h_out, w_out), compute_dtype(x)),
+                           input_grad)
+
+
+def _dense_backward(x: np.ndarray, w: ConvWeights, spec: KernelSpec, upstream, im2col,
+                    input_grad: bool):
+    """`dense_conv_backward` on checked arguments over the im2col rows its
+    forward read, or over the full map when `im2col` is None; there the
+    upstream is a map or the full list's rows.
+    """
     dtype = compute_dtype(x)
     g = np.asarray(upstream).astype(dtype, copy=False)
+    n, c, h, win = x.shape
     kh, kw = spec.kernel_h, spec.kernel_w
     (sh, sw), (ph, pw), (dh, dw) = spec.stride, spec.pad, spec.dilation
     c_out = w.weight.shape[0]
+    h_out, w_out = spec.out_size(h, win)
     wmat = w.weight.reshape(c_out, -1).astype(dtype, copy=False)
 
-    if positions is not None and positions.size == n * h_out * w_out:
-        g, positions = pixel_map(g, None, (n, c_out, h_out, w_out)), None
     grad_x = None
-    if positions is None:
+    if im2col is None:
+        if g.ndim == 2:
+            g = pixel_map(g, None, (n, c_out, h_out, w_out))
         xp, cols = _padded_patches(x, spec, (h_out, w_out), dtype)
         gmat = g.reshape(n, c_out, h_out * w_out)
         cols = cols.reshape(n, c * kh * kw, h_out * w_out)
@@ -631,12 +714,12 @@ def dense_conv_backward(x, w: ConvWeights, spec: KernelSpec, upstream, positions
                         wmat[:, u * kw + v :: kh * kw].T, gmat).reshape(n, c, h_out, w_out)
             grad_x = gxp[:, :, ph : ph + h, pw : pw + win]
     else:
-        patch, index, inside = _im2col_rows(x, spec, positions, (h_out, w_out), dtype)
+        patch, index, inside = im2col
         grad_w = (g.T @ patch).reshape(w.weight.shape)
         grad_b = g.sum(axis=0, dtype=np.float64)
         if input_grad:
             grad_patch = _gemm(g, wmat)  # the padding taps' gradients drop out
-            np.copyto(grad_patch.reshape(positions.size, c, spec.k), 0, where=~inside)
+            np.copyto(grad_patch.reshape(len(g), c, spec.k), 0, where=~inside)
             grad_x = np.bincount(index.reshape(-1), weights=grad_patch.reshape(-1),
                                  minlength=x.size).reshape(x.shape)
     return (
@@ -678,11 +761,20 @@ def offset_branch_forward(x, branch_w: ConvWeights, spec: KernelSpec,
     the field is computed only there and comes as its rows, so the sigmoid
     and the field's checks run on those rows alone.
     """
-    x = np.asarray(x)
+    x, _, _, _, _, h_out, w_out, positions = _check_conv_args(x, branch_w, spec,
+                                                              positions=positions)
+    return _branch_forward(x, branch_w, spec, positions, (h_out, w_out))[0]
+
+
+def _branch_forward(x: np.ndarray, branch_w: ConvWeights, spec: KernelSpec, positions,
+                    out_hw: tuple[int, int]):
+    """`offset_branch_forward` on checked arguments, and the im2col rows its
+    convolution read (`_listed_im2col`).
+    """
     k, modulated = _branch_k(branch_w, spec)
-    raw = dense_conv_forward(x, branch_w, spec, positions)
+    raw, im2col = _dense_forward(x, branch_w, spec, positions, out_hw)
     modulation = sigmoid(raw[:, 2 * k :]) if modulated else np.ones_like(raw[:, :k])
-    return OffsetModulationField(raw[:, : 2 * k], modulation)
+    return OffsetModulationField(raw[:, : 2 * k], modulation), im2col
 
 
 def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
@@ -696,6 +788,13 @@ def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
     backward runs at the positions the field was computed at, whatever the
     gradients hold. With input_grad=False grad_x is None.
     """
+    grad_raw = _branch_output_grad(x, branch_w, spec, field, grad_offsets, grad_modulation)
+    return dense_conv_backward(x, branch_w, spec, grad_raw, positions, input_grad)
+
+
+def _branch_output_grad(x, branch_w: ConvWeights, spec: KernelSpec, field: OffsetModulationField,
+                        grad_offsets, grad_modulation) -> np.ndarray:
+    """The gradient on the branch convolution's raw 3K (or 2K) outputs."""
     k, modulated = _branch_k(branch_w, spec)
     shapes = (np.shape(grad_offsets), np.shape(grad_modulation))
     if shapes != (field.offsets.shape, field.modulation.shape):
@@ -703,8 +802,56 @@ def offset_branch_backward(x, branch_w: ConvWeights, spec: KernelSpec,
                          f"{field.offsets.shape} / {field.modulation.shape}")
     dtype = compute_dtype(np.asarray(x))
     grad_raw = np.asarray(grad_offsets).astype(dtype, copy=False)
-    if modulated:
-        gm = np.asarray(grad_modulation).astype(dtype, copy=False)
-        m = field.modulation.astype(dtype, copy=False)
-        grad_raw = np.concatenate([grad_raw, gm * m * (1.0 - m)], axis=1)
-    return dense_conv_backward(x, branch_w, spec, grad_raw, positions, input_grad)
+    if not modulated:
+        return grad_raw
+    gm = np.asarray(grad_modulation).astype(dtype, copy=False)
+    m = field.modulation.astype(dtype, copy=False)
+    return np.concatenate([grad_raw, gm * m * (1.0 - m)], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the deformable layer's step: offset branch and mdconv over one record
+# ---------------------------------------------------------------------------
+
+# A deformable convolution's forward record: its input, the sorted positions
+# it computed, the field's rows there, their `_ConvGeometry` (None for an
+# empty list or input) and the branch's im2col rows (None when the branch ran
+# on the full map). It depends on the input, the field and the positions
+# alone; the backward reads the weights current at its own call.
+_SamplingRecord = namedtuple("_SamplingRecord", "x positions field geometry im2col")
+
+
+def _deformable_conv_forward(x, w: ConvWeights, branch_w: ConvWeights, spec: KernelSpec,
+                             positions) -> tuple[np.ndarray, _SamplingRecord]:
+    """`offset_branch_forward`, then `mdconv_forward_optimized` at the sorted
+    flat output positions: the (P, C_out) output rows and the forward's
+    record, for `_deformable_conv_backward`.
+    """
+    x, _, c_in, _, _, h_out, w_out, positions = _check_conv_args(x, branch_w, spec,
+                                                                 positions=positions)
+    w.check_spec(spec, c_in)
+    field, im2col = _branch_forward(x, branch_w, spec, positions, (h_out, w_out))
+    geo = _conv_geometry(x, spec, field.offsets, field.modulation, positions, (h_out, w_out))
+    return (_mdconv_forward(geo, w, positions.size, x.dtype),
+            _SamplingRecord(x, positions, field, geo, im2col))
+
+
+def _deformable_conv_backward(record: _SamplingRecord, w: ConvWeights, branch_w: ConvWeights,
+                              spec: KernelSpec, upstream: np.ndarray, input_grad: bool = True):
+    """(grad_x, grad_w, grad_bias, grad_branch_w, grad_branch_bias) of the
+    recorded forward for its (P, C_out) upstream rows: bit for bit
+    `mdconv_backward_optimized` and then `offset_branch_backward` on the
+    forward's state, with the live rows of the recorded geometry and the
+    recorded im2col rows in place of new ones. grad_x is None with
+    input_grad=False.
+    """
+    x, positions, field, geo, im2col = record
+    at = _live(upstream)
+    gx, gw, gb, goff, gmod = _mdconv_backward(
+        None if geo is None else geo.select(at), w, upstream[at], at, positions.size, x.shape,
+        x.dtype, input_grad)
+    grad_raw = _branch_output_grad(x, branch_w, spec, field, goff, gmod)
+    gx_branch, gbw, gbb = _dense_backward(x, branch_w, spec, grad_raw, im2col, input_grad)
+    if input_grad:
+        gx += gx_branch
+    return gx, gw, gb, gbw, gbb

@@ -98,9 +98,9 @@ def crop_resize_patch(images, rois: list[RoI], out_hw: tuple[int, int]) -> np.nd
         if rect[2] < rect[0] or rect[3] < rect[1]:
             raise ArgumentError(f"RoI {roi} clips to zero area on a {h}x{w} image")
         rects.append(rect)
-    out_h, out_w = out_hw
-    if not (is_integer(out_h) and is_integer(out_w) and out_h >= 1 and out_w >= 1):
+    if not (len(out_hw) == 2 and all(is_integer(v) and v >= 1 for v in out_hw)):
         raise ArgumentError(f"patch size {out_hw} must be two integers >= 1")
+    out_h, out_w = out_hw
     # (R, 1) columns of the clipped rectangles
     y1, x1, y2, x2 = np.array(rects, dtype=np.float64).reshape(-1, 4).T[:, :, None]
     # crop extent in pixel-center space; edges inclusive. The grid clamps to
@@ -235,9 +235,9 @@ class TwoBranchModel:
         """This model on shallow copies of the trunk layers: they hold the
         same Params, so gradients and updates land on the shared trunk, but
         keep their own forward state. Safe because every layer rebinds its
-        state attributes (`_x`, `_field`, `_positions`, `_cache`, `_mask`) in
-        `forward` and never mutates them in place; a deformable layer's
-        `_field` holds rows at its `_positions`, not maps.
+        state attributes (`_x`, `_record`, `_cache`, `_mask`) in `forward`
+        and never mutates them in place, nor does a backward mutate what
+        they hold.
         """
         return TwoBranchModel(Sequential(map(copy.copy, self.backbone.layers)),
                               copy.copy(self.pool), Sequential(map(copy.copy, self.fc.layers)),

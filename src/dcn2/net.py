@@ -2,10 +2,15 @@
 
 Not an autograd system: each layer caches what its own backward pass needs,
 and models wire layers together explicitly. The deformable layers keep no
-operator math of their own: `DeformConv2dLayer` calls
-`offset_branch_forward`/`_backward` and the mdconv kernels, `RoIPoolLayer`
-the pooling kernels or, deformable, the step in `deform_roipool` that
-composes them with `roi_branch_forward`/`_backward`. Parameters
+operator math of their own: `DeformConv2dLayer` runs the step in
+`deform_conv` that composes the offset branch with the mdconv kernel, and
+`RoIPoolLayer` the pooling kernels or, deformable, the step in
+`deform_roipool` that composes them with `roi_branch_forward`/`_backward`.
+Each deformable step's forward keeps a record of what its backward would
+otherwise build again from the same input, field and positions (for
+convolution: the field's rows, X^T, the corner base of every sample and the
+branch's im2col rows); the backward reads the weights current at its own
+call, and the public kernels build their own record on each call. Parameters
 carry a learning-rate multiplier so offset/modulation branches can train at
 0.1x the base rate.
 """
@@ -22,11 +27,10 @@ from .deform_conv import (
     ConvWeights,
     KernelSpec,
     OffsetModulationField,
+    _deformable_conv_backward,
+    _deformable_conv_forward,
     dense_conv_backward,
     dense_conv_forward,
-    mdconv_backward_optimized,
-    mdconv_forward_optimized,
-    offset_branch_backward,
     offset_branch_forward,
 )
 from .deform_roipool import (
@@ -81,10 +85,29 @@ class SGD:
             p.zero_grad()
 
     def step(self) -> None:
+        """One update, elementwise, over blocks of about `_SGD_BLOCK` elements
+        of each parameter: the float64 sum grad + weight_decay * value and
+        its float32 companions stay block-sized.
+        """
         for p, v in zip(self.params, self.velocity):
-            v *= self.momentum
-            v += p.grad + self.weight_decay * p.value
-            p.value -= self.lr * p.lr_mult * v  # v has the value's dtype
+            for rows in _row_blocks(v):
+                vb, value = v[rows], p.value[rows]
+                vb *= self.momentum
+                vb += p.grad[rows] + self.weight_decay * value
+                value -= self.lr * p.lr_mult * vb  # v has the value's dtype
+
+
+# elements per block of an SGD update: a float64 block is 64 KiB, which
+# glibc serves from the heap rather than from fresh pages
+_SGD_BLOCK = 8192
+
+
+def _row_blocks(a: np.ndarray):
+    """Slices of a's first axis, each of about `_SGD_BLOCK` elements (one
+    row at least).
+    """
+    step = max(1, _SGD_BLOCK // max(1, a[0].size)) if len(a) else 1
+    return [slice(i, i + step) for i in range(0, len(a), step)]
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +158,19 @@ class DeformConv2dLayer:
     or 2K with dm = 1 when unmodulated) is zero-initialized and its
     parameters carry the 0.1 learning-rate multiplier. Every call runs on a
     sorted list of flat output positions (see `forward`), with the field as
-    its rows there. The last forward's input `_x`, field `_field` and list
-    `_positions` stay recorded for `backward` and for spatial-support
-    analysis. The readers of whole fields (`mean_abs_offset`,
-    `support.effective_sampling_locations`) recompute the field over the
-    whole map from the recorded input, which is always whole, with the
-    current branch parameters.
+    its rows there.
+
+    `forward` keeps one sampling record (`deform_conv._SamplingRecord`) for
+    `backward` and for spatial-support analysis: the input, the list, the
+    field's rows, their sampling geometry (the modulation rows, X^T of the
+    input and the corner base of every sample) and, when the branch ran on a
+    list that leaves out some position, the branch's im2col rows. The record
+    depends on the input, the field and the list alone, so `backward`
+    builds none of it again and reads the weights current at its own call;
+    the public kernels build their own record on each call. The readers of
+    whole fields (`mean_abs_offset`, `support.effective_sampling_locations`)
+    recompute the field over the whole map from the recorded input, which is
+    always whole, with the current branch parameters.
     """
 
     def __init__(self, c_in: int, c_out: int, spec: KernelSpec,
@@ -157,9 +187,7 @@ class DeformConv2dLayer:
             lr_mult=BRANCH_LR_MULTIPLIER, name=f"{name}.branch_weight")
         self.branch_bias = Param(np.zeros(branch_out),
                                  lr_mult=BRANCH_LR_MULTIPLIER, name=f"{name}.branch_bias")
-        self._x = None
-        self._field = None
-        self._positions = None
+        self._record = None
 
     def params(self):
         return [self.weight, self.bias, self.branch_weight, self.branch_bias]
@@ -185,44 +213,39 @@ class DeformConv2dLayer:
             raise ShapeError(f"input must be (N,C,H,W), got shape {x.shape}")
         shape = self._map_shape(x, len(self.bias.value))
         positions = np.arange(shape[0] * shape[2] * shape[3]) if demand is None else demand
-        field = offset_branch_forward(x, self._branch_weights(), self.spec, positions)
-        self._x, self._field, self._positions = x, field, positions
-        y = mdconv_forward_optimized(x, self._weights(), self.spec, field, positions=positions)
-        return pixel_map(y, positions, shape)
+        y, self._record = _deformable_conv_forward(x, self._weights(), self._branch_weights(),
+                                                   self.spec, positions)
+        return pixel_map(y, self._record.positions, shape)
 
     def backward(self, gy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """The input gradient for the output map's gradient `gy`, read only at
         the last forward's positions; None with input_grad=False.
         """
-        x, field, positions = _recorded(self._x), self._field, self._positions
-        gy, want = np.asarray(gy), self._map_shape(x, len(self.bias.value))
+        record = _recorded(self._record)
+        gy, want = np.asarray(gy), self._map_shape(record.x, len(self.bias.value))
         if gy.shape != want:
             raise ShapeError(f"upstream shape {gy.shape} != {want}")
-        gx, gw, gb, goff, gmod = mdconv_backward_optimized(
-            x, self._weights(), self.spec, field, pixel_rows(gy, positions), positions,
-            input_grad)
+        gx, gw, gb, gbw, gbb = _deformable_conv_backward(
+            record, self._weights(), self._branch_weights(), self.spec,
+            pixel_rows(gy, record.positions), input_grad)
         self.weight.grad += gw
         self.bias.grad += gb
-        gx_branch, gbw, gbb = offset_branch_backward(
-            x, self._branch_weights(), self.spec, field, goff, gmod, positions, input_grad)
         self.branch_weight.grad += gbw
         self.branch_bias.grad += gbb
-        if input_grad:
-            gx += gx_branch
         return gx
 
     def recorded_state(self):
         """(input, field) of the last forward, the field as whole maps, zero
         off the forward's positions.
         """
-        x, field = _recorded(self._x), self._field
+        x, positions, field = _recorded(self._record)[:3]
         return x, OffsetModulationField(*(
-            pixel_map(a, self._positions, self._map_shape(x, a.shape[1]))
+            pixel_map(a, positions, self._map_shape(x, a.shape[1]))
             for a in (field.offsets, field.modulation)))
 
     def _whole_field(self):
         """The whole-map field of the recorded input, under the current branch parameters."""
-        return offset_branch_forward(_recorded(self._x), self._branch_weights(), self.spec)
+        return offset_branch_forward(_recorded(self._record).x, self._branch_weights(), self.spec)
 
     def mean_abs_offset(self) -> float:
         return float(np.abs(self._whole_field().offsets).mean())

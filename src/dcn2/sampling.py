@@ -9,7 +9,10 @@ out, for every position, its 4 corner pixel indices and weights (and, for
 backward, the weights' y/x derivatives on the same sparsity pattern), and
 `sampling_matrix` wraps them as a CSR matrix S with 4 nonzeros per row, so
 that S @ X^T, with X^T the (pixels, C) input, gives every sample of every
-channel and S^T scatters gradients back onto the pixels.
+channel and S^T scatters gradients back onto the pixels. The gather is two
+steps, which a caller can take apart to build the weight-free half once and
+its tables more than once: `corner_base` (the corner indices, per-axis
+factors and in-bounds flags) and `corner_weights` (the tables).
 
 `pixel_rows` and `pixel_map` own that layout, a map's (P, C) rows at
 sorted flat positions and back, and `compute_dtype` the kernels' precision.
@@ -22,6 +25,7 @@ the lower-right).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -95,26 +99,39 @@ def bilinear_backward(plane, pt, upstream: float = 1.0):
     return grad_plane, (upstream * dy, upstream * dx)
 
 
-def bilinear_corner_gather(py: np.ndarray, px: np.ndarray, h: int, w: int,
-                           flat_offset: np.ndarray | None = None,
-                           scale: np.ndarray | None = None, derivatives: bool = False,
-                           dtype=np.float64):
-    """Sparse bilinear sampling pattern for a batch of fractional positions.
+class CornerBase(NamedTuple):
+    """The weight-free half of a bilinear sampling pattern (`corner_base`):
+    per position, the flat pixel index of each of its 4 corners, the
+    per-axis factors (1 - l, l) of its row and column, +0.0 for a line
+    outside the plane, and whether each line lies inside.
+    """
+
+    cols: np.ndarray
+    fy: tuple[np.ndarray, np.ndarray]
+    fx: tuple[np.ndarray, np.ndarray]
+    vy: tuple[np.ndarray, np.ndarray]
+    vx: tuple[np.ndarray, np.ndarray]
+
+    def select(self, index) -> CornerBase:
+        """The base at positions `index` (a slice or index array) of the
+        leading axis, which every array of the base must span.
+        """
+        return CornerBase(self.cols[index], *(tuple(a[index] for a in pair)
+                                              for pair in (self.fy, self.fx, self.vy, self.vx)))
+
+
+def corner_base(py: np.ndarray, px: np.ndarray, h: int, w: int,
+                flat_offset: np.ndarray | None = None) -> CornerBase:
+    """The corner base of a batch of fractional positions on an (h, w) plane.
 
     py/px are float64 position arrays that broadcast to one shape (*pos) (a
-    separable grid passes an (H', 1) column and a (1, W') row). For each
-    position the pattern lists its 4 corners (0,0), (0,1), (1,0), (1,1) as
-    (*pos, 4) arrays: `cols`, the flat pixel index of each corner (clipped
-    into the plane), and `weights`, its bilinear weight times `scale`
-    (broadcast against the positions) in `dtype`. `flat_offset`, broadcast the same way,
-    is added to every index, so one pattern can address a stack of H*W
-    planes; an empty position set gives empty arrays. With derivatives=True
-    the pattern also carries the derivatives of the unscaled weights with
-    respect to y and x. Out-of-bounds corners get
-    weight 0 in every array, and at integer coordinates the derivative is
-    that of the floor cell. Returns (cols, weights) or (cols, weights,
-    dweights_y, dweights_x); `sampling_matrix` turns any weight array into a
-    sparse matrix over the same columns.
+    separable grid passes an (H', 1) column and a (1, W') row). `cols`, a
+    (*pos, 4) array, lists each position's corners (0,0), (0,1), (1,0),
+    (1,1) as flat pixel indices clipped into the plane, plus `flat_offset`
+    (broadcast the same way), so that one pattern can address a stack of
+    H*W planes; the factors and flags keep the shapes of py and px. An empty
+    position set gives empty arrays. `corner_weights` builds the pattern's
+    weight tables from it.
     """
     y0 = np.floor(py)
     x0 = np.floor(px)
@@ -128,8 +145,7 @@ def bilinear_corner_gather(py: np.ndarray, px: np.ndarray, h: int, w: int,
         r *= w
         if flat_offset is not None:
             r += flat_offset
-    shape = np.broadcast(py, px).shape
-    cols = _corner_table(np.add, row, col, shape, index_dtype)
+    cols = _corner_table(np.add, row, col, np.broadcast(py, px).shape, index_dtype)
 
     # per-axis factors in [0, 1], +0.0 out of bounds: a corner's weight is its
     # row factor times its column factor
@@ -137,15 +153,45 @@ def bilinear_corner_gather(py: np.ndarray, px: np.ndarray, h: int, w: int,
     fx = (1.0 - lx, lx)
     for factor, inside in zip(fy + fx, vy + vx):
         factor *= inside
+    return CornerBase(cols, fy, fx, vy, vx)
+
+
+def corner_weights(base: CornerBase, scale: np.ndarray | None = None, derivatives: bool = False,
+                   dtype=np.float64):
+    """The weight tables of a corner base, each shaped like its `cols`, in
+    `dtype`: each corner's bilinear weight times `scale` (broadcast against
+    the positions), and with derivatives=True also the derivatives of the
+    unscaled weights with respect to y and x. Out-of-bounds corners get
+    weight 0 in every table, and at integer coordinates the derivative is
+    that of the floor cell. Returns weights or (weights, dweights_y,
+    dweights_x); `sampling_matrix` turns any table into a sparse matrix over
+    the base's columns.
+    """
+    fy, fx, vy, vx = base.fy, base.fx, base.vy, base.vx
     scaled = fy if scale is None else (fy[0] * scale, fy[1] * scale)
-    weights = _corner_table(np.multiply, scaled, fx, np.broadcast(scaled[0], px).shape, dtype)
+    weights = _corner_table(np.multiply, scaled, fx, np.broadcast(scaled[0], fx[0]).shape, dtype)
     if not derivatives:
-        return cols, weights
+        return weights
     # a factor's slope: -1 for the first line, +1 for the second, +0.0 outside
     sy = (np.subtract(0.0, vy[0]), vy[1])
     sx = (np.subtract(0.0, vx[0]), vx[1])
-    return cols, weights, _corner_table(np.multiply, sy, fx, shape, dtype), \
+    shape = base.cols.shape[:-1]
+    return weights, _corner_table(np.multiply, sy, fx, shape, dtype), \
         _corner_table(np.multiply, fy, sx, shape, dtype)
+
+
+def bilinear_corner_gather(py: np.ndarray, px: np.ndarray, h: int, w: int,
+                           flat_offset: np.ndarray | None = None,
+                           scale: np.ndarray | None = None, derivatives: bool = False,
+                           dtype=np.float64):
+    """Sparse bilinear sampling pattern for a batch of fractional positions:
+    the columns of their `corner_base` and its `corner_weights`, as (cols,
+    weights) or, with derivatives=True, (cols, weights, dweights_y,
+    dweights_x).
+    """
+    base = corner_base(py, px, h, w, flat_offset)
+    tables = corner_weights(base, scale, derivatives, dtype)
+    return (base.cols, *tables) if derivatives else (base.cols, tables)
 
 
 def _corner_lines(floor: np.ndarray, n: int, index_dtype):

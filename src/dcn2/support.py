@@ -115,7 +115,7 @@ def network_probe(trunk: Sequential, y: int, x: int) -> NodeProbe:
     runs on shallow copies of the trunk's layers, made here, which share
     their Params, so it records no state on the trunk; `gradient` runs
     forward and backward on the trunk itself, which keeps that state: the
-    last deformable layer's `_field` then holds the field's rows at the
+    last deformable layer's record then holds the field's rows at the
     node's demand (`recorded_state` gives them as whole maps).
     """
     copies = Sequential(map(copy.copy, trunk.layers))

@@ -237,6 +237,15 @@ def test_config_with_an_empty_trunk_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("layers", ["", "regular,"])
+def test_empty_layer_in_the_layers_override_is_usage_error(capsys, layers):
+    # an empty override once trained the config's default trunk and exited 0
+    assert main(["demo-train", "--steps=1", f"--layers={layers}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: --layers:")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["demo-train", "bench"])
 def test_run_too_large_for_memory_is_usage_error(tmp_path, capsys, command):
     # both once exited 1 with numpy's _ArrayMemoryError traceback; each first

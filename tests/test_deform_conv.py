@@ -655,53 +655,88 @@ def _param_grads(layer, upstream):
 
 @settings(max_examples=60, deadline=None)
 @given(demanded_layers(), st.sampled_from(("empty", "one", "partial", "all")),
-       st.sampled_from((np.float32, np.float64)), st.integers(0, 2**32 - 1))
-def test_demanded_forward_matches_full_map_property(case, kind, dtype, seed):
+       st.sampled_from((np.float32, np.float64)), st.booleans(), st.sampled_from((None, 30)),
+       st.integers(0, 2**32 - 1))
+def test_demanded_forward_matches_full_map_property(case, kind, dtype, dead, budget, seed):
+    import dcn2.deform_conv as dc
+
     layer, x, _ = case
     x = x.astype(dtype)
     rng = np.random.default_rng(seed)
-    full = layer.forward(x)
-    _, full_field = layer.recorded_state()
-    size = full.shape[0] * full.shape[2] * full.shape[3]
-    demand = {"empty": np.arange(0), "one": rng.integers(size, size=1),
-              "partial": np.flatnonzero(rng.random(size) < 0.4), "all": np.arange(size)}[kind]
-    upstream = rng.normal(size=full.shape).astype(dtype)
-    masked = pixel_map(pixel_rows(upstream, demand), demand, upstream.shape)
-    tol = F32_REL_TOL if dtype == np.float32 else 1e-10
-    want_grads = _param_grads(layer, masked)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:  # a few positions a chunk: most calls run several
+            mp.setattr(dc, "_CHUNK_BUDGET", budget)
+        full = layer.forward(x)
+        _, full_field = layer.recorded_state()
+        size = full.shape[0] * full.shape[2] * full.shape[3]
+        demand = {"empty": np.arange(0), "one": rng.integers(size, size=1),
+                  "partial": np.flatnonzero(rng.random(size) < 0.4),
+                  "all": np.arange(size)}[kind]
+        upstream = rng.normal(size=full.shape).astype(dtype)
+        if dead:  # zero at some demanded positions: the live rows are fewer
+            upstream *= (rng.random((full.shape[0], 1, *full.shape[2:])) < 0.5).astype(dtype)
+        masked = pixel_map(pixel_rows(upstream, demand), demand, upstream.shape)
+        tol = F32_REL_TOL if dtype == np.float32 else 1e-10
+        want_grads = _param_grads(layer, masked)
 
-    got = layer.forward(x, demand)
-    assert got.shape == full.shape and got.dtype == dtype
-    assert _rel_err(_at(got, demand), _at(full, demand)) <= tol
-    assert not _outside(got, demand).any()
-    x_rec, field = layer.recorded_state()
-    assert x_rec is x
-    for part in ("offsets", "modulation"):
-        have, want = getattr(field, part), getattr(full_field, part)
-        assert have.shape == want.shape and have.dtype == dtype
-        assert _rel_err(_at(have, demand), _at(want, demand)) <= tol
-        assert not _outside(have, demand).any()
-    # the kernel alone, on the full field's rows
-    kernel = mdconv_forward_optimized(x, layer._weights(), layer.spec,
-                                      _rows_field(full_field, demand), positions=demand)
-    assert _rel_err(kernel, _at(full, demand)) <= tol
-    # the layer reads the upstream only at its demand
-    grads = _param_grads(layer, upstream)
-    for g, want in zip(grads, want_grads):
-        assert g.shape == want.shape
-        assert _rel_err(g, want) <= tol
-    # bit for bit what the kernels give on the same forward state: the
-    # mdconv backward in map form (the recorded field as whole maps, the
-    # upstream zero off the demand), and the offset branch's backward on the
-    # demand's rows, the positions its field was computed at
-    gx, gw, gb, goff, gmod = mdconv_backward_optimized(x, layer._weights(), layer.spec,
-                                                       field, masked)
-    bgx, gbw, gbb = offset_branch_backward(x, layer._branch_weights(), layer.spec,
-                                           _rows_field(field, demand), pixel_rows(goff, demand),
-                                           pixel_rows(gmod, demand), demand)
-    assert grads[0].dtype == dtype
-    for g, want in zip(grads, (gx + bgx, gw, gb, gbw, gbb)):
-        assert np.array_equal(g, want)
+        got = layer.forward(x, demand)
+        assert got.shape == full.shape and got.dtype == dtype
+        assert _rel_err(_at(got, demand), _at(full, demand)) <= tol
+        assert not _outside(got, demand).any()
+        x_rec, field = layer.recorded_state()
+        assert x_rec is x
+        for part in ("offsets", "modulation"):
+            have, want = getattr(field, part), getattr(full_field, part)
+            assert have.shape == want.shape and have.dtype == dtype
+            assert _rel_err(_at(have, demand), _at(want, demand)) <= tol
+            assert not _outside(have, demand).any()
+        # the kernel alone, on the full field's rows
+        kernel = mdconv_forward_optimized(x, layer._weights(), layer.spec,
+                                          _rows_field(full_field, demand), positions=demand)
+        assert _rel_err(kernel, _at(full, demand)) <= tol
+        # the layer reads the upstream only at its demand
+        grads = _param_grads(layer, upstream)
+        for g, want in zip(grads, want_grads):
+            assert g.shape == want.shape
+            assert _rel_err(g, want) <= tol
+        # bit for bit what the kernels give on the same forward state: the
+        # mdconv backward in map form (the recorded field as whole maps, the
+        # upstream zero off the demand), and the offset branch's backward on
+        # the demand's rows, the positions its field was computed at
+        gx, gw, gb, goff, gmod = mdconv_backward_optimized(x, layer._weights(), layer.spec,
+                                                           field, masked)
+        bgx, gbw, gbb = offset_branch_backward(x, layer._branch_weights(), layer.spec,
+                                               _rows_field(field, demand),
+                                               pixel_rows(goff, demand),
+                                               pixel_rows(gmod, demand), demand)
+        assert grads[0].dtype == dtype
+        for g, want in zip(grads, (gx + bgx, gw, gb, gbw, gbb)):
+            assert np.array_equal(g, want)
+        # a second backward reads the same record: the same bits
+        for g, again in zip(grads, _param_grads(layer, upstream)):
+            assert np.array_equal(g, again)
+
+
+def test_layer_backward_builds_no_pattern_and_no_im2col_rows(monkeypatch):
+    import dcn2.deform_conv as dc
+
+    rng = np.random.default_rng(21)
+    layer = DeformConv2dLayer(3, 4, KernelSpec(3, 3, pad=(1, 1)), rng)
+    layer.branch_weight.value[...] = rng.normal(0.0, 0.3, layer.branch_weight.value.shape)
+    x = rng.normal(size=(2, 3, 9, 7)).astype(np.float32)
+    bases = _counting(monkeypatch, dc, "corner_base")
+    im2col = _counting(monkeypatch, dc, "_im2col_rows")
+    # a demand leaves the branch on a list, no demand on the full map; the
+    # upstream is dead at some positions, so the backward selects live rows
+    for demand in (np.flatnonzero(rng.random(2 * 9 * 7) < 0.5), None):
+        y = layer.forward(x, demand)
+        assert len(bases) == 1 and len(im2col) == (demand is not None)
+        bases.clear(), im2col.clear()
+        upstream = rng.normal(size=y.shape).astype(np.float32)
+        upstream[0, :, 2:5] = 0.0
+        layer.backward(upstream)
+        layer.backward(upstream, input_grad=False)
+        assert bases == [] and im2col == []
 
 
 @pytest.mark.parametrize("channel, match", [(0, "offsets"), (-1, "modulation")])
@@ -835,17 +870,23 @@ def test_sparse_upstream_backward_matches_reference_property(case):
     assert not gmod.transpose(0, 2, 3, 1)[dead].any()
 
 
+def _counting(monkeypatch, module, name):
+    """Calls of `module.name` from here on, one entry each."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_all_zero_upstream_builds_no_pattern(monkeypatch):
     import dcn2.deform_conv as dc
 
-    calls = []
-    gather = dc.bilinear_corner_gather
-
-    def counting_gather(*args, **kwargs):
-        calls.append(1)
-        return gather(*args, **kwargs)
-
-    monkeypatch.setattr(dc, "bilinear_corner_gather", counting_gather)
+    calls = _counting(monkeypatch, dc, "corner_base")
     rng = np.random.default_rng(15)
     spec = KernelSpec(3, 3, pad=(1, 1))
     x = rng.normal(size=(2, 3, 7, 6))

@@ -114,9 +114,10 @@ def test_crop_outside_image_rejected():
             crop_resize_patch(img[None], rois, (2, 2))
 
 
-@pytest.mark.parametrize("out_hw", [(8.5, 8), (8, 8.5), (True, 8), (8, 0)])
+@pytest.mark.parametrize("out_hw", [(8.5, 8), (8, 8.5), (True, 8), (8, 0), (8, 8, 8), (8,)])
 def test_crop_patch_size_must_be_two_integers_at_least_one(out_hw):
-    # (8.5, 8) once raised numpy's bare TypeError
+    # (8.5, 8) once raised numpy's bare TypeError, (8, 8, 8) and (8,) the
+    # bare ValueError of unpacking
     with pytest.raises(ArgumentError, match="patch size"):
         crop_resize_patch(np.zeros((1, 1, 8, 8)), [_GOOD_ROI], out_hw)
 

@@ -7,9 +7,11 @@ from dcn2.deform_conv import KernelSpec
 from dcn2.deform_roipool import PoolSpec, make_roi_branch
 from dcn2.errors import ShapeError, UsageError
 from dcn2.net import (
+    SGD,
     AffineLayer,
     Conv2dLayer,
     DeformConv2dLayer,
+    Param,
     ReLULayer,
     RoIPoolLayer,
     Sequential,
@@ -165,3 +167,24 @@ def test_discarded_input_gradient_is_skipped_and_changes_no_parameter_gradient(f
         grads.append([p.grad.copy() for p in model.params()])
     for a, b in zip(*grads):
         assert np.array_equal(a, b)
+
+
+def test_sgd_step_in_blocks_gives_the_whole_array_update_bit_for_bit():
+    # the whole-array update, one float64 sum per parameter, as reference;
+    # the shapes span many blocks, rows longer than a block and no rows
+    rng = np.random.default_rng(4)
+    shapes = ((300, 100), (3, 20_000), (27, 8, 3, 3), (0, 4), (1,))
+    params = [Param(rng.normal(size=s), lr_mult=m)
+              for s, m in zip(shapes, (1.0, 0.1, 1.0, 1.0, 0.1))]
+    opt = SGD(params, lr=0.05, momentum=0.9, weight_decay=1e-4)
+    values = [p.value.copy() for p in params]
+    velocity = [np.zeros_like(v) for v in values]
+    for _ in range(3):
+        for p, value, v in zip(params, values, velocity):
+            p.grad[...] = rng.normal(size=p.grad.shape) * 10.0 ** rng.integers(-6, 2)
+            v *= opt.momentum
+            v += p.grad + opt.weight_decay * value
+            value -= opt.lr * p.lr_mult * v
+        opt.step()
+    for p, value, v, have in zip(params, values, velocity, opt.velocity):
+        assert np.array_equal(p.value, value) and np.array_equal(have, v)
