@@ -43,21 +43,40 @@ class NodeProbe:
     `fn(image)` returns a scalar or a 1-D feature vector; `grad_fn(image)`,
     when available, returns the image-shaped gradient of the scalarized
     response (the response itself for scalar nodes, the vector's L2 norm for
-    vector nodes).
+    vector nodes). A `batched` probe's `fn(images)` instead maps a
+    (B, C, H, W) stack to its (B, D) responses at once; any other `fn` is
+    called once per image of a stack, in order.
     """
 
-    def __init__(self, fn, grad_fn=None, name: str = "probe"):
+    def __init__(self, fn, grad_fn=None, name: str = "probe", batched: bool = False):
         self._fn = fn
         self._grad_fn = grad_fn
+        self._batched = batched
         self.name = name
 
     @property
     def differentiable(self) -> bool:
         return self._grad_fn is not None
 
+    def responses(self, images) -> np.ndarray:
+        """(B, D) responses of a (B, C, H, W) stack of images. A batched row
+        agrees with its image's `response` to rounding: the BLAS products
+        behind a network probe round by their row count.
+        """
+        stack = np.asarray(images)
+        if stack.ndim != 4:
+            raise ShapeError(f"expected (B,C,H,W) images, got shape {stack.shape}")
+        stack = stack.astype(np.float64)
+        if self._batched:
+            return np.asarray(self._fn(stack), dtype=np.float64).reshape(len(stack), -1)
+        rows = [np.asarray(self._fn(img), dtype=np.float64).reshape(-1) for img in stack]
+        if len({r.size for r in rows}) > 1:
+            raise ShapeError(f"probe {self.name!r} returned responses of different sizes")
+        return np.stack(rows)
+
     def response(self, image) -> np.ndarray:
-        out = np.asarray(self._fn(_chw(image)), dtype=np.float64)
-        return out.reshape(-1)
+        """The response of one (C, H, W) image: `responses` of a batch of one."""
+        return self.responses(_chw(image)[None])[0]
 
     def gradient(self, image) -> np.ndarray:
         if self._grad_fn is None:
@@ -69,32 +88,57 @@ class NodeProbe:
 # probe builders
 # ---------------------------------------------------------------------------
 
+def _window_index(y0, x0, h, w):
+    """The index of a window into a (C, H, W) image, as a function of the
+    image. The origin must be integers >= 0 and the size integers >= 1,
+    else ArgumentError here; a window that leaves the image raises
+    ArgumentError when the function is called.
+    """
+    if not (all(map(is_integer, (y0, x0, h, w))) and min(y0, x0) >= 0 and min(h, w) >= 1):
+        raise ArgumentError(f"window ({y0}, {x0}, {h}, {w}) needs an integer origin >= 0 "
+                            f"and integer sizes >= 1")
+
+    def index(img):
+        if y0 + h > img.shape[1] or x0 + w > img.shape[2]:
+            raise ArgumentError(f"window [{y0}:{y0 + h},{x0}:{x0 + w}] leaves the "
+                                f"{img.shape[1]}x{img.shape[2]} image")
+        return slice(None), slice(y0, y0 + h), slice(x0, x0 + w)
+
+    return index
+
+
 def window_probe(y0: int, x0: int, h: int, w: int) -> NodeProbe:
-    """Vector node: the raw pixels of a window (all channels)."""
+    """Vector node: the raw pixels of a window (all channels). The window
+    must lie in the image (see `_window_index`).
+    """
+    index = _window_index(y0, x0, h, w)
 
     def fn(img):
-        return img[:, y0 : y0 + h, x0 : x0 + w].reshape(-1)
+        return img[index(img)].reshape(-1)
 
     def grad_fn(img):
         f = fn(img)
         n = np.linalg.norm(f)
         g = np.zeros_like(img)
         if n > 0:
-            g[:, y0 : y0 + h, x0 : x0 + w] = (f / n).reshape(img.shape[0], h, w)
+            g[index(img)] = (f / n).reshape(img.shape[0], h, w)
         return g
 
     return NodeProbe(fn, grad_fn, name=f"window[{y0}:{y0+h},{x0}:{x0+w}]")
 
 
 def window_mean_probe(y0: int, x0: int, h: int, w: int) -> NodeProbe:
-    """Scalar node: the mean over a window (all channels)."""
+    """Scalar node: the mean over a window (all channels). The window must
+    lie in the image (see `_window_index`).
+    """
+    index = _window_index(y0, x0, h, w)
 
     def fn(img):
-        return img[:, y0 : y0 + h, x0 : x0 + w].mean()
+        return img[index(img)].mean()
 
     def grad_fn(img):
         g = np.zeros_like(img)
-        g[:, y0 : y0 + h, x0 : x0 + w] = 1.0 / (img.shape[0] * h * w)
+        g[index(img)] = 1.0 / (img.shape[0] * h * w)
         return g
 
     return NodeProbe(fn, grad_fn, name=f"window-mean[{y0}:{y0+h},{x0}:{x0+w}]")
@@ -107,30 +151,34 @@ def constant_probe() -> NodeProbe:
 def network_probe(trunk: Sequential, y: int, x: int) -> NodeProbe:
     """Vector node: the channel vector of a trunk's output at one location.
 
-    Both `response` and `gradient` demand the node's one position of the
-    trunk's output map (see `Sequential.forward`): the layers before the
-    trunk's last deformable layer run in full, that layer computes only the
-    positions the node reads through the later layers, and those run in
-    full. A node outside the output map raises ArgumentError. `response`
-    runs on shallow copies of the trunk's layers, made here, which share
-    their Params, so it records no state on the trunk; `gradient` runs
-    forward and backward on the trunk itself, which keeps that state: the
-    last deformable layer's record then holds the field's rows at the
-    node's demand (`recorded_state` gives them as whole maps).
+    `responses` runs one trunk forward over the stack, and `gradient` one
+    over its image, each demanding the node's position of every image of
+    the trunk's output map (see `Sequential.forward`): the layers before
+    the trunk's last deformable layer run in full, that layer computes only
+    the positions the node reads through the later layers, and those run in
+    full. A non-integer (y, x) raises ArgumentError here, a node outside
+    the output map when the probe is called. `responses` runs on shallow
+    copies of the trunk's layers, made here, which share their Params, so
+    it records no state on the trunk; `gradient` runs forward and backward
+    on the trunk itself, which keeps that state: the last deformable
+    layer's record then holds the field's rows at the node's demand
+    (`recorded_state` gives them as whole maps).
     """
+    if not (is_integer(y) and is_integer(x)):
+        raise ArgumentError(f"node ({y!r}, {x!r}) must be integers")
     copies = Sequential(map(copy.copy, trunk.layers))
 
-    def demand(img):
-        h, w = trunk.out_hw(img.shape[1:])
+    def demand(images):
+        h, w = trunk.out_hw(images.shape[2:])
         if not (0 <= y < h and 0 <= x < w):
             raise ArgumentError(f"node ({y}, {x}) lies outside the {h}x{w} output map")
-        return [y * w + x]
+        return np.arange(len(images)) * (h * w) + (y * w + x)
 
-    def fn(img):
-        return copies.forward(img[None], demand(img))[0, :, y, x]
+    def fn(images):
+        return copies.forward(images, demand(images))[:, :, y, x]
 
     def grad_fn(img):
-        out = trunk.forward(img[None], demand(img))
+        out = trunk.forward(img[None], demand(img[None]))
         f = out[0, :, y, x]
         n = np.linalg.norm(f)
         upstream = np.zeros_like(out)
@@ -138,7 +186,7 @@ def network_probe(trunk: Sequential, y: int, x: int) -> NodeProbe:
             upstream[0, :, y, x] = f / n
         return trunk.backward(upstream)[0]
 
-    return NodeProbe(fn, grad_fn, name=f"net[{y},{x}]")
+    return NodeProbe(fn, grad_fn, name=f"net[{y},{x}]", batched=True)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +491,9 @@ def _reconstruction_loss(orig: np.ndarray, masked: np.ndarray) -> float:
 
 # step 1's rectangle grows by this fraction of the image area per step
 _AREA_STEP = 0.01
+# image elements of step 2's candidates probed in one call: bounds the
+# activations a network probe holds at once on large images
+_ROUND_ELEMENTS = 1 << 18
 
 
 def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
@@ -455,15 +506,21 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
     center), and grows by `_AREA_STEP` of the image area per step; step 2
     segments the image into at most `target_segments` SLIC superpixels at
     `slic_segment`'s default compactness; its units are the superpixels that
-    share a pixel with the rectangle. Unless `epsilon` is finite and > 0,
-    `target_segments` an integer >= 1 (above H*W it means H*W) and a center
-    (cy, cx) lies in the H x W image, 0 <= cy <= H-1 and 0 <= cx <= W-1,
-    ArgumentError is raised before the probe runs.
+    share a pixel with the rectangle. Step 1 probes one rectangle per call;
+    step 2 probes each round's candidates, every remaining unit removed
+    from the current mask in unit order, in one `responses` call (split
+    into stacks of at most `_ROUND_ELEMENTS` image elements). Unless the
+    image is finite, `epsilon` finite and > 0, `target_segments` an integer
+    >= 1 (above H*W it means H*W) and a center (cy, cx) lies in the H x W
+    image, 0 <= cy <= H-1 and 0 <= cx <= W-1, ArgumentError is raised
+    before the probe runs.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ArgumentError(f"epsilon must be finite and positive, got {epsilon}")
     _check_target_segments(target_segments)
     img = _chw(image)
+    if not np.isfinite(img).all():
+        raise ArgumentError("saliency needs a finite image")
     _, h, w = img.shape
     cy, cx = ((h - 1) / 2.0, (w - 1) / 2.0) if center is None else center
     if not (0 <= cy <= h - 1 and 0 <= cx <= w - 1):  # NaN fails too
@@ -471,11 +528,15 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
     orig = probe.response(img)
     calls = 1
 
-    def loss_for(mask: np.ndarray) -> float:
+    def losses_for(masks: list) -> list:
         nonlocal calls
-        resp = probe.response(img * mask[None])
-        calls += 1
-        return _reconstruction_loss(orig, resp)
+        out = []
+        per_call = max(1, _ROUND_ELEMENTS // img.size)
+        for i in range(0, len(masks), per_call):
+            stack = img * np.stack(masks[i:i + per_call])[:, None].astype(np.float64)
+            out += [_reconstruction_loss(orig, r) for r in probe.responses(stack)]
+            calls += len(stack)
+        return out
 
     # step 1: centered square grown at even area increments
     step = max(1.0, _AREA_STEP * h * w)
@@ -495,9 +556,9 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
         if cand == prev_rect:
             continue
         prev_rect = cand
-        mask = np.zeros((h, w), dtype=np.float64)
-        mask[y0:y1, x0:x1] = 1.0
-        err = loss_for(mask)
+        mask = np.zeros((h, w), dtype=bool)
+        mask[y0:y1, x0:x1] = True
+        [err] = losses_for([mask])
         if err < epsilon:
             break
         if cand == (0, h, 0, w):
@@ -505,7 +566,7 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
                 f"reconstruction bound {epsilon} unreachable even with the full image")
 
     # step 2: greedy superpixel removal inside the rectangle
-    rect_mask = cur_mask = mask > 0
+    rect_mask = cur_mask = mask
     seg = slic_segment(img, min(target_segments, h * w))
     units = {s_id: (seg.labels == s_id) & rect_mask
              for s_id in np.unique(seg.labels[rect_mask]).tolist()}
@@ -513,9 +574,8 @@ def saliency_region(probe: NodeProbe, image, epsilon: float = 0.1,
     sizes = [int(cur_mask.sum())]
     while units:
         best = None
-        for s_id, cells in units.items():
-            cand = cur_mask & ~cells
-            err = loss_for(cand.astype(np.float64))
+        cands = [cur_mask & ~cells for cells in units.values()]
+        for s_id, cand, err in zip(units, cands, losses_for(cands)):
             if err < epsilon and (best is None or (err, s_id) < best[:2]):
                 best = (err, s_id, cand)
         if best is None:

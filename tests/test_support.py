@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dcn2 import support
 from dcn2.deform_conv import KernelSpec
-from dcn2.errors import ArgumentError, CapabilityError, ConvergenceError, UsageError
+from dcn2.errors import ArgumentError, CapabilityError, ConvergenceError, ShapeError, UsageError
 from dcn2.imageio import decode_netpbm, encode_mask_pgm, encode_pgm
 from dcn2.support import (
     NodeProbe,
@@ -208,6 +208,99 @@ def test_network_probe_node_outside_output_map_is_argument_error(node):
     for call in (probe.response, probe.gradient):
         with pytest.raises(ArgumentError, match="outside"):
             call(img)
+
+
+@pytest.mark.parametrize("build", [
+    lambda trunk: window_probe(-2, -2, 4, 4),  # would respond with an empty vector
+    lambda trunk: window_mean_probe(2, 2, 0, 4),
+    lambda trunk: window_probe(True, 2, 4, 4),
+    lambda trunk: window_probe(2, 2, 2.0, 4),
+    lambda trunk: network_probe(trunk, True, 3),  # the bool would index the output map
+    lambda trunk: network_probe(trunk, 2.5, 3),
+], ids=["window-negative-origin", "mean-empty-window", "window-bool-origin",
+        "window-float-size", "net-bool-node", "net-float-node"])
+def test_probe_with_bad_geometry_is_argument_error_at_build(build):
+    with pytest.raises(ArgumentError):
+        build(_probe_trunks()["full_trunk"])
+
+
+@pytest.mark.parametrize("probe", [
+    window_probe(14, 14, 8, 8),  # would respond with the 4 pixels left inside
+    window_mean_probe(20, 20, 4, 4),  # would respond NaN, with a RuntimeWarning
+], ids=["window-clipped", "mean-outside"])
+def test_window_leaving_the_image_is_argument_error_when_called(probe):
+    img = np.random.default_rng(10).uniform(0.1, 1.0, size=(1, 16, 16))
+    for call in (probe.response, probe.gradient):
+        with pytest.raises(ArgumentError, match="leaves"):
+            call(img)
+
+
+def test_probe_geometry_takes_numpy_integers():
+    img = np.random.default_rng(10).uniform(0.1, 1.0, size=(1, 16, 16))
+    y0, x0, h, w = np.int64(2), np.int32(3), np.int64(4), np.uint8(5)
+    assert np.array_equal(window_probe(y0, x0, h, w).response(img),
+                          img[:, 2:6, 3:8].reshape(-1))
+    assert window_mean_probe(y0, x0, h, w).response(img)[0] == img[:, 2:6, 3:8].mean()
+    trunk = _probe_trunks()["full_trunk"]
+    assert np.array_equal(network_probe(trunk, np.int64(5), np.int32(6)).response(img[:, :12, :12]),
+                          network_probe(trunk, 5, 6).response(img[:, :12, :12]))
+
+
+def _batch_trunks():
+    """Trunks by layer kinds, the node before the last ReLU, with live
+    offset branches.
+    """
+    from dcn2.net import DeformConv2dLayer, Sequential
+    from dcn2.synthetic import ToyNetConfig, ToyRegressionNet
+
+    rng = np.random.default_rng(17)
+    out = {}
+    for layers in (("regular", "mdconv"), ("mdconv", "mdconv"), ("regular", "dconv"),
+                   ("regular", "regular"), ("mdconv",)):
+        cfg = ToyNetConfig(layers=layers, channels=(4, 5)[:len(layers)], image_size=12)
+        trunk = ToyRegressionNet(cfg, rng).trunk
+        for layer in trunk.layers:
+            if isinstance(layer, DeformConv2dLayer):
+                w = layer.branch_weight.value
+                w[...] = rng.normal(0.0, 0.3, w.shape)
+        out[",".join(layers)] = Sequential(trunk.layers[:-1])
+    return out
+
+
+_BATCH_TRUNKS = _batch_trunks()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_BATCH_TRUNKS)), st.sampled_from(["center", "corner", "edge"]),
+       st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_batched_responses_match_one_image_responses_property(name, node, batch, seed):
+    trunk = _BATCH_TRUNKS[name]
+    rng = np.random.default_rng(seed)
+    images = rng.normal(size=(batch, 1, 12, 12))
+    images *= rng.integers(0, 2, size=(batch, 1, 12, 12))  # masked, like saliency candidates
+    h, w = trunk.out_hw((12, 12))
+    y, x = {"center": (h // 2, w // 2), "corner": (0, w - 1), "edge": (h - 1, w // 2)}[node]
+    probe = network_probe(trunk, y, x)
+    rows = probe.responses(images)
+    assert rows.shape == (batch, trunk.layers[-1].bias.value.size)
+    for row, img in zip(rows, images):
+        want = probe.response(img)
+        if batch == 1 or name == "regular,regular":
+            assert np.array_equal(row, want)
+        else:
+            assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_user_probe_responses_call_fn_once_per_image_in_order():
+    seen = []
+    probe = NodeProbe(lambda img: seen.append(img[0, 0, 0]) or img[:, 0, :2].reshape(-1))
+    images = np.arange(3 * 2 * 3 * 4, dtype=np.float64).reshape(3, 2, 3, 4)
+    rows = probe.responses(images)
+    assert seen == [0.0, 24.0, 48.0]
+    assert np.array_equal(rows, images[:, :, 0, :2].reshape(3, -1))
+    assert np.array_equal(probe.response(images[1]), rows[1])
+    with pytest.raises(ShapeError):
+        probe.responses(images[0])
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +712,8 @@ def test_saliency_units_are_the_segments_touching_the_rectangle(monkeypatch):
         seen.append((image[0] != 0).tolist())
         return image[:, 2:6, 2:6].reshape(-1)
 
+    probe, batches = _recording_calls(NodeProbe(fn, name="recording window"))
+
     # step 1 stops at the window's own 4x4 square, rows and columns 2 .. 5
     rect = np.zeros((8, 8), dtype=bool)
     rect[2:6, 2:6] = True
@@ -630,13 +725,64 @@ def test_saliency_units_are_the_segments_touching_the_rectangle(monkeypatch):
     labels[1, 3:6] = 3  # beside the rectangle, outside it
     monkeypatch.setattr(support, "slic_segment", lambda image, n: SuperpixelLabeling(labels, 4))
 
-    mask = saliency_region(NodeProbe(fn, name="recording window"), img, epsilon=1e-6)
+    mask = saliency_region(probe, img, epsilon=1e-6)
     assert mask.rect == (2, 2, 4, 4)
     # no removal keeps the window, so one round removes each unit once:
     # unit 1 leaves the corner, unit 2 the rest of the rectangle
     step2 = seen[seen.index(rect.tolist()) + 1:]
     assert step2 == [corner.tolist(), (rect & ~corner).tolist()]
     assert mask.segments_kept == 2
+    # the image, then step 1 a rectangle per call, then the round in one call
+    assert [len(b) for b in batches] == [1] * (len(batches) - 1) + [2]
+    assert batches[-1] == step2
+    assert mask.probe_calls == len(seen)
+
+
+def _recording_calls(probe: NodeProbe):
+    """The probe, recording each `responses` call's masks (nonzero pixels)
+    in the list returned beside it; `response` calls it with one image.
+    """
+    batches = []
+    responses = probe.responses
+
+    def recording(images):
+        batches.append([(image[0] != 0).tolist() for image in images])
+        return responses(images)
+
+    probe.responses = recording
+    return probe, batches
+
+
+def test_saliency_probes_each_removal_round_in_one_call(monkeypatch):
+    """With a vacuous bound every round removes a unit: rounds of 4, 3, 2 and
+    1 candidates, each one call, candidates in unit order.
+    """
+    img = np.random.default_rng(12).uniform(0.1, 1.0, size=(1, 40, 40))
+    labels = np.zeros((40, 40), dtype=np.int64)
+    labels[:20, 20:] = 1
+    labels[20:, :20] = 2
+    labels[20:, 20:] = 3
+    monkeypatch.setattr(support, "slic_segment", lambda image, n: SuperpixelLabeling(labels, 4))
+    probe, batches = _recording_calls(window_probe(18, 18, 4, 4))
+
+    mask = saliency_region(probe, img, epsilon=1.5)
+    # step 1 stops at its first square, rows and columns 18 .. 21
+    assert mask.rect == (18, 18, 4, 4)
+    assert [len(b) for b in batches] == [1, 1, 4, 3, 2, 1]
+    assert mask.probe_calls == sum(map(len, batches)) == 12
+    cur = np.asarray(batches[1][0])
+    units = {s_id: (labels == s_id) & cur for s_id in range(4)}
+    for rnd, following in zip(batches[2:], batches[3:] + [None]):
+        assert rnd == [(cur & ~cells).tolist() for cells in units.values()]
+        # a unit removed is one whose candidate the next round starts from
+        # (with two units left, either leaves the same last round)
+        removed = [s_id for s_id, cand in zip(units, rnd)
+                   if following is None or following == [
+                       (np.asarray(cand) & ~cells).tolist()
+                       for other, cells in units.items() if other != s_id]]
+        assert removed
+        cur = cur & ~units.pop(removed[0])
+    assert mask.mask.sum() == 0
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), 0.0, -0.5, float("inf")])
@@ -655,6 +801,19 @@ def test_non_integer_target_segments_is_argument_error(target):
         slic_segment(img, target)
     with pytest.raises(ArgumentError, match="target_segments"):
         saliency_region(probe, img, target_segments=target)
+    assert calls == []  # rejected before the probe runs
+
+
+@pytest.mark.parametrize("pixel, value", [((0, 7, 7), float("nan")),  # outside the window
+                                          ((0, 3, 3), float("inf")),  # inside it
+                                          ((0, 2, 4), -float("inf"))])
+def test_saliency_non_finite_image_is_argument_error(pixel, value):
+    img = np.random.default_rng(10).uniform(0.1, 1.0, size=(1, 8, 8))
+    img[pixel] = value
+    calls = []
+    probe = NodeProbe(lambda image: calls.append(1) or image[:, 2:5, 2:5].reshape(-1))
+    with pytest.raises(ArgumentError, match="finite"):
+        saliency_region(probe, img, target_segments=4)
     assert calls == []  # rejected before the probe runs
 
 
